@@ -1,11 +1,11 @@
 """Perf-regression benchmarking for the simulation kernel and runner.
 
-``python -m repro bench`` (or the ``benchmarks/perf_harness.py`` shim)
-runs :func:`repro.bench.harness.main`: kernel/table timings per scheduler
-backend, backend A/B ratios, table-row parity between backends, and gates
-against the checked-in ``benchmarks/baselines.json``.
+``python -m repro bench`` runs :func:`repro.bench.harness.run_harness`:
+kernel/table timings per scheduler backend, backend A/B ratios, table-row
+parity between backends, and gates against the checked-in
+``benchmarks/baselines.json``.
 """
 
-from .harness import load_baselines, main, run_harness
+from .harness import load_baselines, run_harness
 
-__all__ = ["load_baselines", "main", "run_harness"]
+__all__ = ["load_baselines", "run_harness"]

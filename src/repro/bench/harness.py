@@ -4,27 +4,25 @@ Run it through the CLI (no ``PYTHONPATH`` gymnastics) ::
 
     python -m repro bench                      # full run, all backends
     python -m repro bench --smoke              # CI quick pass
-    python -m repro bench --kernel wheel       # time one backend only
+    python -m repro bench --kernel compiled    # time one backend only
     python -m repro bench --smoke --enforce-floor   # CI regression gate
 
-or via the ``benchmarks/perf_harness.py`` shim.  Sections written to
-``BENCH_kernel.json`` (``--out``):
+Sections written to ``BENCH_kernel.json`` (``--out``):
 
 * ``kernel.<backend>.int_yield`` -- pure event throughput per scheduler
-  backend (heap vs timing wheel vs compiled): 64 processes each doing
-  2000 one-cycle delay yields.  Events/sec uses the nominal event count
-  (procs x yields) so the figure is comparable across kernel versions.
+  backend (heap vs compiled): 64 processes each doing 2000 one-cycle
+  delay yields.  Events/sec uses the nominal event count (procs x
+  yields) so the figure is comparable across kernel versions.
 * ``kernel.<backend>.mixed`` -- composite workload exercising Timeout
   pooling, Event succeed/fail, AnyOf/AllOf, and interrupt wakeups.
-* ``ab`` -- challenger-vs-heap ratios when both sides were timed.  The
-  full-run gates require the wheel to reach at least
-  ``gates.wheel_vs_heap_int_yield`` (1.5x) heap throughput and the
-  compiled backend ``gates.compiled_vs_heap_int_yield`` (5.0x).
+* ``ab`` -- compiled-vs-heap ratios when both sides were timed.  The
+  full-run gate requires the compiled backend to reach at least
+  ``gates.compiled_vs_heap_int_yield`` (5.0x) heap throughput.
 * ``table2.<backend>`` -- Table II wall time, sequential vs parallel
   runner, best-of-``--rounds`` after a warm-up; parallel rows must be
   bit-identical to sequential rows and pass ``check_table2_shape``.
 * ``backend_parity`` -- Tables II-V executed serially on *every* backend
-  (heap, wheel, compiled -- even under ``--kernel``/``--smoke``);
+  (heap and compiled -- even under ``--kernel``/``--smoke``);
   ``rows_identical`` must be true for every table (Table V rows are
   compared without the wall-clock ``generation_time_ms`` field).
 * ``run_report`` -- one traced Table II case's telemetry summary, so
@@ -37,12 +35,12 @@ is not skewed by machine heat from the long table runs.
 Baselines live in the checked-in ``benchmarks/baselines.json`` (they are
 *read*, never rewritten, so they cannot drift when this harness rewrites
 its output): the frozen seed-tree numbers (commit 2988a20), the vs-seed
-gate floors, the wheel-vs-heap floor, and the per-backend CI floor
+gate floors, the compiled-vs-heap floor, and the per-backend CI floor
 references.  Outside ``--smoke`` the run fails (exit 1) on any parity or
 identity failure, on a *heap* vs-seed speedup below its floor (the
-floors were calibrated for the seed's default scheduler; the wheel's
-vs-seed numbers are informational), or on a wheel/compiled A/B ratio
-below its floor.  ``--enforce-floor`` additionally times the
+floors were calibrated for the seed's default scheduler; the compiled
+backend's vs-seed numbers are informational), or on a compiled A/B
+ratio below its floor.  ``--enforce-floor`` additionally times the
 full-size ``int_yield`` workload (cheap, ~0.2 s) and fails on a
 ``gates.ci_regression_tolerance`` (20 %) events/sec regression against
 the per-backend ``ci_floor`` references -- the CI guard.
@@ -50,7 +48,6 @@ the per-backend ``ci_floor`` references -- the CI guard.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import time
@@ -483,7 +480,7 @@ def run_harness(
 
     ab: Dict[str, float] = {}
     if "heap" in kernel_section:
-        for challenger in ("wheel", "compiled"):
+        for challenger in KERNEL_BACKENDS[1:]:
             if challenger not in kernel_section:
                 continue
             ab["int_yield_events_per_sec_%s_vs_heap" % challenger] = (
@@ -556,12 +553,9 @@ def run_harness(
     if not smoke:
         # vs_seed floors gate the *heap* backend only: they were calibrated
         # against the seed tree's default scheduler, which heap descends
-        # from.  The wheel is a different structure with a different profile
-        # (~2x heap on event-dense traffic, slightly behind it on the
-        # sparse, overflow-dominated table workloads -- docs/performance.md)
-        # and is gated by its own design targets below: the A/B int_yield
-        # floor and backend parity.  Its vs_seed speedups stay in the
-        # report as information.
+        # from.  The compiled backend is gated by its own design targets
+        # below: the A/B int_yield floor and backend parity.  Its vs_seed
+        # speedups stay in the report as information.
         if "heap" in vs_seed:
             for key, floor in gates["vs_seed"].items():
                 if vs_seed["heap"][key] < floor:
@@ -569,7 +563,7 @@ def run_harness(
                         "heap: vs_seed[%s] = %.2fx below the %.2fx floor"
                         % (key, vs_seed["heap"][key], floor)
                     )
-        for challenger in ("wheel", "compiled"):
+        for challenger in KERNEL_BACKENDS[1:]:
             key = "int_yield_events_per_sec_%s_vs_heap" % challenger
             if key not in ab:
                 continue
@@ -660,7 +654,7 @@ def _print_summary(report: dict) -> None:
         speedups = report["vs_seed"][kernel]
         table2 = report["table2"][kernel]
         print(
-            "%-5s int_yield : %8.0f events/sec (%.2fx seed)"
+            "%-8s int_yield : %8.0f events/sec (%.2fx seed)"
             % (
                 kernel,
                 section["int_yield"]["events_per_sec"],
@@ -668,11 +662,11 @@ def _print_summary(report: dict) -> None:
             )
         )
         print(
-            "%-5s mixed     : %8.4f s        (%.2fx seed)"
+            "%-8s mixed     : %8.4f s        (%.2fx seed)"
             % (kernel, section["mixed"]["seconds"], speedups["mixed_seconds"])
         )
         print(
-            "%-5s table2    : seq %.2f s (%.2fx seed)  jobs=%d %.2f s (%.2fx seed)"
+            "%-8s table2    : seq %.2f s (%.2fx seed)  jobs=%d %.2f s (%.2fx seed)"
             % (
                 kernel,
                 table2["sequential_seconds"],
@@ -682,7 +676,7 @@ def _print_summary(report: dict) -> None:
                 speedups["table2_parallel_seconds"],
             )
         )
-    for challenger in ("wheel", "compiled"):
+    for challenger in KERNEL_BACKENDS[1:]:
         key = "int_yield_events_per_sec_%s_vs_heap" % challenger
         if key in report["ab"]:
             print(
@@ -733,58 +727,3 @@ def _print_summary(report: dict) -> None:
             run_report["peak_queue_depth"],
         )
     )
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro bench",
-        description="Perf-regression harness (kernel + tables, per scheduler backend).",
-    )
-    parser.add_argument("--rounds", type=int, default=3, help="timing repeats (best-of)")
-    parser.add_argument("--jobs", type=int, default=4, help="parallel runner workers")
-    parser.add_argument(
-        "--kernel",
-        choices=list(KERNEL_BACKENDS),
-        help="time one scheduler backend only (default: all; parity always runs all)",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="tiny workloads, no perf gating (CI functional check)",
-    )
-    parser.add_argument(
-        "--enforce-floor",
-        action="store_true",
-        help="fail on a >tolerance events/sec regression vs baselines.json ci_floor",
-    )
-    parser.add_argument(
-        "--baselines",
-        default=DEFAULT_BASELINES,
-        help="baselines JSON path (default: benchmarks/baselines.json)",
-    )
-    parser.add_argument(
-        "--out",
-        default=DEFAULT_OUT,
-        help="output JSON path (default: repo-root BENCH_kernel.json)",
-    )
-    args = parser.parse_args(argv)
-
-    kernels = (args.kernel,) if args.kernel else KERNEL_BACKENDS
-    report, failures = run_harness(
-        kernels=kernels,
-        smoke=args.smoke,
-        jobs=args.jobs,
-        rounds=args.rounds,
-        enforce_floor=args.enforce_floor,
-        baselines_path=args.baselines,
-    )
-    _print_summary(report)
-    with open(args.out, "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print("wrote %s" % args.out)
-    if failures:
-        for failure in failures:
-            print("FAIL: %s" % failure)
-        return 1
-    return 0

@@ -23,6 +23,7 @@ from .core.busyn import BusSyn
 from .options import presets
 from .options.inputfile import parse_option_file
 from .options.schema import OptionError
+from .sim.kernel import KERNEL_BACKENDS, SimulationError, check_kernel, default_kernel
 
 __all__ = ["main"]
 
@@ -280,7 +281,6 @@ def _cmd_table(args) -> int:
     import time
 
     from .experiments import table2, table3, table4, table5
-    from .sim.kernel import default_kernel
 
     module = {2: table2, 3: table3, 4: table4, 5: table5}[args.number]
     start = time.perf_counter()
@@ -313,7 +313,6 @@ def _cmd_bench(args) -> int:
     import time
 
     from .bench.harness import _print_summary, run_harness
-    from .sim.kernel import KERNEL_BACKENDS
 
     kernels = (args.kernel,) if args.kernel else KERNEL_BACKENDS
     start = time.perf_counter()
@@ -368,14 +367,13 @@ _PROFILE_CASES = {
 def _cmd_profile(args) -> int:
     """Run one representative case of a table under cProfile and print the
     top cumulative-time hotspots (the workflow behind the kernel fast
-    paths; see benchmarks/perf_harness.py for the regression side)."""
+    paths; ``python -m repro bench`` covers the regression side)."""
     import cProfile
     import importlib
     import json
     import pstats
 
     from .obs.ledger import git_revision, options_hash
-    from .sim.kernel import default_kernel
 
     module_name, worker_name, case = _PROFILE_CASES[args.number]
     worker = getattr(importlib.import_module(module_name), worker_name)
@@ -475,7 +473,7 @@ def _cmd_chaos(args) -> int:
 
     from .faults.chaos import CHAOS_ARCHITECTURES, format_chaos_summary, run_chaos
 
-    backends = tuple(args.backend) if args.backend else ("heap", "wheel")
+    backends = tuple(args.backends or KERNEL_BACKENDS)
     start = time.perf_counter()
     summary = run_chaos(
         seed=args.seed,
@@ -525,7 +523,7 @@ def _cmd_verify(args) -> int:
     archs = args.arch
     if not archs:
         archs = SMOKE_ARCHITECTURES if args.smoke else None
-    backends = tuple(args.backend) if args.backend else ("heap", "wheel")
+    backends = tuple(args.backends or KERNEL_BACKENDS)
     start = time.perf_counter()
     summary = run_verify(
         archs=archs,
@@ -822,6 +820,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="BusSyn: automated bus generation for multiprocessor SoC design",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Backend names are checked in main(), not by argparse choices, so a bad
+    # name gets the same one-line exit as a bad $REPRO_SIM_KERNEL.
+    kernel_metavar = "{%s}" % ",".join(KERNEL_BACKENDS)
 
     def add_spec_arguments(p):
         p.add_argument("--preset", default="GBAVIII", help="bus architecture preset")
@@ -829,11 +830,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--options", help="user-option input file (Figure 18 format)")
 
     def add_kernel_argument(p):
-        from .sim.kernel import KERNEL_BACKENDS
-
         p.add_argument(
             "--kernel",
-            choices=list(KERNEL_BACKENDS),
+            metavar=kernel_metavar,
             help="scheduler backend (default: $REPRO_SIM_KERNEL or heap); "
             "see docs/performance.md",
         )
@@ -972,7 +971,7 @@ def build_parser() -> argparse.ArgumentParser:
     compile_parser.add_argument(
         "-o",
         "--out",
-        default="./compiled",
+        required=True,
         help="output directory for the generated .py sources",
     )
     add_ledger_arguments(compile_parser)
@@ -1000,14 +999,13 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         help="architecture to sweep (repeatable; default: the paper's five)",
     )
-    from .sim.kernel import KERNEL_BACKENDS
-
     chaos.add_argument(
         "--backend",
         action="append",
-        choices=list(KERNEL_BACKENDS),
-        help="scheduler backend (repeatable; default: heap+wheel, with "
-        "parity check; compiled despecializes under faults, so adding it "
+        dest="backends",
+        metavar=kernel_metavar,
+        help="scheduler backend (repeatable; default: every backend, with a "
+        "parity check; faults despecialize the compiled backend, so it "
         "re-proves the generic-path fallback)",
     )
     chaos.add_argument("--packets", type=int, default=4, help="OFDM packets per run")
@@ -1041,10 +1039,11 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--backend",
         action="append",
-        choices=list(KERNEL_BACKENDS),
-        help="scheduler backend (repeatable; default: heap+wheel, with "
-        "parity check; monitors despecialize the compiled backend, so "
-        "adding it re-proves the generic-path fallback)",
+        dest="backends",
+        metavar=kernel_metavar,
+        help="scheduler backend (repeatable; default: every backend, with a "
+        "parity check; monitors despecialize the compiled backend, so it "
+        "re-proves the generic-path fallback)",
     )
     verify.add_argument("--packets", type=int, default=2, help="OFDM packets per run")
     verify.add_argument("--pes", type=int, default=4, help="processor count")
@@ -1210,6 +1209,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Every backend name is checked here, before any work: a bad one would
+    # otherwise surface mid-run (or after a table printed) as a traceback.
+    names = list(getattr(args, "backends", None) or [])
+    if getattr(args, "kernel", None):
+        names.append(args.kernel)
+    try:
+        default_kernel()
+        for name in names:
+            check_kernel(name)
+    except SimulationError as error:
+        print("repro: %s" % error, file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except OptionError as error:

@@ -22,7 +22,7 @@ The config's identity is ``DseConfig.key()``: the SHA-256 of the
 canonical-JSON options (:func:`repro.obs.ledger.content_hash` -- the same
 discipline the run ledger uses), which keys the artifact cache, the shard
 assignment, and the dedup.  The scheduler backend is deliberately *not*
-part of the identity: heap/wheel/compiled runs are bit-identical by the
+part of the identity: heap and compiled runs are bit-identical by the
 parity suite, so their artifacts are interchangeable.
 """
 

@@ -17,7 +17,7 @@ and then asserts the chaos invariants:
    injected faults (``unaccounted == 0``);
 3. empty-plan identity -- ``empty`` matches ``baseline`` cycle-for-cycle;
 4. backend parity -- ``faulted`` outcomes (cycles, episode ledger, all
-   counters) are identical on the heap and wheel kernels.
+   counters) are identical on every scheduler backend.
 
 Every case additionally runs with a
 :class:`~repro.obs.counters.CounterPlane` attached, so each row carries
@@ -38,6 +38,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..apps.ofdm import OfdmParameters, run_ofdm
 from ..options import presets
 from ..sim.fabric import build_machine
+from ..sim.kernel import KERNEL_BACKENDS
 from .injector import RecoveryPolicy, install_faults
 from .plan import SCENARIOS, compile_plan, empty_plan
 
@@ -137,7 +138,7 @@ def run_chaos(
     seed: int = 0,
     scenario: str = "smoke",
     archs: Optional[Sequence[str]] = None,
-    backends: Sequence[str] = ("heap", "wheel"),
+    backends: Sequence[str] = KERNEL_BACKENDS,
     packets: int = 4,
     pe_count: int = 4,
     jobs: int = 1,
@@ -269,7 +270,7 @@ def format_chaos_summary(summary: Dict[str, Any]) -> List[str]:
             continue
         resilience = row["resilience"]
         lines.append(
-            "  %-8s %-4s %-5s  %8d cycles  planned %2d fired %2d "
+            "  %-8s %-4s %-8s  %8d cycles  planned %2d fired %2d "
             "recovered %2d residual %2d accounted %2d dormant %2d"
             % (
                 row["arch"],

@@ -21,9 +21,10 @@ Recovery taxonomy (the ``ResilienceReport`` invariant is
   crash/restart) that cost cycles but cannot lose data.
 
 The injector's trigger bookkeeping is plain-Python counters keyed by site
-name, advanced in simulation order -- which the heap and wheel scheduler
-backends reproduce identically -- so a given plan produces the same fault
-episodes, in the same order, at the same cycles on both backends.
+name, advanced in simulation order -- which the heap and compiled
+scheduler backends reproduce identically -- so a given plan produces the
+same fault episodes, in the same order, at the same cycles on both
+backends.
 """
 
 from __future__ import annotations

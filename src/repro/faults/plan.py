@@ -13,7 +13,7 @@ Trigger points come in two flavours:
   queued grant dispatch, ...).  Ordinals are counted by the injector in
   simulation order, which both scheduler backends reproduce bit-identically
   (``tests/test_scheduler_parity.py``), so a plan injects at exactly the
-  same logical point on the heap and wheel kernels.
+  same logical point on the heap and compiled kernels.
 * **cycle** -- an absolute simulation cycle (used by stuck-grant faults,
   which are injected by a scheduled timer rather than a data-path hook).
 

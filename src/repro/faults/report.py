@@ -13,7 +13,7 @@ fired and the recovery machinery lost track of it, which is the failure
 mode chaos testing exists to catch.
 
 Reports are plain dicts underneath so they pickle across the parallel
-runner and diff cleanly across scheduler backends (the heap/wheel parity
+runner and diff cleanly across scheduler backends (the heap/compiled parity
 check compares entire ``outcomes`` lists, cycle numbers included).
 """
 

@@ -16,8 +16,8 @@ into one verdict:
   (injected == recovered + residual + accounted) plus PE completion;
   a ``fault_scale`` of 0 skips the check (the shrinker's "no fault plan
   needed" direction);
-* ``parity`` -- run the bare workload on the heap, wheel and compiled
-  kernels and require identical run fingerprints (cycles, throughput,
+* ``parity`` -- run the bare workload on the heap and compiled kernels
+  and require identical run fingerprints (cycles, throughput,
   per-segment counter-plane totals).
 
 Every check is exception-safe: a raised :class:`BusTimeoutError` (or any
@@ -55,8 +55,8 @@ ORACLE_VERSION = 2
 
 ORACLE_CHECKS = ("structural", "protocol", "resilience", "parity")
 
-#: All registered scheduler backends, in registry order (heap, wheel,
-#: compiled) -- the parity check runs the bare workload on each.
+#: All registered scheduler backends, in registry order (heap, compiled)
+#: -- the parity check runs the bare workload on each.
 PARITY_BACKENDS = tuple(KERNEL_BACKENDS)
 
 #: Architectures whose netlist <-> machine structural comparison is a
@@ -86,7 +86,7 @@ def run_fingerprint(config: DseConfig, machine, metric: Dict[str, Any]) -> str:
 
     Hashes the simulated-cycle count, the workload metric, per-PE finish
     cycles and the counter-plane totals -- everything the backend-parity
-    suite guarantees bit-identical across heap/wheel/compiled, and nothing
+    suite guarantees bit-identical across heap and compiled, and nothing
     wall-clock.
     """
     plane = machine.counters

@@ -1,6 +1,6 @@
-"""Gen-3 compiled scheduler backend (``--kernel compiled``).
+"""Compiled scheduler backend (``--kernel compiled``).
 
-Two layers of specialization over the gen-2 timing wheel:
+Two layers of specialization over a timing-wheel scheduler:
 
 * :mod:`repro.sim.compiled.kernel` -- run-loop variants generated with
   ``compile()``/``exec`` and *direct entries* for in-horizon ``yield <int>``

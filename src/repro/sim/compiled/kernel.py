@@ -1,10 +1,10 @@
-"""Gen-3 scheduler backend: a run loop generated with ``compile()``/``exec``.
+"""Compiled scheduler backend: a timing wheel drained by generated run loops.
 
-:class:`CompiledSimulator` keeps the timing-wheel data structures of
-:class:`~repro.sim.kernel.WheelSimulator` but replaces the interpreted drain
-loop with *generated* run-loop variants, and replaces the pooled-timeout
-proxy machinery with **direct entries** for the dominant ``yield <int>``
-traffic:
+:class:`CompiledSimulator` keeps pending events on a timing wheel (its
+docstring gives the data structures and the ordering argument) and drains
+it with run-loop variants *generated* with ``compile()``/``exec``.  The
+dominant ``yield <int>`` traffic skips the pooled-timeout proxy machinery
+through **direct entries**:
 
 * a process waiting an in-horizon delay sits in its wheel bucket as a
   1-tuple ``(process,)`` (see ``Process._resume``'s ``_use_direct`` branch);
@@ -13,7 +13,7 @@ traffic:
 * the 1-tuple doubles as the staleness token: any generic wakeup
   (interrupt, event, finish) rewrites ``process._target``, so a drained
   entry whose identity no longer matches is skipped -- counting as one
-  processed event, exactly like a stale pooled proxy on the wheel backend;
+  processed event, exactly like a stale pooled proxy on the heap backend;
 * consecutive delay-1 reschedules (bus beats, the dominant cadence) are
   batched into a pending list flushed into the next bucket with one
   ``list.extend`` -- the flush happens before any slow-path call that could
@@ -23,10 +23,10 @@ traffic:
   correctness never depends on interning).
 
 Everything else -- overflow heap, bootstrap/interrupt wakeups, ``Timeout``
-and composite events -- goes through the same pooled-proxy paths as the
-wheel backend, so firing order, final clock and ``events_processed`` are
-bit-identical across all three backends (``tests/test_scheduler_parity.py``
-runs the three-way differential).
+and composite events -- goes through the pooled-proxy paths shared with
+the heap backend, so firing order, final clock and ``events_processed``
+are bit-identical to it (``tests/test_scheduler_parity.py`` runs the
+differential).
 
 Run-loop **variants** are specialized over (stop-event present, deadline
 present, monitored): a run with hooks off executes a loop with *no* hook
@@ -38,24 +38,29 @@ in-process for inspection -- ``repro compile -o DIR`` writes them to disk
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from ..kernel import (
     WHEEL_SIZE,
     Event,
     Interrupt,
     SimulationError,
+    Simulator,
     Timeout,
-    WheelSimulator,
-    _LOW_MASKS,
     _PooledTimeout,
     _WHEEL_BITS,
-    _WHEEL_CLEARS,
     _WHEEL_MASK,
 )
 from .. import kernel as _kernel_mod
 
 __all__ = ["CompiledSimulator", "generated_kernel_sources", "KERNEL_VARIANTS"]
+
+# Low-bit masks that rotate the occupancy bitmask so "bit k" means "k
+# cycles from now", and precomputed ~bit masks: clearing an occupancy bit
+# with a table lookup avoids allocating a fresh (negative) big int per
+# drained cycle.
+_LOW_MASKS = [(1 << i) - 1 for i in range(WHEEL_SIZE)]
+_WHEEL_CLEARS = [~(1 << i) for i in range(WHEEL_SIZE)]
 
 # Variant axes: exactly one of stop/deadline can be active per run() call
 # (``until`` is either an Event or a cycle count), and monitored runs take
@@ -269,10 +274,11 @@ def _render_monitored(name: str) -> str:
     """Render the monitored variant: peak-pending-depth tracking per fire.
 
     Depth is read before each fire as ``wheel_count - fired + overflow``
-    (overflow fires read ``wheel_count + overflow``), matching the wheel
-    backend's monitored loop exactly, so the reported peak queue depth is
-    identical across backends.  Bookkeeping is per-event (no delay-1
-    batching) so the live ``_wheel_count`` stays truthful mid-drain.
+    (overflow fires read ``wheel_count + overflow``): the pending count
+    with the about-to-fire event included, the heap's convention of
+    reading ``len(queue)`` before the pop.  Bookkeeping is per-event (no
+    delay-1 batching) so the live ``_wheel_count`` stays truthful
+    mid-drain.
     """
     return '''\
 def {name}(sim, stop_event, deadline, limit):
@@ -415,7 +421,7 @@ def _resume_slow(sim: "CompiledSimulator", process, nxt) -> None:
 
     Replicates the tail of ``Process._resume`` for yields the drain loop
     does not inline: overflow-horizon ints (pooled proxy on the overflow
-    heap, exactly like the wheel backend), bool/int subclasses (general
+    heap, exactly like ``Process._resume``), bool/int subclasses (general
     ``Timeout``), events, and the error cases.
     """
     process._target = None
@@ -494,19 +500,96 @@ def _compile_variant(variant: str):
     return function
 
 
-class CompiledSimulator(WheelSimulator):
+class CompiledSimulator(Simulator):
     """Timing-wheel backend with a generated run loop and direct entries.
 
-    Same data structures, deadline/stop-event/limit contract and event
-    accounting as :class:`~repro.sim.kernel.WheelSimulator`; see the module
-    docstring for what is generated and why firing order is preserved.
+    Data structures:
+
+    * ``_buckets`` -- :data:`WHEEL_SIZE` lists, one per cycle; an event due
+      ``d < WHEEL_SIZE`` cycles ahead is appended to
+      ``_buckets[(now + d) % WHEEL_SIZE]``.  Scheduling and cancellation-free
+      firing are plain list ops -- no heap sift, no ``(when, seq, event)``
+      tuple per event.
+    * ``_occupied`` -- a WHEEL_SIZE-bit mask with bit ``i`` set while bucket
+      ``i`` holds events.  Finding the next populated cycle rotates the mask
+      so "bit k" means "k cycles ahead" and isolates the lowest set bit --
+      idle stretches fast-forward in O(1) instead of iterating empty cycles.
+    * ``_overflow`` -- a ``(when, seq, event)`` heap for events at least
+      ``WHEEL_SIZE`` cycles ahead (long compute phases, watchdog sleeps).
+
+    Determinism: the heap backend fires same-cycle events in scheduling
+    (sequence-number) order.  The wheel reproduces that order structurally:
+
+    * bucket entries are appended, and therefore drained, in scheduling
+      order;
+    * an overflow event due at cycle ``T`` was scheduled at some
+      ``t0 <= T - WHEEL_SIZE``, while any bucket entry for ``T`` was
+      scheduled at some ``t1 > T - WHEEL_SIZE`` -- strictly later.  Draining
+      a cycle's overflow entries (heap-ordered by their own sequence
+      numbers) *before* its bucket therefore yields exactly the global
+      scheduling order, with no per-entry sequence number in the buckets.
+
+    Invariant: every bucket entry is due in ``[now, now + WHEEL_SIZE)``, so
+    bucket indices never collide across wheel revolutions (``now`` only
+    advances to the next populated cycle, never past a pending entry).
+
+    ``run`` keeps the deadline/stop-event/limit contract and event
+    accounting of :meth:`Simulator.run`; the module docstring covers what
+    is generated.
     """
 
-    __slots__ = ()
+    __slots__ = ("_buckets", "_occupied", "_overflow", "_overflow_seq", "_wheel_count")
 
     kernel_name = "compiled"
-    _use_wheel = True
     _use_direct = True
+
+    def __init__(self, kernel: Optional[str] = None):
+        super().__init__()
+        self._buckets: List[List[Any]] = [[] for _ in range(WHEEL_SIZE)]
+        self._occupied = 0
+        self._overflow: List = []
+        self._overflow_seq = 0
+        self._wheel_count = 0
+
+    # -- scheduling -----------------------------------------------------
+    def _schedule(self, event: Event, delay: int = 0) -> None:
+        if delay < WHEEL_SIZE:
+            index = (self.now + delay) & _WHEEL_MASK
+            self._buckets[index].append(event)
+            self._occupied |= _WHEEL_BITS[index]
+            self._wheel_count += 1
+        else:
+            self._overflow_seq = seq = self._overflow_seq + 1
+            heappush(self._overflow, (self.now + delay, seq, event))
+
+    # -- introspection --------------------------------------------------
+    def peek(self) -> Optional[int]:
+        """Cycle of the next pending event: wheel bitmask vs overflow top."""
+        wheel_when = None
+        occupied = self._occupied
+        if occupied:
+            # Lowest set bit at or after ``now``'s position, wrapping once:
+            # cheaper than rotating the whole mask (fewer big-int temps).
+            index = self.now & _WHEEL_MASK
+            ahead = occupied >> index
+            if ahead:
+                wheel_when = self.now + (ahead & -ahead).bit_length() - 1
+            else:
+                low = occupied & _LOW_MASKS[index]
+                wheel_when = (
+                    self.now + WHEEL_SIZE - index + (low & -low).bit_length() - 1
+                )
+        overflow = self._overflow
+        if overflow:
+            over_when = overflow[0][0]
+            if wheel_when is None or over_when < wheel_when:
+                return over_when
+        return wheel_when
+
+    @property
+    def pending_events(self) -> int:
+        """Events currently scheduled (wheel buckets + overflow heap)."""
+        return self._wheel_count + len(self._overflow)
 
     # -- event loop -----------------------------------------------------
     def run(self, until: Optional[Any] = None, limit: int = 50_000_000) -> Any:
@@ -527,13 +610,11 @@ class CompiledSimulator(WheelSimulator):
     # -- stepping -------------------------------------------------------
     def step(self) -> None:
         """Single-step with direct-entry awareness (run()-identical order)."""
-        when = self._next_cycle()
+        when = self.peek()
         if when is None:
             raise IndexError("step from an empty event schedule")
         if self.monitor_depth:
-            depth = self._wheel_count + len(self._overflow)
-            if depth > self.peak_queue_depth:
-                self.peak_queue_depth = depth
+            self.peak_queue_depth = max(self.peak_queue_depth, self.pending_events)
         overflow = self._overflow
         if overflow and overflow[0][0] == when:
             entry = heappop(overflow)[2]

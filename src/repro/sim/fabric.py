@@ -850,7 +850,7 @@ class MachineBuilder:
         return self
 
     def with_kernel(self, kernel: Optional[str]) -> "MachineBuilder":
-        """Pick the scheduler backend (``heap``/``wheel``/``compiled``)."""
+        """Pick the scheduler backend (``heap``/``compiled``)."""
         self._kernel = kernel
         return self
 
@@ -947,7 +947,7 @@ def build_machine(
     arbitration-policy ablation); ``trace_hsregs`` turns on value-change
     traces in all handshake register blocks (used to reproduce the state
     diagrams of Figures 11-13); ``kernel`` picks the scheduler backend
-    (``"heap"``/``"wheel"``/``"compiled"``, default
+    (``"heap"``/``"compiled"``, default
     :func:`repro.sim.kernel.default_kernel`) when no ``sim`` is supplied.
     """
     builder = MachineBuilder(spec)

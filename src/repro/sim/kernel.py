@@ -30,28 +30,25 @@ so reuse is invisible to simulation semantics (same firing cycle, same
 tie-break order).  ``run`` additionally inlines the pending-event pop and
 binds the scheduler operations locally.
 
-Scheduler backends.  Three interchangeable event-queue implementations:
+Scheduler backends.  Two interchangeable event-queue implementations:
 
 * ``heap`` (:class:`Simulator`) -- a binary heap of ``(cycle, seq, event)``
   tuples; the reference backend.
-* ``wheel`` (:class:`WheelSimulator`) -- a timing wheel of
-  :data:`WHEEL_SIZE` one-cycle buckets for the dominant short-delay
-  traffic, an occupancy bitmask so idle stretches fast-forward straight to
-  the next populated bucket, and an overflow heap for events more than
-  ``WHEEL_SIZE`` cycles ahead.
-* ``compiled`` (:class:`repro.sim.compiled.CompiledSimulator`) -- the wheel
-  structures driven by a run loop generated with ``compile()``/``exec``;
-  an in-horizon ``yield <int>`` is served by a *direct entry* -- a 1-tuple
+* ``compiled`` (:class:`repro.sim.compiled.CompiledSimulator`) -- a timing
+  wheel of :data:`WHEEL_SIZE` one-cycle buckets plus an overflow heap,
+  drained by a run loop generated with ``compile()``/``exec``; an
+  in-horizon ``yield <int>`` is served by a *direct entry* -- a 1-tuple
   ``(process,)`` resumed straight through ``generator.send`` in the drain
   loop, with no proxy event, callback list, or allocation on the hot path
   (see ``_use_direct`` in :meth:`Process._resume`).
 
 ``Simulator(kernel=...)`` selects a backend explicitly; with no argument
 the :data:`KERNEL_ENV` environment variable decides (default ``heap``).
-All backends fire same-cycle events in exactly the same order (see
-:class:`WheelSimulator` for the argument), so simulations are bit-identical
-across backends -- ``tests/test_scheduler_parity.py`` enforces this with
-differential random workloads.
+Both backends fire same-cycle events in exactly the same order (see
+:class:`~repro.sim.compiled.CompiledSimulator` for the argument), so
+simulations are bit-identical across backends --
+``tests/test_scheduler_parity.py`` enforces this with differential random
+workloads.
 """
 
 from __future__ import annotations
@@ -70,41 +67,48 @@ __all__ = [
     "AnyOf",
     "AllOf",
     "Simulator",
-    "WheelSimulator",
     "total_events_processed",
     "KERNEL_BACKENDS",
     "KERNEL_ENV",
     "WHEEL_SIZE",
+    "check_kernel",
     "default_kernel",
     "set_default_kernel",
 ]
 
 # Scheduler backend selection -----------------------------------------------
-KERNEL_BACKENDS = ("heap", "wheel", "compiled")
+KERNEL_BACKENDS = ("heap", "compiled")
 KERNEL_ENV = "REPRO_SIM_KERNEL"
 
-# Timing-wheel geometry: one bucket per cycle, power of two so the bucket
-# index is a mask op.  Delays >= WHEEL_SIZE go to the overflow heap.
+# The compiled backend's timing-wheel geometry, needed here because
+# Process._resume schedules its direct entries: one bucket per cycle, power
+# of two so the bucket index is a mask op.  Delays >= WHEEL_SIZE go to the
+# overflow heap.  _WHEEL_BITS is 1 << i without a per-push bignum shift.
 WHEEL_SIZE = 256
 _WHEEL_MASK = WHEEL_SIZE - 1
-# 1 << i without a per-push bignum shift, and the low-bit masks used to
-# rotate the occupancy bitmask so "bit k" means "k cycles from now".
 _WHEEL_BITS = [1 << i for i in range(WHEEL_SIZE)]
-_LOW_MASKS = [(1 << i) - 1 for i in range(WHEEL_SIZE)]
-# Precomputed ~bit masks: clearing an occupancy bit with a table lookup
-# avoids allocating a fresh (negative) big int per drained cycle.
-_WHEEL_CLEARS = [~(1 << i) for i in range(WHEEL_SIZE)]
+
+
+def check_kernel(name: str, origin: str = "") -> str:
+    """Return ``name`` if it is a registered backend, else raise
+    :class:`SimulationError`.
+
+    The one backend-name check, shared by :func:`default_kernel`,
+    :func:`set_default_kernel`, ``Simulator(kernel=...)`` and the CLI;
+    ``origin`` names where a bad value came from in the message.
+    """
+    if name not in KERNEL_BACKENDS:
+        raise SimulationError(
+            "unknown scheduler backend %r%s (expected %s)"
+            % (name, origin, " or ".join(KERNEL_BACKENDS))
+        )
+    return name
 
 
 def default_kernel() -> str:
     """The backend ``Simulator()`` picks: ``$REPRO_SIM_KERNEL`` or ``heap``."""
     name = os.environ.get(KERNEL_ENV, "").strip().lower() or "heap"
-    if name not in KERNEL_BACKENDS:
-        raise SimulationError(
-            "unknown scheduler backend %r in $%s (expected one of %s)"
-            % (name, KERNEL_ENV, "/".join(KERNEL_BACKENDS))
-        )
-    return name
+    return check_kernel(name, " in $" + KERNEL_ENV)
 
 
 def set_default_kernel(name: str) -> None:
@@ -113,12 +117,7 @@ def set_default_kernel(name: str) -> None:
     Implemented through :data:`KERNEL_ENV` so ``ProcessPoolExecutor``
     workers forked/spawned afterwards inherit the choice.
     """
-    if name not in KERNEL_BACKENDS:
-        raise SimulationError(
-            "unknown scheduler backend %r (expected one of %s)"
-            % (name, "/".join(KERNEL_BACKENDS))
-        )
-    os.environ[KERNEL_ENV] = name
+    os.environ[KERNEL_ENV] = check_kernel(name)
 
 # Events processed by every Simulator in this interpreter, ever.  The
 # parallel experiment runner reads this before/after a case to report
@@ -372,17 +371,10 @@ class Process(Event):
                 proxy._triggered = True
             proxy.callbacks.append(self._resume)
             self._target = proxy
-            if sim._use_wheel:
-                # Wheel backend: bucket append for short delays, overflow
-                # heap beyond the horizon (see WheelSimulator._schedule).
-                if next_event < WHEEL_SIZE:
-                    index = (sim.now + next_event) & _WHEEL_MASK
-                    sim._buckets[index].append(proxy)
-                    sim._occupied |= _WHEEL_BITS[index]
-                    sim._wheel_count += 1
-                else:
-                    sim._overflow_seq = seq = sim._overflow_seq + 1
-                    heappush(sim._overflow, (sim.now + next_event, seq, proxy))
+            if sim._use_direct:
+                # Compiled backend, beyond the wheel horizon: its _schedule
+                # puts the proxy on the overflow heap.
+                sim._schedule(proxy, next_event)
             else:
                 sim._seq = seq = sim._seq + 1
                 heappush(sim._queue, (sim.now + next_event, seq, proxy))
@@ -451,8 +443,9 @@ class Simulator:
     """The event loop: a virtual cycle clock plus a pending-event heap.
 
     ``Simulator(kernel=...)`` is a backend selector: ``"heap"`` (this
-    class) or ``"wheel"`` (:class:`WheelSimulator`); ``None`` defers to
-    ``$REPRO_SIM_KERNEL``.  Instantiating the subclass directly also works.
+    class) or ``"compiled"`` (:class:`repro.sim.compiled.CompiledSimulator`);
+    ``None`` defers to ``$REPRO_SIM_KERNEL``.  Instantiating the subclass
+    directly also works.
     """
 
     __slots__ = (
@@ -465,30 +458,21 @@ class Simulator:
         "peak_queue_depth",
     )
 
-    # Backend identity; subclasses override.  _use_wheel and _use_direct are
-    # the flags Process._resume branches on in its int-yield fast path
-    # (_use_direct additionally selects direct-entry scheduling -- see the
-    # compiled backend).
+    # Backend identity; the compiled subclass overrides.  _use_direct is the
+    # flag Process._resume branches on in its int-yield fast path: it selects
+    # direct-entry scheduling onto the compiled backend's timing wheel.
     kernel_name = "heap"
-    _use_wheel = False
     _use_direct = False
 
     def __new__(cls, kernel: Optional[str] = None):
         if cls is Simulator:
-            name = kernel if kernel is not None else default_kernel()
-            if name == "wheel":
-                return object.__new__(WheelSimulator)
+            name = default_kernel() if kernel is None else check_kernel(kernel)
             if name == "compiled":
                 # Lazy import: the compiled package renders and compiles its
-                # run-loop sources on first use; heap/wheel users never pay.
+                # run-loop sources on first use; heap users never pay.
                 from .compiled import CompiledSimulator
 
                 return object.__new__(CompiledSimulator)
-            if name not in KERNEL_BACKENDS:
-                raise SimulationError(
-                    "unknown scheduler backend %r (expected one of %s)"
-                    % (name, "/".join(KERNEL_BACKENDS))
-                )
         return object.__new__(cls)
 
     def __init__(self, kernel: Optional[str] = None):
@@ -538,8 +522,7 @@ class Simulator:
             proxy = _PooledTimeout(self)
             proxy._triggered = True
         proxy.callbacks.append(callback)
-        self._seq = seq = self._seq + 1
-        heappush(self._queue, (self.now + delay, seq, proxy))
+        self._schedule(proxy, delay)
 
     def _schedule(self, event: Event, delay: int = 0) -> None:
         # heappush is bound at module level (from-import), not looked up
@@ -666,406 +649,6 @@ class Simulator:
                 steps += 1
                 if steps > limit:
                     raise SimulationError("event limit exceeded (livelock?)")
-            if stop_event is not None:
-                if stop_event._fired:
-                    return stop_event.value
-                raise SimulationError(
-                    "simulation ran to quiescence before the awaited event fired"
-                )
-            if deadline is not None:
-                self.now = deadline
-            return None
-        finally:
-            if peak > self.peak_queue_depth:
-                self.peak_queue_depth = peak
-            self.events_processed += steps
-            global _TOTAL_EVENTS
-            _TOTAL_EVENTS += steps
-
-
-class WheelSimulator(Simulator):
-    """Timing-wheel scheduler backend (bucketed calendar queue).
-
-    Data structures:
-
-    * ``_buckets`` -- :data:`WHEEL_SIZE` lists, one per cycle; an event due
-      ``d < WHEEL_SIZE`` cycles ahead is appended to
-      ``_buckets[(now + d) % WHEEL_SIZE]``.  Scheduling and cancellation-free
-      firing are plain list ops -- no heap sift, no ``(when, seq, event)``
-      tuple per event.
-    * ``_occupied`` -- a WHEEL_SIZE-bit mask with bit ``i`` set while bucket
-      ``i`` holds events.  Finding the next populated cycle rotates the mask
-      so "bit k" means "k cycles ahead" and isolates the lowest set bit --
-      idle stretches fast-forward in O(1) instead of iterating empty cycles.
-    * ``_overflow`` -- a ``(when, seq, event)`` heap for events at least
-      ``WHEEL_SIZE`` cycles ahead (long compute phases, watchdog sleeps).
-
-    Determinism: the heap backend fires same-cycle events in scheduling
-    (sequence-number) order.  The wheel reproduces that order structurally:
-
-    * bucket entries are appended, and therefore drained, in scheduling
-      order;
-    * an overflow event due at cycle ``T`` was scheduled at some
-      ``t0 <= T - WHEEL_SIZE``, while any bucket entry for ``T`` was
-      scheduled at some ``t1 > T - WHEEL_SIZE`` -- strictly later.  Draining
-      a cycle's overflow entries (heap-ordered by their own sequence
-      numbers) *before* its bucket therefore yields exactly the global
-      scheduling order, with no per-entry sequence number in the buckets.
-
-    Invariant: every bucket entry is due in ``[now, now + WHEEL_SIZE)``, so
-    bucket indices never collide across wheel revolutions (``now`` only
-    advances to the next populated cycle, never past a pending entry).
-    """
-
-    __slots__ = ("_buckets", "_occupied", "_overflow", "_overflow_seq", "_wheel_count")
-
-    kernel_name = "wheel"
-    _use_wheel = True
-
-    def __init__(self, kernel: Optional[str] = None):
-        super().__init__()
-        self._buckets: List[List[Event]] = [[] for _ in range(WHEEL_SIZE)]
-        self._occupied = 0
-        self._overflow: List = []
-        self._overflow_seq = 0
-        self._wheel_count = 0
-
-    # -- scheduling -----------------------------------------------------
-    def _schedule(self, event: Event, delay: int = 0) -> None:
-        if delay < WHEEL_SIZE:
-            index = (self.now + delay) & _WHEEL_MASK
-            self._buckets[index].append(event)
-            self._occupied |= _WHEEL_BITS[index]
-            self._wheel_count += 1
-        else:
-            self._overflow_seq = seq = self._overflow_seq + 1
-            heappush(self._overflow, (self.now + delay, seq, event))
-
-    def _post_callback(self, callback: Callable[[Event], None], delay: int = 0) -> None:
-        pool = self._timeout_pool
-        if pool:
-            proxy = pool.pop()
-            proxy._value = None
-            proxy._exception = None
-            proxy._fired = False
-        else:
-            proxy = _PooledTimeout(self)
-            proxy._triggered = True
-        proxy.callbacks.append(callback)
-        self._schedule(proxy, delay)
-
-    # -- introspection --------------------------------------------------
-    def _next_cycle(self) -> Optional[int]:
-        """Cycle of the next pending event: wheel bitmask vs overflow top."""
-        wheel_when = None
-        occupied = self._occupied
-        if occupied:
-            # Lowest set bit at or after ``now``'s position, wrapping once:
-            # cheaper than rotating the whole mask (fewer big-int temps).
-            index = self.now & _WHEEL_MASK
-            ahead = occupied >> index
-            if ahead:
-                wheel_when = self.now + (ahead & -ahead).bit_length() - 1
-            else:
-                low = occupied & _LOW_MASKS[index]
-                wheel_when = (
-                    self.now + WHEEL_SIZE - index + (low & -low).bit_length() - 1
-                )
-        overflow = self._overflow
-        if overflow:
-            over_when = overflow[0][0]
-            if wheel_when is None or over_when < wheel_when:
-                return over_when
-        return wheel_when
-
-    def peek(self) -> Optional[int]:
-        return self._next_cycle()
-
-    @property
-    def pending_events(self) -> int:
-        """Events currently scheduled (wheel buckets + overflow heap)."""
-        return self._wheel_count + len(self._overflow)
-
-    # -- stepping -------------------------------------------------------
-    def step(self) -> None:
-        when = self._next_cycle()
-        if when is None:
-            raise IndexError("step from an empty event schedule")
-        if self.monitor_depth:
-            depth = self._wheel_count + len(self._overflow)
-            if depth > self.peak_queue_depth:
-                self.peak_queue_depth = depth
-        overflow = self._overflow
-        if overflow and overflow[0][0] == when:
-            event = heappop(overflow)[2]
-        else:
-            index = when & _WHEEL_MASK
-            bucket = self._buckets[index]
-            event = bucket.pop(0)
-            self._wheel_count -= 1
-            if not bucket:
-                self._occupied &= _WHEEL_CLEARS[index]
-        self.now = when
-        event._fire()
-        if type(event) is _PooledTimeout:
-            self._timeout_pool.append(event)
-        self.events_processed += 1
-        global _TOTAL_EVENTS
-        _TOTAL_EVENTS += 1
-
-    # -- event loop -----------------------------------------------------
-    def run(self, until: Optional[Any] = None, limit: int = 50_000_000) -> Any:
-        """Heap-backend ``run`` semantics on the wheel structures.
-
-        Same deadline/stop-event/limit contract as :meth:`Simulator.run`;
-        firing order is bit-identical (see the class docstring).
-        """
-        deadline: Optional[int] = None
-        stop_event: Optional[Event] = None
-        if isinstance(until, Event):
-            stop_event = until
-        elif until is not None:
-            deadline = int(until)
-
-        if self.monitor_depth:
-            return self._run_monitored(stop_event, deadline, limit)
-
-        buckets = self._buckets
-        overflow = self._overflow
-        pool = self._timeout_pool
-        pop = heappop
-        pooled_type = _PooledTimeout
-        mask = _WHEEL_MASK
-        steps = 0
-        try:
-            while True:
-                if stop_event is not None and stop_event._fired:
-                    return stop_event.value
-                # Next populated cycle.  The dominant traffic is delay-1
-                # (bus beats), so probe now/now+1 before the bitmask rotate.
-                now = self.now
-                if buckets[now & mask]:
-                    when = now
-                else:
-                    occupied = self._occupied
-                    if occupied and buckets[(now + 1) & mask]:
-                        when = now + 1
-                    elif occupied:
-                        # Lowest set bit at or after ``now``, wrapping once
-                        # (see _next_cycle); now's own bit is clear -- its
-                        # bucket was just probed empty.
-                        index = now & mask
-                        ahead = occupied >> index
-                        if ahead:
-                            when = now + (ahead & -ahead).bit_length() - 1
-                        else:
-                            low = occupied & _LOW_MASKS[index]
-                            when = (
-                                now + WHEEL_SIZE - index
-                                + (low & -low).bit_length() - 1
-                            )
-                    else:
-                        when = None
-                if overflow:
-                    over_when = overflow[0][0]
-                    if when is None or over_when < when:
-                        when = over_when
-                elif when is None:
-                    break  # quiescent
-                if deadline is not None and when >= deadline:
-                    self.now = deadline
-                    return None
-                self.now = when
-                # Overflow entries for this cycle fire before bucket
-                # entries -- they were necessarily scheduled earlier (see
-                # class docstring).
-                while overflow and overflow[0][0] == when:
-                    if stop_event is not None and stop_event._fired:
-                        return stop_event.value
-                    event = pop(overflow)[2]
-                    event._fire()
-                    if type(event) is pooled_type:
-                        pool.append(event)
-                    steps += 1
-                    if steps > limit:
-                        raise SimulationError("event limit exceeded (livelock?)")
-                index = when & mask
-                bucket = buckets[index]
-                # Empty bucket (sparse long-delay traffic living in the
-                # overflow heap): skip the whole drain -- no try/finally,
-                # no occupancy-bit arithmetic.  The bit is clear whenever
-                # the bucket is empty, so nothing needs cleanup here.
-                if not bucket:
-                    continue
-                if len(bucket) == 1:
-                    # Lone event this cycle (the common case outside bursts):
-                    # consume it before firing -- a callback that schedules
-                    # zero-delay work re-populates the bucket and re-sets the
-                    # bit, and the next loop pass picks it up this same cycle.
-                    if stop_event is not None and stop_event._fired:
-                        return stop_event.value
-                    event = bucket[0]
-                    del bucket[:]
-                    self._wheel_count -= 1
-                    self._occupied &= _WHEEL_CLEARS[index]
-                    if type(event) is pooled_type:
-                        event._fired = True
-                        callbacks = event.callbacks
-                        callback = callbacks[0]
-                        callbacks.clear()
-                        callback(event)
-                        pool.append(event)
-                    else:
-                        event._fire()
-                    steps += 1
-                    if steps > limit:
-                        raise SimulationError("event limit exceeded (livelock?)")
-                    continue
-                fired = 0
-                try:
-                    # len() is re-read every pass: zero-delay events
-                    # scheduled by a callback land in this same bucket and
-                    # fire this cycle, exactly like the heap backend.
-                    while fired < len(bucket):
-                        if stop_event is not None and stop_event._fired:
-                            return stop_event.value
-                        event = bucket[fired]
-                        fired += 1
-                        if type(event) is pooled_type:
-                            # Inlined single-callback _fire: a pooled
-                            # timeout always has exactly one waiter.
-                            event._fired = True
-                            callbacks = event.callbacks
-                            callback = callbacks[0]
-                            callbacks.clear()
-                            callback(event)
-                            pool.append(event)
-                        else:
-                            event._fire()
-                        steps += 1
-                        if steps > limit:
-                            raise SimulationError(
-                                "event limit exceeded (livelock?)"
-                            )
-                finally:
-                    # Runs on normal drain, early stop-event return, and
-                    # mid-cycle exceptions alike: drop fired entries, keep
-                    # the rest, and keep the occupancy bit truthful.
-                    if fired:
-                        self._wheel_count -= fired
-                        del bucket[:fired]
-                    if not bucket:
-                        self._occupied &= _WHEEL_CLEARS[index]
-            if stop_event is not None:
-                if stop_event._fired:
-                    return stop_event.value
-                raise SimulationError(
-                    "simulation ran to quiescence before the awaited event fired"
-                )
-            if deadline is not None:
-                self.now = deadline
-            return None
-        finally:
-            self.events_processed += steps
-            global _TOTAL_EVENTS
-            _TOTAL_EVENTS += steps
-
-    def _run_monitored(
-        self,
-        stop_event: Optional[Event],
-        deadline: Optional[int],
-        limit: int,
-    ) -> Any:
-        """Wheel run loop plus peak-pending-depth tracking (cf. heap
-        version): one depth comparison before each fire, measured while the
-        about-to-fire event still counts, matching the heap's convention of
-        reading ``len(queue)`` before the pop."""
-        buckets = self._buckets
-        overflow = self._overflow
-        pool = self._timeout_pool
-        pop = heappop
-        pooled_type = _PooledTimeout
-        mask = _WHEEL_MASK
-        peak = self.peak_queue_depth
-        steps = 0
-        try:
-            while True:
-                if stop_event is not None and stop_event._fired:
-                    return stop_event.value
-                now = self.now
-                if buckets[now & mask]:
-                    when = now
-                else:
-                    occupied = self._occupied
-                    if occupied and buckets[(now + 1) & mask]:
-                        when = now + 1
-                    elif occupied:
-                        # Lowest set bit at or after ``now``, wrapping once
-                        # (see _next_cycle); now's own bit is clear -- its
-                        # bucket was just probed empty.
-                        index = now & mask
-                        ahead = occupied >> index
-                        if ahead:
-                            when = now + (ahead & -ahead).bit_length() - 1
-                        else:
-                            low = occupied & _LOW_MASKS[index]
-                            when = (
-                                now + WHEEL_SIZE - index
-                                + (low & -low).bit_length() - 1
-                            )
-                    else:
-                        when = None
-                if overflow:
-                    over_when = overflow[0][0]
-                    if when is None or over_when < when:
-                        when = over_when
-                elif when is None:
-                    break
-                if deadline is not None and when >= deadline:
-                    self.now = deadline
-                    return None
-                self.now = when
-                while overflow and overflow[0][0] == when:
-                    if stop_event is not None and stop_event._fired:
-                        return stop_event.value
-                    depth = self._wheel_count + len(overflow)
-                    if depth > peak:
-                        peak = depth
-                    event = pop(overflow)[2]
-                    event._fire()
-                    if type(event) is pooled_type:
-                        pool.append(event)
-                    steps += 1
-                    if steps > limit:
-                        raise SimulationError("event limit exceeded (livelock?)")
-                index = when & mask
-                bucket = buckets[index]
-                if not bucket:
-                    continue
-                fired = 0
-                try:
-                    while fired < len(bucket):
-                        if stop_event is not None and stop_event._fired:
-                            return stop_event.value
-                        depth = self._wheel_count - fired + len(overflow)
-                        if depth > peak:
-                            peak = depth
-                        event = bucket[fired]
-                        fired += 1
-                        event._fire()
-                        if type(event) is pooled_type:
-                            pool.append(event)
-                        steps += 1
-                        if steps > limit:
-                            raise SimulationError(
-                                "event limit exceeded (livelock?)"
-                            )
-                finally:
-                    if fired:
-                        self._wheel_count -= fired
-                        del bucket[:fired]
-                    if not bucket:
-                        self._occupied &= _WHEEL_CLEARS[index]
             if stop_event is not None:
                 if stop_event._fired:
                     return stop_event.value

@@ -34,6 +34,7 @@ from ..core.busyn import BusSyn
 from ..faults.chaos import CHAOS_STYLES
 from ..options import presets
 from ..sim.fabric import build_machine
+from ..sim.kernel import KERNEL_BACKENDS
 from .equiv import compare_graphs
 from .graph import graph_from_design, graph_from_machine
 
@@ -133,7 +134,7 @@ def run_verify_case(
 
 def run_verify(
     archs: Optional[Sequence[str]] = None,
-    backends: Sequence[str] = ("heap", "wheel"),
+    backends: Sequence[str] = KERNEL_BACKENDS,
     packets: int = 2,
     pe_count: int = 4,
     jobs: int = 1,
@@ -225,7 +226,7 @@ def format_verify_summary(summary: Dict[str, Any]) -> List[str]:
             else "FAIL"
         )
         lines.append(
-            "  %-8s %-4s %-5s  %8d cycles  %6d grants  %6d transfers  "
+            "  %-8s %-4s %-8s  %8d cycles  %6d grants  %6d transfers  "
             "structural %d  runtime %d  %s"
             % (
                 row["arch"],

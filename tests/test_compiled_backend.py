@@ -296,3 +296,14 @@ class TestCompileVerb:
                 compile(handle.read(), name, "exec")
         captured = capsys.readouterr().out
         assert "specialized (master, device) pair(s)" in captured
+
+    def test_out_is_required(self, tmp_path, monkeypatch):
+        from repro.cli import main
+
+        # Without -o the verb must refuse rather than write into the
+        # working directory.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compile", "--preset", "GBAVIII", "--pes", "4", "--no-ledger"])
+        assert excinfo.value.code == 2
+        assert os.listdir(str(tmp_path)) == []

@@ -6,7 +6,7 @@ Pins the contracts documented in ``repro.obs.counters``:
   any backend -- and on the compiled backend never despecializes;
 * per-segment totals agree with :class:`BusStats` (transactions,
   arbitration-wait cycles) and, fault-free, with the arbiters' grant
-  counts, identically on heap, wheel and compiled;
+  counts, identically on heap and compiled;
 * the plane survives the hook life cycle: attach to a live specialized
   machine, keep accumulating across a later despecialization;
 * the specializer's ``?C`` template lines are rendered only when a plane
@@ -22,8 +22,7 @@ from repro.obs import COUNTER_KINDS, CounterPlane, Observability
 from repro.options import presets
 from repro.sim.compiled.specializer import specialized_fabric_source
 from repro.sim.fabric import MachineBuilder, build_machine
-
-KERNEL_BACKENDS = ("heap", "wheel", "compiled")
+from repro.sim.kernel import KERNEL_BACKENDS
 
 # (preset, style): BFBA/GBAVI have no shared memory, so FPA is undefined
 # for them -- same mapping as Table II.

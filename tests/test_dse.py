@@ -40,6 +40,7 @@ from repro.obs.ledger import build_record, scrub_timings
 from repro.obs.query import check_regressions
 from repro.options import presets
 from repro.options.schema import OptionError
+from repro.sim.kernel import KERNEL_BACKENDS
 
 
 def tiny_spec():
@@ -271,7 +272,7 @@ class TestSweepDeterminism:
                     tiny_spec(), jobs=1, kernel=kernel, cache_dir=str(tmp_path / kernel)
                 )
             )
-            for kernel in ("heap", "wheel", "compiled")
+            for kernel in KERNEL_BACKENDS
         }
         assert len(set(fingerprints.values())) == 1
 

@@ -174,3 +174,28 @@ class TestCliExits:
         )
         assert code == 2
         assert "nope.txt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["wheel", "compild"])
+    @pytest.mark.parametrize(
+        "argv,env",
+        [
+            (["table", "5"], True),
+            (["table", "5", "--kernel"], False),
+            (["chaos", "--backend"], False),
+        ],
+        ids=["env", "kernel-flag", "backend-flag"],
+    )
+    def test_unknown_kernel_exits_2_before_any_work(
+        self, name, argv, env, monkeypatch, capsys
+    ):
+        if env:
+            monkeypatch.setenv("REPRO_SIM_KERNEL", name)
+        else:
+            argv = argv + [name]
+        assert main(argv + ["--no-ledger"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # rejected before any table row printed
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("repro: unknown scheduler backend %r" % name)
+        assert lines[0].endswith("(expected heap or compiled)")

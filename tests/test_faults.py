@@ -227,7 +227,7 @@ class TestInjectorUnits:
 
 
 class TestChaosInvariants:
-    @pytest.mark.parametrize("backend", ["heap", "wheel"])
+    @pytest.mark.parametrize("backend", ["heap", "compiled"])
     def test_empty_plan_is_bit_identical(self, backend):
         case = ("GBAVIII", "FPA", backend, "baseline")
         baseline = run_chaos_case(case, packets=2)
@@ -238,11 +238,11 @@ class TestChaosInvariants:
 
     def test_faulted_outcomes_identical_across_backends(self):
         heap = run_chaos_case(("BFBA", "PPA", "heap", "faulted"), packets=2)
-        wheel = run_chaos_case(("BFBA", "PPA", "wheel", "faulted"), packets=2)
-        assert heap["cycles"] == wheel["cycles"]
+        compiled = run_chaos_case(("BFBA", "PPA", "compiled", "faulted"), packets=2)
+        assert heap["cycles"] == compiled["cycles"]
         heap_res = dict(heap["resilience"], name="")
-        wheel_res = dict(wheel["resilience"], name="")
-        assert heap_res == wheel_res
+        compiled_res = dict(compiled["resilience"], name="")
+        assert heap_res == compiled_res
         assert heap["resilience"]["injected"] > 0
 
     def test_full_smoke_sweep_holds_all_invariants(self):

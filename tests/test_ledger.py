@@ -36,6 +36,7 @@ from repro.obs.query import (
     diff_bodies,
     filter_records,
 )
+from repro.obs.validate import main as validate_main
 from repro.obs.validate import validate_ledger_records
 
 
@@ -342,7 +343,8 @@ class TestCliRoundTrip:
             )
             == 0
         )
-        assert main(["compile", "--preset", "GBAVIII", "--pes", "4"] + argv) == 0
+        out = str(tmp_path_factory.mktemp("compiled"))
+        assert main(["compile", "--preset", "GBAVIII", "--pes", "4", "-o", out] + argv) == 0
         assert main(["table", "5"] + argv) == 0
         assert (
             main(
@@ -423,3 +425,82 @@ class TestCliRoundTrip:
             == 0
         )
         assert not os.path.exists(str(tmp_path / ".repro"))
+
+
+class TestLegacyWheelRecords:
+    """Records from when ``wheel`` was a backend still query and gate."""
+
+    @pytest.fixture
+    def ledger_dir(self, tmp_path):
+        root = str(tmp_path / "led")
+        ledger = Ledger(root)
+        ledger.write(
+            "chaos",
+            options={"scenario": "smoke", "backends": ["heap", "wheel"]},
+            backend=["heap", "wheel"],
+            arch=["BFBA"],
+            summary={
+                "backends": ["heap", "wheel"],
+                "architectures": ["BFBA"],
+                "ok": True,
+                "failures": [],
+            },
+        )
+        # Full-size int_yield samples: the floor check reads both, and the
+        # checked-in baselines have a heap floor but no wheel floor.
+        ledger.write(
+            "bench",
+            options={"kernels": ["heap", "wheel"], "smoke": False},
+            backend=["heap", "wheel"],
+            summary={
+                "smoke": False,
+                "failures": [],
+                "kernel": {
+                    name: {
+                        "int_yield": {
+                            "procs": 64,
+                            "yields": 2000,
+                            "events_per_sec": rate,
+                        }
+                    }
+                    for name, rate in (("heap", 1.0e6), ("wheel", 1.8e6))
+                },
+            },
+        )
+        return root
+
+    def test_filter_aggregate_and_diff(self, ledger_dir, capsys):
+        records = Ledger(ledger_dir).records()
+        chaos, bench = records
+        measurements = bench["envelope"]["measurements"]
+        assert measurements["kernel.wheel.int_yield.events_per_sec"] == 1.8e6
+        assert filter_records(records, backend="wheel") == records
+        rows = aggregate_records(records)
+        assert [(row["verb"], row["backend"]) for row in rows] == [
+            ("bench", "heap,wheel"),
+            ("chaos", "heap,wheel"),
+        ]
+        assert main(["report", "--ledger", ledger_dir, "--backend", "wheel"]) == 0
+        assert "2 record(s), 2 group(s)" in capsys.readouterr().out
+        assert (
+            main(
+                [
+                    "report",
+                    "--ledger",
+                    ledger_dir,
+                    "--diff",
+                    chaos["hash"][:12],
+                    bench["hash"][:12],
+                ]
+            )
+            == 0
+        )
+        assert "'chaos' -> 'bench'" in capsys.readouterr().out
+
+    def test_validate_and_check_pass(self, ledger_dir, capsys):
+        assert validate_main([ledger_dir]) == 0
+        # Against the checked-in baselines: the wheel sample has no floor,
+        # so it is skipped -- neither a KeyError nor a finding.
+        assert main(["report", "--ledger", ledger_dir, "--check"]) == 0
+        out = capsys.readouterr().out
+        assert "checked 2 record(s)" in out and "0 regression(s)" in out

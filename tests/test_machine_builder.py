@@ -2,7 +2,7 @@
 fault injectors.
 
 The builder must be *behaviour-preserving*: for every combination of
-{tracer, monitor, faults} x {heap, wheel, compiled}, a machine composed
+{tracer, monitor, faults} x {heap, compiled}, a machine composed
 through :class:`repro.sim.fabric.MachineBuilder` must produce RunReport
 telemetry identical to the legacy path (``build_machine`` + manual
 ``attach_*``/``install_faults`` calls).  ``build_machine`` itself stays as
@@ -87,7 +87,7 @@ class TestBuilderMatchesLegacyPath:
 
 class TestBuilderComposition:
     def test_with_sim_uses_given_simulator(self):
-        sim = Simulator(kernel="wheel")
+        sim = Simulator(kernel="compiled")
         machine = MachineBuilder(_spec()).with_sim(sim).build()
         assert machine.sim is sim
 
@@ -122,9 +122,8 @@ class TestBuilderComposition:
         assert not machine._specialized
 
     def test_non_compiled_backends_never_specialize(self):
-        for kernel in ("heap", "wheel"):
-            machine = MachineBuilder(_spec()).with_kernel(kernel).build()
-            assert not machine._specialized
+        machine = MachineBuilder(_spec()).with_kernel("heap").build()
+        assert not machine._specialized
 
 
 class TestBuildMachineBackCompat:

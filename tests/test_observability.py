@@ -42,6 +42,7 @@ from repro.obs.tracer import (
 )
 from repro.options import presets
 from repro.sim.fabric import build_machine
+from repro.sim.kernel import KERNEL_BACKENDS
 from repro.sim.stats import BusStats
 
 
@@ -54,9 +55,10 @@ def _traced_gbaviii_run(packets=2, kernel=None):
 
 
 # The lockstep invariants must hold on every scheduler backend -- the
-# timing wheel batches bucket pops, but spans/metrics are emitted by the
-# fabric, which only observes event *order*.
-_KERNELS = ["heap", "wheel"]
+# compiled backend batches bucket pops and, with a tracer attached, runs
+# the generic fabric paths, but spans/metrics are emitted by the fabric,
+# which only observes event *order*.
+_KERNELS = list(KERNEL_BACKENDS)
 
 
 class TestSpanStatsLockstep:

@@ -1,22 +1,21 @@
-"""Differential tests: heap vs timing-wheel vs compiled scheduler backends.
+"""Differential tests: heap vs compiled scheduler backends.
 
-The wheel backend (``repro.sim.kernel.WheelSimulator``) and the gen-3
-compiled backend (``repro.sim.compiled.CompiledSimulator``) must be
+The compiled backend (``repro.sim.compiled.CompiledSimulator``) must be
 observationally identical to the heap backend: same event firing order,
 same process wake order, same final clock, same event accounting.  These
 tests execute the *same* workload on every backend and compare execution
-logs, concentrating on the places where bucket draining -- and the
-compiled backend's direct entries (bare ``(process,)`` tuples with no
-proxy event) -- could plausibly diverge from the heap's ``(when, seq)``
-order:
+logs, concentrating on the places where timing-wheel bucket draining --
+and the compiled backend's direct entries (bare ``(process,)`` tuples
+with no proxy event) -- could plausibly diverge from the heap's
+``(when, seq)`` order:
 
 * same-cycle tie-breaks between events scheduled through different paths
   (int fast path, ``timeout()``, composite re-arms, interrupts);
 * the ``WHEEL_SIZE`` boundary, where a delay moves between the wheel and
-  the overflow heap (and a compiled direct entry falls back to a proxy);
+  the overflow heap (and a direct entry falls back to a proxy);
 * overflow events landing on the same cycle as bucket events (the
   overflow-drains-first rule);
-* ``Interrupt`` delivered while the victim waits on a pooled timeout (for
+* ``Interrupt`` delivered while the victim waits on a pooled timeout (on
   the compiled backend: a *stale direct entry* that must still deliver a
   queued interrupt when it drains);
 * request withdrawal via ``Arbiter.cancel`` mid-contention;
@@ -27,12 +26,13 @@ import random
 
 import pytest
 
+from repro.sim.compiled import CompiledSimulator
 from repro.sim.kernel import (
     KERNEL_BACKENDS,
     WHEEL_SIZE,
     Interrupt,
+    SimulationError,
     Simulator,
-    WheelSimulator,
     default_kernel,
     set_default_kernel,
     total_events_processed,
@@ -145,7 +145,7 @@ class TestRandomWorkloadParity:
             assert heap[1] == other[1]  # final clock
             assert heap[2] == other[2]  # events_processed
 
-    @pytest.mark.parametrize("kernel", ["wheel", "compiled"])
+    @pytest.mark.parametrize("kernel", BACKENDS[1:])
     @pytest.mark.parametrize("seed", range(4))
     def test_deadline_split_identical(self, seed, kernel):
         """Stopping at a deadline and resuming must not perturb the order."""
@@ -258,7 +258,7 @@ class TestSameCycleTieBreak:
 class TestInterruptWhilePooled:
     def test_interrupt_during_pooled_timeout(self):
         """Interrupting an int-yield wait leaves a stale pooled proxy in the
-        schedule; the wheel's bucket drain must discard it exactly like the
+        schedule; the compiled bucket drain must discard it exactly like the
         heap does (no double wake, no pool corruption)."""
 
         def run(kernel):
@@ -327,9 +327,9 @@ class TestInterruptWhilePooled:
 
 
 class TestWheelRunSemantics:
-    """Heap-equivalent contract details on the wheel-family backends."""
+    """Heap-equivalent contract details on the timing-wheel backend."""
 
-    @pytest.mark.parametrize("kernel", ["wheel", "compiled"])
+    @pytest.mark.parametrize("kernel", BACKENDS[1:])
     def test_deadline_is_exclusive_and_fast_forwards(self, kernel):
         sim = Simulator(kernel=kernel)
         fired = []
@@ -345,7 +345,7 @@ class TestWheelRunSemantics:
         sim.run()
         assert fired == [10]
 
-    @pytest.mark.parametrize("kernel", ["wheel", "compiled"])
+    @pytest.mark.parametrize("kernel", BACKENDS[1:])
     def test_idle_fast_forward_reaches_overflow(self, kernel):
         """With an empty wheel, run(until=...) jumps straight to the
         deadline even when the only pending event sits in the overflow."""
@@ -385,7 +385,7 @@ class TestWheelRunSemantics:
         for kernel in BACKENDS[1:]:
             assert drive(kernel) == reference, kernel
 
-    @pytest.mark.parametrize("kernel", ["wheel", "compiled"])
+    @pytest.mark.parametrize("kernel", BACKENDS[1:])
     def test_step_on_empty_raises_index_error(self, kernel):
         with pytest.raises(IndexError):
             Simulator(kernel=kernel).step()
@@ -518,37 +518,37 @@ class TestCancelParity:
 
 class TestBackendSelection:
     def test_explicit_kwarg_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_KERNEL", "wheel")
+        monkeypatch.setenv("REPRO_SIM_KERNEL", "compiled")
         assert Simulator(kernel="heap").kernel_name == "heap"
-        assert type(Simulator()) is WheelSimulator
+        assert type(Simulator()) is CompiledSimulator
 
     def test_env_var_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_KERNEL", "wheel")
-        assert default_kernel() == "wheel"
-        assert Simulator().kernel_name == "wheel"
+        monkeypatch.setenv("REPRO_SIM_KERNEL", "compiled")
+        assert default_kernel() == "compiled"
+        assert Simulator().kernel_name == "compiled"
         monkeypatch.delenv("REPRO_SIM_KERNEL")
         assert default_kernel() == "heap"
         assert Simulator().kernel_name == "heap"
 
     def test_set_default_kernel_roundtrip(self, monkeypatch):
         monkeypatch.delenv("REPRO_SIM_KERNEL", raising=False)
-        set_default_kernel("wheel")
+        set_default_kernel("compiled")
         try:
-            assert default_kernel() == "wheel"
+            assert default_kernel() == "compiled"
         finally:
             set_default_kernel("heap")
         assert default_kernel() == "heap"
 
     def test_unknown_backend_rejected(self, monkeypatch):
-        from repro.sim.kernel import SimulationError
-
-        with pytest.raises(SimulationError):
-            Simulator(kernel="splay")
-        monkeypatch.setenv("REPRO_SIM_KERNEL", "splay")
-        with pytest.raises(SimulationError):
-            default_kernel()
-        with pytest.raises(SimulationError):
-            set_default_kernel("splay")
+        # "wheel" was a backend once; it is now as unknown as a typo.
+        for name in ("splay", "wheel"):
+            with pytest.raises(SimulationError, match="expected heap or compiled"):
+                Simulator(kernel=name)
+            monkeypatch.setenv("REPRO_SIM_KERNEL", name)
+            with pytest.raises(SimulationError, match=r"in \$REPRO_SIM_KERNEL"):
+                default_kernel()
+            with pytest.raises(SimulationError):
+                set_default_kernel(name)
 
 
 # ---------------------------------------------------------------------------
@@ -623,8 +623,8 @@ class TestEventAccounting:
         # Same backend: pool workers must report exactly the inline counts.
         for kernel in BACKENDS:
             assert counts[(kernel, 1)] == counts[(kernel, 2)], kernel
-        # Across backends the counts agree too -- the wheel batches bucket
-        # pops (and the compiled backend fires direct entries) but still
-        # charges one event per fire.
+        # Across backends the counts agree too -- the compiled backend
+        # batches bucket pops and fires direct entries but still charges
+        # one event per fire.
         for kernel in BACKENDS[1:]:
             assert counts[(kernel, 1)] == counts[("heap", 1)], kernel

@@ -261,7 +261,7 @@ class TestProtocolMonitor:
 class TestMonitoredRuns:
     @pytest.mark.parametrize(
         "arch,backend",
-        [("BFBA", "heap"), ("GBAVIII", "wheel"), ("SPLITBA", "heap")],
+        [("BFBA", "heap"), ("GBAVIII", "compiled"), ("SPLITBA", "heap")],
     )
     def test_verify_case_green(self, arch, backend):
         row = run_verify_case((arch, backend), packets=1)
