@@ -66,11 +66,14 @@ def ifft_butterflies(data: np.ndarray) -> np.ndarray:
         step = span * 2
         # Twiddles for the inverse transform: positive exponent.
         twiddles = np.exp(2j * np.pi * np.arange(span) / step)
-        for start in range(0, n, step):
-            upper = data[start : start + span].copy()
-            lower = data[start + span : start + step] * twiddles
-            data[start : start + span] = upper + lower
-            data[start + span : start + step] = upper - lower
+        # One pass, all groups at once: row g holds group g's upper and
+        # lower halves, and each half is a contiguous run of ``span``
+        # samples, as the per-group slices were.
+        groups = data.reshape(n // step, 2, span)
+        upper = groups[:, 0]
+        lower = groups[:, 1] * twiddles
+        np.subtract(upper, lower, out=groups[:, 1])
+        upper += lower
         span = step
     return data
 

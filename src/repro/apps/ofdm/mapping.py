@@ -48,11 +48,6 @@ __all__ = ["GROUP_OF_BAN", "OfdmResult", "run_ppa", "run_fpa", "run_ofdm"]
 # Table I: function group by pipeline position.
 GROUP_OF_BAN = ("E", "F", "G", "H")
 
-# Pipelined transfers move whole stage buffers per handshake; BFBA is the
-# exception -- a Bi-FIFO transfer cannot exceed the FIFO capacity, so it
-# moves FIFO-sized blocks gated by the threshold register (section IV.C.2).
-
-
 
 @dataclass
 class OfdmResult:
@@ -266,7 +261,7 @@ def run_ppa(
     machine.pe(bans[1]).run(stage_middle(1, _group_f, "F")())
     machine.pe(bans[2]).run(stage_middle(2, _group_g, "G")())
     machine.pe(bans[3]).run(stage_d())
-    startup_end = _run_and_time(machine, result)
+    _run_and_time(machine, result)
     return result
 
 
@@ -368,16 +363,14 @@ def run_fpa(machine: Machine, params: Optional[OfdmParameters] = None) -> OfdmRe
         for ban in member_bans[1:]:
             machine.pe(ban).run(worker(ban)())
     _run_and_time(machine, result)
-    result.outputs.sort(key=lambda packet_out: 0)  # keep insertion order
     return result
 
 
-def _run_and_time(machine: Machine, result: OfdmResult) -> int:
+def _run_and_time(machine: Machine, result: OfdmResult) -> None:
     machine.sim.run()
     result.cycles = max(
         (pe.finished_at or 0) for pe in machine.pes.values()
     )
-    return result.cycles
 
 
 def run_ofdm(

@@ -15,7 +15,7 @@ behaviour -- and therefore bus traffic -- is exactly reproducible.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 __all__ = ["CacheStats", "Cache", "mpc755_icache", "mpc755_dcache"]
 
@@ -43,16 +43,16 @@ class CacheStats:
 class Cache:
     """Set-associative, LRU, write-back/write-allocate cache.
 
-    ``access`` returns ``(hit, fill_words, writeback_words)`` so the PE model
-    can translate misses into bus traffic: a miss fetches ``line_words`` from
-    the backing memory, and an eviction of a dirty line writes
-    ``line_words`` back first.
+    ``access`` touches one word and returns ``(hit, fill_words,
+    writeback_words)``; the PE model touches whole line ranges with
+    :meth:`access_lines`, which returns the range's hit, miss and write-back
+    counts.  A miss fetches ``line_words`` from the backing memory, and an
+    eviction of a dirty line writes ``line_words`` back first.
 
     Each set is a ``{tag: dirty}`` dict in LRU order (least recent first):
     a hit re-inserts its tag at the end, an eviction pops the first key.
     Insertion-ordered dicts give the same true-LRU behaviour as the previous
-    list-of-lines scan with O(1) C-level operations -- this is the hottest
-    function of the whole simulator (millions of calls per table case).
+    list-of-lines scan with O(1) C-level operations.
     """
 
     def __init__(
@@ -75,15 +75,14 @@ class Cache:
         # Bumped by flush(); lets callers (the PE warm-fetch fast path)
         # detect that a previously observed steady state was invalidated.
         self.flushes = 0
-
-    def _locate(self, word_address: int) -> Tuple[int, int]:
-        line_index = word_address // self.line_words
-        set_index = line_index % self.sets
-        tag = line_index // self.sets
-        return set_index, tag
+        # (first, last, all_dirty) of the last access_lines range while it
+        # is known to sit, whole and in order, at the MRU end of its sets;
+        # any other access or a flush forgets it.
+        self._resident: Optional[Tuple[int, int, bool]] = None
 
     def access(self, word_address: int, write: bool = False) -> Tuple[bool, int, int]:
         """Touch one word; returns (hit, fill_words, writeback_words)."""
+        self._resident = None
         line_index = word_address // self.line_words
         lines = self._sets[line_index % self.sets]
         tag = line_index // self.sets
@@ -105,8 +104,61 @@ class Cache:
         lines[tag] = write
         return False, self.line_words, writeback_words
 
+    def access_lines(self, first: int, last: int, write: bool = False) -> Tuple[int, int, int]:
+        """Touch lines ``first..last`` in order; returns (hits, misses, writebacks).
+
+        Leaves the sets, their LRU order and the statistics exactly as one
+        :meth:`access` per line would.  Consecutive lines fall in distinct
+        sets until the range wraps the set index, so a range of at most
+        ``sets * ways`` lines ends with each of its sets holding its run of
+        the range at the MRU end, in order.  Touching that same range again
+        then changes nothing but the hit count (and the dirty bits, unless
+        they are all set already or the pass only reads), so it is counted
+        without walking the lines.
+        """
+        count = last - first + 1
+        if count <= 0:
+            return 0, 0, 0
+        stats = self.stats
+        resident = self._resident
+        if (
+            resident is not None
+            and resident[0] == first
+            and resident[1] == last
+            and (resident[2] or not write)
+        ):
+            stats.hits += count
+            return count, 0, 0
+        sets = self._sets
+        n_sets = self.sets
+        ways = self.ways
+        hits = 0
+        evictions = 0
+        writebacks = 0
+        for line_index in range(first, last + 1):
+            lines = sets[line_index % n_sets]
+            tag = line_index // n_sets
+            dirty = lines.pop(tag, None)
+            if dirty is not None:
+                lines[tag] = dirty or write  # re-insert at MRU position
+                hits += 1
+                continue
+            if len(lines) >= ways:
+                evictions += 1
+                if lines.pop(next(iter(lines))):
+                    writebacks += 1
+            lines[tag] = write
+        misses = count - hits
+        stats.hits += hits
+        stats.misses += misses
+        stats.evictions += evictions
+        stats.writebacks += writebacks
+        self._resident = (first, last, write) if count <= n_sets * ways else None
+        return hits, misses, writebacks
+
     def flush(self) -> int:
         """Invalidate everything; returns dirty words that would write back."""
+        self._resident = None
         writeback_words = 0
         for lines in self._sets:
             for dirty in lines.values():

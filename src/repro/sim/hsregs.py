@@ -27,6 +27,35 @@ __all__ = ["HandshakeRegisters", "SharedVariables"]
 _VALID = ("DONE_OP", "DONE_RV")
 
 
+class _Poll(Event):
+    """A bounded wait on one register (see :meth:`HandshakeRegisters.wait_for`).
+
+    ``watchers`` is the register's watcher list while this poll is in it,
+    and ``None`` otherwise: satisfied at once, or taken out by a matching
+    write.  The timer entry stays scheduled after a write wins and fires
+    as a no-op, so a run can still end on it.
+    """
+
+    __slots__ = ("watchers", "wanted")
+
+    def __init__(self, sim: Simulator, watchers: Optional[List["_Poll"]], wanted: int):
+        super().__init__(sim)
+        self.watchers = watchers
+        self.wanted = wanted
+
+    def _wake(self, _hop: Event) -> None:
+        # The write's hop; the timer may have won in the same cycle.
+        if not self._triggered:
+            self.succeed(self.wanted)
+
+    def _expire(self, _timer: Event) -> None:
+        if self._triggered:
+            return
+        if self.watchers is not None:
+            self.watchers.remove(self)
+        self.succeed(None)
+
+
 class HandshakeRegisters:
     """Two one-bit registers with change notification and tracing."""
 
@@ -64,26 +93,38 @@ class HandshakeRegisters:
         self._values[register] = value
         if self.trace_enabled:
             self.trace.append((self.sim.now, register, value))
-        watchers, self._watchers[register] = self._watchers[register], []
-        for wanted, event in watchers:
-            if wanted is None or wanted == value:
-                event.succeed(value)
-            else:
-                self._watchers[register].append((wanted, event))
+        watchers = self._watchers[register]
+        if watchers:
+            post = self.sim._post_callback
+            waiting = []
+            for poll in watchers:
+                if poll.wanted == value:
+                    poll.watchers = None
+                    post(poll._wake)
+                else:
+                    waiting.append(poll)
+            watchers[:] = waiting
 
-    def wait_for(self, register: str, value: Optional[int] = None) -> Event:
-        """Event firing when ``register`` next changes (to ``value`` if given).
+    def wait_for(self, register: str, value: int, interval: int) -> Event:
+        """Event firing when ``register`` holds ``value`` or after
+        ``interval`` cycles, whichever comes first.
 
-        If the register already holds ``value`` the event fires immediately,
-        modelling level-sensitive polling hardware.
+        If the register already holds ``value`` the event fires at once,
+        modelling level-sensitive polling hardware, and no timer is set.
+        Otherwise a matching write fires it through one same-cycle hop (the
+        watcher wakeup), and a timeout one hop after the timer entry fires;
+        a timed-out watcher is withdrawn, so no later write wakes it.  The
+        event's value is ``value`` on a write and ``None`` on a timeout.
         """
         self._check_name(register)
-        event = self.sim.event()
-        if value is not None and self._values[register] == value:
-            event.succeed(value)
-        else:
-            self._watchers[register].append((value, event))
-        return event
+        sim = self.sim
+        if self._values[register] == value:
+            return _Poll(sim, None, value).succeed(value)
+        watchers = self._watchers[register]
+        poll = _Poll(sim, watchers, value)
+        watchers.append(poll)
+        sim._post_callback(poll._expire, interval)
+        return poll
 
     # Convenience accessors used by the protocol layer.
     @property

@@ -156,16 +156,20 @@ class ProcessingElement:
     def _fetch_traffic(self, instructions: float) -> Generator:
         """Walk the code footprint through the I-cache; misses hit the bus.
 
-        Fast path: the fetch walk is a fixed cyclic stride over the code
-        footprint, and the I-cache is private to this PE (nothing else
+        The walk is a fixed cyclic stride over the code footprint, one line
+        per fetch, so each lap from the cursor to the wrap is one range of
+        consecutive lines and goes to the cache as one
+        :meth:`~repro.sim.cache.Cache.access_lines` call.
+
+        Warm shortcut: the I-cache is private to this PE (nothing else
         issues accesses to it).  Once every footprint line is resident --
         observed as ``misses == footprint_lines`` with zero evictions --
-        every future fetch is a hit and can never evict, so the per-line
-        cache walk is replaced by a counter update.  The state is exactly
-        the same as if the walk had run: identical hit/miss statistics,
-        zero bus traffic.  Any eviction or flush (i.e. somebody else used
-        the cache after all) invalidates the shortcut and the slow path
-        resumes.
+        every later fetch is a hit and can never evict, so the rest of the
+        walk, in this call and every later one, is replaced by a counter
+        update.  The statistics, the cursor and the bus traffic are exactly
+        those of the full walk.  Any eviction or flush (i.e. somebody else
+        used the cache after all) invalidates the shortcut and the walk
+        resumes.  An unaligned footprint never takes it.
         """
         if self.program_device is None or instructions <= 0:
             return
@@ -175,46 +179,44 @@ class ProcessingElement:
         if fetches <= 0:
             return
         stats = self.stats
-        if (
-            self._fetch_warm
-            and icache.stats.evictions == 0
-            and icache.flushes == 0
-        ):
-            stats.icache_hits += fetches
-            icache.stats.hits += fetches
-            self._fetch_cursor = (
-                self._fetch_cursor + fetches * line_words
-            ) % self.code_footprint_words
-            return
-        access = icache.access
-        cursor = self._fetch_cursor
-        base = self.program_base
-        footprint = self.code_footprint_words
-        hits = 0
-        misses = 0
-        for _ in range(fetches):
-            if access(base + cursor, False)[0]:
-                hits += 1
-            else:
-                misses += 1
-            cursor += line_words
-            if cursor >= footprint:
-                cursor %= footprint
-        self._fetch_cursor = cursor
-        stats.icache_hits += hits
-        stats.icache_misses += misses
         cache_stats = icache.stats
-        if (
-            self._footprint_lines is not None
-            and cache_stats.evictions == 0
-            and icache.flushes == 0
-            and cache_stats.misses == self._footprint_lines
-            and cache_stats.misses == stats.icache_misses
-            and cache_stats.hits == stats.icache_hits
-        ):
-            # The cache holds exactly the footprint (and only our accesses
-            # ever touched it): steady state from here on.
-            self._fetch_warm = True
+        footprint = self.code_footprint_words
+        cursor = self._fetch_cursor
+        misses = 0
+        while fetches:
+            if (
+                self._fetch_warm
+                and cache_stats.evictions == 0
+                and icache.flushes == 0
+            ):
+                stats.icache_hits += fetches
+                cache_stats.hits += fetches
+                cursor = (cursor + fetches * line_words) % footprint
+                break
+            # Fetches left in this lap: cursor, cursor + line_words, ...
+            # while below the footprint.
+            lap = min(fetches, (footprint - cursor + line_words - 1) // line_words)
+            first = (self.program_base + cursor) // line_words
+            hits, lap_misses, _writebacks = icache.access_lines(
+                first, first + lap - 1, False
+            )
+            stats.icache_hits += hits
+            stats.icache_misses += lap_misses
+            misses += lap_misses
+            fetches -= lap
+            cursor = (cursor + lap * line_words) % footprint
+            if (
+                self._footprint_lines is not None
+                and cache_stats.evictions == 0
+                and icache.flushes == 0
+                and cache_stats.misses == self._footprint_lines
+                and cache_stats.misses == stats.icache_misses
+                and cache_stats.hits == stats.icache_hits
+            ):
+                # The cache holds exactly the footprint (and only our
+                # accesses ever touched it): steady state from here on.
+                self._fetch_warm = True
+        self._fetch_cursor = cursor
         if misses:
             yield from self.machine.miss_traffic(
                 self, self.program_device, misses, line_words, write=False
@@ -224,25 +226,12 @@ class ProcessingElement:
         """Stream a buffer pass through the D-cache; misses hit the bus."""
         dcache = self.dcache
         line_words = dcache.line_words
-        start_line = touch.address // line_words
-        end_line = (touch.address + max(touch.words, 1) - 1) // line_words
-        access = dcache.access
-        write = touch.write
-        hits = 0
-        misses = 0
-        writebacks = 0
-        for line_address in range(
-            start_line * line_words, (end_line + 1) * line_words, line_words
-        ):
-            hit, _fill, wb = access(line_address, write)
-            if hit:
-                hits += 1
-            else:
-                misses += 1
-            if wb:
-                writebacks += 1
-        self.stats.dcache_hits += hits
-        self.stats.dcache_misses += misses
+        first = touch.address // line_words
+        last = (touch.address + max(touch.words, 1) - 1) // line_words
+        hits, misses, writebacks = dcache.access_lines(first, last, touch.write)
+        stats = self.stats
+        stats.dcache_hits += hits
+        stats.dcache_misses += misses
         if misses:
             yield from self.machine.miss_traffic(
                 self, touch.device, misses, line_words, write=False

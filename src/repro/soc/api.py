@@ -140,11 +140,10 @@ class SocAPI:
             self.pe.stats.handshake_polls += 1
             if observed == value:
                 return
-            waiter = block.wait_for(register, value)
-            if waiter.triggered:
+            poll = block.wait_for(register, value, interval)
+            if poll.triggered:
                 continue
-            timeout = self.machine.sim.timeout(interval)
-            yield self.machine.sim.any_of([waiter, timeout])
+            yield poll
             interval = min(interval * 2, self.poll_interval_max)
 
     # ------------------------------------------------------------------

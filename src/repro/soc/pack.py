@@ -44,7 +44,7 @@ def complex_to_words(samples: Sequence[complex]) -> List[int]:
     real = _to_q15(array.real) & 0xFFFF
     imag = _to_q15(array.imag) & 0xFFFF
     words = (real << 16) | imag
-    return [int(word) for word in words]
+    return words.tolist()
 
 
 def _from_q15(raw: np.ndarray) -> np.ndarray:
@@ -70,7 +70,7 @@ def complex_to_float_words(samples: Sequence[complex]) -> List[int]:
     interleaved = np.empty(2 * len(array), dtype=np.float32)
     interleaved[0::2] = array.real
     interleaved[1::2] = array.imag
-    return [int(word) for word in interleaved.view(np.uint32)]
+    return interleaved.view(np.uint32).tolist()
 
 
 def float_words_to_complex(words: Sequence[int]) -> np.ndarray:
@@ -83,42 +83,33 @@ def float_words_to_complex(words: Sequence[int]) -> np.ndarray:
 
 
 def bits_to_words(bits: Sequence[int]) -> List[int]:
-    """Pack a 0/1 bit sequence 32-to-a-word, MSB first."""
-    words: List[int] = []
-    accumulator = 0
-    count = 0
-    for bit in bits:
-        accumulator = (accumulator << 1) | (int(bit) & 1)
-        count += 1
-        if count == 32:
-            words.append(accumulator)
-            accumulator = 0
-            count = 0
-    if count:
-        words.append(accumulator << (32 - count))
-    return words
+    """Pack a 0/1 bit sequence 32-to-a-word, MSB first.
+
+    Only each value's low bit counts; a partial last word is zero-filled
+    on the right.
+    """
+    values = np.asarray(bits, dtype=np.int64)
+    low_bits = np.zeros(-(-len(values) // 32) * 32, dtype=np.uint8)
+    low_bits[: len(values)] = values & 1
+    return np.packbits(low_bits).view(">u4").tolist()
 
 
 def words_to_bits(words: Sequence[int], n_bits: int) -> List[int]:
-    """Inverse of :func:`bits_to_words`."""
-    bits: List[int] = []
-    for word in words:
-        for shift in range(31, -1, -1):
-            bits.append((int(word) >> shift) & 1)
-            if len(bits) == n_bits:
-                return bits
+    """Inverse of :func:`bits_to_words`: the first ``n_bits`` bits, MSB
+    first (every bit when ``n_bits`` is not positive)."""
+    raw = (np.asarray(words, dtype=np.int64) & 0xFFFFFFFF).astype(">u4")
+    bits = np.unpackbits(raw.view(np.uint8))
     if len(bits) < n_bits:
         raise ValueError("not enough words for %d bits" % n_bits)
-    return bits
+    if n_bits > 0:
+        bits = bits[:n_bits]
+    return bits.tolist()
 
 
 def bytes_to_words(data: bytes) -> List[int]:
     """Pack a byte string big-endian, zero-padded to a word boundary."""
     padded = data + b"\x00" * (-len(data) % 4)
-    return [
-        int.from_bytes(padded[index : index + 4], "big")
-        for index in range(0, len(padded), 4)
-    ]
+    return np.frombuffer(padded, dtype=">u4").tolist()
 
 
 def words_to_bytes(words: Iterable[int], length: int) -> bytes:

@@ -1,9 +1,15 @@
 """Tests for the SoC software API and handshake channels."""
 
+import random
+from collections import Counter
+
 import pytest
 
 from repro.options import presets
+from repro.sim import fabric
 from repro.sim.fabric import build_machine
+from repro.sim.hsregs import HandshakeRegisters
+from repro.sim.kernel import KERNEL_BACKENDS
 from repro.soc.api import SocAPI
 from repro.soc.handshake import (
     BfbaChannel,
@@ -126,6 +132,146 @@ class TestSocAPI:
         machine.sim.run()
         segment = machine.home_segment[api.pe.name]
         assert segment.stats.transactions == 5  # 40 ops in groups of 8
+
+
+class _CompositeWaitRegisters(HandshakeRegisters):
+    """Handshake registers with a plain watcher list: a write fires every
+    watcher event waiting for the new value and keeps the others, and a
+    watcher stays listed until a write fires it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.watcher_events = {"DONE_OP": [], "DONE_RV": []}
+
+    def write(self, register, value):
+        changed = self.read(register) != value & 1
+        super().write(register, value)
+        if changed:
+            value &= 1
+            events, self.watcher_events[register] = self.watcher_events[register], []
+            for wanted, event in events:
+                if wanted == value:
+                    event.succeed(value)
+                else:
+                    self.watcher_events[register].append((wanted, event))
+
+    def watch(self, register, value):
+        event = self.sim.event()
+        if self.read(register) == value:
+            event.succeed(value)
+        else:
+            self.watcher_events[register].append((value, event))
+        return event
+
+
+class _CompositeWaitAPI(SocAPI):
+    """The reference poll: a watcher event raced against a ``Timeout``
+    through ``AnyOf``."""
+
+    def reg_wait(self, hs_device, register, value):
+        block = self.machine.devices[hs_device].target
+        sim = self.machine.sim
+        interval = self.poll_interval
+        while True:
+            if self.poll_probe_instructions:
+                yield from self.pe.compute(self.poll_probe_instructions)
+            observed = yield from self.reg_read(hs_device, register)
+            self.pe.stats.handshake_polls += 1
+            if observed == value:
+                return
+            waiter = block.watch(register, value)
+            if waiter.triggered:
+                continue
+            yield sim.any_of([waiter, sim.timeout(interval)])
+            interval = min(interval * 2, self.poll_interval_max)
+
+
+def _logged(program, log, sim, name):
+    """Run ``program``, logging ``(cycle, name)`` at every resume."""
+    value = None
+    while True:
+        try:
+            item = program.send(value)
+        except StopIteration as stop:
+            return stop.value
+        value = yield item
+        log.append((sim.now, name))
+
+
+def _poll_run(seed, kernel, reference, monkeypatch):
+    """A seeded random schedule on GBAVI: PE A writes both registers of
+    HS_REGS_A at random times while B, C and D poll them with random
+    intervals.  Half of A's writes skip the bus and A resumes in the same
+    cycle, between a woken poll's two hops.  Returns the wake log, as
+    (cycle, position among that cycle's wakes, PE), and each poller's
+    handshake_polls."""
+    rng = random.Random(seed)
+    with monkeypatch.context() as patch:
+        if reference:
+            patch.setattr(fabric, "HandshakeRegisters", _CompositeWaitRegisters)
+        machine = build_machine(presets.preset("GBAVI", 4), kernel=kernel)
+    api_type = _CompositeWaitAPI if reference else SocAPI
+    apis = {ban: api_type(machine, ban) for ban in "ABCD"}
+    sim = machine.sim
+    log = []
+
+    block = machine.devices["HS_REGS_A"].target
+
+    def writer():
+        for _ in range(60):
+            yield from apis["A"].stall(rng.randrange(0, 300))
+            register = rng.choice(("DONE_OP", "DONE_RV"))
+            if rng.randrange(2):
+                yield from apis["A"].reg_write("HS_REGS_A", register, rng.randrange(2))
+            else:
+                block.write(register, rng.randrange(2))
+                yield 0
+
+    def poller(api):
+        api.poll_interval = rng.randrange(1, 40)
+        api.poll_interval_max = api.poll_interval * rng.choice((1, 2, 8))
+        while True:
+            register = rng.choice(("DONE_OP", "DONE_RV"))
+            yield from api.reg_wait("HS_REGS_A", register, rng.randrange(2))
+
+    machine.pe("A").run(_logged(writer(), log, sim, "A"))
+    for ban in "BCD":
+        machine.pe(ban).run(_logged(poller(apis[ban]), log, sim, ban))
+    sim.run(until=20_000)
+    per_cycle = Counter()
+    wakes = []
+    for cycle, name in log:
+        wakes.append((cycle, per_cycle[cycle], name))
+        per_cycle[cycle] += 1
+    return wakes, [apis[ban].pe.stats.handshake_polls for ban in "BCD"]
+
+
+class TestPollWakeOrder:
+    """reg_wait's single poll event resumes pollers exactly where the
+    composite wait did, in time and in same-cycle order."""
+
+    @pytest.mark.parametrize("kernel", KERNEL_BACKENDS)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_wakes_as_composite_wait(self, seed, kernel, monkeypatch):
+        wakes, polls = _poll_run(seed, kernel, False, monkeypatch)
+        ref_wakes, ref_polls = _poll_run(seed, kernel, True, monkeypatch)
+        assert sum(polls) > 100  # the pollers really did wait
+        assert polls == ref_polls
+        assert wakes == ref_wakes
+
+    @pytest.mark.parametrize("kernel", KERNEL_BACKENDS)
+    def test_timed_out_polls_leave_no_watchers(self, kernel):
+        machine = build_machine(presets.preset("GBAVI", 4), kernel=kernel)
+        api = SocAPI(machine, "B")
+        block = machine.devices["HS_REGS_A"].target
+
+        def waiter():
+            yield from api.reg_wait("HS_REGS_A", "DONE_OP", 1)  # never written
+
+        api.pe.run(waiter())
+        machine.sim.run(until=200_000)
+        assert api.pe.stats.handshake_polls >= 1000
+        assert len(block._watchers["DONE_OP"]) <= 1
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.cache import Cache, mpc755_dcache, mpc755_icache
+from repro.sim.cache import Cache, CacheStats, mpc755_dcache, mpc755_icache
 from repro.sim.hsregs import HandshakeRegisters, SharedVariables
 from repro.sim.kernel import Simulator
 from repro.sim.memory import Sram
@@ -36,21 +36,33 @@ class TestHandshakeRegisters:
 
     def test_wait_for_value_change(self, sim):
         block = HandshakeRegisters(sim, "hs")
-        event = block.wait_for("DONE_OP", 1)
+        event = block.wait_for("DONE_OP", 1, 100)
         assert not event.triggered
         block.write("DONE_OP", 1)
-        assert event.triggered
+        sim.run(until=1)  # the watcher's same-cycle hop
+        assert event.triggered and event.value == 1
 
     def test_wait_for_already_satisfied(self, sim):
         block = HandshakeRegisters(sim, "hs", done_op=1)
-        event = block.wait_for("DONE_OP", 1)
+        event = block.wait_for("DONE_OP", 1, 100)
         assert event.triggered
 
     def test_wait_for_wrong_value_stays_pending(self, sim):
         block = HandshakeRegisters(sim, "hs")
-        event = block.wait_for("DONE_OP", 1)
+        event = block.wait_for("DONE_OP", 1, 100)
         block.write("DONE_RV", 1)  # other register
+        sim.run(until=100)  # up to, not including, the timeout
         assert not event.triggered
+
+    def test_wait_for_times_out_and_withdraws(self, sim):
+        block = HandshakeRegisters(sim, "hs")
+        event = block.wait_for("DONE_OP", 1, 100)
+        sim.run()
+        assert event.triggered and event.value is None
+        assert sim.now == 100
+        assert block._watchers["DONE_OP"] == []
+        block.write("DONE_OP", 1)  # nobody left to wake
+        assert sim.peek() is None
 
     def test_trace_records_changes(self, sim):
         block = HandshakeRegisters(sim, "hs", trace=True)
@@ -157,6 +169,67 @@ class TestCache:
             return [cache.access(a, write=(a % 3 == 0)) for a in addresses]
 
         assert run() == run()
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_access_lines_matches_per_line_access(self, data):
+        """One range call leaves the cache exactly as one ``access`` per
+        line would: totals, statistics, and every set's contents and LRU
+        order (D-cache evictions depend on the order)."""
+        line_bytes = data.draw(st.sampled_from([16, 32]))
+        ways = data.draw(st.sampled_from([1, 2, 4, 8]))
+        n_sets = data.draw(st.sampled_from([1, 2, 4, 16]))
+        geometry = dict(size_bytes=line_bytes * ways * n_sets, line_bytes=line_bytes, ways=ways)
+        ranged = Cache("ranged", **geometry)
+        reference = Cache("reference", **geometry)
+        capacity = ways * n_sets
+        # A few ranges, reused so that repeated passes over the same range
+        # (the resident shortcut) come up; lengths from one line to several
+        # times the capacity wrap the set index, and the lengths around the
+        # capacity are where a range stops fitting.
+        span = st.one_of(
+            st.integers(min_value=1, max_value=3 * capacity),
+            st.sampled_from([capacity, capacity + 1, capacity + n_sets]),
+        )
+        ranges = data.draw(
+            st.lists(st.tuples(st.integers(0, 4 * capacity), span), min_size=1, max_size=3)
+        )
+        operation = st.one_of(
+            st.tuples(st.just("range"), st.sampled_from(ranges), st.booleans()),
+            st.tuples(st.just("word"), st.integers(0, 6 * capacity), st.booleans()),
+            st.tuples(st.just("flush"), st.just(None), st.just(False)),
+        )
+        warm = data.draw(st.lists(st.integers(0, 6 * capacity), max_size=3 * capacity))
+        for line in warm:  # a warm cache, or a cold one when empty
+            for cache in (ranged, reference):
+                cache.access(line * cache.line_words, line % 3 == 0)
+        for kind, arg, write in data.draw(st.lists(operation, min_size=1, max_size=12)):
+            if kind == "flush":
+                assert ranged.flush() == reference.flush()
+                continue
+            if kind == "word":
+                assert ranged.access(arg * ranged.line_words, write) == reference.access(
+                    arg * reference.line_words, write
+                )
+                continue
+            first, length = arg
+            got = ranged.access_lines(first, first + length - 1, write)
+            expected = [0, 0, 0]
+            for line in range(first, first + length):
+                hit, _fill, writeback = reference.access(line * reference.line_words, write)
+                expected[0 if hit else 1] += 1
+                expected[2] += writeback > 0
+            assert got == tuple(expected)
+            for name in CacheStats.__slots__:
+                assert getattr(ranged.stats, name) == getattr(reference.stats, name)
+            assert [list(lines.items()) for lines in ranged._sets] == [
+                list(lines.items()) for lines in reference._sets
+            ]
+
+    def test_access_lines_empty_range(self):
+        cache = Cache("c", size_bytes=1024, line_bytes=32, ways=2)
+        assert cache.access_lines(5, 4) == (0, 0, 0)
+        assert cache.stats.accesses == 0
 
     @given(st.lists(st.integers(min_value=0, max_value=63), min_size=1, max_size=100))
     @settings(max_examples=25, deadline=None)

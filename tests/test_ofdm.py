@@ -61,6 +61,25 @@ class TestFft:
         raw = ifft_butterflies(bit_reverse_permute(x))
         np.testing.assert_allclose(raw / 16, np.fft.ifft(x), atol=1e-9)
 
+    @pytest.mark.parametrize("n", [2, 4, 64, 2048])
+    def test_butterflies_match_per_group_loop(self, n):
+        """Each pass runs as one array operation and gives exactly the
+        values of a loop over the pass's butterfly groups."""
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=n) + 1j * rng.normal(size=n)
+        expected = x.copy()
+        span = 1
+        while span < n:
+            step = 2 * span
+            twiddles = np.exp(2j * np.pi * np.arange(span) / step)
+            for start in range(0, n, step):
+                upper = expected[start : start + span].copy()
+                lower = expected[start + span : start + step] * twiddles
+                expected[start : start + span] = upper + lower
+                expected[start + span : start + step] = upper - lower
+            span = step
+        assert np.array_equal(ifft_butterflies(x), expected)
+
     @given(st.integers(min_value=1, max_value=8))
     @settings(max_examples=8, deadline=None)
     def test_parseval_property(self, log_n):

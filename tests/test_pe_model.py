@@ -4,7 +4,8 @@ import pytest
 
 from repro.options import presets
 from repro.sim.fabric import build_machine
-from repro.sim.pe import MISS_GROUP, DataTouch
+from repro.sim.kernel import Simulator
+from repro.sim.pe import MISS_GROUP, DataTouch, ProcessingElement
 
 
 def fresh_pe(preset_name="GBAVIII", ban="A"):
@@ -85,6 +86,117 @@ class TestInstructionFetchTraffic:
         machine.sim.run()
         shared = machine.segments["GLOBAL_BUS_SUB1"]
         assert shared.stats.transactions > 0
+
+
+class _MissRecorder:
+    """Stands in for the machine: records each miss-traffic call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def miss_traffic(self, pe, device, misses, line_words, write):
+        self.calls.append((device, misses, line_words, write))
+        return iter(())
+
+
+def _per_line_fetch(pe, instructions):
+    """The reference walk: one ``Cache.access`` per fetch, then the warm
+    check once at the end.  Returns the misses that go to the bus."""
+    icache = pe.icache
+    line_words = icache.line_words
+    cursor = pe._fetch_cursor
+    hits = misses = 0
+    for _ in range(int(instructions) // line_words):
+        if icache.access(pe.program_base + cursor)[0]:
+            hits += 1
+        else:
+            misses += 1
+        cursor += line_words
+        if cursor >= pe.code_footprint_words:
+            cursor %= pe.code_footprint_words
+    pe._fetch_cursor = cursor
+    pe.stats.icache_hits += hits
+    pe.stats.icache_misses += misses
+    cache_stats = icache.stats
+    if (
+        pe._footprint_lines is not None
+        and cache_stats.evictions == 0
+        and cache_stats.misses == pe._footprint_lines
+        and (cache_stats.misses, cache_stats.hits)
+        == (pe.stats.icache_misses, pe.stats.icache_hits)
+    ):
+        pe._fetch_warm = True
+    return misses
+
+
+def _cold_pe(footprint, base):
+    recorder = _MissRecorder()
+    pe = ProcessingElement(
+        Simulator(),
+        "pe",
+        recorder,
+        program_device="PROG",
+        program_base=base,
+        code_footprint_words=footprint,
+    )
+    return pe, recorder
+
+
+class TestFetchWalk:
+    """The range walk with its mid-call warm shortcut ends where the
+    per-line walk ends."""
+
+    @pytest.mark.parametrize(
+        "footprint,base",
+        [
+            (2048, 0),  # aligned: warm after the first lap
+            (2048, 5),  # unaligned base, aligned footprint
+            (2044, 0),  # unaligned footprint: never warm
+            (2044, 3),
+            (12_000, 0),  # larger than the cache: evictions every lap
+            (12_004, 3),
+        ],
+    )
+    def test_first_phase_matches_per_line_walk(self, footprint, base):
+        pe, recorder = _cold_pe(footprint, base)
+        reference, _unused = _cold_pe(footprint, base)
+        pe.sim.process(pe.compute(100_000))
+        pe.sim.run()
+        misses = _per_line_fetch(reference, 100_000)
+        reference.stats.compute_cycles = pe.stats.compute_cycles
+        assert pe.stats.as_dict() == reference.stats.as_dict()
+        for name in ("hits", "misses", "evictions", "writebacks"):
+            assert getattr(pe.icache.stats, name) == getattr(reference.icache.stats, name)
+        assert pe._fetch_cursor == reference._fetch_cursor
+        assert pe._fetch_warm == reference._fetch_warm
+        assert recorder.calls == ([("PROG", misses, 8, False)] if misses else [])
+        assert pe.icache._sets == reference.icache._sets  # same lines, same dirt
+        if footprint % pe.icache.line_words:
+            # No shortcut: the walk touched every line, so the LRU order
+            # matches too.
+            assert not pe._fetch_warm
+            assert [list(lines) for lines in pe.icache._sets] == [
+                list(lines) for lines in reference.icache._sets
+            ]
+
+    def test_warm_shortcut_starts_mid_call(self):
+        pe, _recorder = _cold_pe(2048, 0)
+        walked = []
+        access_lines = pe.icache.access_lines
+
+        def spy(first, last, write):
+            walked.append((first, last))
+            return access_lines(first, last, write)
+
+        pe.icache.access_lines = spy
+        pe.sim.process(pe.compute(100_000))
+        pe.sim.run()
+        # One cold lap of 256 lines is walked; the other 12,244 fetches of
+        # the phase are counted as hits without touching the cache.
+        assert walked == [(0, 255)]
+        assert pe._fetch_warm
+        assert pe.stats.icache_misses == 256
+        assert pe.stats.icache_hits == 100_000 // 8 - 256
 
 
 class TestDataStreamTraffic:
