@@ -29,6 +29,7 @@ the DSE artifact store (kind ``"fuzz"``, keyed by case hash +
 
 from __future__ import annotations
 
+import gc
 from typing import Any, Dict, List, Optional
 
 from ..core.busyn import BusSyn
@@ -245,6 +246,10 @@ def evaluate_case(
     except Exception as error:  # noqa: BLE001
         checks["resilience"] = _findings_from_error(error)
 
+    # Every check built and dropped whole machines, and a machine's object
+    # graph is cyclic: collect them now, so a campaign's peak memory is one
+    # case's rather than however many the collector's thresholds let pile up.
+    gc.collect()
     failed = sorted(name for name, findings in checks.items() if findings)
     return {
         "oracle_version": ORACLE_VERSION,

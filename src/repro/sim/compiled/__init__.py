@@ -1,10 +1,13 @@
 """Compiled scheduler backend (``--kernel compiled``).
 
-Two layers of specialization over a timing-wheel scheduler:
+Two layers of specialization over a calendar scheduler (this cycle's
+entries, next cycle's entries, a heap for later ones):
 
 * :mod:`repro.sim.compiled.kernel` -- run-loop variants generated with
-  ``compile()``/``exec`` and *direct entries* for in-horizon ``yield <int>``
-  (no proxy event, no callback list, no allocation on the hot path);
+  ``compile()``/``exec`` from one template; every ``yield <int>`` is a
+  *direct entry* and a process waiting alone on an event is resumed by
+  the loop itself (no proxy event, no callback list, no
+  ``Event._fire``/``Process._resume`` on the hot path);
 * :mod:`repro.sim.compiled.specializer` -- per-architecture fabric
   specialization: arbiter policy and route plans baked into generated
   per-(master, device) transaction functions, installed when every

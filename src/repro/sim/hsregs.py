@@ -30,10 +30,10 @@ _VALID = ("DONE_OP", "DONE_RV")
 class _Poll(Event):
     """A bounded wait on one register (see :meth:`HandshakeRegisters.wait_for`).
 
-    ``watchers`` is the register's watcher list while this poll is in it,
-    and ``None`` otherwise: satisfied at once, or taken out by a matching
-    write.  The timer entry stays scheduled after a write wins and fires
-    as a no-op, so a run can still end on it.
+    The poll is its own timer: ``wait_for`` schedules it, still untriggered,
+    ``interval`` cycles ahead.  ``watchers`` is the register's watcher list
+    while this poll is in it, and ``None`` otherwise: satisfied at once,
+    taken out by a matching write, or timed out.
     """
 
     __slots__ = ("watchers", "wanted")
@@ -48,11 +48,19 @@ class _Poll(Event):
         if not self._triggered:
             self.succeed(self.wanted)
 
-    def _expire(self, _timer: Event) -> None:
+    def _fire(self) -> None:
         if self._triggered:
+            # The hop after a write or a timeout.  The timer of a poll a
+            # write already woke finds it fired and does nothing, so a run
+            # can still end on it.
+            if not self._fired:
+                Event._fire(self)
             return
+        # The timer, before any matching write: withdraw the watcher and
+        # schedule the poll again as the hop.
         if self.watchers is not None:
             self.watchers.remove(self)
+            self.watchers = None
         self.succeed(None)
 
 
@@ -112,9 +120,10 @@ class HandshakeRegisters:
         If the register already holds ``value`` the event fires at once,
         modelling level-sensitive polling hardware, and no timer is set.
         Otherwise a matching write fires it through one same-cycle hop (the
-        watcher wakeup), and a timeout one hop after the timer entry fires;
-        a timed-out watcher is withdrawn, so no later write wakes it.  The
-        event's value is ``value`` on a write and ``None`` on a timeout.
+        watcher wakeup), and a timeout one hop after the poll's own timer
+        entry fires; a timed-out watcher is withdrawn, so no later write
+        wakes it.  The event's value is ``value`` on a write and ``None`` on
+        a timeout.
         """
         self._check_name(register)
         sim = self.sim
@@ -123,7 +132,7 @@ class HandshakeRegisters:
         watchers = self._watchers[register]
         poll = _Poll(sim, watchers, value)
         watchers.append(poll)
-        sim._post_callback(poll._expire, interval)
+        sim._schedule(poll, interval)
         return poll
 
     # Convenience accessors used by the protocol layer.

@@ -28,19 +28,22 @@ the ``Event`` constructor.  A pooled timeout is recycled only after it has
 been popped and fired, and a process waits on at most one event at a time,
 so reuse is invisible to simulation semantics (same firing cycle, same
 tie-break order).  ``run`` additionally inlines the pending-event pop and
-binds the scheduler operations locally.
+binds the scheduler operations locally.  A :class:`Process` is callable as
+its own ``_resume``, so waiting on an event registers the process itself
+rather than a freshly bound method.
 
 Scheduler backends.  Two interchangeable event-queue implementations:
 
 * ``heap`` (:class:`Simulator`) -- a binary heap of ``(cycle, seq, event)``
   tuples; the reference backend.
-* ``compiled`` (:class:`repro.sim.compiled.CompiledSimulator`) -- a timing
-  wheel of :data:`WHEEL_SIZE` one-cycle buckets plus an overflow heap,
-  drained by a run loop generated with ``compile()``/``exec``; an
-  in-horizon ``yield <int>`` is served by a *direct entry* -- a 1-tuple
-  ``(process,)`` resumed straight through ``generator.send`` in the drain
-  loop, with no proxy event, callback list, or allocation on the hot path
-  (see ``_use_direct`` in :meth:`Process._resume`).
+* ``compiled`` (:class:`repro.sim.compiled.CompiledSimulator`) -- a
+  calendar: this cycle's entries, next cycle's entries and the same heap
+  for anything later, drained by a run loop generated with
+  ``compile()``/``exec``.  Every ``yield <int>`` is served by a *direct
+  entry* -- a 1-tuple ``(process,)`` resumed straight through
+  ``generator.send`` in the run loop, with no proxy event or callback list
+  (see ``_use_direct`` in :meth:`Process._resume`) -- and the loop resumes
+  a process waiting alone on an event the same way.
 
 ``Simulator(kernel=...)`` selects a backend explicitly; with no argument
 the :data:`KERNEL_ENV` environment variable decides (default ``heap``).
@@ -70,7 +73,6 @@ __all__ = [
     "total_events_processed",
     "KERNEL_BACKENDS",
     "KERNEL_ENV",
-    "WHEEL_SIZE",
     "check_kernel",
     "default_kernel",
     "set_default_kernel",
@@ -79,14 +81,6 @@ __all__ = [
 # Scheduler backend selection -----------------------------------------------
 KERNEL_BACKENDS = ("heap", "compiled")
 KERNEL_ENV = "REPRO_SIM_KERNEL"
-
-# The compiled backend's timing-wheel geometry, needed here because
-# Process._resume schedules its direct entries: one bucket per cycle, power
-# of two so the bucket index is a mask op.  Delays >= WHEEL_SIZE go to the
-# overflow heap.  _WHEEL_BITS is 1 << i without a per-push bignum shift.
-WHEEL_SIZE = 256
-_WHEEL_MASK = WHEEL_SIZE - 1
-_WHEEL_BITS = [1 << i for i in range(WHEEL_SIZE)]
 
 
 def check_kernel(name: str, origin: str = "") -> str:
@@ -223,6 +217,13 @@ class Event:
             self.callbacks.append(callback)
 
     def _fire(self) -> None:
+        """Run the callbacks of a popped event.
+
+        The compiled run loop does not call this for a triggered, unfired
+        event whose only callback is a process waiting on it: it resumes
+        the process itself.  A subclass overriding ``_fire`` must therefore
+        act exactly like this base method on a triggered, unfired event.
+        """
         self._fired = True
         callbacks = self.callbacks
         if not callbacks:
@@ -268,7 +269,12 @@ class _PooledTimeout(Event):
 
 
 class Process(Event):
-    """A running generator; fires (as an event) when the generator returns."""
+    """A running generator; fires (as an event) when the generator returns.
+
+    A process is callable as its own :meth:`_resume`: it registers itself
+    as the callback of the event it waits on, so no bound method is built
+    per wait, and the compiled run loop can recognise the waiter.
+    """
 
     __slots__ = ("generator", "name", "_send", "_target", "_interrupts")
 
@@ -287,11 +293,11 @@ class Process(Event):
         self._send = generator.send
         self.name = name or getattr(generator, "__name__", "process")
         # While waiting: the Event being waited on, or (compiled backend)
-        # the direct-entry 1-tuple sitting in a wheel bucket.  Identity
+        # the direct-entry 1-tuple sitting in the schedule.  Identity
         # against the firing trigger is the staleness check.
         self._target: Optional[Any] = None
         self._interrupts: Deque[Interrupt] = deque()
-        sim._post_callback(self._resume)
+        sim._post_callback(self)
 
     @property
     def is_alive(self) -> bool:
@@ -302,7 +308,7 @@ class Process(Event):
         if not self.is_alive:
             return
         self._interrupts.append(Interrupt(cause))
-        self.sim._post_callback(self._resume)
+        self.sim._post_callback(self)
 
     def _resume(self, trigger: Event) -> None:
         if self._triggered:
@@ -346,19 +352,16 @@ class Process(Event):
                     "negative timeout delay: %r" % (next_event,)
                 )
             sim = self.sim
-            if sim._use_direct and next_event < WHEEL_SIZE:
-                # Compiled backend, in-horizon delay: schedule a *direct
-                # entry* -- a 1-tuple the compiled drain loop resumes via
-                # generator.send with no proxy event in between.  The tuple
-                # itself is the staleness token: an interrupt wakeup clears
-                # _target, and the drained entry is then skipped (counting
-                # as one event, exactly like a stale pooled proxy).
+            if sim._use_direct:
+                # Compiled backend: schedule a *direct entry* -- a 1-tuple
+                # the compiled run loop resumes via generator.send with no
+                # proxy event in between.  The tuple itself is the
+                # staleness token: an interrupt wakeup clears _target, and
+                # the entry is then skipped when it comes due (counting as
+                # one event, exactly like a stale pooled proxy).
                 entry = (self,)
                 self._target = entry
-                index = (sim.now + next_event) & _WHEEL_MASK
-                sim._buckets[index].append(entry)
-                sim._occupied |= _WHEEL_BITS[index]
-                sim._wheel_count += 1
+                sim._schedule(entry, next_event)
                 return
             pool = sim._timeout_pool
             if pool:
@@ -369,15 +372,10 @@ class Process(Event):
             else:
                 proxy = _PooledTimeout(sim)
                 proxy._triggered = True
-            proxy.callbacks.append(self._resume)
+            proxy.callbacks.append(self)
             self._target = proxy
-            if sim._use_direct:
-                # Compiled backend, beyond the wheel horizon: its _schedule
-                # puts the proxy on the overflow heap.
-                sim._schedule(proxy, next_event)
-            else:
-                sim._seq = seq = sim._seq + 1
-                heappush(sim._queue, (sim.now + next_event, seq, proxy))
+            sim._seq = seq = sim._seq + 1
+            heappush(sim._queue, (sim.now + next_event, seq, proxy))
             return
         if isinstance(next_event, int):
             # bool or an int subclass: take the general Timeout path.
@@ -388,7 +386,9 @@ class Process(Event):
                 % (self.name, next_event)
             )
         self._target = next_event
-        next_event.add_callback(self._resume)
+        next_event.add_callback(self)
+
+    __call__ = _resume
 
 
 class _Composite(Event):
@@ -460,7 +460,7 @@ class Simulator:
 
     # Backend identity; the compiled subclass overrides.  _use_direct is the
     # flag Process._resume branches on in its int-yield fast path: it selects
-    # direct-entry scheduling onto the compiled backend's timing wheel.
+    # direct-entry scheduling onto the compiled backend's calendar.
     kernel_name = "heap"
     _use_direct = False
 
@@ -550,6 +550,23 @@ class Simulator:
         global _TOTAL_EVENTS
         _TOTAL_EVENTS += 1
 
+    def _split_until(self, until: Optional[Any]):
+        """``run()``'s ``until`` as ``(stop_event, deadline)``, one of them None.
+
+        Rejects a deadline before the current cycle: running "until" the
+        past would move the clock backwards.
+        """
+        if until is None:
+            return None, None
+        if isinstance(until, Event):
+            return until, None
+        deadline = int(until)
+        if deadline < self.now:
+            raise SimulationError(
+                "run(until=%d) is before the current cycle %d" % (deadline, self.now)
+            )
+        return None, deadline
+
     def run(self, until: Optional[Any] = None, limit: int = 50_000_000) -> Any:
         """Run until ``until`` (an Event or a cycle count) or quiescence.
 
@@ -562,15 +579,11 @@ class Simulator:
         those events still queued, and a subsequent ``run()`` fires them
         first (at the deadline cycle) before advancing further.  This
         matches SimPy's ``Environment.run(until=t)`` and keeps
-        ``run(until=t)`` + ``run()`` equivalent to a single ``run()``.
+        ``run(until=t)`` + ``run()`` equivalent to a single ``run()``.  A
+        deadline before the current cycle raises :class:`SimulationError`
+        before any work; ``until == now`` is a no-op.
         """
-        deadline: Optional[int] = None
-        stop_event: Optional[Event] = None
-        if isinstance(until, Event):
-            stop_event = until
-        elif until is not None:
-            deadline = int(until)
-
+        stop_event, deadline = self._split_until(until)
         if self.monitor_depth:
             return self._run_monitored(stop_event, deadline, limit)
 

@@ -68,6 +68,8 @@ class Memory:
     def read(self, address: int, count: int = 1) -> List[int]:
         self._check(address, count)
         self.reads += count
+        if count == 1:
+            return [self._words.get(address, 0)]
         get = self._words.get
         return [get(i, 0) for i in range(address, address + count)]
 

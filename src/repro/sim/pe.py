@@ -103,7 +103,7 @@ class ProcessingElement:
         self._cycle_carry = 0.0
         self._fetch_cursor = 0
         self.finished_at: Optional[int] = None
-        # Warm-footprint fast path state for _fetch_traffic (see there).
+        # Warm-footprint fast path state for _fetch_misses (see there).
         self._fetch_warm = False
         line_words = self.icache.line_words
         if code_footprint_words % line_words == 0:
@@ -149,12 +149,20 @@ class ProcessingElement:
         if cycles > 0:
             self.stats.compute_cycles += cycles
             yield cycles
-        yield from self._fetch_traffic(instructions)
+        misses = self._fetch_misses(instructions)
+        if misses:
+            yield from self.machine.miss_traffic(
+                self, self.program_device, misses, self.icache.line_words, write=False
+            )
         for touch in touches:
             yield from self._stream_traffic(touch)
 
-    def _fetch_traffic(self, instructions: float) -> Generator:
-        """Walk the code footprint through the I-cache; misses hit the bus.
+    def _fetch_misses(self, instructions: float) -> int:
+        """Walk the code footprint through the I-cache; return the misses.
+
+        A plain method, not a generator: ``compute`` turns the misses into
+        bus traffic, and most calls (warm, or too short to fetch a line)
+        have none.
 
         The walk is a fixed cyclic stride over the code footprint, one line
         per fetch, so each lap from the cursor to the wrap is one range of
@@ -171,13 +179,11 @@ class ProcessingElement:
         used the cache after all) invalidates the shortcut and the walk
         resumes.  An unaligned footprint never takes it.
         """
-        if self.program_device is None or instructions <= 0:
-            return
         icache = self.icache
         line_words = icache.line_words
         fetches = int(instructions) // line_words
-        if fetches <= 0:
-            return
+        if fetches <= 0 or self.program_device is None:
+            return 0
         stats = self.stats
         cache_stats = icache.stats
         footprint = self.code_footprint_words
@@ -217,10 +223,7 @@ class ProcessingElement:
                 # accesses ever touched it): steady state from here on.
                 self._fetch_warm = True
         self._fetch_cursor = cursor
-        if misses:
-            yield from self.machine.miss_traffic(
-                self, self.program_device, misses, line_words, write=False
-            )
+        return misses
 
     def _stream_traffic(self, touch: DataTouch) -> Generator:
         """Stream a buffer pass through the D-cache; misses hit the bus."""

@@ -117,8 +117,7 @@ class SocAPI:
     # Handshake registers (HS_REGS blocks; GBAVI / BFBA)
     # ------------------------------------------------------------------
     def reg_read(self, hs_device: str, register: str) -> Generator:
-        value = yield from self.machine.reg_read(self.pe, hs_device, register)
-        return value
+        return self.machine.reg_read(self.pe, hs_device, register)
 
     def reg_write(self, hs_device: str, register: str, value: int) -> Generator:
         yield from self.machine.reg_write(self.pe, hs_device, register, value)
@@ -156,10 +155,7 @@ class SocAPI:
         return name
 
     def var_read(self, variable: str, memory: Optional[str] = None) -> Generator:
-        value = yield from self.machine.var_read(
-            self.pe, memory or self.shared_memory(), variable
-        )
-        return value
+        return self.machine.var_read(self.pe, memory or self.shared_memory(), variable)
 
     def var_write(self, variable: str, value: int, memory: Optional[str] = None) -> Generator:
         yield from self.machine.var_write(

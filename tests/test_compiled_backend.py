@@ -25,7 +25,7 @@ from repro.sim.compiled.specializer import (
     specialized_fabric_source,
 )
 from repro.sim.fabric import MachineBuilder, build_machine
-from repro.sim.kernel import WHEEL_SIZE, Interrupt, SimulationError, Simulator
+from repro.sim.kernel import Interrupt, SimulationError, Simulator
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +94,14 @@ class TestCompiledSimulatorSelection:
         assert "compiled" in KERNEL_BACKENDS
 
 
+def _is_direct_entry(entry, process):
+    return type(entry) is tuple and len(entry) == 1 and entry[0] is process
+
+
 class TestDirectEntries:
     def test_in_horizon_int_yield_uses_bare_tuple(self):
+        # Every int yield is a direct entry; a delay of 2 or more sits on
+        # the calendar's heap as (when, seq, (process,)).
         sim = Simulator(kernel="compiled")
 
         def worker():
@@ -104,14 +110,37 @@ class TestDirectEntries:
 
         process = sim.process(worker())
         sim.step()  # fires the spawn event; reschedules via direct entry
-        bucket = sim._buckets[5 & (WHEEL_SIZE - 1)]
-        assert any(
-            type(entry) is tuple and len(entry) == 1 and entry[0] is process
-            for entry in bucket
-        )
-        assert process._target is not None
+        assert [(when, entry) for when, _seq, entry in sim._queue] == [
+            (5, process._target)
+        ]
+        assert _is_direct_entry(process._target, process)
         sim.run()
         assert sim.now == 10
+
+    @pytest.mark.parametrize(
+        "delay, container", [(0, "_current"), (1, "_next"), (2, "_queue"), (300, "_queue")]
+    )
+    def test_int_yield_lands_in_its_calendar_slot(self, delay, container):
+        sim = Simulator(kernel="compiled")
+
+        def worker():
+            yield 3  # leave the spawn cycle, so _current is otherwise empty
+            yield delay
+
+        process = sim.process(worker())
+        sim.step()
+        sim.step()  # resumes the worker at cycle 3; it yields ``delay``
+        assert sim.now == 3
+        entries = getattr(sim, container)
+        if container == "_queue":
+            entries = [entry for when, _seq, entry in entries if when == 3 + delay]
+        assert len(entries) == 1 and _is_direct_entry(entries[0], process)
+        assert sim.pending_events == 1
+        assert sim.peek() == 3 + delay
+        # The spawn proxy, recycled; the delays built no proxy event.
+        assert len(sim._timeout_pool) == 1
+        sim.run()
+        assert sim.now == 3 + delay
 
     def test_stale_direct_entry_still_delivers_interrupt(self):
         """An interrupt cancels the pending direct entry (stale), but a

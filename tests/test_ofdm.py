@@ -1,5 +1,7 @@
 """Tests for the OFDM transmitter application."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -220,3 +222,56 @@ class TestSimulatedRuns:
         result = run_ofdm(machine, "PPA", SMALL)
         groups = {group for _ban, group, *_rest in result.schedule}
         assert groups == {"E", "F", "G", "H"}
+
+
+class TestStagePayloadCheck:
+    """PPA's per-stage payload check: ``assert_allclose``'s decision at
+    ``rtol = atol = 1e-3`` without importing ``numpy.testing``."""
+
+    @staticmethod
+    def _exact():
+        rng = np.random.default_rng(7)
+        return rng.standard_normal(64) + 1j * rng.standard_normal(64)
+
+    def test_float32_payload_within_tolerance_passes(self):
+        from repro.apps.ofdm.mapping import _check_payload
+
+        exact = self._exact()
+        received = exact.astype(np.complex64)
+        received[3] += 5e-4  # inside atol
+        _check_payload(received, exact)
+
+    @pytest.mark.parametrize("perturb", ["value", "nan", "shape"])
+    def test_perturbed_payload_raises(self, perturb):
+        from repro.apps.ofdm.mapping import _check_payload
+
+        exact = self._exact()
+        received = exact.astype(np.complex64)
+        if perturb == "value":
+            received[5] += 0.01 * (1 + abs(exact[5]))
+        elif perturb == "nan":
+            received[5] = np.nan
+        else:
+            received = received[:-1]
+        with pytest.raises(AssertionError):
+            _check_payload(received, exact)
+        if perturb != "shape":
+            with pytest.raises(AssertionError):
+                np.testing.assert_allclose(received, exact.astype(np.complex64), rtol=1e-3, atol=1e-3)
+
+    def test_ppa_run_does_not_import_numpy_testing(self):
+        import subprocess
+        import sys
+
+        code = (
+            "import sys\n"
+            "from repro.experiments.table2 import run_table2\n"
+            "run_table2(packets=1, cases=[(1, 'BFBA', 'PPA')], kernel='compiled')\n"
+            "print('numpy.testing' in sys.modules)\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"

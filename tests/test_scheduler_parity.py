@@ -4,17 +4,17 @@ The compiled backend (``repro.sim.compiled.CompiledSimulator``) must be
 observationally identical to the heap backend: same event firing order,
 same process wake order, same final clock, same event accounting.  These
 tests execute the *same* workload on every backend and compare execution
-logs, concentrating on the places where timing-wheel bucket draining --
-and the compiled backend's direct entries (bare ``(process,)`` tuples
-with no proxy event) -- could plausibly diverge from the heap's
-``(when, seq)`` order:
+logs, concentrating on the places where the compiled backend's calendar
+(this cycle's list, next cycle's list, a heap for later) -- and its direct
+entries (bare ``(process,)`` tuples with no proxy event) and inline event
+resumes -- could plausibly diverge from the heap's ``(when, seq)`` order:
 
 * same-cycle tie-breaks between events scheduled through different paths
   (int fast path, ``timeout()``, composite re-arms, interrupts);
-* the ``WHEEL_SIZE`` boundary, where a delay moves between the wheel and
-  the overflow heap (and a direct entry falls back to a proxy);
-* overflow events landing on the same cycle as bucket events (the
-  overflow-drains-first rule);
+* the delay 0/1/2 boundary, where an entry moves between the two lists
+  and the heap, and long delays around 256 (the retired wheel's horizon);
+* heap entries landing on the same cycle as list entries (the
+  heap-drains-first rule);
 * ``Interrupt`` delivered while the victim waits on a pooled timeout (on
   the compiled backend: a *stale direct entry* that must still deliver a
   queued interrupt when it drains);
@@ -26,10 +26,11 @@ import random
 
 import pytest
 
+from repro.experiments.table2 import TABLE2_CASES
 from repro.sim.compiled import CompiledSimulator
+from repro.sim.hsregs import HandshakeRegisters
 from repro.sim.kernel import (
     KERNEL_BACKENDS,
-    WHEEL_SIZE,
     Interrupt,
     SimulationError,
     Simulator,
@@ -68,7 +69,7 @@ def _random_workload(sim, log, seed, procs=12, steps=10):
                         ["int", "int", "int", "big", "timeout", "any", "all", "zero"]
                     ),
                     rng.randint(1, 9),
-                    rng.randint(WHEEL_SIZE - 2, WHEEL_SIZE + 2),
+                    rng.randint(254, 258),
                 )
             )
         plans.append(plan)
@@ -198,30 +199,30 @@ class TestSameCycleTieBreak:
             assert run(kernel) == reference, kernel
 
     def test_overflow_meets_bucket_on_same_cycle(self):
-        """An event scheduled far ahead (overflow heap) fires before events
-        scheduled later onto the same cycle (wheel bucket) -- matching the
-        heap's global sequence order."""
+        """An event scheduled far ahead (the calendar's heap) fires before
+        events scheduled later onto the same cycle (next cycle's list) --
+        matching the heap's global sequence order."""
 
         def run(kernel):
             sim = Simulator(kernel=kernel)
             order = []
 
             def far(name):
-                # Scheduled at cycle 0 for cycle WHEEL_SIZE + 10: overflow.
-                yield WHEEL_SIZE + 10
+                # Scheduled at cycle 0 for cycle 266.
+                yield 266
                 order.append(name)
 
             def late(name):
-                # Re-scheduled at WHEEL_SIZE + 5 for WHEEL_SIZE + 10: bucket.
-                yield WHEEL_SIZE + 5
-                yield 5
+                # Re-scheduled at 265 for 266: next cycle's list.
+                yield 265
+                yield 1
                 order.append(name)
 
             sim.process(far("overflow-first"))
             sim.process(late("bucket-second"))
             sim.process(far("overflow-third"))
             sim.run()
-            assert sim.now == WHEEL_SIZE + 10
+            assert sim.now == 266
             return order
 
         heap_order = run("heap")
@@ -229,11 +230,10 @@ class TestSameCycleTieBreak:
         for kernel in BACKENDS[1:]:
             assert run(kernel) == heap_order, kernel
 
-    @pytest.mark.parametrize(
-        "delay", [WHEEL_SIZE - 1, WHEEL_SIZE, WHEEL_SIZE + 1]
-    )
+    @pytest.mark.parametrize("delay", [0, 1, 2, 255, 256, 257])
     def test_wheel_size_boundary(self, delay):
-        """Delays straddling the wheel/overflow boundary behave alike."""
+        """Delays straddling the calendar's list/heap boundary (0, 1, 2)
+        and the retired wheel's horizon (255-257) behave alike."""
 
         def run(kernel):
             sim = Simulator(kernel=kernel)
@@ -258,7 +258,7 @@ class TestSameCycleTieBreak:
 class TestInterruptWhilePooled:
     def test_interrupt_during_pooled_timeout(self):
         """Interrupting an int-yield wait leaves a stale pooled proxy in the
-        schedule; the compiled bucket drain must discard it exactly like the
+        schedule; the compiled run loop must discard it exactly like the
         heap does (no double wake, no pool corruption)."""
 
         def run(kernel):
@@ -327,7 +327,7 @@ class TestInterruptWhilePooled:
 
 
 class TestWheelRunSemantics:
-    """Heap-equivalent contract details on the timing-wheel backend."""
+    """Heap-equivalent contract details on the compiled (calendar) backend."""
 
     @pytest.mark.parametrize("kernel", BACKENDS[1:])
     def test_deadline_is_exclusive_and_fast_forwards(self, kernel):
@@ -347,20 +347,20 @@ class TestWheelRunSemantics:
 
     @pytest.mark.parametrize("kernel", BACKENDS[1:])
     def test_idle_fast_forward_reaches_overflow(self, kernel):
-        """With an empty wheel, run(until=...) jumps straight to the
-        deadline even when the only pending event sits in the overflow."""
+        """With both lists empty, run(until=...) jumps straight to the
+        deadline even when the only pending event sits on the heap."""
         sim = Simulator(kernel=kernel)
         fired = []
 
         def worker():
-            yield 5 * WHEEL_SIZE
+            yield 1280
             fired.append(sim.now)
 
         sim.process(worker())
-        sim.run(until=3 * WHEEL_SIZE)
-        assert sim.now == 3 * WHEEL_SIZE and fired == []
+        sim.run(until=768)
+        assert sim.now == 768 and fired == []
         sim.run()
-        assert fired == [5 * WHEEL_SIZE]
+        assert fired == [1280]
 
     def test_step_and_peek_match_heap(self):
         def drive(kernel):
@@ -370,7 +370,11 @@ class TestWheelRunSemantics:
             def worker(name):
                 yield 4
                 seen.append((sim.now, name))
-                yield WHEEL_SIZE + 4
+                yield 260
+                seen.append((sim.now, name))
+                yield 1
+                seen.append((sim.now, name))
+                yield 0
                 seen.append((sim.now, name))
 
             sim.process(worker("a"))
@@ -392,7 +396,7 @@ class TestWheelRunSemantics:
 
     def test_zero_delay_during_drain_fires_same_cycle(self):
         """A callback that schedules a zero-delay event mid-drain must see
-        it fire within the same cycle (the live bucket-length check)."""
+        it fire within the same cycle (the live list iteration)."""
 
         def run(kernel):
             sim = Simulator(kernel=kernel)
@@ -512,6 +516,340 @@ class TestCancelParity:
             assert run(kernel) == reference, kernel
 
 
+class TestPastDeadline:
+    @pytest.mark.parametrize("kernel", BACKENDS)
+    def test_deadline_before_now_raises_before_any_work(self, kernel):
+        sim = Simulator(kernel=kernel)
+        fired = []
+
+        def worker():
+            yield 150
+            fired.append(sim.now)
+            yield 50
+            fired.append(sim.now)
+
+        sim.process(worker())
+        sim.run(until=150)
+        assert sim.now == 150 and fired == []
+        events = sim.events_processed
+        with pytest.raises(SimulationError, match="before the current cycle 150"):
+            sim.run(until=50)
+        assert sim.now == 150 and sim.peek() == 150
+        assert sim.events_processed == events
+        sim.run(until=150)  # until == now: a no-op, the deadline stays exclusive
+        assert sim.now == 150 and fired == [] and sim.events_processed == events
+        sim.run()
+        assert fired == [150, 200] and sim.now == 200
+
+
+# ---------------------------------------------------------------------------
+# The compiled backend's calendar and inline resumes
+# ---------------------------------------------------------------------------
+
+
+def _drive(sim, stepped):
+    """Run ``sim`` to quiescence with run() or one step() at a time."""
+    if stepped:
+        while sim.peek() is not None:
+            sim.step()
+    else:
+        sim.run()
+
+
+@pytest.mark.parametrize("stepped", [False, True], ids=["run", "step"])
+class TestCalendarOrder:
+    """Orders the calendar and the run loop's inline resumes must keep.
+
+    Each scenario runs on every backend, through ``run()`` and through
+    ``step()``, and must produce the literal log the heap's
+    ``(when, seq)`` order gives, with equal clocks and event counts.
+    """
+
+    def _check(self, scenario, stepped, expected):
+        results = []
+        for kernel in BACKENDS:
+            sim = Simulator(kernel=kernel)
+            log = []
+            scenario(sim, log)
+            _drive(sim, stepped)
+            results.append((log, sim.now, sim.events_processed))
+        assert results[0][0] == expected
+        for kernel, result in zip(BACKENDS[1:], results[1:]):
+            assert result == results[0], kernel
+
+    def test_heap_next_and_zero_delay_entries_keep_scheduling_order(self, stepped):
+        # Due at cycle 10: two heap entries (scheduled at 0), a next-cycle
+        # entry (scheduled at 9) and zero-delay entries (scheduled at 10).
+        def scenario(sim, log):
+            def far(name):
+                yield 10
+                log.append((sim.now, name))
+                yield 0
+                log.append((sim.now, name + "+0"))
+
+            def near():
+                yield 9
+                yield 1
+                log.append((sim.now, "next"))
+
+            sim.process(far("heap-1"))
+            sim.process(near())
+            sim.process(far("heap-2"))
+
+        self._check(
+            scenario,
+            stepped,
+            [(10, "heap-1"), (10, "heap-2"), (10, "next"), (10, "heap-1+0"), (10, "heap-2+0")],
+        )
+
+    def test_event_with_two_process_waiters(self, stepped):
+        def scenario(sim, log):
+            event = sim.event()
+
+            def waiter(name):
+                value = yield event
+                log.append((sim.now, name, value))
+                yield 1
+                log.append((sim.now, name, "after"))
+
+            def trigger():
+                yield 3
+                event.succeed("go")
+
+            sim.process(waiter("a"))
+            sim.process(waiter("b"))
+            sim.process(trigger())
+
+        self._check(
+            scenario,
+            stepped,
+            [(3, "a", "go"), (3, "b", "go"), (4, "a", "after"), (4, "b", "after")],
+        )
+
+    def test_process_waiter_and_any_of_child_on_one_event(self, stepped):
+        def scenario(sim, log):
+            event, other = sim.event(), sim.event()
+
+            def waiter():
+                value = yield event
+                log.append((sim.now, "waiter", value))
+
+            def composite():
+                first = yield sim.any_of([event, other])
+                log.append((sim.now, "any_of", first is event))
+
+            def trigger():
+                yield 2
+                event.succeed("go")
+
+            sim.process(waiter())
+            sim.process(composite())
+            sim.process(trigger())
+
+        self._check(scenario, stepped, [(2, "waiter", "go"), (2, "any_of", True)])
+
+    def test_failed_event(self, stepped):
+        def scenario(sim, log):
+            event = sim.event()
+
+            def waiter():
+                try:
+                    yield event
+                except ValueError as error:
+                    log.append((sim.now, "caught", str(error)))
+
+            def trigger():
+                yield 2
+                event.fail(ValueError("boom"))
+
+            sim.process(waiter())
+            sim.process(trigger())
+
+        self._check(scenario, stepped, [(2, "caught", "boom")])
+
+    def test_waiter_interrupted_before_its_event_fires(self, stepped):
+        # The waiter's registration on the event goes stale: when the
+        # event fires at 5, its only callback is a process no longer
+        # waiting on it, which must not be resumed.
+        def scenario(sim, log):
+            event = sim.event()
+
+            def waiter():
+                try:
+                    yield event
+                except Interrupt as interrupt:
+                    log.append((sim.now, "interrupted", interrupt.cause))
+                yield 10
+                log.append((sim.now, "slept", event.fired))
+
+            def trigger(victim):
+                yield 2
+                victim.interrupt("poke")
+                yield 3
+                event.succeed("late")
+
+            victim = sim.process(waiter())
+            sim.process(trigger(victim))
+
+        self._check(
+            scenario, stepped, [(2, "interrupted", "poke"), (12, "slept", True)]
+        )
+
+    def test_interrupt_queued_when_the_event_fires(self, stepped):
+        # The event fires before the interrupt wakeup in the same cycle;
+        # the queued interrupt wins over the event's value.
+        def scenario(sim, log):
+            event = sim.event()
+
+            def waiter():
+                try:
+                    value = yield event
+                    log.append((sim.now, "value", value))
+                except Interrupt as interrupt:
+                    log.append((sim.now, "interrupted", interrupt.cause))
+                yield 1
+                log.append((sim.now, "done"))
+
+            def trigger(victim):
+                yield 2
+                event.succeed("go")
+                victim.interrupt("poke")
+
+            victim = sim.process(waiter())
+            sim.process(trigger(victim))
+
+        self._check(scenario, stepped, [(2, "interrupted", "poke"), (3, "done")])
+
+    def test_waiter_waits_again_after_an_interrupt(self, stepped):
+        # Two registrations of one process on one event: the stale one and
+        # the live one.  The process resumes once.
+        def scenario(sim, log):
+            event = sim.event()
+
+            def waiter():
+                try:
+                    yield event
+                except Interrupt:
+                    log.append((sim.now, "interrupted"))
+                value = yield event
+                log.append((sim.now, "value", value))
+
+            def trigger(victim):
+                yield 2
+                victim.interrupt()
+                yield 2
+                event.succeed("go")
+
+            victim = sim.process(waiter())
+            sim.process(trigger(victim))
+
+        self._check(scenario, stepped, [(2, "interrupted"), (4, "value", "go")])
+
+    def test_process_joining_another_process(self, stepped):
+        def scenario(sim, log):
+            def child(fail):
+                yield 4
+                if fail:
+                    raise ValueError("child failed")
+                return "done"
+
+            def parent():
+                good = sim.process(child(False))
+                bad = sim.process(child(True))
+                value = yield good
+                log.append((sim.now, "joined", value))
+                try:
+                    yield bad
+                except ValueError as error:
+                    log.append((sim.now, "caught", str(error)))
+
+            sim.process(parent())
+
+        self._check(
+            scenario, stepped, [(4, "joined", "done"), (4, "caught", "child failed")]
+        )
+
+    @pytest.mark.parametrize(
+        "write_at, writer_first, expected",
+        [
+            # The write lands a cycle before the timeout: its hop wakes
+            # the poll, and the timer fires at 16 as a no-op.
+            (15, True, [(15, "write"), (15, 1)]),
+            # Same cycle, writer scheduled first: the timer still fires
+            # before the write's hop, so the poll times out.
+            (16, True, [(16, "write"), (16, None)]),
+            # Same cycle, timer scheduled first: the poll times out and the
+            # write finds no watcher.
+            (16, False, [(16, "write"), (16, None)]),
+        ],
+    )
+    def test_poll_timeout_and_write_in_one_cycle(
+        self, stepped, write_at, writer_first, expected
+    ):
+        def scenario(sim, log):
+            block = HandshakeRegisters(sim, "hs")
+
+            def writer():
+                yield write_at
+                block.write("DONE_OP", 1)
+                log.append((sim.now, "write"))
+
+            def poller():
+                value = yield block.wait_for("DONE_OP", 1, 16)
+                log.append((sim.now, value))
+
+            if writer_first:
+                sim.process(writer())
+            sim.process(poller())
+            if not writer_first:
+                sim.process(writer())
+
+        self._check(scenario, stepped, expected)
+
+
+class TestTable2PollTraffic:
+    """Heap and compiled agree on the real DONE_OP/DONE_RV poll traffic.
+
+    Every Table II case at one packet: the synthetic workloads above do not
+    produce the poll timers, write hops and arbiter grants the tables run
+    on.  Any event the calendar or an inline resume adds, drops or reorders
+    moves the clock, the event count or a statistic.
+    """
+
+    @staticmethod
+    def _run(case, kernel):
+        from repro.apps.ofdm import OfdmParameters, run_ofdm
+        from repro.options import presets
+        from repro.sim.fabric import build_machine
+
+        _number, bus_name, style = case
+        machine = build_machine(presets.preset(bus_name, 4), kernel=kernel)
+        result = run_ofdm(machine, style, OfdmParameters(packets=1))
+        sim = machine.sim
+        return {
+            "row": (result.throughput_mbps, result.cycles, result.schedule),
+            "outputs": [output.tobytes() for output in result.outputs],
+            "now": sim.now,
+            "events": sim.events_processed,
+            "pe_stats": {name: vars(pe.stats) for name, pe in machine.pes.items()},
+            "bus_stats": {
+                name: vars(segment.stats) for name, segment in machine.segments.items()
+            },
+        }
+
+    @pytest.mark.parametrize(
+        "case", TABLE2_CASES, ids=["%d-%s-%s" % case for case in TABLE2_CASES]
+    )
+    def test_case_identical_across_backends(self, case):
+        reference = self._run(case, "heap")
+        assert reference["events"] > 0
+        assert any(stats["handshake_polls"] for stats in reference["pe_stats"].values())
+        for kernel in BACKENDS[1:]:
+            other = self._run(case, kernel)
+            for key in reference:
+                assert other[key] == reference[key], (kernel, key)
+
+
 # ---------------------------------------------------------------------------
 # Backend selection plumbing
 # ---------------------------------------------------------------------------
@@ -576,7 +914,7 @@ class TestEventAccounting:
 
         def worker():
             yield 1
-            yield WHEEL_SIZE + 1
+            yield 257
 
         sim.process(worker())
         before = total_events_processed()
@@ -624,7 +962,7 @@ class TestEventAccounting:
         for kernel in BACKENDS:
             assert counts[(kernel, 1)] == counts[(kernel, 2)], kernel
         # Across backends the counts agree too -- the compiled backend
-        # batches bucket pops and fires direct entries but still charges
-        # one event per fire.
+        # fires direct entries and resumes lone waiters inline but still
+        # charges one event per fire.
         for kernel in BACKENDS[1:]:
             assert counts[(kernel, 1)] == counts[("heap", 1)], kernel
