@@ -355,7 +355,7 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-# One representative (worker, case, kwargs) per table for ``repro profile``.
+# One representative (worker, case) per table for ``repro profile``.
 _PROFILE_CASES = {
     2: ("repro.experiments.table2", "run_table2_case", (7, "SPLITBA", "FPA")),
     3: ("repro.experiments.table3", "run_table3_case", (10, "BFBA")),
@@ -377,11 +377,13 @@ def _cmd_profile(args) -> int:
 
     module_name, worker_name, case = _PROFILE_CASES[args.number]
     worker = getattr(importlib.import_module(module_name), worker_name)
+    # Table V generates RTL and simulates nothing: it has no backend.
+    backend = None if args.number == 5 else args.kernel or default_kernel()
+    kwargs = {} if backend is None else {"kernel": backend}
     profiler = cProfile.Profile()
     profiler.enable()
-    result = worker(case)
+    result = worker(case, **kwargs)
     profiler.disable()
-    backend = default_kernel()
     provenance = {
         "backend": backend,
         "options_hash": options_hash(
@@ -414,13 +416,13 @@ def _cmd_profile(args) -> int:
 def _cmd_compile(args) -> int:
     """Dump the compiled backend's generated sources for inspection.
 
-    Writes one ``kernel_<variant>.py`` per run-loop variant plus
-    ``fabric_<arch>.py``, the per-(master, device) transaction functions
-    the specializer installs for the selected architecture (exactly what
-    ``exec`` compiles at ``MachineBuilder.build()`` time).
+    Writes one ``kernel_<variant>.py`` per run-loop variant and reports how
+    many (master, device) pairs of the selected architecture the fabric
+    specializer can serve (its closures are bound on first use; there is
+    no fabric source to write).
     """
     from .sim.compiled import KERNEL_VARIANTS, generated_kernel_sources
-    from .sim.compiled.specializer import specialized_fabric_source
+    from .sim.compiled.specializer import eligible_pairs
     from .sim.fabric import MachineBuilder
 
     spec = _load_spec(args)
@@ -430,23 +432,16 @@ def _cmd_compile(args) -> int:
         path = os.path.join(args.out, "kernel_%s.py" % variant)
         with open(path, "w") as handle:
             handle.write(source)
-    # Re-render rather than reading machine._specialized_source so the dump
-    # also works for architectures with no eligible pairs (header only).
-    fabric_source, entries = specialized_fabric_source(machine)
-    fabric_path = os.path.join(
-        args.out, "fabric_%s.py" % spec.name.lower().replace("-", "_")
-    )
-    with open(fabric_path, "w") as handle:
-        handle.write(fabric_source)
+    pairs = len(list(eligible_pairs(machine)))
     print(
-        "wrote %d kernel variant(s) (%s) and %s"
-        % (len(KERNEL_VARIANTS), ", ".join(KERNEL_VARIANTS), fabric_path)
+        "wrote %d kernel variant(s) (%s) to %s"
+        % (len(KERNEL_VARIANTS), ", ".join(KERNEL_VARIANTS), args.out)
     )
     print(
         "%s: %d specialized (master, device) pair(s)%s"
         % (
             spec.name,
-            len(entries),
+            pairs,
             "" if machine._specialized else " (dispatch not installed)",
         )
     )
@@ -459,7 +454,7 @@ def _cmd_compile(args) -> int:
             arch=spec.name,
             summary={
                 "kernel_variants": list(KERNEL_VARIANTS),
-                "specialized_pairs": len(entries),
+                "specialized_pairs": pairs,
                 "dispatch_installed": machine._specialized,
             },
         )
@@ -961,11 +956,12 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument(
         "-o", "--out", help="dump raw cProfile stats here (pstats format)"
     )
+    add_kernel_argument(profile)
     profile.set_defaults(func=_cmd_profile)
 
     compile_parser = sub.add_parser(
         "compile",
-        help="dump the compiled backend's generated kernel + fabric sources",
+        help="dump the compiled backend's generated run-loop sources",
     )
     add_spec_arguments(compile_parser)
     compile_parser.add_argument(

@@ -5,17 +5,18 @@ cannot: *how much did each bus segment do* on the compiled backend's
 specialized fast path, **without** despecializing it.  Attaching an
 :class:`~repro.obs.Observability`, a protocol monitor or a fault injector
 forces :meth:`Machine._despecialize` because those hooks need the generic
-instrumented paths; a :class:`CounterPlane` instead bakes plain integer
-increments into the specialized dispatch functions themselves (see
-``?C``-prefixed template lines in :mod:`repro.sim.compiled.specializer`),
-so a counted run keeps the baked route/policy/timing fast path.
+instrumented paths; a :class:`CounterPlane` instead is bound into the
+specialized per-pair closures themselves (:mod:`repro.sim.compiled.specializer`
+captures the slot list and the segment's base index, and increments only
+when a plane is bound), so a counted run keeps the specialized fast path.
 
 Layout: one flat ``list`` of ints (``slots``), three slots per bus segment
 in name-sorted order -- transactions completed, grants observed at tenure
-end, and arbitration-wait cycles.  A slot index is a baked literal in
-generated code and a precomputed ``segment.counter_base`` attribute on the
-generic paths, so every increment is ``slots[i] += n`` with no dict lookup
-and no allocation.  The invariants gated by ``tests/test_counters.py``:
+end, and arbitration-wait cycles.  A segment's base index is a closure
+variable of the specialized functions and a precomputed
+``segment.counter_base`` attribute on the generic paths, so every increment
+is ``slots[i] += n`` with no dict lookup and no allocation.  The invariants
+gated by ``tests/test_counters.py``:
 
 * ``transactions`` equals ``BusStats.transactions`` per segment,
 * ``wait_cycles`` equals ``BusStats.arbitration_cycles`` per segment,
@@ -23,7 +24,7 @@ and no allocation.  The invariants gated by ``tests/test_counters.py``:
   (one grant per tenure; watchdog redelivery under fault injection can
   legitimately re-grant, so chaos asserts cross-backend parity instead),
 
-on all three scheduler backends, and attaching a plane never changes a
+on both scheduler backends, and attaching a plane never changes a
 simulation's cycle count (increments are observational only).
 """
 

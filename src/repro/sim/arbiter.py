@@ -237,7 +237,7 @@ class RoundRobinArbiter(Arbiter):
     def _note(self, master: str) -> None:
         # An immediate grant must rotate the ring exactly as _select would.
         self._note_master(master)
-        self._order.rotate(-(list(self._order).index(master) + 1))
+        self._order.rotate(-(self._order.index(master) + 1))
 
     def _enqueue(self, master: str, grant: Event, when: int) -> None:
         self._note_master(master)
@@ -245,14 +245,13 @@ class RoundRobinArbiter(Arbiter):
 
     def _select(self) -> int:
         pending_masters = {master for master, _g, _w in self._pending}
-        for master in self._order:
-            if master in pending_masters:
-                chosen = master
+        for position, chosen in enumerate(self._order):
+            if chosen in pending_masters:
                 break
-        else:  # pragma: no cover - _pending non-empty implies a hit
-            chosen = self._pending[0][0]
+        else:  # pragma: no cover - _enqueue puts every requester in the ring
+            raise AssertionError("round-robin ring lost a requester")
         # Rotate so the chosen master moves to the back of the ring.
-        self._order.rotate(-(list(self._order).index(chosen) + 1))
+        self._order.rotate(-(position + 1))
         for index, (master, _grant, _when) in enumerate(self._pending):
             if master == chosen:
                 return index

@@ -9,12 +9,12 @@ entries, next cycle's entries, a heap for later ones):
   the loop itself (no proxy event, no callback list, no
   ``Event._fire``/``Process._resume`` on the hot path);
 * :mod:`repro.sim.compiled.specializer` -- per-architecture fabric
-  specialization: arbiter policy and route plans baked into generated
-  per-(master, device) transaction functions, installed when every
-  observability/fault/monitor hook is off and removed the moment one is
-  attached (free-when-off becomes *absent*-when-off).
+  specialization: per-(master, device) transaction closures binding the
+  route, grant path and timing, built on a pair's first use, installed
+  when every observability/fault/monitor hook is off and removed the
+  moment one is attached (free-when-off becomes *absent*-when-off).
 
-``repro compile -o DIR`` dumps every generated source for inspection.
+``repro compile -o DIR`` dumps the generated run loops for inspection.
 """
 
 from .kernel import CompiledSimulator, generated_kernel_sources, KERNEL_VARIANTS

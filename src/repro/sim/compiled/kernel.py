@@ -248,8 +248,7 @@ def _resume_slow(sim: "CompiledSimulator", process: Process, nxt: Any) -> None:
         raise SimulationError(
             "process %r yielded %r (expected Event or int)" % (process.name, nxt)
         )
-    process._target = nxt
-    nxt.add_callback(process)
+    process._target = nxt.add_callback(process)
 
 
 def generated_kernel_sources() -> Dict[str, str]:

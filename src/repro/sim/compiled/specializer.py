@@ -1,59 +1,58 @@
 """Per-architecture fabric specialization for the compiled backend.
 
-:func:`specialize_machine` walks an elaborated :class:`~repro.sim.fabric.Machine`
-and *generates* one transaction function per (master, device) pair whose
-route can never change at runtime, baking in everything the generic path
-re-derives per transfer:
+:func:`specialize_machine` shadows ``machine.transaction`` and
+``machine.miss_traffic`` with a dispatch that serves every (master, device)
+pair whose route can never change at runtime through a closure binding
+everything the generic path re-derives per transfer:
 
-* the route plan -- eligible pairs are exactly the bridge-independent
+* the route -- eligible pairs are exactly the bridge-independent
   single-segment routes (point-to-point links and directly-mastered target
   segments), so the per-call ``_plan_for`` bridge-enable revalidation
   disappears;
-* the arbiter policy -- the FCFS ``try_claim``/``release`` pair is inlined
-  (owner/pending checks, grant accounting, busy-cycle bookkeeping), with the
-  contended path still delegating to ``arbiter.request``/``_dispatch``;
-* the transfer timing constants -- grant cycles, words-per-beat, beat
-  cycles -- snapshotted after the builder's bus-loading finalization.
+* the arbiter's grant and release -- an idle arbiter is claimed inline (the
+  policy's ``_note`` hook runs when the policy overrides it, as round robin
+  does), a contended one still goes through ``arbiter.request`` and
+  ``_dispatch``, so every policy is eligible;
+* the transfer timing -- grant cycles, words per beat, beat cycles, read
+  when the pair is bound (after the builder's bus-loading finalization)
+  -- and the device's latency/read/write callables;
+* the counter plane's slot list and base index (:mod:`repro.obs.counters`),
+  so a counted run keeps the fast path; the increments run only when a
+  plane is bound.
 
-The generated functions are installed as *instance attributes*
-(``machine.transaction`` / ``machine.miss_traffic``) dispatching through a
-per-master jump table; unknown pairs (bridged routes, post-build DMA
-masters, FIFO devices) fall back to the generic bound methods, so behaviour
--- and therefore every simulated cycle and statistic -- is bit-identical.
+A pair is bound on its first transaction and cached, ineligible pairs too
+(as None): a run builds only the pairs it uses, and a machine a hook
+despecializes right after build builds none.  Ineligible pairs (bridged
+routes, post-build DMA masters, FIFO devices) take the generic bound
+methods.  The closures do exactly what the generic path does, so every
+simulated cycle and statistic is bit-identical to it.
 
 Specialization requires every observability, fault-injection and protocol
 -monitor hook to be off; attaching any of them calls
-:meth:`Machine._despecialize`, which removes the instance attributes and
-restores the generic path.  The free-when-off contract thus becomes
-*absent*-when-off: a hooked run contains no specialized call sites at all.
+:meth:`Machine._despecialize`, which removes the instance attributes (and
+with them every bound pair) and restores the generic path.
 
-The one exception is the counter plane (:mod:`repro.obs.counters`): a bound
-plane does *not* despecialize.  Template lines prefixed ``?C`` are kept
-(with the prefix replaced by two spaces, preserving indentation) when the
-machine has a plane and dropped otherwise, so a counted run bakes plain
-``cslots[<literal>] += n`` increments into the same specialized dispatch.
-
-The rendered per-machine source is kept on ``machine._specialized_source``
-for inspection (``repro compile -o``).
+The per-pair functions are named ``transaction`` and ``miss_traffic``, like
+the dispatch itself: the end-to-end benchmark charges functions of this
+module by those names to the fabric layer and the rest to machine build.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
-from ..arbiter import FCFSArbiter
+from ..arbiter import Arbiter
 from ..pe import MISS_GROUP
 from ...obs.tracer import NULL_TRACER
 
-__all__ = ["specialize_machine", "eligible_pairs", "specialized_fabric_source"]
+__all__ = ["specialize_machine", "eligible_pairs"]
 
 
 def _segment_is_clean(segment) -> bool:
-    """Whether a segment's transfer path has no hooks and an FCFS arbiter."""
+    """Whether a segment's transfer path has no hooks attached."""
     arbiter = segment.arbiter
     return (
-        type(arbiter) is FCFSArbiter
-        and arbiter.tracer is NULL_TRACER
+        arbiter.tracer is NULL_TRACER
         and not arbiter.trace_enabled
         and arbiter.faults is None
         and arbiter.monitor is None
@@ -69,7 +68,7 @@ def _static_segment(machine, pe, device):
 
     Mirrors ``Machine._route_plan``: point-to-point devices always ride the
     master's home segment, and a directly-mastered target segment is always
-    a one-hop route -- neither consults the bridge-enable mask, so the baked
+    a one-hop route -- neither consults the bridge-enable mask, so the bound
     route stays valid when bridges toggle.
     """
     if device.point_to_point:
@@ -95,252 +94,235 @@ def eligible_pairs(machine):
 
 
 # ----------------------------------------------------------------------
-# Source templates
+# Closure factories: one per transfer kind
 # ----------------------------------------------------------------------
 
-_HEADER = '''\
-"""Specialized fabric dispatch for machine {machine_name!r} (generated).
 
-One factory per eligible (master, device) pair; closures bind the live
-arbiter/stats/memory objects, while route, policy and timing constants are
-baked in as literals.  Regenerate with ``repro compile -o``.
-"""
-'''
+def _note_hook(arbiter) -> Optional[Callable[[str], None]]:
+    """The policy's immediate-grant hook, or None for the base no-op."""
+    if type(arbiter)._note is Arbiter._note:
+        return None
+    return arbiter._note
 
-_MEM_TXN_TEMPLATE = '''
-def _make_{fn}(sim, arbiter, stats, request, access_latency, touch_read, touch_write, cslots):
-    # {master} -> {device} over {segment}: FCFS inlined, {timing}
-    def {fn}(address, words, write, data=None):
+
+def _memory_transaction(sim, master, segment, memory):
+    """``master`` -> ``memory`` over ``segment``: one burst per call."""
+    arbiter = segment.arbiter
+    stats = segment.stats
+    per_master = stats.per_master
+    request = arbiter.request
+    note = _note_hook(arbiter)
+    cslots = segment.counters
+    base = segment.counter_base
+    access_latency = memory.access_latency
+    read = memory.read
+    store = memory.write
+    r_grant = segment.grant_cycles
+    w_grant = segment.write_grant_cycles
+    wpb = segment.words_per_beat
+    beat = segment.beat_cycles
+
+    def transaction(address, words, write, data=None):
         latency = access_latency(address, words, write)
         entry = sim.now
         if arbiter.owner is None and not arbiter._pending:
-            arbiter.owner = {master!r}
+            if note is not None:
+                note(master)
+            arbiter.owner = master
             arbiter.grants += 1
             arbiter.busy_since = entry
         else:
-            yield request({master!r})
+            yield request(master)
         acquired = sim.now
-        held = False
         try:
-            held = True
             yield (
-                ({w_grant} if write else {r_grant})
-                + (max(words, 1) + {wpb_minus_1}) // {wpb} * {beat}
+                (w_grant if write else r_grant)
+                + (max(words, 1) + wpb - 1) // wpb * beat
                 + latency
             )
         finally:
-            if held:
-                end = sim.now
-                arbiter.owner = None
-                arbiter.busy_cycles += end - arbiter.busy_since
-                arbiter.busy_since = None
-                if arbiter._pending:
-                    arbiter._dispatch()
-                stats.transactions += 1
-                if write:
-                    stats.write_transactions += 1
-                else:
-                    stats.read_transactions += 1
-                stats.words_moved += words
-                stats.busy_cycles += end - entry
-                stats.arbitration_cycles += acquired - entry
-                stats.memory_cycles += latency
-                per_master = stats.per_master
-                per_master[{master!r}] = per_master.get({master!r}, 0) + 1
-?C              cslots[{c_txn}] += 1
-?C              cslots[{c_grant}] += 1
-?C              cslots[{c_wait}] += acquired - entry
+            end = sim.now
+            arbiter.owner = None
+            arbiter.busy_cycles += end - arbiter.busy_since
+            arbiter.busy_since = None
+            if arbiter._pending:
+                arbiter._dispatch()
+            stats.transactions += 1
+            if write:
+                stats.write_transactions += 1
+            else:
+                stats.read_transactions += 1
+            stats.words_moved += words
+            stats.busy_cycles += end - entry
+            stats.arbitration_cycles += acquired - entry
+            stats.memory_cycles += latency
+            per_master[master] = per_master.get(master, 0) + 1
+            if cslots is not None:
+                cslots[base] += 1
+                cslots[base + 1] += 1
+                cslots[base + 2] += acquired - entry
         if write:
-            touch_write(address, data if data is not None else [0] * words)
+            store(address, data if data is not None else [0] * words)
             return None
-        return touch_read(address, words)
-    return {fn}
-'''
+        return read(address, words)
 
-_HSREGS_TXN_TEMPLATE = '''
-def _make_{fn}(sim, arbiter, stats, request, reg_read, reg_write, cslots):
-    # {master} -> {device} over {segment}: FCFS inlined, {timing}
-    def {fn}(address, words, write, data=None):
+    return transaction
+
+
+def _hsregs_transaction(sim, master, segment, registers):
+    """``master`` -> a handshake register block over ``segment``."""
+    arbiter = segment.arbiter
+    stats = segment.stats
+    per_master = stats.per_master
+    request = arbiter.request
+    note = _note_hook(arbiter)
+    cslots = segment.counters
+    base = segment.counter_base
+    reg_read = registers.read
+    reg_write = registers.write
+    r_grant = segment.grant_cycles
+    w_grant = segment.write_grant_cycles
+    wpb = segment.words_per_beat
+    beat = segment.beat_cycles
+
+    def transaction(address, words, write, data=None):
         entry = sim.now
         if arbiter.owner is None and not arbiter._pending:
-            arbiter.owner = {master!r}
+            if note is not None:
+                note(master)
+            arbiter.owner = master
             arbiter.grants += 1
             arbiter.busy_since = entry
         else:
-            yield request({master!r})
+            yield request(master)
         acquired = sim.now
-        held = False
         try:
-            held = True
-            yield (
-                ({w_grant} if write else {r_grant})
-                + (max(words, 1) + {wpb_minus_1}) // {wpb} * {beat}
-            )
+            yield (w_grant if write else r_grant) + (max(words, 1) + wpb - 1) // wpb * beat
         finally:
-            if held:
-                end = sim.now
-                arbiter.owner = None
-                arbiter.busy_cycles += end - arbiter.busy_since
-                arbiter.busy_since = None
-                if arbiter._pending:
-                    arbiter._dispatch()
-                stats.transactions += 1
-                if write:
-                    stats.write_transactions += 1
-                else:
-                    stats.read_transactions += 1
-                stats.words_moved += words
-                stats.busy_cycles += end - entry
-                stats.arbitration_cycles += acquired - entry
-                per_master = stats.per_master
-                per_master[{master!r}] = per_master.get({master!r}, 0) + 1
-?C              cslots[{c_txn}] += 1
-?C              cslots[{c_grant}] += 1
-?C              cslots[{c_wait}] += acquired - entry
+            end = sim.now
+            arbiter.owner = None
+            arbiter.busy_cycles += end - arbiter.busy_since
+            arbiter.busy_since = None
+            if arbiter._pending:
+                arbiter._dispatch()
+            stats.transactions += 1
+            if write:
+                stats.write_transactions += 1
+            else:
+                stats.read_transactions += 1
+            stats.words_moved += words
+            stats.busy_cycles += end - entry
+            stats.arbitration_cycles += acquired - entry
+            per_master[master] = per_master.get(master, 0) + 1
+            if cslots is not None:
+                cslots[base] += 1
+                cslots[base + 1] += 1
+                cslots[base + 2] += acquired - entry
         register = "DONE_OP" if address == 0 else "DONE_RV"
         if write:
             reg_write(register, (data or [0])[0])
             return None
         return [reg_read(register)]
-    return {fn}
-'''
 
-_MISS_TEMPLATE = '''
-def _make_{fn}(sim, arbiter, stats, request, access_latency, target, cslots):
-    # {master} -> {device} cache-miss bursts over {segment}
-    def {fn}(misses, line_words, write):
+    return transaction
+
+
+def _miss_traffic(sim, master, segment, memory):
+    """``master`` -> ``memory`` cache-miss bursts over ``segment``."""
+    arbiter = segment.arbiter
+    stats = segment.stats
+    per_master = stats.per_master
+    request = arbiter.request
+    note = _note_hook(arbiter)
+    cslots = segment.counters
+    base = segment.counter_base
+    access_latency = memory.access_latency
+    r_grant = segment.grant_cycles
+    w_grant = segment.write_grant_cycles
+    wpb = segment.words_per_beat
+    beat = segment.beat_cycles
+
+    def miss_traffic(misses, line_words, write):
         per_line = access_latency(0, line_words, write)
         remaining = misses
         while remaining > 0:
-            group = remaining if remaining < {miss_group} else {miss_group}
+            group = remaining if remaining < MISS_GROUP else MISS_GROUP
             remaining -= group
             words = group * line_words
             entry = sim.now
             if arbiter.owner is None and not arbiter._pending:
-                arbiter.owner = {master!r}
+                if note is not None:
+                    note(master)
+                arbiter.owner = master
                 arbiter.grants += 1
                 arbiter.busy_since = entry
             else:
-                yield request({master!r})
+                yield request(master)
             acquired = sim.now
             memory_cycles = per_line * group
-            held = False
             try:
-                held = True
                 yield (
-                    ({w_grant} if write else {r_grant}) * group
-                    + (max(words, 1) + {wpb_minus_1}) // {wpb} * {beat}
+                    (w_grant if write else r_grant) * group
+                    + (max(words, 1) + wpb - 1) // wpb * beat
                     + memory_cycles
                 )
             finally:
-                if held:
-                    end = sim.now
-                    arbiter.owner = None
-                    arbiter.busy_cycles += end - arbiter.busy_since
-                    arbiter.busy_since = None
-                    if arbiter._pending:
-                        arbiter._dispatch()
-                    stats.transactions += 1
-                    if write:
-                        stats.write_transactions += 1
-                    else:
-                        stats.read_transactions += 1
-                    stats.words_moved += words
-                    stats.busy_cycles += end - entry
-                    stats.arbitration_cycles += acquired - entry
-                    stats.memory_cycles += memory_cycles
-                    per_master = stats.per_master
-                    per_master[{master!r}] = per_master.get({master!r}, 0) + 1
-?C                  cslots[{c_txn}] += 1
-?C                  cslots[{c_grant}] += 1
-?C                  cslots[{c_wait}] += acquired - entry
+                end = sim.now
+                arbiter.owner = None
+                arbiter.busy_cycles += end - arbiter.busy_since
+                arbiter.busy_since = None
+                if arbiter._pending:
+                    arbiter._dispatch()
+                stats.transactions += 1
+                if write:
+                    stats.write_transactions += 1
+                else:
+                    stats.read_transactions += 1
+                stats.words_moved += words
+                stats.busy_cycles += end - entry
+                stats.arbitration_cycles += acquired - entry
+                stats.memory_cycles += memory_cycles
+                per_master[master] = per_master.get(master, 0) + 1
+                if cslots is not None:
+                    cslots[base] += 1
+                    cslots[base + 1] += 1
+                    cslots[base + 2] += acquired - entry
             if write:
-                target.writes += words
+                memory.writes += words
             else:
-                target.reads += words
-    return {fn}
-'''
+                memory.reads += words
+
+    return miss_traffic
 
 
-def _sanitize(name: str) -> str:
-    return "".join(ch if ch.isalnum() else "_" for ch in name)
+_TRANSACTION_FACTORIES = {"memory": _memory_transaction, "hsregs": _hsregs_transaction}
+_MISS_FACTORIES = {"memory": _miss_traffic}
 
 
-def _render(template: str, counters_on: bool, **fields) -> str:
-    """Render a template; ``?C``-prefixed lines survive only with counters.
+class _Bindings(dict):
+    """``(master name, device name)`` -> the pair's bound function, or None
+    when the pair takes the generic path; filled on first lookup."""
 
-    The two-character prefix is replaced by two spaces so the kept line
-    lands at the indentation the template wrote it for.
-    """
-    lines = []
-    for line in template.split("\n"):
-        if line.startswith("?C"):
-            if not counters_on:
-                continue
-            line = "  " + line[2:]
-        lines.append(line)
-    return "\n".join(lines).format(**fields)
+    __slots__ = ("machine", "factories")
 
+    def __init__(self, machine, factories: Dict[str, Callable]):
+        super().__init__()
+        self.machine = machine
+        self.factories = factories
 
-def specialized_fabric_source(machine) -> Tuple[str, list]:
-    """Render the per-machine specialization module.
-
-    Returns ``(source, entries)`` where each entry is
-    ``(factory_name, kind, pe, device, segment)`` describing how to bind
-    the factory after ``exec``.
-    """
-    chunks = [_HEADER.format(machine_name=machine.name)]
-    entries = []
-    used = set()
-    plane = getattr(machine, "_counters", None)
-    counters_on = plane is not None
-    for pe, device, segment in eligible_pairs(machine):
-        base = "_txn_%s__%s" % (_sanitize(pe.name), _sanitize(device.name))
-        fn = base
-        serial = 2
-        while fn in used:
-            fn = "%s_%d" % (base, serial)
-            serial += 1
-        used.add(fn)
-        wpb = segment.words_per_beat
-        fields = dict(
-            fn=fn,
-            master=pe.name,
-            device=device.name,
-            segment=segment.name,
-            r_grant=segment.grant_cycles,
-            w_grant=segment.write_grant_cycles,
-            wpb=wpb,
-            wpb_minus_1=wpb - 1,
-            beat=segment.beat_cycles,
-            timing="grant %d/%dw, %d w/beat, %d cyc/beat"
-            % (
-                segment.grant_cycles,
-                segment.write_grant_cycles,
-                wpb,
-                segment.beat_cycles,
-            ),
-        )
-        if counters_on:
-            # Baked literal slot indices: transactions, grants, wait_cycles.
-            base = plane.base_of(segment.name)
-            fields.update(c_txn=base, c_grant=base + 1, c_wait=base + 2)
-        if device.kind == "memory":
-            chunks.append(_render(_MEM_TXN_TEMPLATE, counters_on, **fields))
-            entries.append((fn, "memory", pe, device, segment))
-            miss_fn = fn.replace("_txn_", "_miss_", 1)
-            chunks.append(
-                _render(
-                    _MISS_TEMPLATE,
-                    counters_on,
-                    **dict(fields, fn=miss_fn, miss_group=MISS_GROUP)
-                )
-            )
-            entries.append((miss_fn, "miss", pe, device, segment))
-        else:
-            chunks.append(_render(_HSREGS_TXN_TEMPLATE, counters_on, **fields))
-            entries.append((fn, "hsregs", pe, device, segment))
-    return "".join(chunks), entries
+    def __missing__(self, key):
+        master, device_name = key
+        machine = self.machine
+        pe = machine.pes.get(master)
+        device = machine.devices.get(device_name)
+        function = None
+        if pe is not None and device is not None and device.kind in self.factories:
+            segment = _static_segment(machine, pe, device)
+            if segment is not None and _segment_is_clean(segment):
+                factory = self.factories[device.kind]
+                function = factory(machine.sim, master, segment, device.target)
+        self[key] = function
+        return function
 
 
 # ----------------------------------------------------------------------
@@ -349,10 +331,11 @@ def specialized_fabric_source(machine) -> Tuple[str, list]:
 
 
 def specialize_machine(machine) -> bool:
-    """Compile and install specialized dispatch on ``machine``.
+    """Install the specialized dispatch on ``machine``.
 
-    Returns True when at least one pair was specialized.  No-op (False)
-    when a hook is attached or nothing is eligible; safe to call twice.
+    Returns True when at least one pair is eligible.  No-op (False) when a
+    hook is attached or nothing is eligible; safe to call twice.  Pairs are
+    bound on first use (see the module docstring).
     """
     if (
         machine._obs is not None
@@ -360,75 +343,32 @@ def specialize_machine(machine) -> bool:
         or machine._monitor is not None
     ):
         return False
-    if getattr(machine, "_specialized", False):
+    if machine._specialized:
         return True
-    source, entries = specialized_fabric_source(machine)
-    if not entries:
+    if next(eligible_pairs(machine), None) is None:
         return False
-    namespace: Dict[str, Any] = {}
-    code = compile(source, "<repro.sim.compiled:fabric:%s>" % machine.name, "exec")
-    exec(code, namespace)
-
-    sim = machine.sim
-    plane = getattr(machine, "_counters", None)
-    cslots = plane.slots if plane is not None else None
-    txn_table: Dict[Tuple[str, str], Callable] = {}
-    miss_table: Dict[Tuple[str, str], Callable] = {}
-    for fn_name, kind, pe, device, segment in entries:
-        factory = namespace["_make_%s" % fn_name]
-        arbiter = segment.arbiter
-        if kind == "memory":
-            txn_table[(pe.name, device.name)] = factory(
-                sim,
-                arbiter,
-                segment.stats,
-                arbiter.request,
-                device.target.access_latency,
-                device.target.read,
-                device.target.write,
-                cslots,
-            )
-        elif kind == "miss":
-            miss_table[(pe.name, device.name)] = factory(
-                sim,
-                arbiter,
-                segment.stats,
-                arbiter.request,
-                device.target.access_latency,
-                device.target,
-                cslots,
-            )
-        else:  # hsregs
-            txn_table[(pe.name, device.name)] = factory(
-                sim,
-                arbiter,
-                segment.stats,
-                arbiter.request,
-                device.target.read,
-                device.target.write,
-                cslots,
-            )
-
+    txn_table = _Bindings(machine, _TRANSACTION_FACTORIES)
+    miss_table = _Bindings(machine, _MISS_FACTORIES)
     # Bind the generic paths *before* shadowing them with instance attrs.
     generic_txn = machine.transaction
     generic_miss = machine.miss_traffic
-    txn_get = txn_table.get
-    miss_get = miss_table.get
 
     def transaction(pe, device_name, address, words, write, data=None):
-        fn = txn_get((pe.name, device_name))
+        fn = txn_table[pe.name, device_name]
         if fn is not None:
             return fn(address, words, write, data)
         return generic_txn(pe, device_name, address, words, write, data)
 
     def miss_traffic(pe, device_name, misses, line_words, write):
-        fn = miss_get((pe.name, device_name))
+        fn = miss_table[pe.name, device_name]
         if fn is not None:
             return fn(misses, line_words, write)
         return generic_miss(pe, device_name, misses, line_words, write)
 
+    # The caches stay reachable for inspection: which pairs a run bound.
+    transaction.bindings = txn_table
+    miss_traffic.bindings = miss_table
     machine.transaction = transaction
     machine.miss_traffic = miss_traffic
     machine._specialized = True
-    machine._specialized_source = source
     return True

@@ -142,13 +142,12 @@ class Machine:
         self._monitor = None
         # Counter plane (repro.obs.counters.CounterPlane); unlike the three
         # hooks above it does NOT force despecialization -- the compiled
-        # backend bakes the slot increments into its generated dispatch.
+        # backend's per-pair closures bind the slot list.
         self._counters = None
         # Compiled-backend fabric specialization (repro.sim.compiled): when
-        # set, ``transaction``/``miss_traffic`` are shadowed by generated
+        # set, ``transaction``/``miss_traffic`` are shadowed by a
         # per-(master, device) dispatch installed as instance attributes.
         self._specialized = False
-        self._specialized_source: Optional[str] = None
 
     # ------------------------------------------------------------------
     # Observability
@@ -209,11 +208,10 @@ class Machine:
 
         Counters are the one observability surface that keeps the compiled
         backend's specialized fast path: on an already-specialized machine
-        the baked dispatch is *rebuilt* with the slot increments compiled
-        in (never despecialized -- the regenerated functions still carry
-        the baked route/policy/timing).  On the generic paths each tenure
-        pays one ``None`` check, exactly like the ``obs`` hook.  Returns
-        the bound plane.
+        the bound pairs are dropped and rebound on their next use, now
+        with the slot list (never despecialized).  On the generic paths
+        each tenure pays one ``None`` check, exactly like the ``obs`` hook.
+        Returns the bound plane.
         """
         from ..obs.counters import CounterPlane
 
@@ -222,10 +220,7 @@ class Machine:
         self._counters = plane
         plane.bind(self)
         if self._specialized:
-            self.__dict__.pop("transaction", None)
-            self.__dict__.pop("miss_traffic", None)
-            self._specialized = False
-            self._specialized_source = None
+            self._despecialize()
             from .compiled.specializer import specialize_machine
 
             specialize_machine(self)
@@ -236,14 +231,14 @@ class Machine:
 
         Every hook attach point (observability, protocol monitors, fault
         injection) calls this first: a hooked machine must run the generic
-        instrumented ``transaction``/``miss_traffic`` paths.  The generated
-        dispatch lives in instance attributes, so dropping them restores
-        the class methods; a later re-specialization rebuilds from scratch.
+        instrumented ``transaction``/``miss_traffic`` paths.  The
+        specialized dispatch and its bound pairs live in instance
+        attributes, so dropping them restores the class methods; a later
+        re-specialization starts over.
         """
         self.__dict__.pop("transaction", None)
         self.__dict__.pop("miss_traffic", None)
         self._specialized = False
-        self._specialized_source = None
 
     def run_report(self, wall_seconds: float = 0.0, name: Optional[str] = None):
         """Snapshot this machine into a :class:`repro.obs.report.RunReport`."""
@@ -892,7 +887,7 @@ class MachineBuilder:
 
         Unlike the hooks above, counters never cost the compiled backend
         its specialization: they attach *before* specialization runs, so
-        the baked dispatch compiles the slot increments in.
+        the per-pair closures bind the slot list.
         """
         self._counters = plane
         self._want_counters = True
@@ -919,8 +914,8 @@ class MachineBuilder:
 
             install_faults(machine, self._fault_plan, self._fault_policy)
         if self._want_counters:
-            # Before specialization on purpose: specialize_machine sees the
-            # bound plane and bakes the increments into the fast path.
+            # Before specialization on purpose: the fast path's closures
+            # then bind the plane's slots.
             machine.attach_counters(self._counters)
         if self._specialize and sim.kernel_name == "compiled":
             from .compiled.specializer import specialize_machine

@@ -204,17 +204,20 @@ class Event:
         self.sim._schedule(self)
         return self
 
-    def add_callback(self, callback: Callable[["Event"], None]) -> None:
+    def add_callback(self, callback: Callable[["Event"], None]) -> "Event":
+        """Run ``callback`` when this event fires; returns the event that
+        will call it: this one, or for a late subscription to a fired
+        event, a fresh copy firing at the current cycle."""
         if self._fired:
-            # Late subscription: run at the current cycle via a fresh event.
             proxy = Event(self.sim)
             proxy.callbacks.append(callback)
             proxy._triggered = True
             proxy._value = self._value
             proxy._exception = self._exception
             self.sim._schedule(proxy)
-        else:
-            self.callbacks.append(callback)
+            return proxy
+        self.callbacks.append(callback)
+        return self
 
     def _fire(self) -> None:
         """Run the callbacks of a popped event.
@@ -385,8 +388,8 @@ class Process(Event):
                 "process %r yielded %r (expected Event or int)"
                 % (self.name, next_event)
             )
-        self._target = next_event
-        next_event.add_callback(self)
+        # Wait on what will fire: a fired event hands back its proxy.
+        self._target = next_event.add_callback(self)
 
     __call__ = _resume
 

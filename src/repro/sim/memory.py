@@ -9,6 +9,11 @@ APIs of the paper move "one-hundred 32-bit words" etc.).  A 64-bit data bus
 therefore carries two words per beat; the bus model handles beat math, and
 the memory model charges its own access latency per burst.
 
+Storage is paged: words live in fixed-size ``array('I')`` pages of
+:data:`PAGE_WORDS` words (4 KB), a page allocated on its first write, so a
+memory costs four bytes per word it has touched instead of a boxed int per
+word in a dict.  A page never written reads as zeros.
+
 Latency model:
 
 * SRAM: fixed ``access_cycles`` (default 1) to open a burst, then the data
@@ -19,9 +24,18 @@ Latency model:
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, Iterable, List, Optional
 
-__all__ = ["Memory", "Sram", "Dram", "make_memory", "MEMORY_TYPES"]
+__all__ = ["Memory", "Sram", "Dram", "make_memory", "MEMORY_TYPES", "PAGE_WORDS"]
+
+_PAGE_BITS = 10
+#: Words per storage page (1,024 words, 4 KB).
+PAGE_WORDS = 1 << _PAGE_BITS
+_PAGE_MASK = PAGE_WORDS - 1
+# The unsigned array typecode whose items are exactly 32 bits wide.
+_WORD_TYPE = "I" if array("I").itemsize == 4 else "L"
+_ZERO_PAGE = bytes(4 * PAGE_WORDS)
 
 
 class Memory:
@@ -34,7 +48,8 @@ class Memory:
             raise ValueError("memory %r must have positive size" % name)
         self.name = name
         self.size_words = size_words
-        self._words: Dict[int, int] = {}
+        # Page index -> page; see the module docstring.
+        self._pages: Dict[int, array] = {}
         self.reads = 0
         self.writes = 0
         # Fault injector (repro.faults); None keeps access_latency trivial.
@@ -68,25 +83,52 @@ class Memory:
     def read(self, address: int, count: int = 1) -> List[int]:
         self._check(address, count)
         self.reads += count
+        pages = self._pages
         if count == 1:
-            return [self._words.get(address, 0)]
-        get = self._words.get
-        return [get(i, 0) for i in range(address, address + count)]
+            # Variable polls: the most frequent read by far.
+            page = pages.get(address >> _PAGE_BITS)
+            return [0] if page is None else [page[address & _PAGE_MASK]]
+        values: List[int] = []
+        end = address + count
+        while address < end:
+            offset = address & _PAGE_MASK
+            stop = min(PAGE_WORDS, offset + end - address)
+            page = pages.get(address >> _PAGE_BITS)
+            if page is None:
+                values += [0] * (stop - offset)
+            else:
+                values += page[offset:stop].tolist()
+            address += stop - offset
+        return values
 
     def read_word(self, address: int) -> int:
         return self.read(address, 1)[0]
 
     def write(self, address: int, values: Iterable[int]) -> None:
         values = [value & 0xFFFFFFFF for value in values]
-        self._check(address, len(values))
-        self.writes += len(values)
-        self._words.update(zip(range(address, address + len(values)), values))
+        count = len(values)
+        self._check(address, count)
+        self.writes += count
+        pages = self._pages
+        done = 0
+        while done < count:
+            offset = address & _PAGE_MASK
+            chunk = min(PAGE_WORDS - offset, count - done)
+            index = address >> _PAGE_BITS
+            page = pages.get(index)
+            if page is None:
+                page = pages[index] = array(_WORD_TYPE, _ZERO_PAGE)
+            page[offset : offset + chunk] = array(
+                _WORD_TYPE, values[done : done + chunk]
+            )
+            done += chunk
+            address += chunk
 
     def write_word(self, address: int, value: int) -> None:
         self.write(address, [value])
 
     def clear(self) -> None:
-        self._words.clear()
+        self._pages.clear()
 
 
 class Sram(Memory):

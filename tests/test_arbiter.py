@@ -99,6 +99,33 @@ class TestRoundRobin:
         sim.run()
         assert grants == [("solo", 0)]
 
+    def test_grantee_and_late_joiners_go_to_the_back(self, sim):
+        # The ring rotates each grantee -- queued or immediate -- to its
+        # back, and a master's first request joins it there, so a late
+        # joiner ranks behind the grantee it arrived under.
+        arbiter = RoundRobinArbiter(sim)
+        grants = []
+
+        def master(name, start, tenures):
+            yield start
+            for _ in range(tenures):
+                yield arbiter.request(name)
+                grants.append((sim.now, name))
+                yield 2
+                arbiter.release(name)
+
+        # d joins while a holds a queued grant.
+        for name, start, tenures in (("c", 0, 1), ("a", 0, 2), ("b", 0, 1), ("d", 3, 1)):
+            sim.process(master(name, start, tenures))
+        # b claims the idle bus; e joins while b holds it.
+        for name, start, tenures in (("b", 12, 2), ("e", 13, 1), ("c", 13, 1)):
+            sim.process(master(name, start, tenures))
+        sim.run()
+        assert grants == [
+            (0, "c"), (2, "a"), (4, "b"), (6, "a"), (8, "d"),
+            (12, "b"), (14, "c"), (16, "b"), (18, "e"),
+        ]
+
 
 class TestPriority:
     def test_lower_number_wins(self, sim):

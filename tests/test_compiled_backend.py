@@ -3,9 +3,10 @@
 Observational parity with the heap backend is pinned three ways in
 ``test_scheduler_parity.py`` (random workloads) and ``test_machine_builder.py``
 (hook combinations); this file covers what is *specific* to the compiled
-backend: the generated sources themselves, the direct-entry representation,
-the specializer's eligibility rules, install/remove life cycle, and the
-``repro compile`` inspection verb.
+backend: the generated run-loop sources, the direct-entry representation,
+the specializer's eligibility rules, lazy per-pair binding, install/remove
+life cycle, parity with the generic fabric for every arbiter policy, and
+the ``repro compile`` inspection verb.
 """
 
 import os
@@ -19,11 +20,7 @@ from repro.sim.compiled import (
     KERNEL_VARIANTS,
     generated_kernel_sources,
 )
-from repro.sim.compiled.specializer import (
-    eligible_pairs,
-    specialize_machine,
-    specialized_fabric_source,
-)
+from repro.sim.compiled.specializer import eligible_pairs, specialize_machine
 from repro.sim.fabric import MachineBuilder, build_machine
 from repro.sim.kernel import Interrupt, SimulationError, Simulator
 
@@ -230,17 +227,63 @@ class TestEligibility:
         assert list(eligible_pairs(machine)) == []
 
 
-class TestSpecializeLifecycle:
-    def test_source_is_deterministic(self):
-        source_a, entries_a = specialized_fabric_source(_machine())
-        source_b, entries_b = specialized_fabric_source(_machine())
-        assert source_a == source_b
-        assert [name for name, *_ in entries_a] == [name for name, *_ in entries_b]
+def _bound_constants(function):
+    """The int and str values a bound pair's closure captured: master name,
+    grant cycles, words per beat, beat cycles and counter base."""
+    return {
+        name: cell.cell_contents
+        for name, cell in zip(function.__code__.co_freevars, function.__closure__)
+        if type(cell.cell_contents) in (int, str)
+    }
 
-    def test_source_compiles_standalone(self):
-        source, entries = specialized_fabric_source(_machine())
-        assert entries
-        compile(source, "<fabric>", "exec")
+
+def _bind_every_pair(machine):
+    """Look up every eligible pair in both tables, binding each one."""
+    bound = []
+    for table in (machine.transaction.bindings, machine.miss_traffic.bindings):
+        for pe, device, _segment in eligible_pairs(machine):
+            function = table[pe.name, device.name]
+            if function is not None:
+                bound.append(((pe.name, device.name), function))
+    return bound
+
+
+class TestSpecializeLifecycle:
+    def test_binding_is_deterministic(self):
+        bound_a = _bind_every_pair(_machine())
+        bound_b = _bind_every_pair(_machine())
+        assert bound_a
+        assert [pair for pair, _fn in bound_a] == [pair for pair, _fn in bound_b]
+        assert [_bound_constants(fn) for _pair, fn in bound_a] == [
+            _bound_constants(fn) for _pair, fn in bound_b
+        ]
+
+    def test_bound_pairs_run_standalone(self):
+        # Every eligible pair binds a function that moves real data on its
+        # own, outside any application: a write, a read-back and, for a
+        # memory, one group of cache misses, each one bus tenure.
+        machine = _machine()
+        pairs = list(eligible_pairs(machine))
+        assert pairs
+        results = []
+
+        def drive():
+            for pe, device, segment in pairs:
+                before = segment.stats.transactions
+                address = 0 if device.kind == "memory" else 1
+                yield from machine.transaction(pe, device.name, address, 1, True, [7])
+                values = yield from machine.transaction(pe, device.name, address, 1, False)
+                if device.kind == "memory":
+                    yield from machine.miss_traffic(pe, device.name, 3, 8, False)
+                results.append((values, segment.stats.transactions - before))
+
+        machine.sim.process(drive())
+        machine.sim.run()
+        assert results == [
+            ([7], 3 if device.kind == "memory" else 2) for _pe, device, _seg in pairs
+        ]
+        for pe, device, _segment in pairs:
+            assert machine.transaction.bindings[pe.name, device.name] is not None
 
     def test_install_is_idempotent(self):
         machine = _machine()
@@ -300,6 +343,89 @@ class TestSpecializedParity:
 
         assert run(True) == run(False)
 
+    @pytest.mark.parametrize("policy", ["fcfs", "round_robin", "priority"])
+    @pytest.mark.parametrize("preset", ["GBAVIII", "SPLITBA"])
+    def test_every_policy_matches_generic(self, preset, policy):
+        """Every arbiter policy is eligible: on contended PPA traffic the
+        closures grant, queue and count exactly like the generic path."""
+
+        def run(specialize):
+            builder = (
+                MachineBuilder(presets.preset(preset, 4))
+                .with_kernel("compiled")
+                .with_arbiter_policy(policy)
+                .with_counters()
+            )
+            if not specialize:
+                builder.without_specialization()
+            machine = builder.build()
+            result = run_ofdm(machine, "PPA", OfdmParameters(packets=1))
+            assert machine._specialized == specialize
+            plane = machine.counters
+            assert plane.check_against_stats(machine) == []
+            waited = sum(
+                segment.arbiter.wait_cycles for segment in machine.segments.values()
+            )
+            return (
+                result.cycles,
+                result.throughput_mbps,
+                vars(machine.run_report(name="parity")),
+                plane.totals(),
+                waited,
+            )
+
+        specialized = run(True)
+        assert specialized[-1] > 0, "the case must contend for a bus"
+        assert specialized == run(False)
+
+
+def _used_pairs(preset, style):
+    """(transaction pairs, miss-traffic pairs) a generic run asks for."""
+    machine = (
+        MachineBuilder(presets.preset(preset, 4))
+        .with_kernel("compiled")
+        .without_specialization()
+        .build()
+    )
+    used = (set(), set())
+    for index, name in enumerate(("transaction", "miss_traffic")):
+        generic = getattr(machine, name)
+
+        def record(pe, device_name, *args, _generic=generic, _used=used[index], **kw):
+            _used.add((pe.name, device_name))
+            return _generic(pe, device_name, *args, **kw)
+
+        setattr(machine, name, record)
+    run_ofdm(machine, style, OfdmParameters(packets=1))
+    return used
+
+
+class TestLazyBinding:
+    def test_despecialized_machine_binds_nothing(self):
+        machine = _machine()
+        dispatch = machine.transaction, machine.miss_traffic
+        machine.attach_monitors()
+        run_ofdm(machine, "FPA", OfdmParameters(packets=1))
+        assert [len(function.bindings) for function in dispatch] == [0, 0]
+
+    @pytest.mark.parametrize("preset,style", [("GBAVIII", "FPA"), ("GBAVII", "PPA")])
+    def test_run_binds_only_the_pairs_it_uses(self, preset, style):
+        machine = MachineBuilder(presets.preset(preset, 4)).with_kernel("compiled").build()
+        run_ofdm(machine, style, OfdmParameters(packets=1))
+        looked_up = (
+            set(machine.transaction.bindings),
+            set(machine.miss_traffic.bindings),
+        )
+        assert looked_up == _used_pairs(preset, style)
+        eligible = {(pe.name, device.name) for pe, device, _seg in eligible_pairs(machine)}
+        bound = {
+            pair
+            for pair, function in machine.transaction.bindings.items()
+            if function is not None
+        }
+        assert bound == looked_up[0] & eligible
+        assert bound < eligible
+
 
 # ---------------------------------------------------------------------------
 # repro compile verb
@@ -307,14 +433,13 @@ class TestSpecializedParity:
 
 
 class TestCompileVerb:
-    def test_dumps_kernel_and_fabric_sources(self, tmp_path, capsys):
+    def test_dumps_kernel_sources(self, tmp_path, capsys):
         from repro.cli import main
 
         out = str(tmp_path / "dump")
         assert main(["compile", "--preset", "GBAVIII", "--pes", "4", "-o", out]) == 0
         files = sorted(os.listdir(out))
         assert files == [
-            "fabric_gbaviii.py",
             "kernel_deadline.py",
             "kernel_monitored.py",
             "kernel_plain.py",
@@ -324,7 +449,8 @@ class TestCompileVerb:
             with open(os.path.join(out, name)) as handle:
                 compile(handle.read(), name, "exec")
         captured = capsys.readouterr().out
-        assert "specialized (master, device) pair(s)" in captured
+        pairs = len(list(eligible_pairs(_machine())))
+        assert "GBAVIII: %d specialized (master, device) pair(s)\n" % pairs in captured
 
     def test_out_is_required(self, tmp_path, monkeypatch):
         from repro.cli import main

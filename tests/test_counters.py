@@ -9,18 +9,15 @@ Pins the contracts documented in ``repro.obs.counters``:
   counts, identically on heap and compiled;
 * the plane survives the hook life cycle: attach to a live specialized
   machine, keep accumulating across a later despecialization;
-* the specializer's ``?C`` template lines are rendered only when a plane
-  is bound, with the slot indices baked as literals.
+* the specializer's per-pair closures bind the plane's slot list and the
+  segment's base index only when a plane is bound.
 """
-
-import re
 
 import pytest
 
 from repro.apps.ofdm import OfdmParameters, run_ofdm
 from repro.obs import COUNTER_KINDS, CounterPlane, Observability
 from repro.options import presets
-from repro.sim.compiled.specializer import specialized_fabric_source
 from repro.sim.fabric import MachineBuilder, build_machine
 from repro.sim.kernel import KERNEL_BACKENDS
 
@@ -150,27 +147,44 @@ class TestZeroDespecialization:
         assert plane.check_against_stats(machine) == []
 
 
-class TestSpecializerRendering:
-    def test_counter_lines_rendered_only_when_bound(self):
+def _closure(function):
+    return {
+        name: cell.cell_contents
+        for name, cell in zip(function.__code__.co_freevars, function.__closure__)
+    }
+
+
+class TestSpecializerCounters:
+    def test_counter_slots_bound_only_with_plane(self):
         machine = build_machine(presets.preset("GBAVIII", 4), kernel="compiled")
-        bare, _pairs = specialized_fabric_source(machine)
-        assert "cslots[" not in bare
-        assert "?C" not in bare
+        run_ofdm(machine, "FPA", OfdmParameters(packets=1))
+        bare = [fn for fn in machine.transaction.bindings.values() if fn is not None]
+        assert bare
+        assert all(_closure(fn)["cslots"] is None for fn in bare)
+
+        before = {name: seg.stats.transactions for name, seg in machine.segments.items()}
         plane = machine.attach_counters()
-        counted, pairs = specialized_fabric_source(machine)
-        assert "?C" not in counted
-        assert "cslots[" in counted
-        # Slot indices are baked literals: each specialized pair's segment
-        # gets its own transaction/grant/wait triple.
-        rendered = {
-            int(index)
-            for index in re.findall(r"cslots\[(\d+)\]", counted)
+        # Attaching drops the bound pairs; they rebind on their next use.
+        assert machine._specialized
+        assert machine.transaction.bindings == {}
+        run_ofdm(machine, "FPA", OfdmParameters(packets=1))
+        counted = {
+            pair: _closure(fn)
+            for table in (machine.transaction.bindings, machine.miss_traffic.bindings)
+            for pair, fn in table.items()
+            if fn is not None
         }
+        assert counted
         segment_bases = {plane.base_of(name) for name in plane.segment_order}
-        assert rendered
-        assert all(index < len(plane.slots) for index in rendered)
-        bases_rendered = {index - index % len(COUNTER_KINDS) for index in rendered}
-        assert bases_rendered <= segment_bases
-        for base in bases_rendered:
-            assert "cslots[%d] += 1" % base in counted
-            assert "cslots[%d] += 1" % (base + 1) in counted
+        for cells in counted.values():
+            # The plane's own slot list, and the base of one segment's
+            # transaction/grant/wait triple.
+            assert cells["cslots"] is plane.slots
+            assert cells["base"] in segment_bases
+            assert cells["base"] + len(COUNTER_KINDS) <= len(plane.slots)
+            assert plane.slots[cells["base"]] > 0
+            assert plane.slots[cells["base"] + 1] > 0
+        # The plane counts exactly the tenures after it was attached.
+        for name, segment in machine.segments.items():
+            counted_txns = plane.value(name, "transactions")
+            assert counted_txns == segment.stats.transactions - before[name]

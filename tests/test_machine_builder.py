@@ -103,7 +103,10 @@ class TestBuilderComposition:
         machine = MachineBuilder(_spec()).with_kernel("compiled").build()
         assert machine._specialized
         assert "transaction" in machine.__dict__
-        assert machine._specialized_source is not None
+        assert "miss_traffic" in machine.__dict__
+        # Pairs bind on their first transaction, not at build.
+        assert machine.transaction.bindings == {}
+        assert machine.miss_traffic.bindings == {}
 
     @pytest.mark.parametrize("hooks", ["tracer", "monitor", "faults"])
     def test_compiled_with_hooks_stays_generic(self, hooks):

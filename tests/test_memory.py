@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.memory import Dram, Memory, Sram, make_memory
+from repro.sim.memory import PAGE_WORDS, Dram, Memory, Sram, make_memory
 
 
 class TestSram:
@@ -55,6 +55,89 @@ class TestSram:
         sram = Sram("m", 256)
         sram.write(0, values)
         assert sram.read(0, len(values)) == values
+
+
+# A memory of three pages and a partial fourth, and the addresses where
+# paging can go wrong: both sides of every page edge, and both ends.
+_SIZE = 3 * PAGE_WORDS + 17
+_EDGES = sorted(
+    {-1, 0, 1, _SIZE - 1, _SIZE}
+    | {page * PAGE_WORDS + delta for page in (1, 2, 3) for delta in (-1, 0, 1)}
+)
+# (address, count) spans: anywhere, or straddling an edge by a few words.
+_spans = st.one_of(
+    st.tuples(
+        st.one_of(st.sampled_from(_EDGES), st.integers(-2, _SIZE + 2)),
+        st.one_of(
+            st.sampled_from([0, 1, 2, PAGE_WORDS, PAGE_WORDS + 1]),
+            st.integers(0, 2 * PAGE_WORDS + 3),
+        ),
+    ),
+    st.builds(
+        lambda edge, before, after: (edge - before, before + after),
+        st.sampled_from(_EDGES),
+        st.integers(0, 3),
+        st.integers(0, 3),
+    ),
+)
+# A burst's values are start + i * stride: long bursts stay cheap to draw,
+# and both reach below zero and past 32 bits.
+_bursts = st.tuples(st.integers(-(2**40), 2**40), st.integers(-(2**33), 2**33))
+_operations = st.one_of(
+    st.tuples(st.just("write"), _spans, _bursts),
+    st.tuples(st.just("read"), _spans),
+    st.tuples(st.just("clear")),
+)
+
+
+class TestPagedStore:
+    @given(st.lists(_operations, max_size=25))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dict_model(self, operations):
+        memory = Sram("m", _SIZE)
+        model = {}
+        reads = writes = 0
+        for operation in operations:
+            if operation[0] == "clear":
+                memory.clear()
+                model.clear()
+                continue
+            kind, (address, count) = operation[:2]
+            in_range = 0 <= address and address + count <= _SIZE
+            if kind == "write":
+                start, stride = operation[2]
+                values = [start + index * stride for index in range(count)]
+                if not in_range:
+                    with pytest.raises(IndexError):
+                        memory.write(address, values)
+                else:
+                    memory.write(address, values)
+                    for index, value in enumerate(values):
+                        model[address + index] = value & 0xFFFFFFFF
+                    writes += count
+            elif not in_range:
+                with pytest.raises(IndexError):
+                    memory.read(address, count)
+            else:
+                expected = [model.get(word, 0) for word in range(address, address + count)]
+                assert memory.read(address, count) == expected
+                reads += count
+            assert (memory.reads, memory.writes) == (reads, writes)
+
+    def test_burst_across_a_page_edge(self):
+        memory = Sram("m", _SIZE)
+        memory.write(PAGE_WORDS - 2, [1, 2, 3, 4])
+        assert memory.read(PAGE_WORDS - 3, 6) == [0, 1, 2, 3, 4, 0]
+        assert memory.read(PAGE_WORDS - 1, 2) == [2, 3]
+        assert memory.read_word(PAGE_WORDS) == 3
+
+    def test_pages_allocated_on_first_write_only(self):
+        memory = Sram("m", _SIZE)
+        assert memory.read(0, _SIZE) == [0] * _SIZE
+        memory.write_word(_SIZE - 1, 5)
+        memory.write(2 * PAGE_WORDS - 1, [6, 7])
+        # The last word's page, and the two pages the burst touched.
+        assert sorted(memory._pages) == [1, 2, 3]
 
 
 class TestDram:

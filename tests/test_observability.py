@@ -464,3 +464,26 @@ class TestCli:
         assert code == 0
         stats = pstats.Stats(dump)
         assert stats.total_calls > 0
+
+    def test_profile_kernel_selects_the_backend(self, tmp_path, capsys, monkeypatch):
+        import json
+        import pstats
+
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_SIM_KERNEL", "heap")
+        dump = str(tmp_path / "prof.pstats")
+        code = main(["profile", "2", "--kernel", "compiled", "--top", "1", "-o", dump])
+        assert code == 0
+        assert "provenance: backend=compiled " in capsys.readouterr().out
+        with open(dump + ".provenance.json") as handle:
+            assert json.load(handle)["backend"] == "compiled"
+        # The case really ran there: the compiled run loop was profiled.
+        files = {filename for filename, _line, _name in pstats.Stats(dump).stats}
+        assert any(name.startswith("<repro.sim.compiled:") for name in files)
+
+    def test_profile_unknown_kernel_exits_2(self, capsys):
+        from repro.cli import main
+
+        assert main(["profile", "2", "--kernel", "nope", "--top", "1"]) == 2
+        assert capsys.readouterr().err.startswith("repro: ")

@@ -769,6 +769,65 @@ class TestCalendarOrder:
             scenario, stepped, [(4, "joined", "done"), (4, "caught", "child failed")]
         )
 
+    def test_joining_a_finished_process(self, stepped):
+        # The child returns at 5; the parent only joins it at 10, after its
+        # finish event fired, and must get the value that same cycle.
+        def scenario(sim, log):
+            def child():
+                yield 5
+                return "done"
+
+            def parent(joined):
+                yield 10
+                value = yield joined
+                log.append((sim.now, "joined", value))
+                yield 1
+                log.append((sim.now, "after"))
+
+            sim.process(parent(sim.process(child())))
+
+        self._check(scenario, stepped, [(10, "joined", "done"), (11, "after")])
+
+    def test_yielding_a_fired_event(self, stepped):
+        def scenario(sim, log):
+            event = sim.event()
+
+            def trigger():
+                yield 2
+                event.succeed("go")
+
+            def late():
+                yield 6
+                value = yield event
+                log.append((sim.now, "value", value))
+
+            sim.process(trigger())
+            sim.process(late())
+
+        self._check(scenario, stepped, [(6, "value", "go")])
+
+    def test_yielding_a_fired_failed_event_raises_at_the_yield(self, stepped):
+        def scenario(sim, log):
+            event = sim.event()
+
+            def trigger():
+                yield 2
+                event.fail(ValueError("lost"))
+
+            def late():
+                yield 6
+                try:
+                    yield event
+                except ValueError as error:
+                    log.append((sim.now, "caught", str(error)))
+                yield 1
+                log.append((sim.now, "after"))
+
+            sim.process(trigger())
+            sim.process(late())
+
+        self._check(scenario, stepped, [(6, "caught", "lost"), (7, "after")])
+
     @pytest.mark.parametrize(
         "write_at, writer_first, expected",
         [
