@@ -6,9 +6,11 @@ specialized fast path, **without** despecializing it.  Attaching an
 :class:`~repro.obs.Observability`, a protocol monitor or a fault injector
 forces :meth:`Machine._despecialize` because those hooks need the generic
 instrumented paths; a :class:`CounterPlane` instead is bound into the
-specialized per-pair closures themselves (:mod:`repro.sim.compiled.specializer`
-captures the slot list and the segment's base index, and increments only
-when a plane is bound), so a counted run keeps the specialized fast path.
+specialized per-pair closures themselves (those of
+:mod:`repro.sim.compiled.specializer` and the fused poll loops of
+:mod:`repro.sim.fabric` capture the slot list and the segment's base index,
+and increment only when a plane is bound), so a counted run keeps the
+specialized fast path.
 
 Layout: one flat ``list`` of ints (``slots``), three slots per bus segment
 in name-sorted order -- transactions completed, grants observed at tenure

@@ -18,7 +18,7 @@ CCBA baseline).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..obs.tracer import NULL_TRACER
 from .kernel import Event, Simulator
@@ -29,6 +29,7 @@ __all__ = [
     "RoundRobinArbiter",
     "PriorityArbiter",
     "make_arbiter",
+    "note_hook",
     "ARBITER_POLICIES",
 ]
 
@@ -313,3 +314,14 @@ def make_arbiter(
     if cls is PriorityArbiter:
         return PriorityArbiter(sim, name, priorities)
     return cls(sim, name)
+
+
+def note_hook(arbiter: Arbiter) -> Optional[Callable[[str], None]]:
+    """The policy's immediate-grant hook, or None for the base no-op.
+
+    Code that claims an idle arbiter inline (the compiled backend's fabric
+    fast paths) calls it where :meth:`Arbiter.try_claim` calls ``_note``.
+    """
+    if type(arbiter)._note is Arbiter._note:
+        return None
+    return arbiter._note

@@ -353,6 +353,16 @@ class CompiledSimulator(Simulator):
             return self.now + 1
         return self._queue[0][0] if self._queue else None
 
+    def _others_due(self, entry: Any) -> bool:
+        """Whether anything but ``entry``, the firing one, is due this cycle.
+
+        ``_current`` holds every entry due now: under ``run()`` the firing
+        entry is still in it, followed by whatever fires after it; under
+        ``step()`` it has been popped.
+        """
+        current = self._current
+        return bool(current) and current[-1] is not entry
+
     @property
     def pending_events(self) -> int:
         """Entries currently scheduled (both lists + the heap)."""

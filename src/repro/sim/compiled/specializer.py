@@ -1,9 +1,9 @@
 """Per-architecture fabric specialization for the compiled backend.
 
-:func:`specialize_machine` shadows ``machine.transaction`` and
-``machine.miss_traffic`` with a dispatch that serves every (master, device)
-pair whose route can never change at runtime through a closure binding
-everything the generic path re-derives per transfer:
+:func:`specialize_machine` shadows ``machine.transaction``,
+``machine.miss_traffic`` and ``machine.poll`` with a dispatch that serves
+every (master, device) pair whose route can never change at runtime through
+a closure binding everything the generic path re-derives per transfer:
 
 * the route -- eligible pairs are exactly the bridge-independent
   single-segment routes (point-to-point links and directly-mastered target
@@ -32,39 +32,34 @@ Specialization requires every observability, fault-injection and protocol
 :meth:`Machine._despecialize`, which removes the instance attributes (and
 with them every bound pair) and restores the generic path.
 
-The per-pair functions are named ``transaction`` and ``miss_traffic``, like
-the dispatch itself: the end-to-end benchmark charges functions of this
-module by those names to the fabric layer and the rest to machine build.
+A pair's poll closure is a fused loop: the probe's instructions, the
+one-word read tenure and the backoff run in one generator, so a poll
+iteration resumes one frame instead of a chain of up to four.  Its two
+factories, and its dispatch, live in :mod:`repro.sim.fabric` beside the
+generic ``Machine.poll``.
+
+The per-pair functions here are named ``transaction`` and
+``miss_traffic``, like the dispatch itself: the end-to-end benchmark
+charges functions of this module by those names to the fabric layer and
+the rest to machine build; the poll loops are fabric work by module.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
-from ..arbiter import Arbiter
+from ..arbiter import note_hook
+from ..fabric import _HS_REGISTERS, _hsregs_poll, _memory_poll, _poll_dispatch
 from ..pe import MISS_GROUP
 from ...obs.tracer import NULL_TRACER
 
 __all__ = ["specialize_machine", "eligible_pairs"]
 
 
-def _segment_is_clean(segment) -> bool:
-    """Whether a segment's transfer path has no hooks attached."""
-    arbiter = segment.arbiter
-    return (
-        arbiter.tracer is NULL_TRACER
-        and not arbiter.trace_enabled
-        and arbiter.faults is None
-        and arbiter.monitor is None
-        and segment.obs is None
-        and segment.faults is None
-        and segment.monitor is None
-    )
-
-
-def _static_segment(machine, pe, device):
+def _clean_segment(machine, pe, device):
     """The single segment serving ``pe`` -> ``device`` for every bridge
-    state, or None when the route is bridged, unreachable, or multi-segment.
+    state, when no hook is attached to it; None when the route is bridged,
+    unreachable or multi-segment, or the segment is hooked.
 
     Mirrors ``Machine._route_plan``: point-to-point devices always ride the
     master's home segment, and a directly-mastered target segment is always
@@ -74,9 +69,21 @@ def _static_segment(machine, pe, device):
     if device.point_to_point:
         if device.parties and pe.name not in device.parties:
             return None
-        return machine.home_segment[pe.name]
-    segment = device.segment
-    if segment is not None and segment in machine.direct_segments[pe.name]:
+        segment = machine.home_segment[pe.name]
+    else:
+        segment = device.segment
+        if segment is None or segment not in machine.direct_segments[pe.name]:
+            return None
+    arbiter = segment.arbiter
+    if (
+        arbiter.tracer is NULL_TRACER
+        and not arbiter.trace_enabled
+        and arbiter.faults is None
+        and arbiter.monitor is None
+        and segment.obs is None
+        and segment.faults is None
+        and segment.monitor is None
+    ):
         return segment
     return None
 
@@ -87,10 +94,9 @@ def eligible_pairs(machine):
         for device in machine.devices.values():
             if device.kind not in ("memory", "hsregs"):
                 continue
-            segment = _static_segment(machine, pe, device)
-            if segment is None or not _segment_is_clean(segment):
-                continue
-            yield pe, device, segment
+            segment = _clean_segment(machine, pe, device)
+            if segment is not None:
+                yield pe, device, segment
 
 
 # ----------------------------------------------------------------------
@@ -98,20 +104,16 @@ def eligible_pairs(machine):
 # ----------------------------------------------------------------------
 
 
-def _note_hook(arbiter) -> Optional[Callable[[str], None]]:
-    """The policy's immediate-grant hook, or None for the base no-op."""
-    if type(arbiter)._note is Arbiter._note:
-        return None
-    return arbiter._note
-
-
-def _memory_transaction(sim, master, segment, memory):
-    """``master`` -> ``memory`` over ``segment``: one burst per call."""
+def _memory_transaction(machine, pe, segment, device):
+    """``pe`` -> a memory ``device`` over ``segment``: one burst per call."""
+    sim = machine.sim
+    master = pe.name
+    memory = device.target
     arbiter = segment.arbiter
     stats = segment.stats
     per_master = stats.per_master
     request = arbiter.request
-    note = _note_hook(arbiter)
+    note = note_hook(arbiter)
     cslots = segment.counters
     base = segment.counter_base
     access_latency = memory.access_latency
@@ -169,13 +171,16 @@ def _memory_transaction(sim, master, segment, memory):
     return transaction
 
 
-def _hsregs_transaction(sim, master, segment, registers):
-    """``master`` -> a handshake register block over ``segment``."""
+def _hsregs_transaction(machine, pe, segment, device):
+    """``pe`` -> a handshake register ``device`` over ``segment``."""
+    sim = machine.sim
+    master = pe.name
+    registers = device.target
     arbiter = segment.arbiter
     stats = segment.stats
     per_master = stats.per_master
     request = arbiter.request
-    note = _note_hook(arbiter)
+    note = note_hook(arbiter)
     cslots = segment.counters
     base = segment.counter_base
     reg_read = registers.read
@@ -218,7 +223,7 @@ def _hsregs_transaction(sim, master, segment, registers):
                 cslots[base] += 1
                 cslots[base + 1] += 1
                 cslots[base + 2] += acquired - entry
-        register = "DONE_OP" if address == 0 else "DONE_RV"
+        register = _HS_REGISTERS[address]
         if write:
             reg_write(register, (data or [0])[0])
             return None
@@ -227,13 +232,16 @@ def _hsregs_transaction(sim, master, segment, registers):
     return transaction
 
 
-def _miss_traffic(sim, master, segment, memory):
-    """``master`` -> ``memory`` cache-miss bursts over ``segment``."""
+def _miss_traffic(machine, pe, segment, device):
+    """``pe`` -> a memory ``device``: cache-miss bursts over ``segment``."""
+    sim = machine.sim
+    master = pe.name
+    memory = device.target
     arbiter = segment.arbiter
     stats = segment.stats
     per_master = stats.per_master
     request = arbiter.request
-    note = _note_hook(arbiter)
+    note = note_hook(arbiter)
     cslots = segment.counters
     base = segment.counter_base
     access_latency = memory.access_latency
@@ -297,6 +305,8 @@ def _miss_traffic(sim, master, segment, memory):
 
 _TRANSACTION_FACTORIES = {"memory": _memory_transaction, "hsregs": _hsregs_transaction}
 _MISS_FACTORIES = {"memory": _miss_traffic}
+# The fused poll loops live in repro.sim.fabric, beside Machine.poll.
+_POLL_FACTORIES = {"memory": _memory_poll, "hsregs": _hsregs_poll}
 
 
 class _Bindings(dict):
@@ -317,10 +327,9 @@ class _Bindings(dict):
         device = machine.devices.get(device_name)
         function = None
         if pe is not None and device is not None and device.kind in self.factories:
-            segment = _static_segment(machine, pe, device)
-            if segment is not None and _segment_is_clean(segment):
-                factory = self.factories[device.kind]
-                function = factory(machine.sim, master, segment, device.target)
+            segment = _clean_segment(machine, pe, device)
+            if segment is not None:
+                function = self.factories[device.kind](machine, pe, segment, device)
         self[key] = function
         return function
 
@@ -352,6 +361,7 @@ def specialize_machine(machine) -> bool:
     # Bind the generic paths *before* shadowing them with instance attrs.
     generic_txn = machine.transaction
     generic_miss = machine.miss_traffic
+    generic_poll = machine.poll
 
     def transaction(pe, device_name, address, words, write, data=None):
         fn = txn_table[pe.name, device_name]
@@ -370,5 +380,6 @@ def specialize_machine(machine) -> bool:
     miss_traffic.bindings = miss_table
     machine.transaction = transaction
     machine.miss_traffic = miss_traffic
+    machine.poll = _poll_dispatch(_Bindings(machine, _POLL_FACTORIES), generic_poll)
     machine._specialized = True
     return True

@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import Dict, Generator, List, Optional, Set, Tuple
 
 from ..options.schema import BusSystemSpec, BusSubsystemSpec, OptionError
-from .arbiter import make_arbiter
+from .arbiter import make_arbiter, note_hook
 from .bus import BusBridge, BusSegment, TransferTiming, find_route
 from .fifo import BiFifo, HardwareFifo
 from .hsregs import HandshakeRegisters, SharedVariables
@@ -56,6 +56,21 @@ __all__ = [
 CODE_FOOTPRINT_WORDS = 2048
 # Words reserved at the top of a shared memory for global control variables.
 VAR_AREA_WORDS = 64
+# Bus address of each register in a handshake register block, and back.
+_REGISTER_ADDRESSES = {"DONE_OP": 0, "DONE_RV": 1}
+_HS_REGISTERS = {address: name for name, address in _REGISTER_ADDRESSES.items()}
+
+
+def _register_address(device_name: str, register: str) -> int:
+    """The bus address of ``register`` in block ``device_name``; KeyError
+    for a name that is not a handshake register."""
+    address = _REGISTER_ADDRESSES.get(register)
+    if address is None:
+        raise KeyError(
+            "%s: unknown handshake register %r (expected DONE_OP/DONE_RV)"
+            % (device_name, register)
+        )
+    return address
 
 
 class Device:
@@ -145,7 +160,7 @@ class Machine:
         # backend's per-pair closures bind the slot list.
         self._counters = None
         # Compiled-backend fabric specialization (repro.sim.compiled): when
-        # set, ``transaction``/``miss_traffic`` are shadowed by a
+        # set, ``transaction``/``miss_traffic``/``poll`` are shadowed by a
         # per-(master, device) dispatch installed as instance attributes.
         self._specialized = False
 
@@ -231,13 +246,14 @@ class Machine:
 
         Every hook attach point (observability, protocol monitors, fault
         injection) calls this first: a hooked machine must run the generic
-        instrumented ``transaction``/``miss_traffic`` paths.  The
+        instrumented ``transaction``/``miss_traffic``/``poll`` paths.  The
         specialized dispatch and its bound pairs live in instance
         attributes, so dropping them restores the class methods; a later
         re-specialization starts over.
         """
         self.__dict__.pop("transaction", None)
         self.__dict__.pop("miss_traffic", None)
+        self.__dict__.pop("poll", None)
         self._specialized = False
 
     def run_report(self, wall_seconds: float = 0.0, name: Optional[str] = None):
@@ -662,7 +678,7 @@ class Machine:
                 return None
             return device.target.read(address, words)
         if device.kind == "hsregs":
-            register = "DONE_OP" if address == 0 else "DONE_RV"
+            register = _HS_REGISTERS[address]
             if write:
                 device.target.write(register, (data or [0])[0])
                 return None
@@ -731,14 +747,14 @@ class Machine:
     # Register / FIFO convenience operations (used by repro.soc.api)
     # ------------------------------------------------------------------
     def reg_read(self, pe: ProcessingElement, device_name: str, register: str) -> Generator:
-        address = 0 if register == "DONE_OP" else 1
+        address = _register_address(device_name, register)
         values = yield from self.transaction(pe, device_name, address, 1, write=False)
         return values[0]
 
     def reg_write(
         self, pe: ProcessingElement, device_name: str, register: str, value: int
     ) -> Generator:
-        address = 0 if register == "DONE_OP" else 1
+        address = _register_address(device_name, register)
         yield from self.transaction(pe, device_name, address, 1, write=True, data=[value])
 
     def var_read(self, pe: ProcessingElement, memory_name: str, variable: str) -> Generator:
@@ -751,6 +767,63 @@ class Machine:
     ) -> Generator:
         shared = self.shared_vars[memory_name]
         yield from pe.bus_write(memory_name, shared.slot(variable), [value])
+
+    def poll(
+        self,
+        pe: ProcessingElement,
+        device_name: str,
+        key: str,
+        value: int,
+        interval: int,
+        interval_max: int,
+        probe: float,
+    ) -> Generator:
+        """Software polling (section IV.C): read ``key`` until it is ``value``.
+
+        Each iteration runs a ``probe``-instruction compute phase (load,
+        mask, compare, branch), then a real one-word bus read, then backs
+        off; the interval doubles up to ``interval_max``:
+
+        * on a handshake register block, ``key`` names the register, and
+          the back-off ends early on a matching write
+          (:meth:`HandshakeRegisters.wait_for`);
+        * on a memory, ``key`` names a shared control variable
+          (:class:`SharedVariables`), which has no change notification, so
+          the PE idles for the interval; its reads count as the PE's bus
+          reads, as ``pe.bus_read`` does.
+
+        The compiled backend serves eligible pairs with a fused copy of this
+        loop (:func:`_hsregs_poll`, :func:`_memory_poll`).
+        """
+        device = self.devices[device_name]
+        registers = device.kind == "hsregs"
+        if registers:
+            address = _register_address(device_name, key)
+            block = device.target
+        slot = None
+        stats = pe.stats
+        while True:
+            if probe:
+                yield from pe.compute(probe)
+            if registers:
+                values = yield from self.transaction(pe, device_name, address, 1, False)
+            else:
+                if slot is None:
+                    slot = self.shared_vars[device_name].slot(key)
+                values = yield from pe.bus_read(device_name, slot, 1)
+            stats.handshake_polls += 1
+            if values[0] == value:
+                return
+            if registers:
+                poll = block.wait_for(key, value, interval)
+                if poll.watchers is None:
+                    continue
+                yield poll
+            else:
+                yield interval
+            interval *= 2
+            if interval > interval_max:
+                interval = interval_max
 
     def fifo_push(
         self, pe: ProcessingElement, device: Device, fifo: HardwareFifo, values: List[int]
@@ -789,6 +862,195 @@ class Machine:
             out.extend(fifo.pop(available))
             pe.stats.words_read += available
         return out
+
+
+# ----------------------------------------------------------------------
+# Fused poll loops (compiled backend)
+# ----------------------------------------------------------------------
+#
+# repro.sim.compiled.specializer binds one of these per (PE, device) pair on
+# the pair's first poll.  Each is Machine.poll for one device kind, with the
+# probe's compute phase and the one-word read tenure inline: what
+# ProcessingElement.compute, Machine.transaction (or pe.bus_read) and the
+# pair's transaction closure would do, in one generator.  The tenure repeats
+# the closure's code rather than delegating to it, because a ``yield from``
+# per poll costs more than the copy.  Defined here, not in the specializer,
+# so that their time counts as fabric work.
+
+
+def _poll_dispatch(bindings, generic):
+    """``machine.poll`` on a specialized machine: a pair's fused loop, or
+    the generic :meth:`Machine.poll` for a pair that has none."""
+
+    def poll(pe, device_name, key, value, interval, interval_max, probe):
+        fused = bindings[pe.name, device_name]
+        if fused is not None:
+            return fused(key, value, interval, interval_max, probe)
+        return generic(pe, device_name, key, value, interval, interval_max, probe)
+
+    # The cache stays reachable for inspection: which pairs a run bound.
+    poll.bindings = bindings
+    return poll
+
+
+def _hsregs_poll(machine, pe, segment, device):
+    """``pe`` polling a handshake register ``device`` over ``segment``."""
+    sim = machine.sim
+    master = pe.name
+    registers = device.target
+    arbiter = segment.arbiter
+    stats = segment.stats
+    per_master = stats.per_master
+    request = arbiter.request
+    note = note_hook(arbiter)
+    cslots = segment.counters
+    base = segment.counter_base
+    # One word: the read grant and one beat.
+    tenure = segment.grant_cycles + segment.beat_cycles
+    # The registers' values; the name is checked once per wait.
+    register_values = registers._values
+    wait_for = registers.wait_for
+    pe_stats = pe.stats
+    charge = pe._charge
+    fetch_misses = pe._fetch_misses
+
+    def poll(key, value, interval, interval_max, probe):
+        _register_address(device.name, key)  # KeyError before any traffic
+        if probe < 0:
+            raise ValueError("negative instruction count")
+        while True:
+            if probe:
+                cycles = charge(probe)
+                if cycles > 0:
+                    yield cycles
+                misses = fetch_misses(probe)
+                if misses:
+                    yield from machine.miss_traffic(
+                        pe, pe.program_device, misses, pe.icache.line_words, False
+                    )
+            entry = sim.now
+            if arbiter.owner is None and not arbiter._pending:
+                if note is not None:
+                    note(master)
+                arbiter.owner = master
+                arbiter.grants += 1
+                arbiter.busy_since = entry
+            else:
+                yield request(master)
+            acquired = sim.now
+            try:
+                yield tenure
+            finally:
+                end = sim.now
+                arbiter.owner = None
+                arbiter.busy_cycles += end - arbiter.busy_since
+                arbiter.busy_since = None
+                if arbiter._pending:
+                    arbiter._dispatch()
+                stats.transactions += 1
+                stats.read_transactions += 1
+                stats.words_moved += 1
+                stats.busy_cycles += end - entry
+                stats.arbitration_cycles += acquired - entry
+                per_master[master] = per_master.get(master, 0) + 1
+                if cslots is not None:
+                    cslots[base] += 1
+                    cslots[base + 1] += 1
+                    cslots[base + 2] += acquired - entry
+            pe_stats.handshake_polls += 1
+            if register_values[key] == value:
+                return
+            poll = wait_for(key, value, interval)
+            if poll.watchers is None:
+                continue
+            yield poll
+            interval *= 2
+            if interval > interval_max:
+                interval = interval_max
+
+    return poll
+
+
+def _memory_poll(machine, pe, segment, device):
+    """``pe`` polling a shared control variable of a memory ``device``
+    over ``segment``."""
+    sim = machine.sim
+    master = pe.name
+    memory = device.target
+    arbiter = segment.arbiter
+    stats = segment.stats
+    per_master = stats.per_master
+    request = arbiter.request
+    note = note_hook(arbiter)
+    cslots = segment.counters
+    base = segment.counter_base
+    # One word: the read grant and one beat, plus the memory's latency.
+    tenure = segment.grant_cycles + segment.beat_cycles
+    access_latency = memory.access_latency
+    read = memory.read
+    pe_stats = pe.stats
+    charge = pe._charge
+    fetch_misses = pe._fetch_misses
+
+    def poll(key, value, interval, interval_max, probe):
+        if probe < 0:
+            raise ValueError("negative instruction count")
+        slot = None
+        while True:
+            if probe:
+                cycles = charge(probe)
+                if cycles > 0:
+                    yield cycles
+                misses = fetch_misses(probe)
+                if misses:
+                    yield from machine.miss_traffic(
+                        pe, pe.program_device, misses, pe.icache.line_words, False
+                    )
+            if slot is None:
+                slot = machine.shared_vars[device.name].slot(key)
+            latency = access_latency(slot, 1, False)
+            entry = sim.now
+            if arbiter.owner is None and not arbiter._pending:
+                if note is not None:
+                    note(master)
+                arbiter.owner = master
+                arbiter.grants += 1
+                arbiter.busy_since = entry
+            else:
+                yield request(master)
+            acquired = sim.now
+            try:
+                yield tenure + latency
+            finally:
+                end = sim.now
+                arbiter.owner = None
+                arbiter.busy_cycles += end - arbiter.busy_since
+                arbiter.busy_since = None
+                if arbiter._pending:
+                    arbiter._dispatch()
+                stats.transactions += 1
+                stats.read_transactions += 1
+                stats.words_moved += 1
+                stats.busy_cycles += end - entry
+                stats.arbitration_cycles += acquired - entry
+                stats.memory_cycles += latency
+                per_master[master] = per_master.get(master, 0) + 1
+                if cslots is not None:
+                    cslots[base] += 1
+                    cslots[base + 1] += 1
+                    cslots[base + 2] += acquired - entry
+            observed = read(slot, 1)[0]
+            pe_stats.bus_cycles += end - entry
+            pe_stats.words_read += 1
+            pe_stats.handshake_polls += 1
+            if observed == value:
+                return
+            yield interval
+            interval *= 2
+            if interval > interval_max:
+                interval = interval_max
+
+    return poll
 
 
 # ----------------------------------------------------------------------

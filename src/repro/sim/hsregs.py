@@ -39,7 +39,13 @@ class _Poll(Event):
     __slots__ = ("watchers", "wanted")
 
     def __init__(self, sim: Simulator, watchers: Optional[List["_Poll"]], wanted: int):
-        super().__init__(sim)
+        # Event.__init__ inline: one poll per timed-out probe.
+        self.sim = sim
+        self._value = None
+        self._exception = None
+        self._triggered = False
+        self._fired = False
+        self.callbacks = []
         self.watchers = watchers
         self.wanted = wanted
 
@@ -56,12 +62,23 @@ class _Poll(Event):
             if not self._fired:
                 Event._fire(self)
             return
-        # The timer, before any matching write: withdraw the watcher and
-        # schedule the poll again as the hop.
+        # The timer, before any matching write: withdraw the watcher.  The
+        # waiter resumes one same-cycle hop later, after every entry already
+        # due now; when there is none, that hop would be the very next
+        # entry, so the timer resumes it itself.
         if self.watchers is not None:
             self.watchers.remove(self)
             self.watchers = None
-        self.succeed(None)
+        self._triggered = True
+        if self.sim._others_due(self):
+            self.sim._schedule(self)
+            return
+        # Event._fire, inline.
+        self._fired = True
+        callbacks = self.callbacks
+        self.callbacks = []
+        for callback in callbacks:
+            callback(self)
 
 
 class HandshakeRegisters:
@@ -121,7 +138,8 @@ class HandshakeRegisters:
         modelling level-sensitive polling hardware, and no timer is set.
         Otherwise a matching write fires it through one same-cycle hop (the
         watcher wakeup), and a timeout one hop after the poll's own timer
-        entry fires; a timed-out watcher is withdrawn, so no later write
+        entry fires, or at the timer entry itself when nothing else is due
+        in that cycle; a timed-out watcher is withdrawn, so no later write
         wakes it.  The event's value is ``value`` on a write and ``None`` on
         a timeout.
         """

@@ -537,6 +537,16 @@ class Simulator:
         """Cycle of the next pending event, or None when quiescent."""
         return self._queue[0][0] if self._queue else None
 
+    def _others_due(self, entry: Event) -> bool:
+        """Whether anything but ``entry``, the firing one, is due this cycle.
+
+        Lets a timer skip a same-cycle hop that would be the very next
+        entry anyway (``_Poll._fire`` in :mod:`repro.sim.hsregs`).  The heap
+        has popped ``entry`` already.
+        """
+        queue = self._queue
+        return bool(queue) and queue[0][0] == self.now
+
     def step(self) -> None:
         if self.monitor_depth and len(self._queue) > self.peak_queue_depth:
             self.peak_queue_depth = len(self._queue)

@@ -105,8 +105,15 @@ class Memory:
         return self.read(address, 1)[0]
 
     def write(self, address: int, values: Iterable[int]) -> None:
-        values = [value & 0xFFFFFFFF for value in values]
-        count = len(values)
+        """Store ``values`` from ``address`` on, each masked to 32 bits."""
+        if not isinstance(values, (list, tuple, array)):
+            values = list(values)
+        try:
+            words = array(_WORD_TYPE, values)
+        except OverflowError:
+            # A negative value or one of 2**32 and above: mask them all.
+            words = array(_WORD_TYPE, [value & 0xFFFFFFFF for value in values])
+        count = len(words)
         self._check(address, count)
         self.writes += count
         pages = self._pages
@@ -118,9 +125,7 @@ class Memory:
             page = pages.get(index)
             if page is None:
                 page = pages[index] = array(_WORD_TYPE, _ZERO_PAGE)
-            page[offset : offset + chunk] = array(
-                _WORD_TYPE, values[done : done + chunk]
-            )
+            page[offset : offset + chunk] = words[done : done + chunk]
             done += chunk
             address += chunk
 

@@ -117,15 +117,18 @@ class ProcessingElement:
     # Program execution
     # ------------------------------------------------------------------
     def run(self, program: Generator, name: str = "") -> Process:
-        """Launch a program generator as a simulation process."""
-        return self.sim.process(
-            self._wrap(program), name or "%s.program" % self.name
-        )
+        """Launch a program generator as a simulation process.
 
-    def _wrap(self, program: Generator) -> Generator:
-        value = yield from program
-        self.finished_at = self.sim.now
-        return value
+        ``finished_at`` is set when the process event fires, in the cycle
+        the program returned; a program that raises leaves it None.
+        """
+        process = self.sim.process(program, name or "%s.program" % self.name)
+        process.callbacks.append(self._finished)
+        return process
+
+    def _finished(self, process: Process) -> None:
+        if process._exception is None:
+            self.finished_at = self.sim.now
 
     # ------------------------------------------------------------------
     # Compute phases
@@ -143,11 +146,8 @@ class ProcessingElement:
             # Crash + cold restart: caches invalidated, warm-fetch state
             # reset, restart latency charged before the phase begins.
             yield from faults.crash_restart(self)
-        raw = instructions * self.cycles_per_instruction + self._cycle_carry
-        cycles = int(raw)
-        self._cycle_carry = raw - cycles
+        cycles = self._charge(instructions)
         if cycles > 0:
-            self.stats.compute_cycles += cycles
             yield cycles
         misses = self._fetch_misses(instructions)
         if misses:
@@ -156,6 +156,16 @@ class ProcessingElement:
             )
         for touch in touches:
             yield from self._stream_traffic(touch)
+
+    def _charge(self, instructions: float) -> int:
+        """Whole cycles ``instructions`` take, counted as compute cycles;
+        the fraction carries over to the next charge."""
+        raw = instructions * self.cycles_per_instruction + self._cycle_carry
+        cycles = int(raw)
+        self._cycle_carry = raw - cycles
+        if cycles > 0:
+            self.stats.compute_cycles += cycles
+        return cycles
 
     def _fetch_misses(self, instructions: float) -> int:
         """Walk the code footprint through the I-cache; return the misses.
@@ -189,39 +199,37 @@ class ProcessingElement:
         footprint = self.code_footprint_words
         cursor = self._fetch_cursor
         misses = 0
-        while fetches:
-            if (
-                self._fetch_warm
-                and cache_stats.evictions == 0
-                and icache.flushes == 0
-            ):
-                stats.icache_hits += fetches
-                cache_stats.hits += fetches
-                cursor = (cursor + fetches * line_words) % footprint
-                break
-            # Fetches left in this lap: cursor, cursor + line_words, ...
-            # while below the footprint.
-            lap = min(fetches, (footprint - cursor + line_words - 1) // line_words)
-            first = (self.program_base + cursor) // line_words
-            hits, lap_misses, _writebacks = icache.access_lines(
-                first, first + lap - 1, False
-            )
-            stats.icache_hits += hits
-            stats.icache_misses += lap_misses
-            misses += lap_misses
-            fetches -= lap
-            cursor = (cursor + lap * line_words) % footprint
-            if (
-                self._footprint_lines is not None
-                and cache_stats.evictions == 0
-                and icache.flushes == 0
-                and cache_stats.misses == self._footprint_lines
-                and cache_stats.misses == stats.icache_misses
-                and cache_stats.hits == stats.icache_hits
-            ):
-                # The cache holds exactly the footprint (and only our
-                # accesses ever touched it): steady state from here on.
-                self._fetch_warm = True
+        if not self._fetch_warm or cache_stats.evictions or icache.flushes:
+            while fetches:
+                # Fetches left in this lap: cursor, cursor + line_words, ...
+                # while below the footprint.
+                lap = min(fetches, (footprint - cursor + line_words - 1) // line_words)
+                first = (self.program_base + cursor) // line_words
+                hits, lap_misses, _writebacks = icache.access_lines(
+                    first, first + lap - 1, False
+                )
+                stats.icache_hits += hits
+                stats.icache_misses += lap_misses
+                misses += lap_misses
+                fetches -= lap
+                cursor = (cursor + lap * line_words) % footprint
+                if (
+                    self._footprint_lines is not None
+                    and cache_stats.evictions == 0
+                    and icache.flushes == 0
+                    and cache_stats.misses == self._footprint_lines
+                    and cache_stats.misses == stats.icache_misses
+                    and cache_stats.hits == stats.icache_hits
+                ):
+                    # The cache holds exactly the footprint (and only our
+                    # accesses ever touched it): steady state from here on.
+                    self._fetch_warm = True
+                    break
+        if fetches:
+            # Warm: every fetch left hits.
+            stats.icache_hits += fetches
+            cache_stats.hits += fetches
+            cursor = (cursor + fetches * line_words) % footprint
         self._fetch_cursor = cursor
         return misses
 

@@ -128,22 +128,18 @@ class SocAPI:
         Models software polling: each probe is a real one-word bus read, and
         between probes the PE idles with a capped exponential backoff (so
         event counts stay bounded on long waits while contention from the
-        polling traffic is still present).
+        polling traffic is still present); a matching write ends the
+        backoff early (see :meth:`repro.sim.fabric.Machine.poll`).
         """
-        block = self.machine.devices[hs_device].target
-        interval = self.poll_interval
-        while True:
-            if self.poll_probe_instructions:
-                yield from self.pe.compute(self.poll_probe_instructions)
-            observed = yield from self.reg_read(hs_device, register)
-            self.pe.stats.handshake_polls += 1
-            if observed == value:
-                return
-            poll = block.wait_for(register, value, interval)
-            if poll.triggered:
-                continue
-            yield poll
-            interval = min(interval * 2, self.poll_interval_max)
+        return self.machine.poll(
+            self.pe,
+            hs_device,
+            register,
+            value,
+            self.poll_interval,
+            self.poll_interval_max,
+            self.poll_probe_instructions,
+        )
 
     # ------------------------------------------------------------------
     # Shared control variables (GBAVIII / SplitBA / Hybrid / GGBA / CCBA)
@@ -170,16 +166,15 @@ class SocAPI:
         probe is a real arbitrated global-bus read (the contention source
         discussed in section IV.C's 'possible bus conflicts').
         """
-        interval = self.poll_interval
-        while True:
-            if self.poll_probe_instructions:
-                yield from self.pe.compute(self.poll_probe_instructions)
-            observed = yield from self.var_read(variable, memory)
-            self.pe.stats.handshake_polls += 1
-            if observed == value:
-                return
-            yield interval
-            interval = min(interval * 2, self.poll_interval_max)
+        return self.machine.poll(
+            self.pe,
+            memory or self.shared_memory(),
+            variable,
+            value,
+            self.poll_interval,
+            self.poll_interval_max,
+            self.poll_probe_instructions,
+        )
 
     def scattered_access(
         self, address: Address, word_ops: int, write: bool = False

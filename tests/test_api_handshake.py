@@ -7,7 +7,7 @@ import pytest
 
 from repro.options import presets
 from repro.sim import fabric
-from repro.sim.fabric import build_machine
+from repro.sim.fabric import MachineBuilder, build_machine
 from repro.sim.hsregs import HandshakeRegisters
 from repro.sim.kernel import KERNEL_BACKENDS
 from repro.soc.api import SocAPI
@@ -132,6 +132,41 @@ class TestSocAPI:
         machine.sim.run()
         segment = machine.home_segment[api.pe.name]
         assert segment.stats.transactions == 5  # 40 ops in groups of 8
+
+
+class TestRegisterNames:
+    """A name that is not DONE_OP/DONE_RV is an error before any bus
+    traffic, on every path that takes a register name."""
+
+    @pytest.mark.parametrize("specialize", [True, False], ids=["specialized", "generic"])
+    @pytest.mark.parametrize("kernel", KERNEL_BACKENDS)
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda api: api.reg_write("HS_REGS_B", "DONE_OK", 1),
+            lambda api: api.reg_read("HS_REGS_B", "bogus"),
+            lambda api: api.reg_wait("HS_REGS_B", "bogus", 1),
+        ],
+        ids=["write", "read", "wait"],
+    )
+    def test_unknown_name_raises_before_the_bus(self, call, kernel, specialize):
+        builder = MachineBuilder(presets.preset("GBAVI", 4)).with_kernel(kernel)
+        if not specialize:
+            builder.without_specialization()
+        machine = builder.build()
+        api = SocAPI(machine, "B")
+        block = machine.devices["HS_REGS_B"].target
+
+        def program():
+            yield from call(api)
+
+        process = api.pe.run(program())
+        machine.sim.run()
+        with pytest.raises(KeyError, match="unknown handshake register"):
+            process.value
+        assert (block.done_op, block.done_rv) == (0, 0)
+        assert api.pe.stats.handshake_polls == 0
+        assert sum(segment.stats.transactions for segment in machine.segments.values()) == 0
 
 
 class _CompositeWaitRegisters(HandshakeRegisters):

@@ -14,6 +14,7 @@ import os
 import pytest
 
 from repro.apps.ofdm import OfdmParameters, run_ofdm
+from repro.experiments.table2 import TABLE2_CASES
 from repro.options import presets
 from repro.sim.compiled import (
     CompiledSimulator,
@@ -23,6 +24,7 @@ from repro.sim.compiled import (
 from repro.sim.compiled.specializer import eligible_pairs, specialize_machine
 from repro.sim.fabric import MachineBuilder, build_machine
 from repro.sim.kernel import Interrupt, SimulationError, Simulator
+from repro.soc.api import SocAPI
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +346,11 @@ class TestSpecializedParity:
         assert run(True) == run(False)
 
     @pytest.mark.parametrize("policy", ["fcfs", "round_robin", "priority"])
-    @pytest.mark.parametrize("preset", ["GBAVIII", "SPLITBA"])
+    @pytest.mark.parametrize("preset", ["GBAVIII", "SPLITBA", "GBAVI"])
     def test_every_policy_matches_generic(self, preset, policy):
         """Every arbiter policy is eligible: on contended PPA traffic the
-        closures grant, queue and count exactly like the generic path."""
+        closures grant, queue and count exactly like the generic path
+        (GBAVI's register polls take the fused poll loops)."""
 
         def run(specialize):
             builder = (
@@ -379,16 +382,118 @@ class TestSpecializedParity:
         assert specialized == run(False)
 
 
+def _counted_snapshot(machine):
+    """Everything a counted run leaves behind that the fused poll loops
+    could get wrong."""
+    plane = machine.counters
+    assert plane.check_against_stats(machine) == []
+    return {
+        "report": vars(machine.run_report(name="parity")),
+        "pes": {name: vars(pe.stats) for name, pe in machine.pes.items()},
+        "finished": {name: pe.finished_at for name, pe in machine.pes.items()},
+        "segments": {name: vars(seg.stats) for name, seg in machine.segments.items()},
+        "counters": plane.totals(),
+        # Where each shared control variable landed: slots are allocated
+        # at a variable's first read or write.
+        "slots": {name: dict(shared._slots) for name, shared in machine.shared_vars.items()},
+    }
+
+
+def _counted_machine(preset, specialize):
+    builder = (
+        MachineBuilder(presets.preset(preset, 4)).with_kernel("compiled").with_counters()
+    )
+    if not specialize:
+        builder.without_specialization()
+    machine = builder.build()
+    assert machine._specialized == specialize
+    return machine
+
+
+class TestPollParity:
+    """The fused poll loops against ``Machine.poll`` on the same kernel."""
+
+    @pytest.mark.parametrize(
+        "case", TABLE2_CASES, ids=["%d-%s-%s" % case for case in TABLE2_CASES]
+    )
+    def test_table2_case_matches_generic(self, case):
+        _number, preset, style = case
+
+        def run(specialize):
+            machine = _counted_machine(preset, specialize)
+            result = run_ofdm(machine, style, OfdmParameters(packets=1))
+            snapshot = _counted_snapshot(machine)
+            snapshot["cycles"] = result.cycles
+            return snapshot, machine
+
+        specialized, machine = run(True)
+        generic, _ = run(False)
+        assert specialized == generic
+        if style == "PPA":
+            assert any(machine.poll.bindings.values())
+
+    @pytest.mark.parametrize("preset,kind", [("GBAVI", "reg"), ("GBAVIII", "var")])
+    def test_cold_icache_probe_matches_generic(self, preset, kind):
+        """A PE whose first instructions are a poll probe misses in its
+        cold I-cache; the fused loop turns the misses into the same bus
+        traffic as ``ProcessingElement.compute``, and allocates a shared
+        variable's slot at its first read, after the probe, so a variable
+        another PE writes meanwhile comes first."""
+
+        def run(specialize):
+            machine = _counted_machine(preset, specialize)
+            waiter, setter = SocAPI(machine, "B"), SocAPI(machine, "A")
+            waiter.poll_probe_instructions = 200  # 25 I-cache lines
+
+            def wait():
+                if kind == "reg":
+                    yield from waiter.reg_wait("HS_REGS_B", "DONE_OP", 1)
+                else:
+                    yield from waiter.var_wait("GO", 1)
+
+            def release():
+                if kind == "var":
+                    yield from setter.var_write("OTHER", 1)
+                yield from setter.stall(900)
+                if kind == "reg":
+                    machine.devices["HS_REGS_B"].target.write("DONE_OP", 1)
+                else:
+                    machine.shared_vars[machine.global_memory].poke("GO", 1)
+
+            waiter.pe.run(wait())
+            setter.pe.run(release())
+            machine.sim.run()
+            # Every probe walks 25 lines of a cold 256-line footprint.
+            assert waiter.pe.stats.icache_misses == 25 * waiter.pe.stats.handshake_polls
+            assert waiter.pe.stats.handshake_polls > 2
+            if kind == "var":
+                slots = machine.shared_vars[machine.global_memory]._slots
+                assert list(slots) == ["OTHER", "GO"]
+            if specialize:
+                pair = (waiter.pe.name, "HS_REGS_B" if kind == "reg" else machine.global_memory)
+                assert machine.poll.bindings[pair] is not None
+            return _counted_snapshot(machine)
+
+        assert run(True) == run(False)
+
+
+_DISPATCH = ("transaction", "miss_traffic", "poll")
+
+
 def _used_pairs(preset, style):
-    """(transaction pairs, miss-traffic pairs) a generic run asks for."""
+    """(transaction, miss-traffic, poll) pairs a generic run asks for.
+
+    A generic poll reads through ``transaction``, so its pairs are
+    transaction pairs too.
+    """
     machine = (
         MachineBuilder(presets.preset(preset, 4))
         .with_kernel("compiled")
         .without_specialization()
         .build()
     )
-    used = (set(), set())
-    for index, name in enumerate(("transaction", "miss_traffic")):
+    used = (set(), set(), set())
+    for index, name in enumerate(_DISPATCH):
         generic = getattr(machine, name)
 
         def record(pe, device_name, *args, _generic=generic, _used=used[index], **kw):
@@ -403,28 +508,31 @@ def _used_pairs(preset, style):
 class TestLazyBinding:
     def test_despecialized_machine_binds_nothing(self):
         machine = _machine()
-        dispatch = machine.transaction, machine.miss_traffic
+        dispatch = [getattr(machine, name) for name in _DISPATCH]
         machine.attach_monitors()
         run_ofdm(machine, "FPA", OfdmParameters(packets=1))
-        assert [len(function.bindings) for function in dispatch] == [0, 0]
+        assert [len(function.bindings) for function in dispatch] == [0, 0, 0]
 
-    @pytest.mark.parametrize("preset,style", [("GBAVIII", "FPA"), ("GBAVII", "PPA")])
+    @pytest.mark.parametrize(
+        "preset,style", [("GBAVIII", "FPA"), ("GBAVII", "PPA"), ("GBAVI", "PPA")]
+    )
     def test_run_binds_only_the_pairs_it_uses(self, preset, style):
         machine = MachineBuilder(presets.preset(preset, 4)).with_kernel("compiled").build()
         run_ofdm(machine, style, OfdmParameters(packets=1))
-        looked_up = (
-            set(machine.transaction.bindings),
-            set(machine.miss_traffic.bindings),
-        )
-        assert looked_up == _used_pairs(preset, style)
+        txn, miss, poll = (getattr(machine, name).bindings for name in _DISPATCH)
+        used_txn, used_miss, used_poll = _used_pairs(preset, style)
+        fused = {pair for pair, function in poll.items() if function is not None}
+        # A fused poll reads inline; a generic one through transaction.
+        assert set(txn) | fused == used_txn
+        assert set(miss) == used_miss
+        assert set(poll) == used_poll
         eligible = {(pe.name, device.name) for pe, device, _seg in eligible_pairs(machine)}
-        bound = {
-            pair
-            for pair, function in machine.transaction.bindings.items()
-            if function is not None
-        }
-        assert bound == looked_up[0] & eligible
+        bound = {pair for pair, function in txn.items() if function is not None}
+        assert bound == set(txn) & eligible
+        assert fused == used_poll & eligible
         assert bound < eligible
+        if style == "PPA":
+            assert fused, "the pipeline's polls must take the fused loops"
 
 
 # ---------------------------------------------------------------------------

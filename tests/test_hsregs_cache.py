@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sim.cache import Cache, CacheStats, mpc755_dcache, mpc755_icache
 from repro.sim.hsregs import HandshakeRegisters, SharedVariables
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import KERNEL_BACKENDS, Simulator
 from repro.sim.memory import Sram
 
 
@@ -34,35 +34,93 @@ class TestHandshakeRegisters:
         with pytest.raises(KeyError):
             block.read("REQ")
 
+    @staticmethod
+    def _waiter(sim, poll, log):
+        """A process waiting on ``poll``; logs (cycle, value) when resumed."""
+
+        def wait():
+            value = yield poll
+            log.append((sim.now, value))
+
+        return sim.process(wait())
+
     def test_wait_for_value_change(self, sim):
         block = HandshakeRegisters(sim, "hs")
-        event = block.wait_for("DONE_OP", 1, 100)
-        assert not event.triggered
-        block.write("DONE_OP", 1)
-        sim.run(until=1)  # the watcher's same-cycle hop
-        assert event.triggered and event.value == 1
+        log = []
+        self._waiter(sim, block.wait_for("DONE_OP", 1, 100), log)
+
+        def writer():
+            yield 30
+            block.write("DONE_OP", 1)
+
+        sim.process(writer())
+        sim.run()
+        # Woken in the write's cycle with the value; the timer still fires
+        # at 100, waking nobody.
+        assert log == [(30, 1)]
+        assert sim.now == 100
 
     def test_wait_for_already_satisfied(self, sim):
         block = HandshakeRegisters(sim, "hs", done_op=1)
-        event = block.wait_for("DONE_OP", 1, 100)
-        assert event.triggered
+        poll = block.wait_for("DONE_OP", 1, 100)
+        assert poll.triggered and poll.watchers is None
+        log = []
+        self._waiter(sim, poll, log)
+        sim.run()
+        assert log == [(0, 1)]
 
     def test_wait_for_wrong_value_stays_pending(self, sim):
         block = HandshakeRegisters(sim, "hs")
-        event = block.wait_for("DONE_OP", 1, 100)
-        block.write("DONE_RV", 1)  # other register
-        sim.run(until=100)  # up to, not including, the timeout
-        assert not event.triggered
+        log = []
+        self._waiter(sim, block.wait_for("DONE_OP", 1, 100), log)
+
+        def writer():
+            yield 10
+            block.write("DONE_RV", 1)  # other register
+            yield 10
+            block.write("DONE_OP", 0)  # no change
+
+        sim.process(writer())
+        sim.run()
+        assert log == [(100, None)]
 
     def test_wait_for_times_out_and_withdraws(self, sim):
         block = HandshakeRegisters(sim, "hs")
-        event = block.wait_for("DONE_OP", 1, 100)
+        log = []
+        self._waiter(sim, block.wait_for("DONE_OP", 1, 100), log)
         sim.run()
-        assert event.triggered and event.value is None
+        assert log == [(100, None)]
         assert sim.now == 100
-        assert block._watchers["DONE_OP"] == []
         block.write("DONE_OP", 1)  # nobody left to wake
         assert sim.peek() is None
+
+    @pytest.mark.parametrize("kernel", KERNEL_BACKENDS)
+    def test_wait_for_timeout_alone_in_its_cycle_is_one_event(self, kernel):
+        sim = Simulator(kernel=kernel)
+        block = HandshakeRegisters(sim, "hs")
+        log = []
+        self._waiter(sim, block.wait_for("DONE_OP", 1, 100), log)
+        sim.run()
+        # The waiter's start, the timer and the waiter's end; no hop.
+        assert log == [(100, None)] and sim.events_processed == 3
+
+    @pytest.mark.parametrize("kernel", KERNEL_BACKENDS)
+    def test_wait_for_timeout_resumes_after_what_is_due(self, kernel):
+        sim = Simulator(kernel=kernel)
+        block = HandshakeRegisters(sim, "hs")
+        log = []
+        self._waiter(sim, block.wait_for("DONE_OP", 1, 100), log)
+
+        def other():
+            yield 100  # due in the timer's cycle, scheduled after it
+            log.append((sim.now, "other"))
+
+        sim.process(other())
+        sim.run()
+        # The timeout keeps its hop: the waiter resumes after ``other``.
+        # Two starts, the timer, ``other``'s resume, the hop, two ends.
+        assert log == [(100, "other"), (100, None)]
+        assert sim.events_processed == 7
 
     def test_trace_records_changes(self, sim):
         block = HandshakeRegisters(sim, "hs", trace=True)

@@ -81,10 +81,20 @@ _spans = st.one_of(
     ),
 )
 # A burst's values are start + i * stride: long bursts stay cheap to draw,
-# and both reach below zero and past 32 bits.
-_bursts = st.tuples(st.integers(-(2**40), 2**40), st.integers(-(2**33), 2**33))
+# and both reach below zero and past 32 bits.  As bools they are the
+# stride's parity pattern.
+_bursts = st.tuples(
+    st.one_of(
+        st.sampled_from([-1, 2**32 - 1, 2**32, 2**64 + 3, -(2**32)]),
+        st.integers(-(2**40), 2**40),
+    ),
+    st.integers(-(2**33), 2**33),
+    st.booleans(),
+)
+# How the burst reaches write(): a list, a tuple or a one-shot generator.
+_shapes = st.sampled_from([list, tuple, iter])
 _operations = st.one_of(
-    st.tuples(st.just("write"), _spans, _bursts),
+    st.tuples(st.just("write"), _spans, _bursts, _shapes),
     st.tuples(st.just("read"), _spans),
     st.tuples(st.just("clear")),
 )
@@ -105,13 +115,16 @@ class TestPagedStore:
             kind, (address, count) = operation[:2]
             in_range = 0 <= address and address + count <= _SIZE
             if kind == "write":
-                start, stride = operation[2]
+                start, stride, as_bools = operation[2]
                 values = [start + index * stride for index in range(count)]
+                if as_bools:
+                    values = [bool(value & 1) for value in values]
+                shape = operation[3]
                 if not in_range:
                     with pytest.raises(IndexError):
-                        memory.write(address, values)
+                        memory.write(address, shape(values))
                 else:
-                    memory.write(address, values)
+                    memory.write(address, shape(values))
                     for index, value in enumerate(values):
                         model[address + index] = value & 0xFFFFFFFF
                     writes += count
@@ -123,6 +136,14 @@ class TestPagedStore:
                 assert memory.read(address, count) == expected
                 reads += count
             assert (memory.reads, memory.writes) == (reads, writes)
+
+    def test_write_rejects_non_integers_before_storing(self):
+        memory = Sram("m", _SIZE)
+        memory.write(0, [1, 2])
+        for values in ([3, 4.5], [2**32, "x"], (value for value in [5, None])):
+            with pytest.raises(TypeError):
+                memory.write(0, values)
+        assert memory.read(0, 2) == [1, 2] and memory.writes == 2
 
     def test_burst_across_a_page_edge(self):
         memory = Sram("m", _SIZE)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.options import presets
 from repro.sim.fabric import build_machine
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import KERNEL_BACKENDS, Simulator
 from repro.sim.pe import MISS_GROUP, DataTouch, ProcessingElement
 
 
@@ -280,3 +280,59 @@ class TestBusAccessors:
         pe.run(program())
         machine.sim.run()
         assert pe.finished_at == 10
+
+
+@pytest.mark.parametrize("kernel", KERNEL_BACKENDS)
+class TestFinishedAt:
+    @staticmethod
+    def _pe(kernel):
+        machine = build_machine(presets.preset("GBAVIII", 4), kernel=kernel)
+        return machine, machine.pe_by_ban["A"]
+
+    def test_equals_the_return_cycle(self, kernel):
+        machine, pe = self._pe(kernel)
+        returned = []
+
+        def program():
+            yield from pe.compute(1000)
+            yield 7
+            returned.append(machine.sim.now)
+            return "done"
+
+        process = pe.run(program())
+        assert pe.finished_at is None
+        machine.sim.run()
+        assert pe.finished_at == returned[0] > 0
+        assert process.value == "done"
+
+    def test_none_when_the_program_raises(self, kernel):
+        machine, pe = self._pe(kernel)
+
+        def program():
+            yield 5
+            raise RuntimeError("boom")
+
+        process = pe.run(program())
+        machine.sim.run()
+        assert pe.finished_at is None
+        with pytest.raises(RuntimeError):
+            process.value
+
+    def test_joiner_resumes_in_the_same_cycle(self, kernel):
+        machine, pe = self._pe(kernel)
+        sim = machine.sim
+        log = []
+
+        def program():
+            yield 12
+            return 3
+
+        process = pe.run(program())
+
+        def joiner():
+            value = yield process
+            log.append((sim.now, value, pe.finished_at))
+
+        sim.process(joiner())
+        sim.run()
+        assert log == [(12, 3, 12)]

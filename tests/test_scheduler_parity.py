@@ -865,6 +865,44 @@ class TestCalendarOrder:
 
         self._check(scenario, stepped, expected)
 
+    @pytest.mark.parametrize(
+        "other_at, other_first",
+        [
+            # Nothing else in the timer's cycle: the timer resumes the
+            # poller itself, with no hop.
+            (None, False),
+            # Due before the timer in its cycle: already fired, no hop.
+            (16, True),
+            # Due after the timer in its cycle: the poller resumes after it.
+            (16, False),
+            # Due in the next cycle: not in the timer's cycle.
+            (17, False),
+        ],
+    )
+    def test_poll_timeout_around_other_entries(self, stepped, other_at, other_first):
+        def scenario(sim, log):
+            block = HandshakeRegisters(sim, "hs")
+
+            def other():
+                yield other_at
+                log.append((sim.now, "other"))
+
+            def poller():
+                value = yield block.wait_for("DONE_OP", 1, 16)
+                log.append((sim.now, value))
+
+            if other_at is not None and other_first:
+                sim.process(other())
+            sim.process(poller())
+            if other_at is not None and not other_first:
+                sim.process(other())
+
+        expected = sorted(
+            [(16, None)] + ([(other_at, "other")] if other_at is not None else []),
+            key=lambda item: (item[0], item[1] is None),
+        )
+        self._check(scenario, stepped, expected)
+
 
 class TestTable2PollTraffic:
     """Heap and compiled agree on the real DONE_OP/DONE_RV poll traffic.
