@@ -10,7 +10,7 @@ VCD file you can open in GTKWave.
 import os
 
 from repro import build_machine, presets
-from repro.sim import DmaEngine, vcd_from_machine
+from repro.sim import DmaEngine, GrantTrace, vcd_from_machine
 from repro.soc.api import SocAPI
 from repro.soc.handshake import GbaviChannel
 
@@ -44,8 +44,7 @@ def dma_demo() -> None:
 
 def waveform_demo() -> None:
     machine = build_machine(presets.preset("GBAVI", 4), trace_hsregs=True)
-    for segment in machine.segments.values():
-        segment.arbiter.trace_enabled = True
+    machine.attach_probe(GrantTrace())
     channel = GbaviChannel(SocAPI(machine, "A"), SocAPI(machine, "B"), 64)
 
     def sender():

@@ -249,7 +249,7 @@ def bench_counters(kernel: str = "compiled", packets: int = 2, rounds: int = 1) 
     zero-despecialization claims: the machine stays specialized, the
     simulated cycle count is bit-identical, and counter totals match
     :class:`~repro.sim.stats.BusStats`.  ``overhead_fraction`` is the
-    relative wall-time cost of the counter increments (gated against
+    relative wall-time cost of a counted run (gated against
     ``gates.counters_overhead_max`` outside ``--smoke``).
     """
     from ..apps.ofdm import OfdmParameters, run_ofdm

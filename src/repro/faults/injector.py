@@ -4,8 +4,8 @@
 into a built machine: every simulation model (segments, arbiters, FIFOs,
 memories, bridges, PEs) gets a reference to one shared
 :class:`FaultInjector`, and the thin hooks in ``repro.sim.*`` consult it.
-The hooks follow the observability NULL-object contract -- a model whose
-``faults`` attribute is ``None`` pays one attribute load and a branch, and
+The hooks are free when off -- a model whose ``faults`` attribute is
+``None`` pays one attribute load and a branch, and
 an installed-but-empty plan schedules no events, so the run stays
 bit-identical to an uninstrumented one (tests/test_faults.py).
 

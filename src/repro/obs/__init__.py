@@ -13,15 +13,22 @@ Three pillars (see docs/observability.md for the user-facing guide):
   every experiment case and benchmark run, with deterministic aggregation
   across parallel workers.
 
-The cost contract: observability is **free when off**.  Simulation models
-hold a reference to either ``None`` or the :data:`~repro.obs.tracer.NULL_TRACER`
-singleton; the hot paths pay one attribute load and a branch per bus
-tenure, and nothing is allocated.  Attaching an :class:`Observability`
-instance to a machine (``machine.attach_observability(obs)``) switches the
-same hooks to record spans and histogram samples.
+Every consumer reaches the fabric through one interface, :class:`Probe`:
+``machine.attach_probe(probe)`` points the ``probe`` slot of every
+arbiter, bus segment, bridge and FIFO at it.  :class:`Observability` is
+one such probe; the protocol monitors (:mod:`repro.verify.monitors`) and
+the VCD grant trace (:mod:`repro.sim.vcd`) are others.
+
+The cost contract: observability is **free when off**.  A model whose
+``probe`` slot is ``None`` fires nothing; the hot paths pay one ``is
+None`` check per hook site, and nothing is allocated.  Attaching an
+:class:`Observability` instance (``machine.attach_observability(obs)``)
+records spans and histogram samples through the same hooks.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 from .counters import COUNTER_KINDS, CounterPlane
 from .metrics import (
@@ -49,6 +56,8 @@ from .tracer import (
 )
 
 __all__ = [
+    "Probe",
+    "FanoutProbe",
     "Observability",
     "CounterPlane",
     "COUNTER_KINDS",
@@ -72,7 +81,78 @@ __all__ = [
 ]
 
 
-class Observability:
+class Probe:
+    """A fabric observer: the hooks the bus models fire, all no-ops here.
+
+    Subclasses override the hooks they need.  Probes observe only -- they
+    never yield and never touch simulation state -- so a probed run is
+    bit-identical to a bare one.
+    """
+
+    def on_request(self, arbiter, master: str) -> None:
+        """``master``'s request was queued behind the current owner."""
+
+    def on_grant(self, arbiter, master: str, waited: Optional[int]) -> None:
+        """``master`` now owns ``arbiter``; ``waited`` is the queueing delay
+        of a dispatched grant, None for an immediate one."""
+
+    def on_release(self, arbiter, master: str) -> None:
+        """``master`` releases ``arbiter`` (it still owns it here)."""
+
+    def on_cancel(self, arbiter, master: str) -> None:
+        """``master``'s queued request was withdrawn before its grant."""
+
+    def on_transfer_open(self, segment, master: str) -> None:
+        """``master`` acquired ``segment`` for one transfer."""
+
+    def on_transfer_close(self, segment, master: str) -> None:
+        """``master``'s transfer released ``segment``, on every exit path."""
+
+    def on_tenure(
+        self,
+        segment,
+        master: str,
+        start: int,
+        acquired: int,
+        end: int,
+        words: int,
+        write: bool,
+        memory_cycles: int,
+    ) -> None:
+        """One completed tenure; the cycles are those just added to the
+        segment's :class:`~repro.sim.stats.BusStats`."""
+
+    def on_bridge_cross(self, bridge, master: str) -> None:
+        """``master``'s transfer crosses ``bridge``."""
+
+    def on_fifo_push(self, fifo, count: int) -> None:
+        """``count`` words entered ``fifo``."""
+
+    def on_fifo_pop(self, fifo, count: int) -> None:
+        """``count`` words left ``fifo``."""
+
+
+class FanoutProbe(Probe):
+    """Forwards every hook to several probes, in attach order."""
+
+    def __init__(self, probes):
+        self.probes = tuple(probes)
+
+
+def _forward(hook: str):
+    def forward(self, *args) -> None:
+        for probe in self.probes:
+            getattr(probe, hook)(*args)
+
+    forward.__name__ = hook
+    return forward
+
+
+for _hook in [name for name in vars(Probe) if name.startswith("on_")]:
+    setattr(FanoutProbe, _hook, _forward(_hook))
+
+
+class Observability(Probe):
     """A tracer plus a metrics registry, attached to a machine as one unit.
 
     ``tracing=False`` keeps the metrics registry but records no spans
@@ -91,7 +171,18 @@ class Observability:
         self.registry = MetricsRegistry() if metrics else None
         self.occupancy_window = occupancy_window
 
-    def bus_transaction(
+    def on_grant(self, arbiter, master: str, waited: Optional[int]) -> None:
+        if waited is not None and self.tracer.enabled:
+            # Queued grants only -- an immediate grant waits zero cycles and
+            # already appears as the transaction span's arbitration phase.
+            self.tracer.instant(
+                arbiter.sim.now,
+                arbiter.name,
+                "grant %s" % master,
+                {"waited": waited, "still_pending": arbiter.pending_count},
+            )
+
+    def on_tenure(
         self,
         segment,
         master: str,
@@ -100,7 +191,7 @@ class Observability:
         end: int,
         words: int,
         write: bool,
-        memory_cycles: int = 0,
+        memory_cycles: int,
     ) -> None:
         """Record one completed bus tenure on ``segment``.
 
@@ -118,3 +209,15 @@ class Observability:
         if hist is not None:
             hist.observe(acquired - start)
             stats._occupancy.add(acquired, end)
+
+    def on_bridge_cross(self, bridge, master: str) -> None:
+        if self.tracer.enabled:
+            self.tracer.hop(bridge.sim.now, bridge.name)
+
+    def on_fifo_push(self, fifo, count: int) -> None:
+        if self.tracer.enabled:
+            self.tracer.fifo(fifo.sim.now, fifo.name, "push", count, fifo.count)
+
+    def on_fifo_pop(self, fifo, count: int) -> None:
+        if self.tracer.enabled:
+            self.tracer.fifo(fifo.sim.now, fifo.name, "pop", count, fifo.count)

@@ -1,117 +1,94 @@
-"""Counter plane: preallocated slot-array counters for the fabric hot path.
+"""Counter plane: per-segment tenure counters, read from :class:`BusStats`.
 
-The plane exists to answer one question the tracer and metrics registry
-cannot: *how much did each bus segment do* on the compiled backend's
-specialized fast path, **without** despecializing it.  Attaching an
-:class:`~repro.obs.Observability`, a protocol monitor or a fault injector
-forces :meth:`Machine._despecialize` because those hooks need the generic
-instrumented paths; a :class:`CounterPlane` instead is bound into the
-specialized per-pair closures themselves (those of
-:mod:`repro.sim.compiled.specializer` and the fused poll loops of
-:mod:`repro.sim.fabric` capture the slot list and the segment's base index,
-and increment only when a plane is bound), so a counted run keeps the
-specialized fast path.
+The plane answers *how much did each bus segment do* since it was
+attached, on any backend, without despecializing the compiled backend's
+fast path and without a hook on any tenure.  Every tenure already adds
+one transaction and its arbitration wait to its segment's
+:class:`~repro.sim.stats.BusStats` -- on the generic paths, in the
+specializer's closures and in the fused poll loops alike -- so the plane
+is a view of those counters: :meth:`CounterPlane.bind` records each
+segment's ``transactions`` and ``arbitration_cycles``, and every read
+reports the change since then.  A plane attached mid-run therefore counts
+only the tenures after it.
 
-Layout: one flat ``list`` of ints (``slots``), three slots per bus segment
-in name-sorted order -- transactions completed, grants observed at tenure
-end, and arbitration-wait cycles.  A segment's base index is a closure
-variable of the specialized functions and a precomputed
-``segment.counter_base`` attribute on the generic paths, so every increment
-is ``slots[i] += n`` with no dict lookup and no allocation.  The invariants
-gated by ``tests/test_counters.py``:
+Per segment, in name-sorted order:
 
-* ``transactions`` equals ``BusStats.transactions`` per segment,
-* ``wait_cycles`` equals ``BusStats.arbitration_cycles`` per segment,
-* ``grants`` equals the segment arbiter's ``grants`` in fault-free runs
-  (one grant per tenure; watchdog redelivery under fault injection can
-  legitimately re-grant, so chaos asserts cross-backend parity instead),
+* ``transactions`` -- tenures completed;
+* ``grants`` -- tenures retired, one per completed tenure; it equals the
+  segment arbiter's ``grants`` in fault-free runs (watchdog redelivery
+  under fault injection can legitimately re-grant, so chaos asserts
+  cross-backend parity instead);
+* ``wait_cycles`` -- the summed request->grant arbitration wait.
 
-on both scheduler backends, and attaching a plane never changes a
-simulation's cycle count (increments are observational only).
+Attaching a plane never changes a simulation's cycle count: it reads, it
+never writes.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 __all__ = ["COUNTER_KINDS", "CounterPlane"]
 
-#: Per-segment counter kinds, in slot order.  ``grants`` counts tenures
-#: retired (== arbiter grants in fault-free runs); ``wait_cycles`` is the
-#: summed request->grant arbitration wait.
+#: Per-segment counter kinds, in report order.
 COUNTER_KINDS: Tuple[str, ...] = ("transactions", "grants", "wait_cycles")
 
 
 class CounterPlane:
-    """A flat slot array of per-segment integer counters.
+    """Per-segment counters since :meth:`bind`, as a view of ``BusStats``.
 
-    Unbound planes hold no storage; :meth:`bind` (called by
-    ``Machine.attach_counters``) allocates ``len(COUNTER_KINDS)`` slots per
-    segment in name-sorted order and points every segment's
-    ``counters``/``counter_base`` attributes at the shared list.  A plane
-    binds to one machine at a time; re-binding to the same machine is a
-    no-op so hook attach/despecialize cycles keep accumulating into the
-    same slots.
+    Unbound planes report nothing.  A plane binds to one machine; binding
+    it to the same machine again is a no-op (it keeps counting from its
+    first bind), and binding it to another machine raises.
     """
 
-    __slots__ = ("slots", "segment_order", "_base", "_machine_name")
+    __slots__ = ("segment_order", "_machine", "_start")
 
     def __init__(self):
-        self.slots: List[int] = []
         self.segment_order: List[str] = []
-        self._base: Dict[str, int] = {}
-        self._machine_name: Optional[str] = None
+        self._machine = None
+        # segment name -> (segment, transactions, arbitration_cycles) at bind
+        self._start: Dict[str, Tuple[Any, int, int]] = {}
 
     # -- binding ---------------------------------------------------------
     def bind(self, machine) -> None:
-        """Allocate slots for ``machine`` and wire its segments to them."""
-        if self._machine_name is not None:
-            if self._machine_name != machine.name or self.segment_order != sorted(
-                machine.segments
-            ):
+        """Start counting ``machine``'s tenures from now."""
+        if self._machine is not None:
+            if self._machine is not machine:
                 raise ValueError(
                     "counter plane already bound to machine %r; build one "
-                    "plane per machine" % self._machine_name
+                    "plane per machine" % self._machine.name
                 )
-        else:
-            self._machine_name = machine.name
-            self.segment_order = sorted(machine.segments)
-            self.slots = [0] * (len(COUNTER_KINDS) * len(self.segment_order))
-            self._base = {
-                name: index * len(COUNTER_KINDS)
-                for index, name in enumerate(self.segment_order)
-            }
-        slots = self.slots
-        for name, segment in machine.segments.items():
-            segment.counters = slots
-            segment.counter_base = self._base[name]
+            return
+        self._machine = machine
+        self.segment_order = sorted(machine.segments)
+        self._start = {
+            name: (segment, segment.stats.transactions, segment.stats.arbitration_cycles)
+            for name, segment in machine.segments.items()
+        }
 
     @property
     def bound(self) -> bool:
-        return self._machine_name is not None
+        return self._machine is not None
 
     # -- lookup ----------------------------------------------------------
-    def base_of(self, segment_name: str) -> int:
-        """Slot index of ``segment_name``'s first counter."""
-        return self._base[segment_name]
-
-    def index_of(self, segment_name: str, kind: str) -> int:
-        return self._base[segment_name] + COUNTER_KINDS.index(kind)
+    def _counts(self, segment_name: str) -> Dict[str, int]:
+        segment, transactions, wait_cycles = self._start[segment_name]
+        stats = segment.stats
+        done = stats.transactions - transactions
+        return {
+            "transactions": done,
+            "grants": done,
+            "wait_cycles": stats.arbitration_cycles - wait_cycles,
+        }
 
     def value(self, segment_name: str, kind: str) -> int:
-        return self.slots[self.index_of(segment_name, kind)]
+        return self._counts(segment_name)[kind]
 
     # -- export ----------------------------------------------------------
     def totals(self) -> Dict[str, Dict[str, int]]:
         """``{segment: {kind: value}}`` in name-sorted segment order."""
-        width = len(COUNTER_KINDS)
-        return {
-            name: {
-                kind: self.slots[self._base[name] + offset]
-                for offset, kind in enumerate(COUNTER_KINDS)
-            }
-            for name in self.segment_order
-        }
+        return {name: self._counts(name) for name in self.segment_order}
 
     def as_dict(self) -> Dict[str, Any]:
         return {
@@ -122,9 +99,9 @@ class CounterPlane:
     def check_against_stats(self, machine) -> List[str]:
         """Consistency failures vs the machine's :class:`BusStats` counters.
 
-        ``transactions`` and ``wait_cycles`` must match the stats exactly on
-        every backend, specialized or not -- the cross-backend parity check
-        behind the compiled backend's zero-despecialization claim.
+        ``transactions`` and ``wait_cycles`` must equal the stats' totals
+        exactly, which holds when the plane was bound before the machine's
+        first tenure; a plane bound after traffic is flagged.
         """
         failures: List[str] = []
         for name in self.segment_order:

@@ -35,7 +35,7 @@ from .interrupt import InterruptController, InterruptLine
 from .memory import Dram, Memory, Sram, make_memory
 from .pe import DataTouch, ProcessingElement
 from .stats import BusStats, PeStats
-from .vcd import VcdWriter, vcd_from_machine
+from .vcd import GrantTrace, VcdWriter, vcd_from_machine
 
 __all__ = [
     "AllOf",
@@ -81,5 +81,6 @@ __all__ = [
     "PeStats",
     "DmaEngine",
     "VcdWriter",
+    "GrantTrace",
     "vcd_from_machine",
 ]

@@ -20,7 +20,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from ..obs.tracer import NULL_TRACER
 from .kernel import Event, Simulator
 
 __all__ = [
@@ -47,11 +46,8 @@ class Arbiter:
         "wait_cycles",
         "_pending",
         "peak_pending",
-        "tracer",
-        "trace_enabled",
-        "trace",
+        "probe",
         "faults",
-        "monitor",
     )
 
     policy_name = "abstract"
@@ -68,17 +64,11 @@ class Arbiter:
         # Deepest the request queue ever got (updated on the contended
         # path only; feeds RunReport.peak_pending_requests).
         self.peak_pending = 0
-        # Span tracer (repro.obs); NULL_TRACER keeps the grant path free.
-        self.tracer = NULL_TRACER
-        # When enabled, records (cycle, master, granted?) edges for the
-        # VCD export (repro.sim.vcd).
-        self.trace_enabled = False
-        self.trace: List[Tuple[int, str, bool]] = []
+        # Observer (repro.obs.Probe), set by Machine.attach_probe; None
+        # keeps every grant-path hook on the zero-cost branch.
+        self.probe = None
         # Fault injector (repro.faults); None keeps _dispatch hook-free.
         self.faults = None
-        # Protocol assertion monitor (repro.verify.monitors); None keeps
-        # every grant-path hook on the zero-cost branch.
-        self.monitor = None
 
     # -- master interface ------------------------------------------------
     def try_claim(self, master: str) -> bool:
@@ -93,10 +83,8 @@ class Arbiter:
             self.owner = master
             self.grants += 1
             self.busy_since = self.sim.now
-            if self.trace_enabled:
-                self.trace.append((self.sim.now, master, True))
-            if self.monitor is not None:
-                self.monitor.on_grant(self, master, queued=False)
+            if self.probe is not None:
+                self.probe.on_grant(self, master, None)
             return True
         return False
 
@@ -111,15 +99,13 @@ class Arbiter:
             self.owner = master
             self.grants += 1
             self.busy_since = self.sim.now
-            if self.trace_enabled:
-                self.trace.append((self.sim.now, master, True))
-            if self.monitor is not None:
-                self.monitor.on_grant(self, master, queued=False)
+            if self.probe is not None:
+                self.probe.on_grant(self, master, None)
             grant.succeed(master)
             return grant
         self._enqueue(master, grant, self.sim.now)
-        if self.monitor is not None:
-            self.monitor.on_request(self, master)
+        if self.probe is not None:
+            self.probe.on_request(self, master)
         self._dispatch()
         return grant
 
@@ -128,10 +114,8 @@ class Arbiter:
             raise RuntimeError(
                 "%s released by %r but owned by %r" % (self.name, master, self.owner)
             )
-        if self.trace_enabled:
-            self.trace.append((self.sim.now, master, False))
-        if self.monitor is not None:
-            self.monitor.on_release(self, master)
+        if self.probe is not None:
+            self.probe.on_release(self, master)
         self.owner = None
         if self.busy_since is not None:
             self.busy_cycles += self.sim.now - self.busy_since
@@ -155,8 +139,8 @@ class Arbiter:
         for index, (_master, pending_grant, _when) in enumerate(self._pending):
             if pending_grant is grant:
                 del self._pending[index]
-                if self.monitor is not None:
-                    self.monitor.on_cancel(self, master)
+                if self.probe is not None:
+                    self.probe.on_cancel(self, master)
                 return
 
     @property
@@ -186,22 +170,8 @@ class Arbiter:
         self.grants += 1
         self.wait_cycles += self.sim.now - requested_at
         self.busy_since = self.sim.now
-        if self.trace_enabled:
-            self.trace.append((self.sim.now, master, True))
-        if self.monitor is not None:
-            self.monitor.on_grant(self, master, queued=True)
-        if self.tracer.enabled:
-            # Queued grants only -- immediate grants carry zero wait and
-            # already appear as the transaction span's arbitration phase.
-            self.tracer.instant(
-                self.sim.now,
-                self.name,
-                "grant %s" % master,
-                {
-                    "waited": self.sim.now - requested_at,
-                    "still_pending": len(self._pending),
-                },
-            )
+        if self.probe is not None:
+            self.probe.on_grant(self, master, self.sim.now - requested_at)
         if self.faults is not None and self.faults.intercept_grant(self, master, grant):
             # Grant issued (owner/accounting above stand) but the pulse was
             # lost in flight; the fault injector's watchdog redelivers it.

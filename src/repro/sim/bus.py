@@ -20,7 +20,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Generator, List, Optional, Tuple
 
-from ..obs.tracer import NULL_TRACER
 from .arbiter import Arbiter, FCFSArbiter
 from .kernel import Simulator
 from .stats import BusStats
@@ -59,11 +58,8 @@ class BusSegment:
         "beat_cycles",
         "attached_interfaces",
         "stats",
-        "obs",
+        "probe",
         "faults",
-        "monitor",
-        "counters",
-        "counter_base",
     )
 
     def __init__(
@@ -96,19 +92,11 @@ class BusSegment:
         self.beat_cycles = beat_cycles
         self.attached_interfaces = 0
         self.stats = BusStats(name)
-        # Observability hook (repro.obs.Observability); None keeps occupy()
-        # on the zero-cost path.  Set by Machine.attach_observability.
-        self.obs = None
+        # Observer (repro.obs.Probe), set by Machine.attach_probe; None
+        # keeps occupy() on the zero-cost path.
+        self.probe = None
         # Fault injector (repro.faults); None keeps occupy() hook-free.
         self.faults = None
-        # Protocol assertion monitor (repro.verify.monitors); None keeps
-        # occupy() hook-free.  Set by repro.verify.attach_monitors.
-        self.monitor = None
-        # Counter plane (repro.obs.counters.CounterPlane): a shared flat
-        # slot list plus this segment's base index.  None keeps every
-        # tenure on the increment-free path; bound by CounterPlane.bind.
-        self.counters = None
-        self.counter_base = 0
 
     @property
     def words_per_beat(self) -> int:
@@ -140,9 +128,9 @@ class BusSegment:
             yield from faults.acquire(self, master)
         elif not self.arbiter.try_claim(master):
             yield self.arbiter.request(master)
-        monitor = self.monitor
-        if monitor is not None:
-            monitor.on_transfer_open(self, master)
+        probe = self.probe
+        if probe is not None:
+            probe.on_transfer_open(self, master)
         grant = self.write_grant_cycles if write else self.grant_cycles
         # Grant latency and data beats are one uninterrupted tenure with no
         # observable state change in between: charge them as a single kernel
@@ -153,8 +141,8 @@ class BusSegment:
             yield grant + beats + extra_cycles
         finally:
             self.arbiter.release(master)
-            if monitor is not None:
-                monitor.on_transfer_close(self, master)
+            if probe is not None:
+                probe.on_transfer_close(self, master)
         end = sim.now
         timing = TransferTiming(
             start=start,
@@ -164,17 +152,10 @@ class BusSegment:
             memory=extra_cycles,
         )
         self.stats.record(master, words, write, timing)
-        cslots = self.counters
-        if cslots is not None:
-            base = self.counter_base
-            cslots[base] += 1
-            cslots[base + 1] += 1
-            cslots[base + 2] += timing.arbitration
-        obs = self.obs
-        if obs is not None:
+        if probe is not None:
             # Span boundaries mirror the stats: arbitration runs to the
             # grant-latency boundary, tenure from there to release.
-            obs.bus_transaction(
+            probe.on_tenure(
                 self, master, start, arbitration_done, end, words, write, extra_cycles
             )
         return timing
@@ -197,9 +178,8 @@ class BusBridge:
         "hop_cycles",
         "enabled",
         "crossings",
-        "tracer",
+        "probe",
         "faults",
-        "monitor",
     )
 
     def __init__(
@@ -218,12 +198,10 @@ class BusBridge:
         self.hop_cycles = hop_cycles
         self.enabled = enabled
         self.crossings = 0
-        self.tracer = NULL_TRACER
+        # Observer (repro.obs.Probe), set by Machine.attach_probe.
+        self.probe = None
         # Fault injector (repro.faults); None keeps cross() hook-free.
         self.faults = None
-        # Protocol assertion monitor (repro.verify.monitors); None keeps
-        # cross() hook-free.
-        self.monitor = None
 
     def other_side(self, segment: BusSegment) -> BusSegment:
         if segment is self.side_a:
@@ -237,19 +215,20 @@ class BusBridge:
     def connects(self, seg1: BusSegment, seg2: BusSegment) -> bool:
         return {seg1, seg2} == {self.side_a, self.side_b}
 
-    def cross(self) -> Generator:
-        """Charge the hop; raises if the bridge is disabled."""
+    def cross(self, master: str) -> int:
+        """Count one crossing by ``master`` and return the hop's cycles.
+
+        Raises if the bridge is disabled.  The caller holds the segments
+        on both sides and charges the returned cycles with its data beats.
+        """
         if not self.enabled:
             raise RuntimeError("bus bridge %r is disabled" % self.name)
         self.crossings += 1
-        if self.tracer.enabled:
-            self.tracer.hop(self.sim.now, self.name)
-        if self.monitor is not None:
-            self.monitor.on_bridge_cross(self, None)
-        extra = 0
+        if self.probe is not None:
+            self.probe.on_bridge_cross(self, master)
         if self.faults is not None:
-            extra = self.faults.bridge_delay(self.name)
-        yield self.hop_cycles + extra
+            return self.hop_cycles + self.faults.bridge_delay(self.name)
+        return self.hop_cycles
 
 
 def find_route(

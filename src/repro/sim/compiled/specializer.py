@@ -15,10 +15,12 @@ a closure binding everything the generic path re-derives per transfer:
   ``_dispatch``, so every policy is eligible;
 * the transfer timing -- grant cycles, words per beat, beat cycles, read
   when the pair is bound (after the builder's bus-loading finalization)
-  -- and the device's latency/read/write callables;
-* the counter plane's slot list and base index (:mod:`repro.obs.counters`),
-  so a counted run keeps the fast path; the increments run only when a
-  plane is bound.
+  -- and the device's latency/read/write callables.
+
+Each closure updates the segment's :class:`~repro.sim.stats.BusStats` as
+the generic path does and nothing else: the counter plane
+(:mod:`repro.obs.counters`) reads those stats, so a counted run keeps the
+fast path with no counter code in it.
 
 A pair is bound on its first transaction and cached, ineligible pairs too
 (as None): a run builds only the pairs it uses, and a machine a hook
@@ -27,8 +29,9 @@ routes, post-build DMA masters, FIFO devices) take the generic bound
 methods.  The closures do exactly what the generic path does, so every
 simulated cycle and statistic is bit-identical to it.
 
-Specialization requires every observability, fault-injection and protocol
--monitor hook to be off; attaching any of them calls
+Specialization requires both hook slots to be empty: a segment is served
+only while it and its arbiter have no ``probe`` and no ``faults``.
+:meth:`Machine.attach_probe` and fault injection call
 :meth:`Machine._despecialize`, which removes the instance attributes (and
 with them every bound pair) and restores the generic path.
 
@@ -51,7 +54,6 @@ from typing import Callable, Dict
 from ..arbiter import note_hook
 from ..fabric import _HS_REGISTERS, _hsregs_poll, _memory_poll, _poll_dispatch
 from ..pe import MISS_GROUP
-from ...obs.tracer import NULL_TRACER
 
 __all__ = ["specialize_machine", "eligible_pairs"]
 
@@ -76,13 +78,10 @@ def _clean_segment(machine, pe, device):
             return None
     arbiter = segment.arbiter
     if (
-        arbiter.tracer is NULL_TRACER
-        and not arbiter.trace_enabled
-        and arbiter.faults is None
-        and arbiter.monitor is None
-        and segment.obs is None
+        segment.probe is None
         and segment.faults is None
-        and segment.monitor is None
+        and arbiter.probe is None
+        and arbiter.faults is None
     ):
         return segment
     return None
@@ -114,8 +113,6 @@ def _memory_transaction(machine, pe, segment, device):
     per_master = stats.per_master
     request = arbiter.request
     note = note_hook(arbiter)
-    cslots = segment.counters
-    base = segment.counter_base
     access_latency = memory.access_latency
     read = memory.read
     store = memory.write
@@ -159,10 +156,6 @@ def _memory_transaction(machine, pe, segment, device):
             stats.arbitration_cycles += acquired - entry
             stats.memory_cycles += latency
             per_master[master] = per_master.get(master, 0) + 1
-            if cslots is not None:
-                cslots[base] += 1
-                cslots[base + 1] += 1
-                cslots[base + 2] += acquired - entry
         if write:
             store(address, data if data is not None else [0] * words)
             return None
@@ -181,8 +174,6 @@ def _hsregs_transaction(machine, pe, segment, device):
     per_master = stats.per_master
     request = arbiter.request
     note = note_hook(arbiter)
-    cslots = segment.counters
-    base = segment.counter_base
     reg_read = registers.read
     reg_write = registers.write
     r_grant = segment.grant_cycles
@@ -219,10 +210,6 @@ def _hsregs_transaction(machine, pe, segment, device):
             stats.busy_cycles += end - entry
             stats.arbitration_cycles += acquired - entry
             per_master[master] = per_master.get(master, 0) + 1
-            if cslots is not None:
-                cslots[base] += 1
-                cslots[base + 1] += 1
-                cslots[base + 2] += acquired - entry
         register = _HS_REGISTERS[address]
         if write:
             reg_write(register, (data or [0])[0])
@@ -242,8 +229,6 @@ def _miss_traffic(machine, pe, segment, device):
     per_master = stats.per_master
     request = arbiter.request
     note = note_hook(arbiter)
-    cslots = segment.counters
-    base = segment.counter_base
     access_latency = memory.access_latency
     r_grant = segment.grant_cycles
     w_grant = segment.write_grant_cycles
@@ -291,10 +276,6 @@ def _miss_traffic(machine, pe, segment, device):
                 stats.arbitration_cycles += acquired - entry
                 stats.memory_cycles += memory_cycles
                 per_master[master] = per_master.get(master, 0) + 1
-                if cslots is not None:
-                    cslots[base] += 1
-                    cslots[base + 1] += 1
-                    cslots[base + 2] += acquired - entry
             if write:
                 memory.writes += words
             else:
@@ -346,11 +327,7 @@ def specialize_machine(machine) -> bool:
     hook is attached or nothing is eligible; safe to call twice.  Pairs are
     bound on first use (see the module docstring).
     """
-    if (
-        machine._obs is not None
-        or machine._faults is not None
-        or machine._monitor is not None
-    ):
+    if machine._probes or machine._faults is not None:
         return False
     if machine._specialized:
         return True

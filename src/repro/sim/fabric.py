@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from typing import Dict, Generator, List, Optional, Set, Tuple
 
+from ..obs import FanoutProbe
 from ..options.schema import BusSystemSpec, BusSubsystemSpec, OptionError
 from .arbiter import make_arbiter, note_hook
 from .bus import BusBridge, BusSegment, TransferTiming, find_route
@@ -145,19 +146,17 @@ class Machine:
         # revalidated against the enable mask on every lookup.
         self._plan_cache: Dict[Tuple[str, str], Tuple[Tuple[bool, ...], _PreparedPlan]] = {}
         self.bus_clock_hz = 100_000_000  # SYSCLK cap of the MPC755 (sec. VI.B)
-        # Observability layer (repro.obs.Observability); None means every
-        # hook below stays on the zero-cost path.
+        # Observers (repro.obs.Probe) in attach order; see attach_probe.
+        self._probes: List = []
+        # Observability layer (repro.obs.Observability), one of the probes;
+        # the fault injector marks its fault spans on its tracer.
         self._obs = None
         # Fault injector (repro.faults.FaultInjector); None keeps the
         # transaction path free of retry/recovery logic.  Set by
         # repro.faults.install_faults.
         self._faults = None
-        # Protocol assertion monitor (repro.verify.monitors); None keeps
-        # _occupy_path hook-free.  Set by repro.verify.attach_monitors.
-        self._monitor = None
-        # Counter plane (repro.obs.counters.CounterPlane); unlike the three
-        # hooks above it does NOT force despecialization -- the compiled
-        # backend's per-pair closures bind the slot list.
+        # Counter plane (repro.obs.counters.CounterPlane): a view of the
+        # segments' BusStats, so it hooks nothing and keeps specialization.
         self._counters = None
         # Compiled-backend fabric specialization (repro.sim.compiled): when
         # set, ``transaction``/``miss_traffic``/``poll`` are shadowed by a
@@ -171,44 +170,60 @@ class Machine:
     def obs(self):
         return self._obs
 
-    def attach_observability(self, obs) -> None:
-        """Wire an :class:`repro.obs.Observability` into every model.
+    def attach_probe(self, probe) -> None:
+        """Make ``probe`` (a :class:`repro.obs.Probe`) observe every model.
 
-        Segments route completed tenures through ``obs.bus_transaction``
-        (spans + arbitration-wait histograms + occupancy series), bridges
-        and FIFOs record onto its tracer, arbiters mark queued grants, and
-        the kernel tracks peak event-queue depth.  Attaching never changes
-        simulation behaviour -- a traced run is bit-identical to an
+        The one setter of the ``probe`` slots: every segment, arbiter,
+        bridge and FIFO gets the probe, or a :class:`repro.obs.FanoutProbe`
+        over all attached probes once there are several.  A probed machine
+        runs the generic fabric paths, so the compiled backend's
+        specialized dispatch is dropped first.  Attaching a probe that is
+        already attached is a no-op.
+        """
+        if any(attached is probe for attached in self._probes):
+            return
+        self._despecialize()
+        self._probes.append(probe)
+        if len(self._probes) > 1:
+            probe = FanoutProbe(self._probes)
+        for segment in self.segments.values():
+            segment.probe = probe
+            segment.arbiter.probe = probe
+        for bridge in self.bridges:
+            bridge.probe = probe
+        for block in self.fifo_blocks.values():
+            block.up.probe = probe
+            block.down.probe = probe
+
+    def attach_observability(self, obs) -> None:
+        """Attach an :class:`repro.obs.Observability` as a probe.
+
+        Its hooks record tenure spans, arbitration-wait histograms and
+        occupancy series, bridge hops, FIFO fill levels and queued grants;
+        the kernel also tracks peak event-queue depth.  Attaching never
+        changes simulation behaviour -- a traced run is bit-identical to an
         untraced one, just observable.
         """
-        self._despecialize()
         self._obs = obs
         self.sim.monitor_depth = True
         registry = obs.registry
-        for name, segment in self.segments.items():
-            segment.obs = obs
-            segment.arbiter.tracer = obs.tracer
-            if registry is not None:
+        if registry is not None:
+            for name, segment in self.segments.items():
                 segment.stats.attach_detail(
                     registry.histogram("bus.%s.arb_wait_cycles" % name),
                     registry.time_series(
                         "bus.%s.occupancy" % name, obs.occupancy_window
                     ),
                 )
-        for bridge in self.bridges:
-            bridge.tracer = obs.tracer
-        for block in self.fifo_blocks.values():
-            block.up.tracer = obs.tracer
-            block.down.tracer = obs.tracer
+        self.attach_probe(obs)
 
     def attach_monitors(self, fail_fast: bool = True):
         """Attach runtime protocol assertion monitors to every bus model.
 
         Convenience wrapper around :func:`repro.verify.attach_monitors`;
-        returns the :class:`repro.verify.ProtocolMonitor`.  Monitors are
-        observational only -- a monitored run is bit-identical to an
-        unmonitored one (the free-when-off contract shared with ``obs``
-        and ``faults``).
+        returns the :class:`repro.verify.ProtocolMonitor`, attached as a
+        probe.  Monitors are observational only -- a monitored run is
+        bit-identical to an unmonitored one.
         """
         from ..verify.monitors import attach_monitors
 
@@ -219,33 +234,24 @@ class Machine:
         return self._counters
 
     def attach_counters(self, plane=None):
-        """Bind a :class:`repro.obs.counters.CounterPlane` to every segment.
+        """Bind a :class:`repro.obs.counters.CounterPlane`; returns it.
 
-        Counters are the one observability surface that keeps the compiled
-        backend's specialized fast path: on an already-specialized machine
-        the bound pairs are dropped and rebound on their next use, now
-        with the slot list (never despecialized).  On the generic paths
-        each tenure pays one ``None`` check, exactly like the ``obs`` hook.
-        Returns the bound plane.
+        The plane reads the segments' :class:`BusStats`, so it hooks no
+        model and the compiled backend stays specialized.
         """
         from ..obs.counters import CounterPlane
 
         if plane is None:
             plane = CounterPlane()
-        self._counters = plane
         plane.bind(self)
-        if self._specialized:
-            self._despecialize()
-            from .compiled.specializer import specialize_machine
-
-            specialize_machine(self)
+        self._counters = plane
         return plane
 
     def _despecialize(self) -> None:
         """Remove compiled-backend specialized dispatch, if installed.
 
-        Every hook attach point (observability, protocol monitors, fault
-        injection) calls this first: a hooked machine must run the generic
+        Both hook attach points (:meth:`attach_probe` and fault injection)
+        call this first: a hooked machine must run the generic
         instrumented ``transaction``/``miss_traffic``/``poll`` paths.  The
         specialized dispatch and its bound pairs live in instance
         attributes, so dropping them restores the class methods; a later
@@ -315,11 +321,7 @@ class Machine:
         count = len(self.pe_order)
         if count == 1:
             return None, None
-        predecessor = self.pe_order[(index - 1) % count]
-        successor = self.pe_order[(index + 1) % count]
-        if count == 2 and predecessor == successor:
-            return predecessor, successor
-        return predecessor, successor
+        return self.pe_order[(index - 1) % count], self.pe_order[(index + 1) % count]
 
     def fifo_for(self, sender_ban: str, receiver_ban: str) -> Tuple[Device, HardwareFifo]:
         """The FIFO carrying sender->receiver data (adjacent BANs only)."""
@@ -435,7 +437,7 @@ class Machine:
     def _occupy_path(
         self,
         pe: ProcessingElement,
-        plan: List[Tuple[BusSegment, Optional[BusBridge]]],
+        plan: _PreparedPlan,
         words: int,
         write: bool,
         device_latency: int,
@@ -454,8 +456,6 @@ class Machine:
         ``items`` charges arbitration and device latency per item (used for
         grouped cache-miss bursts: each miss re-arbitrates).
         """
-        if type(plan) is list:  # direct callers/tests pass a raw route plan
-            plan = _PreparedPlan(plan)
         sim = self.sim
         master = pe.name
         memory_cycles = device_latency * items
@@ -465,16 +465,15 @@ class Machine:
             # on every topology -- bridged routes only occur for GBAVI
             # neighbour and SplitBA cross-subsystem traffic).
             entry = sim.now
-            held = False
             faults = self._faults
             if faults is not None and segment.name in faults.guarded_segments:
                 yield from faults.acquire(segment, master)
             elif not segment.arbiter.try_claim(master):
                 yield segment.arbiter.request(master)
             acquired = sim.now
-            monitor = segment.monitor
-            if monitor is not None:
-                monitor.on_transfer_open(segment, master)
+            probe = segment.probe
+            if probe is not None:
+                probe.on_transfer_open(segment, master)
             grant = segment.write_grant_cycles if write else segment.grant_cycles
             words_per_beat = segment.words_per_beat
             beats = (
@@ -486,40 +485,31 @@ class Machine:
                 # Grant latency and the data beats are one uninterrupted
                 # tenure with no observable state change in between, so they
                 # are charged as a single kernel event.
-                held = True
                 yield grant * items + beats + memory_cycles
             finally:
-                if held:
-                    end = sim.now
-                    segment.arbiter.release(master)
-                    if monitor is not None:
-                        monitor.on_transfer_close(segment, master)
-                    # Inlined BusStats.record (hot path: one call per bus
-                    # tenure) without materializing a TransferTiming.
-                    stats = segment.stats
-                    stats.transactions += 1
-                    if write:
-                        stats.write_transactions += 1
-                    else:
-                        stats.read_transactions += 1
-                    stats.words_moved += words
-                    stats.busy_cycles += end - entry
-                    stats.arbitration_cycles += acquired - entry
-                    stats.memory_cycles += memory_cycles
-                    per_master = stats.per_master
-                    per_master[master] = per_master.get(master, 0) + 1
-                    cslots = segment.counters
-                    if cslots is not None:
-                        base = segment.counter_base
-                        cslots[base] += 1
-                        cslots[base + 1] += 1
-                        cslots[base + 2] += acquired - entry
-                    obs = self._obs
-                    if obs is not None:
-                        obs.bus_transaction(
-                            segment, master, entry, acquired, end,
-                            words, write, memory_cycles,
-                        )
+                end = sim.now
+                segment.arbiter.release(master)
+                if probe is not None:
+                    probe.on_transfer_close(segment, master)
+                # Inlined BusStats.record (hot path: one call per bus
+                # tenure) without materializing a TransferTiming.
+                stats = segment.stats
+                stats.transactions += 1
+                if write:
+                    stats.write_transactions += 1
+                else:
+                    stats.read_transactions += 1
+                stats.words_moved += words
+                stats.busy_cycles += end - entry
+                stats.arbitration_cycles += acquired - entry
+                stats.memory_cycles += memory_cycles
+                per_master = stats.per_master
+                per_master[master] = per_master.get(master, 0) + 1
+                if probe is not None:
+                    probe.on_tenure(
+                        segment, master, entry, acquired, end,
+                        words, write, memory_cycles,
+                    )
             return
         held_segments: List[BusSegment] = []
         entry = sim.now
@@ -539,32 +529,20 @@ class Machine:
                 grant = segment.write_grant_cycles if write else segment.grant_cycles
                 yield grant * items
                 held_segments.append(segment)
-                if segment.monitor is not None:
-                    segment.monitor.on_transfer_open(segment, master)
+                if segment.probe is not None:
+                    segment.probe.on_transfer_open(segment, master)
             words_per_beat = plan.words_per_beat
             beats = (max(words, 1) + words_per_beat - 1) // words_per_beat * plan.beat_cycles
             hops = 0
             for bridge in plan.bridges:
-                if not bridge.enabled:
-                    raise RuntimeError("bus bridge %r is disabled" % bridge.name)
-                bridge.crossings += 1
-                if bridge.tracer.enabled:
-                    bridge.tracer.hop(sim.now, bridge.name)
-                if bridge.monitor is not None:
-                    # Forwarding conservation: the crossing master must hold
-                    # the grant on both attached segments while data moves.
-                    bridge.monitor.on_bridge_cross(bridge, master)
-                hops += bridge.hop_cycles
-                if bridge.faults is not None:
-                    hops += bridge.faults.bridge_delay(bridge.name)
+                hops += bridge.cross(master)
             yield beats + hops + memory_cycles
         finally:
             end = sim.now
-            obs = self._obs
             for segment in reversed(held_segments):
                 segment.arbiter.release(master)
-                if segment.monitor is not None:
-                    segment.monitor.on_transfer_close(segment, master)
+                if segment.probe is not None:
+                    segment.probe.on_transfer_close(segment, master)
             for index, segment in enumerate(held_segments):
                 timing = TransferTiming(
                     start=entry,
@@ -574,14 +552,8 @@ class Machine:
                     memory=memory_cycles,
                 )
                 segment.stats.record(master, words, write, timing)
-                cslots = segment.counters
-                if cslots is not None:
-                    base = segment.counter_base
-                    cslots[base] += 1
-                    cslots[base + 1] += 1
-                    cslots[base + 2] += acquired_at[index] - entry
-                if obs is not None:
-                    obs.bus_transaction(
+                if segment.probe is not None:
+                    segment.probe.on_tenure(
                         segment, master, entry, acquired_at[index], end,
                         words, write, memory_cycles,
                     )
@@ -903,8 +875,6 @@ def _hsregs_poll(machine, pe, segment, device):
     per_master = stats.per_master
     request = arbiter.request
     note = note_hook(arbiter)
-    cslots = segment.counters
-    base = segment.counter_base
     # One word: the read grant and one beat.
     tenure = segment.grant_cycles + segment.beat_cycles
     # The registers' values; the name is checked once per wait.
@@ -953,10 +923,6 @@ def _hsregs_poll(machine, pe, segment, device):
                 stats.busy_cycles += end - entry
                 stats.arbitration_cycles += acquired - entry
                 per_master[master] = per_master.get(master, 0) + 1
-                if cslots is not None:
-                    cslots[base] += 1
-                    cslots[base + 1] += 1
-                    cslots[base + 2] += acquired - entry
             pe_stats.handshake_polls += 1
             if register_values[key] == value:
                 return
@@ -982,8 +948,6 @@ def _memory_poll(machine, pe, segment, device):
     per_master = stats.per_master
     request = arbiter.request
     note = note_hook(arbiter)
-    cslots = segment.counters
-    base = segment.counter_base
     # One word: the read grant and one beat, plus the memory's latency.
     tenure = segment.grant_cycles + segment.beat_cycles
     access_latency = memory.access_latency
@@ -1035,10 +999,6 @@ def _memory_poll(machine, pe, segment, device):
                 stats.arbitration_cycles += acquired - entry
                 stats.memory_cycles += latency
                 per_master[master] = per_master.get(master, 0) + 1
-                if cslots is not None:
-                    cslots[base] += 1
-                    cslots[base + 1] += 1
-                    cslots[base + 2] += acquired - entry
             observed = read(slot, 1)[0]
             pe_stats.bus_cycles += end - entry
             pe_stats.words_read += 1
@@ -1145,12 +1105,8 @@ class MachineBuilder:
         return self
 
     def with_counters(self, plane=None) -> "MachineBuilder":
-        """Bind a counter plane (:class:`repro.obs.counters.CounterPlane`).
-
-        Unlike the hooks above, counters never cost the compiled backend
-        its specialization: they attach *before* specialization runs, so
-        the per-pair closures bind the slot list.
-        """
+        """Bind a counter plane (:class:`repro.obs.counters.CounterPlane`);
+        it reads the segments' stats, so the machine stays specialized."""
         self._counters = plane
         self._want_counters = True
         return self
@@ -1176,8 +1132,6 @@ class MachineBuilder:
 
             install_faults(machine, self._fault_plan, self._fault_policy)
         if self._want_counters:
-            # Before specialization on purpose: the fast path's closures
-            # then bind the plane's slots.
             machine.attach_counters(self._counters)
         if self._specialize and sim.kernel_name == "compiled":
             from .compiled.specializer import specialize_machine

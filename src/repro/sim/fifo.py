@@ -16,7 +16,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, List, Optional
 
-from ..obs.tracer import NULL_TRACER
 from .kernel import Event, Simulator
 
 __all__ = ["FifoFullError", "FifoEmptyError", "HardwareFifo", "BiFifo"]
@@ -52,9 +51,8 @@ class HardwareFifo:
         "pops",
         "peak_fill",
         "interrupts_raised",
-        "tracer",
+        "probe",
         "faults",
-        "monitor",
         "_space_waiters",
         "_data_waiters",
     )
@@ -73,12 +71,11 @@ class HardwareFifo:
         self.pops = 0
         self.peak_fill = 0
         self.interrupts_raised = 0
-        self.tracer = NULL_TRACER
+        # Observer (repro.obs.Probe), set by Machine.attach_probe; None
+        # keeps push()/pop() hook-free.
+        self.probe = None
         # Fault injector (repro.faults); None keeps push() hook-free.
         self.faults = None
-        # Protocol assertion monitor (repro.verify.monitors); None keeps
-        # push()/pop() hook-free.
-        self.monitor = None
         self._space_waiters: List[Event] = []
         self._data_waiters: List[Event] = []
 
@@ -128,10 +125,8 @@ class HardwareFifo:
         fill = len(self._data)
         if fill > self.peak_fill:
             self.peak_fill = fill
-        if self.tracer.enabled:
-            self.tracer.fifo(self.sim.now, self.name, "push", len(values), fill)
-        if self.monitor is not None:
-            self.monitor.on_fifo_push(self, len(values))
+        if self.probe is not None:
+            self.probe.on_fifo_push(self, len(values))
         self._check_threshold()
         self._wake(self._data_waiters)
 
@@ -143,10 +138,8 @@ class HardwareFifo:
             )
         out = [self._data.popleft() for _ in range(count)]
         self.pops += count
-        if self.tracer.enabled:
-            self.tracer.fifo(self.sim.now, self.name, "pop", count, len(self._data))
-        if self.monitor is not None:
-            self.monitor.on_fifo_pop(self, count)
+        if self.probe is not None:
+            self.probe.on_fifo_pop(self, count)
         if self.threshold and len(self._data) < self.threshold:
             self._armed = True
         self._wake(self._space_waiters)

@@ -485,9 +485,8 @@ class Simulator:
         self._timeout_pool: List[_PooledTimeout] = []
         # Events processed by this simulator (one per heap pop that fired).
         self.events_processed = 0
-        # Observability (repro.obs): when monitor_depth is True, run() takes
-        # the monitored loop and tracks the deepest the pending-event heap
-        # ever got.  Off by default so the fast loop stays branch-free.
+        # Observability (repro.obs): when monitor_depth is True, run() and
+        # step() track the deepest the pending-event heap ever got.
         self.monitor_depth = False
         self.peak_queue_depth = 0
 
@@ -597,71 +596,21 @@ class Simulator:
         before any work; ``until == now`` is a no-op.
         """
         stop_event, deadline = self._split_until(until)
-        if self.monitor_depth:
-            return self._run_monitored(stop_event, deadline, limit)
-
         # Hot loop: everything bound locally, heap pop inlined (step() is
         # kept as the single-step public API but not called from here).
+        # With monitor_depth on, each pop first records the queue depth.
         queue = self._queue
         pool = self._timeout_pool
         pop = heappop
         pooled_type = _PooledTimeout
-        steps = 0
-        try:
-            while queue:
-                if stop_event is not None and stop_event._fired:
-                    return stop_event.value
-                when = queue[0][0]
-                if deadline is not None and when >= deadline:
-                    self.now = deadline
-                    return None
-                event = pop(queue)[2]
-                self.now = when
-                event._fire()
-                if type(event) is pooled_type:
-                    pool.append(event)
-                steps += 1
-                if steps > limit:
-                    raise SimulationError("event limit exceeded (livelock?)")
-            if stop_event is not None:
-                if stop_event._fired:
-                    return stop_event.value
-                raise SimulationError(
-                    "simulation ran to quiescence before the awaited event fired"
-                )
-            if deadline is not None:
-                self.now = deadline
-            return None
-        finally:
-            self.events_processed += steps
-            global _TOTAL_EVENTS
-            _TOTAL_EVENTS += steps
-
-    def _run_monitored(
-        self,
-        stop_event: Optional[Event],
-        deadline: Optional[int],
-        limit: int,
-    ) -> Any:
-        """run()'s loop plus peak-queue-depth tracking.
-
-        A verbatim copy of the hot loop with one added comparison per pop;
-        kept separate (rather than branching inside run()) so the default
-        path pays nothing for observability.  Firing order, deadline
-        semantics and event counting are identical -- a monitored run is
-        bit-identical to an unmonitored one.
-        """
-        queue = self._queue
-        pool = self._timeout_pool
-        pop = heappop
-        pooled_type = _PooledTimeout
+        monitor_depth = self.monitor_depth
         peak = self.peak_queue_depth
         steps = 0
         try:
             while queue:
                 if stop_event is not None and stop_event._fired:
                     return stop_event.value
-                if len(queue) > peak:
+                if monitor_depth and len(queue) > peak:
                     peak = len(queue)
                 when = queue[0][0]
                 if deadline is not None and when >= deadline:
@@ -685,8 +634,7 @@ class Simulator:
                 self.now = deadline
             return None
         finally:
-            if peak > self.peak_queue_depth:
-                self.peak_queue_depth = peak
+            self.peak_queue_depth = peak
             self.events_processed += steps
             global _TOTAL_EVENTS
             _TOTAL_EVENTS += steps

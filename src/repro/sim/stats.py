@@ -37,7 +37,7 @@ class BusStats:
         self.arbitration_cycles = 0
         self.memory_cycles = 0
         self.per_master: Dict[str, int] = {}
-        # Detail metrics, populated only through Observability.bus_transaction
+        # Detail metrics, populated only through Observability.on_tenure
         # (never by record(): the hot path in fabric._occupy_path bypasses
         # record() and must stay in lockstep with the non-inlined path).
         self._arb_hist: Optional["Histogram"] = None

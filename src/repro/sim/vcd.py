@@ -7,13 +7,13 @@ can be inspected in any waveform viewer (GTKWave etc.):
 
 * every handshake register block traced with ``trace_hsregs=True``
   contributes its DONE_OP/DONE_RV bits;
-* every arbiter with ``trace_enabled`` contributes a per-master grant bit.
+* with a :class:`GrantTrace` probe attached, every arbiter contributes a
+  per-master grant bit.
 
 Usage::
 
     machine = build_machine(spec, trace_hsregs=True)
-    for segment in machine.segments.values():
-        segment.arbiter.trace_enabled = True
+    machine.attach_probe(GrantTrace())
     ... run ...
     open("run.vcd", "w").write(vcd_from_machine(machine))
 """
@@ -22,7 +22,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-__all__ = ["VcdWriter", "vcd_from_machine"]
+from ..obs import Probe
+
+__all__ = ["GrantTrace", "VcdWriter", "vcd_from_machine"]
 
 _ID_CHARS = "".join(chr(c) for c in range(33, 127))
 
@@ -36,6 +38,19 @@ def _identifier(index: int) -> str:
         index, digit = divmod(index, len(_ID_CHARS))
         out = _ID_CHARS[digit] + out
     return out
+
+
+class GrantTrace(Probe):
+    """Grant edges per arbiter: ``(cycle, master, granted?)`` in order."""
+
+    def __init__(self):
+        self.edges: Dict[object, List[Tuple[int, str, bool]]] = {}
+
+    def on_grant(self, arbiter, master: str, waited: Optional[int]) -> None:
+        self.edges.setdefault(arbiter, []).append((arbiter.sim.now, master, True))
+
+    def on_release(self, arbiter, master: str) -> None:
+        self.edges.setdefault(arbiter, []).append((arbiter.sim.now, master, False))
 
 
 class VcdWriter:
@@ -120,7 +135,10 @@ class VcdWriter:
 
 
 def vcd_from_machine(machine) -> str:
-    """Render a machine's collected traces (handshake regs, grants) as VCD."""
+    """Render a machine's collected traces (handshake regs, grants) as VCD.
+
+    Grant bits come from the machine's :class:`GrantTrace` probe, if any.
+    """
     writer = VcdWriter()
     for ban, block in sorted(machine.hs_blocks.items()):
         if not block.trace_enabled:
@@ -135,14 +153,12 @@ def vcd_from_machine(machine) -> str:
         writer.change(0, ids["DONE_RV"], 0)
         for time, register, value in block.trace:
             writer.change(time, ids[register], value)
+    grants = next((p for p in machine._probes if isinstance(p, GrantTrace)), None)
+    edges = grants.edges if grants is not None else {}
     for name, segment in sorted(machine.segments.items()):
-        arbiter = segment.arbiter
-        trace = getattr(arbiter, "trace", None)
-        if not getattr(arbiter, "trace_enabled", False) or trace is None:
-            continue
         scope = "arb_%s" % name.lower()
         master_ids: Dict[str, str] = {}
-        for time, master, granted in trace:
+        for time, master, granted in edges.get(segment.arbiter, ()):
             if master not in master_ids:
                 master_ids[master] = writer.add_signal(scope, "gnt_%s" % master.lower())
                 writer.change(0, master_ids[master], 0)

@@ -7,8 +7,8 @@ simulator (:mod:`repro.sim`) together:
   abstract both elaborations of a spec into a :class:`FabricGraph`;
   :func:`compare_graphs` reports every structural divergence as a typed
   :class:`Finding`;
-* **runtime** -- :class:`ProtocolMonitor` attaches to arbiters, segments,
-  FIFOs and bridges through the free-when-off NULL-object contract and
+* **runtime** -- :class:`ProtocolMonitor` probes arbiters, segments,
+  FIFOs and bridges (a :class:`repro.obs.Probe`, free when off) and
   asserts the bus-protocol invariants (grant one-hot, REQ-until-GNT, FIFO
   conservation/bounds, bridge forwarding conservation, transaction
   retirement) while the workload runs.

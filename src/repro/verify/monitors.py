@@ -17,11 +17,11 @@ formal-specification literature distills essentially the same list):
   closed (bus released) by end of run; withdrawals via the fault layer's
   ``Arbiter.cancel`` are accounted, not lost.
 
-Monitors attach through the same NULL-object contract as the tracer and
-the fault injector: every model carries a ``monitor`` slot defaulting to
-``None``, so an unmonitored run never pays for the hooks and stays
-bit-identical to seed.  Monitors only *observe* -- they never yield, never
-touch simulation state -- so a monitored run is also bit-identical.
+A :class:`ProtocolMonitor` is a :class:`repro.obs.Probe`:
+:func:`attach_monitors` seeds its shadow state and attaches it with
+``Machine.attach_probe``, so an unmonitored run never pays for the hooks.
+Monitors only *observe* -- they never yield, never touch simulation
+state -- so a monitored run is bit-identical to an unmonitored one.
 
 With ``fail_fast=True`` (the default) a violation raises
 :class:`ProtocolViolationError` carrying the offending cycle; with
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from ..obs import Probe
 from .findings import Finding
 
 __all__ = ["ProtocolViolationError", "ProtocolMonitor", "attach_monitors"]
@@ -47,8 +48,8 @@ class ProtocolViolationError(AssertionError):
         self.finding = finding
 
 
-class ProtocolMonitor:
-    """Free-when-off assertion checker attached to arbiters/segments/FIFOs.
+class ProtocolMonitor(Probe):
+    """Assertion checker probing arbiters, segments, bridges and FIFOs.
 
     The monitor keeps its *own* shadow of the arbitration state (owner per
     arbiter, pending request counts, FIFO fill), so a model whose internal
@@ -74,22 +75,18 @@ class ProtocolMonitor:
         self.transfers_opened = 0
         self.transfers_closed = 0
 
-    # -- attachment ------------------------------------------------------
+    # -- shadow state ----------------------------------------------------
+    # Seeded from the hardware when the monitor attaches, so a monitor
+    # attached mid-run starts from the models' current state.  The hooks
+    # reach the monitor through the models' ``probe`` slots.
     def watch_arbiter(self, arbiter) -> None:
-        arbiter.monitor = self
         self._owner[arbiter] = arbiter.owner
         self._pending.setdefault(arbiter, {})
 
-    def watch_segment(self, segment) -> None:
-        segment.monitor = self
-        self.watch_arbiter(segment.arbiter)
-
     def watch_fifo(self, fifo) -> None:
-        fifo.monitor = self
         self._fifo_fill[fifo] = fifo.count
 
     def watch_bridge(self, bridge) -> None:
-        bridge.monitor = self
         self._bridge_base[bridge] = bridge.crossings
         self._bridge_seen[bridge] = 0
 
@@ -106,7 +103,7 @@ class ProtocolMonitor:
         pending = self._pending.setdefault(arbiter, {})
         pending[master] = pending.get(master, 0) + 1
 
-    def on_grant(self, arbiter, master: str, queued: bool) -> None:
+    def on_grant(self, arbiter, master: str, waited: Optional[int]) -> None:
         cycle = arbiter.sim.now
         owner = self._owner.get(arbiter)
         if owner is not None:
@@ -121,7 +118,7 @@ class ProtocolMonitor:
         self.grants_observed += 1
         pending = self._pending.setdefault(arbiter, {})
         held = pending.get(master, 0)
-        if queued:
+        if waited is not None:
             # A dispatched grant must answer a REQ that was asserted and
             # held; granting a master with no outstanding request means a
             # request was dropped or fabricated somewhere.
@@ -245,7 +242,7 @@ class ProtocolMonitor:
             self._open[key] = held - 1
         self.transfers_closed += 1
 
-    def on_bridge_cross(self, bridge, master: Optional[str]) -> None:
+    def on_bridge_cross(self, bridge, master: str) -> None:
         cycle = bridge.sim.now
         self._bridge_seen[bridge] = self._bridge_seen.get(bridge, 0) + 1
         if bridge not in self._bridge_base:
@@ -257,8 +254,8 @@ class ProtocolMonitor:
                 "crossing while the bridge is disabled",
                 cycle,
             )
-        if master is None:
-            return
+        # Forwarding conservation: the crossing master must hold the grant
+        # on both attached segments while data moves.
         for side in (bridge.side_a, bridge.side_b):
             if self._owner.get(side.arbiter) != master:
                 self._violation(
@@ -326,17 +323,13 @@ class ProtocolMonitor:
 
 def attach_monitors(machine, fail_fast: bool = True) -> ProtocolMonitor:
     """Attach one :class:`ProtocolMonitor` to every model of ``machine``."""
-    # Monitored transfers must run the generic instrumented paths, not the
-    # compiled backend's specialized (hook-free) dispatch.
-    machine._despecialize()
     monitor = ProtocolMonitor(fail_fast=fail_fast)
     for segment in machine.segments.values():
-        monitor.watch_segment(segment)
+        monitor.watch_arbiter(segment.arbiter)
     for bridge in machine.bridges:
         monitor.watch_bridge(bridge)
-    for device in machine.devices.values():
-        if device.kind == "fifo":
-            monitor.watch_fifo(device.target.up)
-            monitor.watch_fifo(device.target.down)
-    machine._monitor = monitor
+    for block in machine.fifo_blocks.values():
+        monitor.watch_fifo(block.up)
+        monitor.watch_fifo(block.down)
+    machine.attach_probe(monitor)
     return monitor

@@ -91,28 +91,16 @@ class TestBusBridge:
         a = BusSegment(sim, "a")
         b = BusSegment(sim, "b")
         bridge = BusBridge(sim, "bb", a, b, hop_cycles=4)
-
-        def body():
-            yield from bridge.cross()
-
-        sim.process(body())
-        sim.run()
-        assert sim.now == 4
+        assert bridge.cross("m") == 4
         assert bridge.crossings == 1
 
     def test_disabled_bridge_refuses(self, sim):
         a = BusSegment(sim, "a")
         b = BusSegment(sim, "b")
         bridge = BusBridge(sim, "bb", a, b, enabled=False)
-
-        def body():
-            yield sim.timeout(1)
-            yield from bridge.cross()
-
-        process = sim.process(body())
-        sim.run()
-        with pytest.raises(RuntimeError):
-            process.value
+        with pytest.raises(RuntimeError, match="disabled"):
+            bridge.cross("m")
+        assert bridge.crossings == 0
 
     def test_other_side(self, sim):
         a = BusSegment(sim, "a")

@@ -9,7 +9,8 @@ from repro.options import presets
 from repro.options.inputfile import parse_option_text, render_option_text
 from repro.options.schema import OptionError
 from repro.sim.fabric import build_machine
-from repro.sim.vcd import VcdWriter, vcd_from_machine
+from repro.sim.kernel import KERNEL_BACKENDS
+from repro.sim.vcd import GrantTrace, VcdWriter, vcd_from_machine
 from repro.soc.api import SocAPI
 from repro.soc.handshake import GbaviChannel
 
@@ -141,8 +142,7 @@ class TestVcd:
 
     def test_machine_export_contains_handshake_edges(self):
         machine = build_machine(presets.preset("GBAVI", 4), trace_hsregs=True)
-        for segment in machine.segments.values():
-            segment.arbiter.trace_enabled = True
+        machine.attach_probe(GrantTrace())
         channel = GbaviChannel(SocAPI(machine, "A"), SocAPI(machine, "B"), 8)
 
         def sender():
@@ -165,6 +165,35 @@ class TestVcd:
             line for line in after_t0.splitlines() if line[:1] in ("0", "1") and len(line) > 1
         ]
         assert len(scalar_changes) >= 6
+
+    def test_grant_trace_attached_between_rounds(self):
+        """A grant trace attached after a run sees every later grant, on a
+        compiled machine too: attaching the probe drops the specialized
+        paths that would bypass it."""
+
+        def transfer(machine, channel):
+            def sender():
+                yield from channel.send(list(range(8)))
+
+            def receiver():
+                yield from channel.recv()
+
+            machine.pe("A").run(sender())
+            machine.pe("B").run(receiver())
+            machine.sim.run()
+
+        texts = {}
+        for kernel in KERNEL_BACKENDS:
+            machine = build_machine(presets.preset("GBAVI", 4), kernel=kernel)
+            channel = GbaviChannel(SocAPI(machine, "A"), SocAPI(machine, "B"), 8)
+            transfer(machine, channel)
+            grants = GrantTrace()
+            machine.attach_probe(grants)
+            transfer(machine, channel)
+            assert machine.sim.now == 2806
+            assert sum(len(edges) for edges in grants.edges.values()) == 100
+            texts[kernel] = vcd_from_machine(machine)
+        assert texts["heap"] == texts["compiled"]
 
 
 class TestVcdDumpvars:

@@ -1,4 +1,4 @@
-"""Counter plane: zero-despecialization counters for the fabric hot path.
+"""Counter plane: per-segment counters read from BusStats.
 
 Pins the contracts documented in ``repro.obs.counters``:
 
@@ -9,8 +9,7 @@ Pins the contracts documented in ``repro.obs.counters``:
   counts, identically on heap and compiled;
 * the plane survives the hook life cycle: attach to a live specialized
   machine, keep accumulating across a later despecialization;
-* the specializer's per-pair closures bind the plane's slot list and the
-  segment's base index only when a plane is bound.
+* a plane attached mid-run counts exactly the tenures after it.
 """
 
 import pytest
@@ -49,25 +48,27 @@ class TestCounterPlane:
     def test_unbound_plane_is_empty(self):
         plane = CounterPlane()
         assert not plane.bound
-        assert plane.slots == []
+        assert plane.segment_order == []
         assert plane.totals() == {}
 
-    def test_bind_allocates_three_slots_per_segment(self):
+    def test_bind_reports_three_kinds_per_segment(self):
         machine = build_machine(presets.preset("GBAVIII", 4))
         plane = machine.attach_counters()
         assert plane.bound
-        assert len(plane.slots) == len(COUNTER_KINDS) * len(machine.segments)
         assert plane.segment_order == sorted(machine.segments)
-        for name, segment in machine.segments.items():
-            assert segment.counters is plane.slots
-            assert segment.counter_base == plane.base_of(name)
+        assert plane.totals() == {
+            name: dict.fromkeys(COUNTER_KINDS, 0) for name in sorted(machine.segments)
+        }
 
     def test_rebind_same_machine_is_noop(self):
         machine = build_machine(presets.preset("GBAVIII", 4))
         plane = machine.attach_counters()
-        slots = plane.slots
+        run_ofdm(machine, "FPA", OfdmParameters(packets=1))
+        counted = plane.totals()
         plane.bind(machine)
-        assert plane.slots is slots
+        # Still counting from the first bind, not restarted.
+        assert plane.totals() == counted
+        assert plane.check_against_stats(machine) == []
 
     def test_rebind_other_machine_rejected(self):
         plane = CounterPlane()
@@ -136,55 +137,45 @@ class TestZeroDespecialization:
         machine = build_machine(presets.preset("GBAVIII", 4), kernel="compiled")
         plane = machine.attach_counters()
         run_ofdm(machine, "FPA", OfdmParameters(packets=1))
-        first = sum(plane.slots)
+        first = _transactions(plane)
         assert first > 0
         # Observability needs the generic instrumented paths, so this
         # despecializes -- the plane must keep accumulating regardless.
         machine.attach_observability(Observability())
         assert not machine._specialized
         run_ofdm(machine, "FPA", OfdmParameters(packets=1))
-        assert sum(plane.slots) > first
+        assert _transactions(plane) > first
         assert plane.check_against_stats(machine) == []
 
-
-def _closure(function):
-    return {
-        name: cell.cell_contents
-        for name, cell in zip(function.__code__.co_freevars, function.__closure__)
-    }
-
-
-class TestSpecializerCounters:
-    def test_counter_slots_bound_only_with_plane(self):
-        machine = build_machine(presets.preset("GBAVIII", 4), kernel="compiled")
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+    def test_mid_run_plane_counts_later_tenures(self, backend):
+        machine = build_machine(presets.preset("GBAVIII", 4), kernel=backend)
         run_ofdm(machine, "FPA", OfdmParameters(packets=1))
-        bare = [fn for fn in machine.transaction.bindings.values() if fn is not None]
-        assert bare
-        assert all(_closure(fn)["cslots"] is None for fn in bare)
-
-        before = {name: seg.stats.transactions for name, seg in machine.segments.items()}
+        start = _stats(machine)
         plane = machine.attach_counters()
-        # Attaching drops the bound pairs; they rebind on their next use.
-        assert machine._specialized
-        assert machine.transaction.bindings == {}
+        assert machine._specialized == (backend == "compiled")
         run_ofdm(machine, "FPA", OfdmParameters(packets=1))
-        counted = {
-            pair: _closure(fn)
-            for table in (machine.transaction.bindings, machine.miss_traffic.bindings)
-            for pair, fn in table.items()
-            if fn is not None
-        }
-        assert counted
-        segment_bases = {plane.base_of(name) for name in plane.segment_order}
-        for cells in counted.values():
-            # The plane's own slot list, and the base of one segment's
-            # transaction/grant/wait triple.
-            assert cells["cslots"] is plane.slots
-            assert cells["base"] in segment_bases
-            assert cells["base"] + len(COUNTER_KINDS) <= len(plane.slots)
-            assert plane.slots[cells["base"]] > 0
-            assert plane.slots[cells["base"] + 1] > 0
-        # The plane counts exactly the tenures after it was attached.
-        for name, segment in machine.segments.items():
-            counted_txns = plane.value(name, "transactions")
-            assert counted_txns == segment.stats.transactions - before[name]
+        # A later hook despecializes; the plane keeps counting.
+        machine.attach_observability(Observability())
+        assert not machine._specialized
+        run_ofdm(machine, "FPA", OfdmParameters(packets=1))
+        end = _stats(machine)
+        for name in plane.segment_order:
+            done = end[name][0] - start[name][0]
+            assert plane.value(name, "transactions") == done
+            assert plane.value(name, "grants") == done
+            assert plane.value(name, "wait_cycles") == end[name][1] - start[name][1]
+        assert _transactions(plane) > 0
+        # Bound after traffic: the totals miss the first run's tenures.
+        assert plane.check_against_stats(machine) != []
+
+
+def _transactions(plane):
+    return sum(plane.value(name, "transactions") for name in plane.segment_order)
+
+
+def _stats(machine):
+    return {
+        name: (segment.stats.transactions, segment.stats.arbitration_cycles)
+        for name, segment in machine.segments.items()
+    }

@@ -21,6 +21,7 @@ from repro.obs import Observability
 from repro.options import presets
 from repro.sim.fabric import Machine, MachineBuilder, build_machine
 from repro.sim.kernel import KERNEL_BACKENDS, KERNEL_ENV, Simulator
+from repro.verify import ProtocolMonitor
 
 BACKENDS = list(KERNEL_BACKENDS)
 HOOKS = ["none", "tracer", "monitor", "faults", "all"]
@@ -47,9 +48,11 @@ def _run_and_report(machine, hooks):
         fault_report = machine._faults.resilience_report()
         summary["faults"] = (fault_report.injected, fault_report.recovered)
         assert fault_report.check() == []
-    if machine._monitor is not None:
-        findings = machine._monitor.finalize(cycle=machine.sim.now)
-        assert findings == []
+    monitors = [probe for probe in machine._probes if isinstance(probe, ProtocolMonitor)]
+    assert len(monitors) == (1 if hooks in ("monitor", "all") else 0)
+    for monitor in monitors:
+        assert monitor.finalize(cycle=machine.sim.now) == []
+        summary["monitor"] = (monitor.grants_observed, monitor.transfers_opened)
     return summary
 
 

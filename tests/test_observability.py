@@ -44,6 +44,7 @@ from repro.options import presets
 from repro.sim.fabric import build_machine
 from repro.sim.kernel import KERNEL_BACKENDS
 from repro.sim.stats import BusStats
+from repro.sim.vcd import GrantTrace
 
 
 def _traced_gbaviii_run(packets=2, kernel=None):
@@ -141,9 +142,88 @@ class TestFreeWhenOff:
         machine = build_machine(presets.preset("GBAVIII", 4))
         assert machine.obs is None
         assert machine.sim.monitor_depth is False
+        models = list(machine.segments.values()) + machine.bridges
+        models += [segment.arbiter for segment in machine.segments.values()]
+        for block in machine.fifo_blocks.values():
+            models += [block.up, block.down]
+        assert all(model.probe is None for model in models)
+        run_ofdm(machine, "FPA", OfdmParameters(packets=1))
+        # Nothing was observed: no queue depth, no histogram samples.
+        assert machine.sim.peak_queue_depth == 0
         for segment in machine.segments.values():
-            assert segment.obs is None
             assert segment.stats._arb_hist is None
+
+
+def _probed_run(arch, kernel, consumers=()):
+    """One 1-packet PPA run with the named consumers attached as probes;
+    returns what each consumer recorded, plus the run's cycles."""
+    machine = build_machine(presets.preset(arch, 4), kernel=kernel)
+    obs = monitor = grants = None
+    if "obs" in consumers:
+        obs = Observability()
+        machine.attach_observability(obs)
+    if "monitor" in consumers:
+        monitor = machine.attach_monitors(fail_fast=False)
+    if "grants" in consumers:
+        grants = GrantTrace()
+        machine.attach_probe(grants)
+    out = {"cycles": run_ofdm(machine, "PPA", OfdmParameters(packets=1)).cycles}
+    if obs is not None:
+        tracer = obs.tracer
+        out["obs"] = (
+            tracer.transactions,
+            tracer.hops,
+            tracer.fifo_ops,
+            tracer.instants,
+            tracer.span_cycle_sums(),
+        )
+    if monitor is not None:
+        out["monitor"] = (
+            monitor.requests_observed,
+            monitor.grants_observed,
+            monitor.cancels_observed,
+            monitor.transfers_opened,
+            monitor.transfers_closed,
+            [str(finding) for finding in monitor.finalize(cycle=machine.sim.now)],
+        )
+    if grants is not None:
+        out["grants"] = {arbiter.name: edges for arbiter, edges in grants.edges.items()}
+    return out
+
+
+class TestProbes:
+    """Observability, monitors and the VCD grant trace share one probe slot."""
+
+    @pytest.mark.parametrize("kernel", _KERNELS)
+    @pytest.mark.parametrize("arch", ["GBAVI", "BFBA"])
+    def test_consumers_together_match_solo_runs(self, arch, kernel):
+        bare = _probed_run(arch, kernel)
+        together = _probed_run(arch, kernel, ("obs", "monitor", "grants"))
+        assert together["cycles"] == bare["cycles"]
+        for consumer in ("obs", "monitor", "grants"):
+            solo = _probed_run(arch, kernel, (consumer,))
+            assert solo["cycles"] == bare["cycles"]
+            assert together[consumer] == solo[consumer], consumer
+        transactions, hops, fifo_ops, instants, _sums = together["obs"]
+        assert transactions and instants
+        # GBAVI bridges neighbours; BFBA links them through FIFOs.
+        assert hops if arch == "GBAVI" else fifo_ops
+        requests, grants, _cancels, opened, closed, findings = together["monitor"]
+        assert requests and grants and opened == closed and findings == []
+        assert together["grants"]
+
+    def test_attach_probe_despecializes_and_ignores_a_second_attach(self):
+        machine = build_machine(presets.preset("GBAVIII", 4), kernel="compiled")
+        assert machine._specialized
+        obs = Observability()
+        machine.attach_probe(obs)
+        assert not machine._specialized
+        assert not {"transaction", "miss_traffic", "poll"} & set(machine.__dict__)
+        # attach_observability attaches the same probe again: a no-op.
+        machine.attach_observability(obs)
+        run_ofdm(machine, "FPA", OfdmParameters(packets=1))
+        tenures = sum(segment.stats.transactions for segment in machine.segments.values())
+        assert len(obs.tracer.transactions) == tenures
 
 
 class TestChromeTrace:

@@ -165,6 +165,31 @@ class TestRandomWorkloadParity:
         assert sim.events_processed == whole[2]
 
 
+class TestMonitoredDepth:
+    @pytest.mark.parametrize("kernel", BACKENDS)
+    def test_run_split_and_step_agree(self, kernel):
+        """Peak queue depth is tracked at each pop whichever way the
+        schedule is driven: one run(), a deadline split, or step()."""
+
+        def drive(mode):
+            sim = Simulator(kernel=kernel)
+            sim.monitor_depth = True
+            _random_workload(sim, [], seed=0)
+            if mode == "run":
+                sim.run()
+            elif mode == "split":
+                sim.run(until=40)
+                sim.run()
+            else:
+                while sim.peek() is not None:
+                    sim.step()
+            return sim.peak_queue_depth, sim.events_processed, sim.now
+
+        results = {mode: drive(mode) for mode in ("run", "split", "step")}
+        assert results["run"] == results["split"] == results["step"]
+        assert results["run"] == (21, 223, 812)
+
+
 # ---------------------------------------------------------------------------
 # Targeted edge cases
 # ---------------------------------------------------------------------------

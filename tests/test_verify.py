@@ -135,11 +135,11 @@ class _DoubleGrantArbiter(FCFSArbiter):
     def _dispatch(self):
         if not self._pending:
             return
-        master, grant, _requested_at = self._pending.pop(0)
+        master, grant, requested_at = self._pending.pop(0)
         self.owner = master
         self.grants += 1
-        if self.monitor is not None:
-            self.monitor.on_grant(self, master, queued=True)
+        if self.probe is not None:
+            self.probe.on_grant(self, master, self.sim.now - requested_at)
         grant.succeed(master)
 
 
@@ -150,6 +150,7 @@ class TestProtocolMonitor:
         arbiter = _DoubleGrantArbiter(sim, "broken")
         monitor = ProtocolMonitor()
         monitor.watch_arbiter(arbiter)
+        arbiter.probe = monitor
         arbiter.request("A")  # immediate grant, A owns the bus
         with pytest.raises(ProtocolViolationError) as excinfo:
             arbiter.request("B")  # broken dispatch grants over A
@@ -161,6 +162,7 @@ class TestProtocolMonitor:
         arbiter = FCFSArbiter(sim, "arb")
         monitor = ProtocolMonitor()
         monitor.watch_arbiter(arbiter)
+        arbiter.probe = monitor
         arbiter.request("A")
         grant_b = arbiter.request("B")
         arbiter.cancel("B", grant_b)  # withdrawn REQ is accounted
@@ -174,6 +176,7 @@ class TestProtocolMonitor:
         arbiter = FCFSArbiter(sim, "arb")
         monitor = ProtocolMonitor()
         monitor.watch_arbiter(arbiter)
+        arbiter.probe = monitor
         arbiter.request("A")
         arbiter.request("B")  # still queued when the run "ends"
         findings = monitor.finalize()
@@ -222,6 +225,7 @@ class TestProtocolMonitor:
         fifo = HardwareFifo(sim, "F", depth_words=4)
         monitor = ProtocolMonitor()
         monitor.watch_fifo(fifo)
+        fifo.probe = monitor
         fifo.push([1, 2, 3])
         assert fifo.pop(2) == [1, 2]
         fifo.push([4, 5, 6])
