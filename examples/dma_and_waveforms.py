@@ -43,7 +43,7 @@ def dma_demo() -> None:
 
 
 def waveform_demo() -> None:
-    machine = build_machine(presets.preset("GBAVI", 4), trace_hsregs=True)
+    machine = build_machine(presets.preset("GBAVI", 4))
     machine.attach_probe(GrantTrace())
     channel = GbaviChannel(SocAPI(machine, "A"), SocAPI(machine, "B"), 64)
 

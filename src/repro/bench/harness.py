@@ -257,10 +257,9 @@ def bench_counters(kernel: str = "compiled", packets: int = 2, rounds: int = 1) 
     from ..sim.fabric import MachineBuilder
 
     def one(with_counters: bool):
-        builder = MachineBuilder(presets.preset("GBAVIII", 4)).with_kernel(kernel)
+        machine = MachineBuilder(presets.preset("GBAVIII", 4)).with_kernel(kernel).build()
         if with_counters:
-            builder.with_counters()
-        machine = builder.build()
+            machine.attach_counters()
         start = time.perf_counter()
         result = run_ofdm(machine, "FPA", OfdmParameters(packets=packets))
         return machine, result.cycles, time.perf_counter() - start

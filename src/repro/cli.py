@@ -413,54 +413,6 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def _cmd_compile(args) -> int:
-    """Dump the compiled backend's generated sources for inspection.
-
-    Writes one ``kernel_<variant>.py`` per run-loop variant and reports how
-    many (master, device) pairs of the selected architecture the fabric
-    specializer can serve (its closures are bound on first use; there is
-    no fabric source to write).
-    """
-    from .sim.compiled import KERNEL_VARIANTS, generated_kernel_sources
-    from .sim.compiled.specializer import eligible_pairs
-    from .sim.fabric import MachineBuilder
-
-    spec = _load_spec(args)
-    machine = MachineBuilder(spec).with_kernel("compiled").build()
-    os.makedirs(args.out, exist_ok=True)
-    for variant, source in sorted(generated_kernel_sources().items()):
-        path = os.path.join(args.out, "kernel_%s.py" % variant)
-        with open(path, "w") as handle:
-            handle.write(source)
-    pairs = len(list(eligible_pairs(machine)))
-    print(
-        "wrote %d kernel variant(s) (%s) to %s"
-        % (len(KERNEL_VARIANTS), ", ".join(KERNEL_VARIANTS), args.out)
-    )
-    print(
-        "%s: %d specialized (master, device) pair(s)%s"
-        % (
-            spec.name,
-            pairs,
-            "" if machine._specialized else " (dispatch not installed)",
-        )
-    )
-    ledger = _ledger_for(args)
-    if ledger is not None:
-        ledger.write(
-            "compile",
-            options=_spec_options(args, spec, kernel="compiled"),
-            backend="compiled",
-            arch=spec.name,
-            summary={
-                "kernel_variants": list(KERNEL_VARIANTS),
-                "specialized_pairs": pairs,
-                "dispatch_installed": machine._specialized,
-            },
-        )
-    return 0
-
-
 def _cmd_chaos(args) -> int:
     """Run the seeded fault-injection sweep (docs/robustness.md)."""
     import json
@@ -958,20 +910,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_kernel_argument(profile)
     profile.set_defaults(func=_cmd_profile)
-
-    compile_parser = sub.add_parser(
-        "compile",
-        help="dump the compiled backend's generated run-loop sources",
-    )
-    add_spec_arguments(compile_parser)
-    compile_parser.add_argument(
-        "-o",
-        "--out",
-        required=True,
-        help="output directory for the generated .py sources",
-    )
-    add_ledger_arguments(compile_parser)
-    compile_parser.set_defaults(func=_cmd_compile)
 
     chaos = sub.add_parser(
         "chaos",

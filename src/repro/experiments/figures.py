@@ -60,7 +60,7 @@ _CHANNEL_OF = {
 def run_handshake_trace(protocol: str, words: int = 64) -> List[Tuple[str, int]]:
     """One traced A->B transfer over the given protocol's bus system."""
     preset_name, channel_cls = _CHANNEL_OF[protocol.upper()]
-    machine = build_machine(presets.preset(preset_name, 4), trace_hsregs=True)
+    machine = build_machine(presets.preset(preset_name, 4))
     sender = SocAPI(machine, "A")
     receiver = SocAPI(machine, "B")
     channel = channel_cls(sender, receiver, words)

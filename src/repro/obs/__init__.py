@@ -131,6 +131,10 @@ class Probe:
     def on_fifo_pop(self, fifo, count: int) -> None:
         """``count`` words left ``fifo``."""
 
+    def on_register_write(self, block, register: str, value: int) -> None:
+        """``register`` of the handshake register ``block`` changed to
+        ``value``."""
+
 
 class FanoutProbe(Probe):
     """Forwards every hook to several probes, in attach order."""

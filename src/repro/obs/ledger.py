@@ -2,10 +2,10 @@
 
 Fleet telemetry needs evidence that survives *across* runs: which
 configuration ran, on which backend, at which revision, and what came out.
-Every CLI verb (``simulate``, ``table``, ``bench``, ``chaos``, ``verify``,
-``compile``) appends one :func:`build_record` RunRecord here; ``repro
-report`` (:mod:`repro.obs.query`) filters, diffs and regression-gates the
-accumulated records.
+Every CLI verb that runs something (``simulate``, ``table``, ``bench``,
+``chaos``, ``verify``, ``dse``, ``fuzz``) appends one :func:`build_record`
+RunRecord here; ``repro report`` (:mod:`repro.obs.query`) filters, diffs
+and regression-gates the accumulated records.
 
 Records are split into two parts:
 

@@ -9,10 +9,12 @@ generated buses), then stream data at one beat per cycle with
 ``data_width/32`` words per beat.
 
 A *Bus Bridge* (BB, definition B) is an on-off connection point between two
-segments.  When enabled, a transaction crosses store-and-forward style: the
-path is walked segment by segment, paying the bridge's hop latency between
-segments.  Acquiring segments one at a time (release before the next hop)
-keeps crossing transactions deadlock-free.
+segments.  When enabled, it is a pass gate, not a store-and-forward
+buffer: a bridged transaction (``Machine._occupy_path``) wins every segment
+on its route and holds them all for the whole transfer, paying each
+bridge's hop latency on the way.  Segments are acquired in name-sorted
+order, so two transactions crossing in opposite directions cannot each
+hold what the other waits for, and crossing traffic stays deadlock-free.
 """
 
 from __future__ import annotations
@@ -118,6 +120,19 @@ class BusSegment:
         ``extra_cycles`` lets a slave (memory) add its burst latency while
         the bus is held, matching a non-split-transaction bus.  Returns a
         :class:`TransferTiming`.
+
+        Serves FIFO pushes and pops and fault retransmissions.  Its
+        arbitration accounting differs from every other tenure's: it
+        charges ``acquired + grant - start`` to
+        ``BusStats.arbitration_cycles`` and reports ``acquired + grant`` to
+        ``probe.on_tenure``, while ``Machine._occupy_path``, the compiled
+        specializer's closures and the fused poll loops charge
+        ``acquired - start``.  So on BFBA and Hybrid segments the
+        arbitration totals, the counter plane's ``wait_cycles`` and the
+        arbitration-wait histogram count grant latency as arbitration for
+        FIFO tenures only.  Backend-parity fingerprints of the pinned fuzz
+        campaign hash these totals, so aligning the two moves a pin
+        (ROADMAP, open items).
         """
         sim = self.sim
         start = sim.now

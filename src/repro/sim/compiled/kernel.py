@@ -1,8 +1,8 @@
-"""Compiled scheduler backend: a calendar drained by generated run loops.
+"""Compiled scheduler backend: a calendar and a run loop that resumes processes.
 
 :class:`CompiledSimulator` keeps pending entries in a three-part calendar
 (its docstring gives the containers and the ordering argument) and drains
-it with run-loop variants *generated* with ``compile()``/``exec``.  The
+it with one hand-written run loop, :meth:`CompiledSimulator.run`.  The
 loop resumes processes itself wherever it can:
 
 * every ``yield <int>`` is a **direct entry**, a 1-tuple ``(process,)``
@@ -26,17 +26,18 @@ callbacks, composites, failures -- goes through ``Event._fire`` and
 and ``events_processed`` are bit-identical to it
 (``tests/test_scheduler_parity.py`` runs the differential).
 
-Run-loop **variants** are rendered from one template, specialized over
-(stop event present, deadline present, monitored): a run with hooks off
-executes a loop with *no* hook call sites compiled into it.  The rendered
-sources are plain Python kept in-process for inspection -- ``repro compile
--o DIR`` writes them to disk (:func:`generated_kernel_sources`).
+One loop serves every ``run()`` call.  The stop-event and queue-depth
+checks sit behind the event-limit test that each entry and each cycle
+makes anyway, and every deadline comparison behind ``deadline is not
+None``, so a plain ``run()`` pays only that ``None`` test, once or twice
+per cycle, for the modes it does not use (docs/performance.md, "One run
+loop").
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Dict, Optional
+from typing import Any, Optional
 
 from ..kernel import (
     Event,
@@ -49,191 +50,7 @@ from ..kernel import (
 )
 from .. import kernel as _kernel_mod
 
-__all__ = ["CompiledSimulator", "generated_kernel_sources", "KERNEL_VARIANTS"]
-
-# Variant -> (stop event, deadline, monitored).  Exactly one of stop and
-# deadline can be active per run() call (``until`` is either an Event or a
-# cycle count); monitored runs take one variant that checks both at run
-# time and tracks the pending depth.
-_VARIANT_FLAGS = {
-    "plain": (False, False, False),
-    "deadline": (False, True, False),
-    "stop": (True, False, False),
-    "monitored": (True, True, True),
-}
-KERNEL_VARIANTS = tuple(_VARIANT_FLAGS)
-
-# Lines prefixed ``?S`` / ``?D`` / ``?M`` are kept only in variants that
-# handle a stop event / a deadline / depth monitoring; the prefix is
-# stripped.  ``{stopped}`` and ``{beyond}`` are the stop and deadline
-# tests, guarded against None in the monitored variant.
-_TEMPLATE = """\
-def {name}(sim, stop_event, deadline, limit):
-    queue = sim._queue
-    current = sim._current
-    upcoming = sim._next
-    pool = sim._timeout_pool
-    pop = heappop
-    push = heappush
-    pooled_type = _PooledTimeout
-    process_type = Process
-    event_type = Event
-    entry_type = tuple
-    int_type = int
-    one = 1
-?M  peak = sim.peak_queue_depth
-    now = sim.now
-    # Entries fired by this call, and by this call before the current cycle.
-    steps = start = 0
-    try:
-        while True:
-            # One cycle.  ``current`` holds every entry due ``now`` in
-            # scheduling order; iterating the live list picks up zero-delay
-            # entries appended while it drains.
-            for entry in current:
-                if steps > limit:
-                    raise SimulationError("event limit exceeded (livelock?)")
-?S              if {stopped}:
-?S                  return stop_event.value
-?M              depth = len(queue) + len(current) - (steps - start) + len(upcoming)
-?M              if depth > peak:
-?M                  peak = depth
-                steps += 1
-                if type(entry) is entry_type:
-                    process = entry[0]
-                    if process._target is not entry or process._interrupts:
-                        # Stale entry, queued interrupt, or finished
-                        # process: the generic resume sorts them out.
-                        process._resume(entry)
-                        continue
-                    value = None
-                elif (
-                    entry._triggered
-                    and not entry._fired
-                    and entry._exception is None
-                    and len(entry.callbacks) == 1
-                    and type(process := entry.callbacks[0]) is process_type
-                    and process._target is entry
-                    and not process._interrupts
-                ):
-                    # A lone waiter: what Event._fire + Process._resume
-                    # would do, inline.
-                    entry._fired = True
-                    entry.callbacks.clear()
-                    value = entry._value
-                    process._target = entry = (process,)
-                else:
-                    entry._fire()
-                    if type(entry) is pooled_type:
-                        pool.append(entry)
-                    continue
-                try:
-                    nxt = process._send(value)
-                except StopIteration as stop:
-                    process._target = None
-                    process._triggered = True
-                    process._value = stop.value
-                    current.append(process)
-                except Interrupt:
-                    raise SimulationError(
-                        "process %r did not handle an Interrupt" % process.name
-                    )
-                except BaseException as error:
-                    process._target = None
-                    process._triggered = True
-                    process._exception = error
-                    current.append(process)
-                else:
-                    if nxt is one:
-                        # One pointer compare for the bus-beat cadence; a 1
-                        # that is not the interned object takes the
-                        # general branch below.
-                        upcoming.append(entry)
-                    elif type(nxt) is int_type:
-                        if nxt > 1:
-                            sim._seq = seq = sim._seq + 1
-                            push(queue, (now + nxt, seq, entry))
-                        elif nxt == 0:
-                            current.append(entry)
-                        elif nxt == 1:
-                            upcoming.append(entry)
-                        else:
-                            _resume_slow(sim, process, nxt)
-                    elif isinstance(nxt, event_type) and not nxt._fired:
-                        process._target = nxt
-                        nxt.callbacks.append(process)
-                    else:
-                        _resume_slow(sim, process, nxt)
-            current.clear()
-            start = steps
-            if steps > limit:
-                raise SimulationError("event limit exceeded (livelock?)")
-?S          if {stopped}:
-?S              return stop_event.value
-            # Advance to the next populated cycle: next cycle's list becomes
-            # the current one, and the heap's entries due then go first.
-            if upcoming:
-                when = now + 1
-                current, upcoming = upcoming, current
-                sim._current = current
-                sim._next = upcoming
-                if queue and queue[0][0] == when:
-                    due = [pop(queue)[2]]
-                    while queue and queue[0][0] == when:
-                        due.append(pop(queue)[2])
-                    current[:0] = due
-            elif queue:
-                when = queue[0][0]
-?D              if {beyond}:
-?D                  sim.now = deadline
-?D                  return None
-                current.append(pop(queue)[2])
-                while queue and queue[0][0] == when:
-                    current.append(pop(queue)[2])
-            else:
-                break
-            sim.now = now = when
-?D          if when == deadline:
-?D              return None
-?S      if stop_event is not None:
-?S          raise SimulationError(
-?S              "simulation ran to quiescence before the awaited event fired"
-?S          )
-?D      if deadline is not None:
-?D          sim.now = deadline
-        return None
-    finally:
-        # A stop or an error inside a cycle leaves its unfired rest queued.
-        del current[: steps - start]
-        sim.events_processed += steps
-        _kernel._TOTAL_EVENTS = _kernel._TOTAL_EVENTS + steps
-?M      if peak > sim.peak_queue_depth:
-?M          sim.peak_queue_depth = peak
-"""
-
-
-def _variant_source(variant: str) -> str:
-    """Render one run-loop variant as Python source."""
-    if variant not in _VARIANT_FLAGS:
-        raise KeyError("unknown kernel variant %r" % variant)
-    has_stop, has_deadline, monitored = _VARIANT_FLAGS[variant]
-    source = _TEMPLATE.format(
-        name="_compiled_run_%s" % variant,
-        stopped=("stop_event is not None and " if monitored else "")
-        + "stop_event._fired",
-        beyond=("deadline is not None and " if monitored else "")
-        + "when > deadline",
-    )
-    keep = {"?S": has_stop, "?D": has_deadline, "?M": monitored}
-    lines = []
-    for line in source.splitlines():
-        tag = line[:2]
-        if tag in keep:
-            if not keep[tag]:
-                continue
-            line = "  " + line[2:]
-        lines.append(line)
-    return "\n".join(lines) + "\n"
+__all__ = ["CompiledSimulator"]
 
 
 def _resume_slow(sim: "CompiledSimulator", process: Process, nxt: Any) -> None:
@@ -251,41 +68,8 @@ def _resume_slow(sim: "CompiledSimulator", process: Process, nxt: Any) -> None:
     process._target = nxt.add_callback(process)
 
 
-def generated_kernel_sources() -> Dict[str, str]:
-    """Rendered source of every run-loop variant (``repro compile -o``)."""
-    return {variant: _variant_source(variant) for variant in KERNEL_VARIANTS}
-
-
-# Compiled variants, built on first use.  The exec namespace carries the
-# kernel internals the generated code binds locally.
-_VARIANTS: Dict[str, Any] = {}
-
-
-def _compile_variant(variant: str):
-    function = _VARIANTS.get(variant)
-    if function is None:
-        namespace = {
-            "heappop": heappop,
-            "heappush": heappush,
-            "_PooledTimeout": _PooledTimeout,
-            "Process": Process,
-            "Event": Event,
-            "SimulationError": SimulationError,
-            "Interrupt": Interrupt,
-            "_resume_slow": _resume_slow,
-            "_kernel": _kernel_mod,
-        }
-        code = compile(
-            _variant_source(variant), "<repro.sim.compiled:%s>" % variant, "exec"
-        )
-        exec(code, namespace)
-        function = namespace["_compiled_run_%s" % variant]
-        _VARIANTS[variant] = function
-    return function
-
-
 class CompiledSimulator(Simulator):
-    """Calendar backend with a generated run loop and direct entries.
+    """Calendar backend with a run loop that resumes processes itself.
 
     Containers:
 
@@ -321,7 +105,7 @@ class CompiledSimulator(Simulator):
 
     ``run`` keeps the deadline/stop-event/limit contract and the event
     accounting of :meth:`Simulator.run`; the module docstring covers what
-    is generated.
+    it resumes itself.
     """
 
     __slots__ = ("_current", "_next")
@@ -373,15 +157,155 @@ class CompiledSimulator(Simulator):
         stop_event, deadline = self._split_until(until)
         if deadline == self.now:
             return None
-        if self.monitor_depth:
-            variant = "monitored"
-        elif stop_event is not None:
-            variant = "stop"
-        elif deadline is not None:
-            variant = "deadline"
-        else:
-            variant = "plain"
-        return _compile_variant(variant)(self, stop_event, deadline, limit)
+        # A plain run() tests each entry and each cycle against the event
+        # limit only; a stop event or depth monitoring lowers ``guard`` so
+        # that every test leads on to their checks.
+        monitored = self.monitor_depth
+        guard = -1 if monitored or stop_event is not None else limit
+        queue = self._queue
+        current = self._current
+        upcoming = self._next
+        pool = self._timeout_pool
+        pop = heappop
+        push = heappush
+        pooled_type = _PooledTimeout
+        process_type = Process
+        event_type = Event
+        entry_type = tuple
+        int_type = int
+        one = 1
+        peak = self.peak_queue_depth
+        now = self.now
+        # Entries fired by this call, and by this call before the current cycle.
+        steps = start = 0
+        try:
+            while True:
+                # One cycle.  ``current`` holds every entry due ``now`` in
+                # scheduling order; iterating the live list picks up
+                # zero-delay entries appended while it drains.
+                for entry in current:
+                    if steps > guard:
+                        if steps > limit:
+                            raise SimulationError("event limit exceeded (livelock?)")
+                        if stop_event is not None and stop_event._fired:
+                            return stop_event.value
+                        if monitored:
+                            depth = len(queue) + len(current) - (steps - start) + len(upcoming)
+                            if depth > peak:
+                                peak = depth
+                    steps += 1
+                    if type(entry) is entry_type:
+                        process = entry[0]
+                        if process._target is not entry or process._interrupts:
+                            # Stale entry, queued interrupt, or finished
+                            # process: the generic resume sorts them out.
+                            process._resume(entry)
+                            continue
+                        value = None
+                    elif (
+                        entry._triggered
+                        and not entry._fired
+                        and entry._exception is None
+                        and len(entry.callbacks) == 1
+                        and type(process := entry.callbacks[0]) is process_type
+                        and process._target is entry
+                        and not process._interrupts
+                    ):
+                        # A lone waiter: what Event._fire + Process._resume
+                        # would do, inline.
+                        entry._fired = True
+                        entry.callbacks.clear()
+                        value = entry._value
+                        process._target = entry = (process,)
+                    else:
+                        entry._fire()
+                        if type(entry) is pooled_type:
+                            pool.append(entry)
+                        continue
+                    try:
+                        nxt = process._send(value)
+                    except StopIteration as stop:
+                        process._target = None
+                        process._triggered = True
+                        process._value = stop.value
+                        current.append(process)
+                    except Interrupt:
+                        raise SimulationError(
+                            "process %r did not handle an Interrupt" % process.name
+                        )
+                    except BaseException as error:
+                        process._target = None
+                        process._triggered = True
+                        process._exception = error
+                        current.append(process)
+                    else:
+                        if nxt is one:
+                            # One pointer compare for the bus-beat cadence; a
+                            # 1 that is not the interned object takes the
+                            # general branch below.
+                            upcoming.append(entry)
+                        elif type(nxt) is int_type:
+                            if nxt > 1:
+                                self._seq = seq = self._seq + 1
+                                push(queue, (now + nxt, seq, entry))
+                            elif nxt == 0:
+                                current.append(entry)
+                            elif nxt == 1:
+                                upcoming.append(entry)
+                            else:
+                                _resume_slow(self, process, nxt)
+                        elif isinstance(nxt, event_type) and not nxt._fired:
+                            process._target = nxt
+                            nxt.callbacks.append(process)
+                        else:
+                            _resume_slow(self, process, nxt)
+                current.clear()
+                start = steps
+                if steps > guard:
+                    if steps > limit:
+                        raise SimulationError("event limit exceeded (livelock?)")
+                    if stop_event is not None and stop_event._fired:
+                        return stop_event.value
+                # Advance to the next populated cycle: next cycle's list
+                # becomes the current one, and the heap's entries due then
+                # go first.
+                if upcoming:
+                    when = now + 1
+                    current, upcoming = upcoming, current
+                    self._current = current
+                    self._next = upcoming
+                    if queue and queue[0][0] == when:
+                        due = [pop(queue)[2]]
+                        while queue and queue[0][0] == when:
+                            due.append(pop(queue)[2])
+                        current[:0] = due
+                elif queue:
+                    when = queue[0][0]
+                    if deadline is not None and when > deadline:
+                        self.now = deadline
+                        return None
+                    current.append(pop(queue)[2])
+                    while queue and queue[0][0] == when:
+                        current.append(pop(queue)[2])
+                else:
+                    break
+                self.now = now = when
+                if deadline is not None and when == deadline:
+                    return None
+            if stop_event is not None:
+                raise SimulationError(
+                    "simulation ran to quiescence before the awaited event fired"
+                )
+            if deadline is not None:
+                self.now = deadline
+            return None
+        finally:
+            # A stop or an error inside a cycle leaves its unfired rest queued.
+            del current[: steps - start]
+            self.events_processed += steps
+            _kernel_mod._TOTAL_EVENTS += steps
+            if peak > self.peak_queue_depth:
+                self.peak_queue_depth = peak
 
     # -- stepping -------------------------------------------------------
     def step(self) -> None:

@@ -174,11 +174,11 @@ class Machine:
         """Make ``probe`` (a :class:`repro.obs.Probe`) observe every model.
 
         The one setter of the ``probe`` slots: every segment, arbiter,
-        bridge and FIFO gets the probe, or a :class:`repro.obs.FanoutProbe`
-        over all attached probes once there are several.  A probed machine
-        runs the generic fabric paths, so the compiled backend's
-        specialized dispatch is dropped first.  Attaching a probe that is
-        already attached is a no-op.
+        bridge, FIFO and handshake register block gets the probe, or a
+        :class:`repro.obs.FanoutProbe` over all attached probes once there
+        are several.  A probed machine runs the generic fabric paths, so
+        the compiled backend's specialized dispatch is dropped first.
+        Attaching a probe that is already attached is a no-op.
         """
         if any(attached is probe for attached in self._probes):
             return
@@ -194,6 +194,9 @@ class Machine:
         for block in self.fifo_blocks.values():
             block.up.probe = probe
             block.down.probe = probe
+        for device in self.devices.values():
+            if device.kind == "hsregs":
+                device.target.probe = probe
 
     def attach_observability(self, obs) -> None:
         """Attach an :class:`repro.obs.Observability` as a probe.
@@ -355,9 +358,8 @@ class Machine:
         extra = "HS_REGS_%s_FROM_%s" % (receiver_ban, sender_ban)
         if extra not in self.devices:
             template = self.devices[canonical]
-            block = HandshakeRegisters(
-                self.sim, extra, trace=self.hs_blocks[receiver_ban].trace_enabled
-            )
+            block = HandshakeRegisters(self.sim, extra)
+            block.probe = template.target.probe
             parties = None
             if template.point_to_point:
                 parties = {
@@ -1021,25 +1023,22 @@ def _memory_poll(machine, pe, segment, device):
 class MachineBuilder:
     """Single composition point for building a runnable :class:`Machine`.
 
-    Every way of configuring a machine -- scheduler backend, tracing,
-    arbiter-policy override, observability, protocol monitors, fault
-    injection -- goes through one fluent builder, so the cross-layer
-    ordering rules live in exactly one place:
+    The builder picks the simulator (an existing one or a backend by
+    name), elaborates the spec with the requested CPI and arbiter-policy
+    override, and -- last -- installs the compiled backend's fabric
+    specialization (see :mod:`repro.sim.compiled.specializer`).
 
-    * hooks are attached *after* elaboration (they wire into built
-      segments/bridges/FIFOs);
-    * compiled-backend fabric specialization runs *last* and only when no
-      hook was requested (a hooked machine keeps the generic instrumented
-      paths; see :mod:`repro.sim.compiled.specializer`).
+    Observers, counter planes and fault injectors attach to the built
+    machine: :meth:`Machine.attach_observability`,
+    :meth:`Machine.attach_monitors`, :meth:`Machine.attach_counters`,
+    :meth:`Machine.attach_probe` and :func:`repro.faults.install_faults`.
+    Each enforces its own ordering: a probe or a fault injector drops the
+    specialized fast paths first, and a counter plane hooks nothing.
 
     Example::
 
-        machine = (
-            MachineBuilder(spec)
-            .with_kernel("compiled")
-            .with_observability(obs)
-            .build()
-        )
+        machine = MachineBuilder(spec).with_kernel("compiled").build()
+        machine.attach_observability(obs)
 
     :func:`build_machine` remains as a thin keyword-argument wrapper.
     """
@@ -1048,16 +1047,8 @@ class MachineBuilder:
         self.spec = spec
         self._sim: Optional[Simulator] = None
         self._kernel: Optional[str] = None
-        self._trace_hsregs = False
         self._cpi = 0.4
         self._arbiter_policy: Optional[str] = None
-        self._obs = None
-        self._monitors = False
-        self._monitor_fail_fast = True
-        self._fault_plan = None
-        self._fault_policy = None
-        self._counters = None
-        self._want_counters = False
         self._specialize = True
 
     # -- simulator selection ------------------------------------------------
@@ -1072,11 +1063,6 @@ class MachineBuilder:
         return self
 
     # -- elaboration options ------------------------------------------------
-    def with_trace_hsregs(self, enabled: bool = True) -> "MachineBuilder":
-        """Value-change traces in all handshake register blocks (Figs 11-13)."""
-        self._trace_hsregs = enabled
-        return self
-
     def with_cycles_per_instruction(self, cpi: float) -> "MachineBuilder":
         self._cpi = cpi
         return self
@@ -1084,31 +1070,6 @@ class MachineBuilder:
     def with_arbiter_policy(self, policy: Optional[str]) -> "MachineBuilder":
         """Override every bus's arbiter policy (arbitration ablation)."""
         self._arbiter_policy = policy
-        return self
-
-    # -- post-elaboration hooks ---------------------------------------------
-    def with_observability(self, obs) -> "MachineBuilder":
-        """Attach a :class:`repro.obs.Observability` after elaboration."""
-        self._obs = obs
-        return self
-
-    def with_monitors(self, fail_fast: bool = True) -> "MachineBuilder":
-        """Attach runtime protocol assertion monitors after elaboration."""
-        self._monitors = True
-        self._monitor_fail_fast = fail_fast
-        return self
-
-    def with_faults(self, plan, policy=None) -> "MachineBuilder":
-        """Install a fault plan (:func:`repro.faults.install_faults`)."""
-        self._fault_plan = plan
-        self._fault_policy = policy
-        return self
-
-    def with_counters(self, plane=None) -> "MachineBuilder":
-        """Bind a counter plane (:class:`repro.obs.counters.CounterPlane`);
-        it reads the segments' stats, so the machine stays specialized."""
-        self._counters = plane
-        self._want_counters = True
         return self
 
     def without_specialization(self) -> "MachineBuilder":
@@ -1122,22 +1083,10 @@ class MachineBuilder:
         spec.validate()
         sim = self._sim if self._sim is not None else Simulator(kernel=self._kernel)
         machine = Machine(sim, spec)
-        _Builder(machine, self._trace_hsregs, self._cpi, self._arbiter_policy).build()
-        if self._obs is not None:
-            machine.attach_observability(self._obs)
-        if self._monitors:
-            machine.attach_monitors(fail_fast=self._monitor_fail_fast)
-        if self._fault_plan is not None:
-            from ..faults.injector import install_faults
-
-            install_faults(machine, self._fault_plan, self._fault_policy)
-        if self._want_counters:
-            machine.attach_counters(self._counters)
+        _Builder(machine, self._cpi, self._arbiter_policy).build()
         if self._specialize and sim.kernel_name == "compiled":
             from .compiled.specializer import specialize_machine
 
-            # No-op when any hook was attached above: specialization
-            # requires the hook-free fast paths.
             specialize_machine(machine)
         return machine
 
@@ -1145,19 +1094,15 @@ class MachineBuilder:
 def build_machine(
     spec: BusSystemSpec,
     sim: Optional[Simulator] = None,
-    trace_hsregs: bool = False,
     cycles_per_instruction: float = 0.4,
     arbiter_policy: Optional[str] = None,
     kernel: Optional[str] = None,
 ) -> Machine:
     """Build the simulation machine matching ``spec``.
 
-    Thin keyword wrapper over :class:`MachineBuilder` (the composition
-    point for kernels, tracers, monitors and fault injectors).
+    Thin keyword wrapper over :class:`MachineBuilder`.
     ``arbiter_policy`` overrides every bus's arbiter policy (for the
-    arbitration-policy ablation); ``trace_hsregs`` turns on value-change
-    traces in all handshake register blocks (used to reproduce the state
-    diagrams of Figures 11-13); ``kernel`` picks the scheduler backend
+    arbitration-policy ablation); ``kernel`` picks the scheduler backend
     (``"heap"``/``"compiled"``, default
     :func:`repro.sim.kernel.default_kernel`) when no ``sim`` is supplied.
     """
@@ -1166,7 +1111,6 @@ def build_machine(
         builder.with_sim(sim)
     return (
         builder.with_kernel(kernel)
-        .with_trace_hsregs(trace_hsregs)
         .with_cycles_per_instruction(cycles_per_instruction)
         .with_arbiter_policy(arbiter_policy)
         .build()
@@ -1177,14 +1121,12 @@ class _Builder:
     def __init__(
         self,
         machine: Machine,
-        trace_hsregs: bool,
         cycles_per_instruction: float,
         arbiter_policy: Optional[str],
     ):
         self.machine = machine
         self.sim = machine.sim
         self.spec = machine.spec
-        self.trace_hsregs = trace_hsregs
         self.cpi = cycles_per_instruction
         self.arbiter_policy = arbiter_policy
 
@@ -1233,9 +1175,7 @@ class _Builder:
         return pe
 
     def _hsregs(self, ban: str) -> Device:
-        block = HandshakeRegisters(
-            self.sim, "HS_REGS_%s" % ban, trace=self.trace_hsregs
-        )
+        block = HandshakeRegisters(self.sim, "HS_REGS_%s" % ban)
         self.machine.hs_blocks[ban] = block
         return block
 

@@ -11,14 +11,15 @@ of the pair.  This module models the register block itself; the polling /
 interrupt protocol state machines built on top live in
 :mod:`repro.soc.handshake`.
 
-A :class:`HandshakeRegisters` block optionally records a value-change trace,
-which the figure-reproduction benches use to check the waveforms of
-Figures 11-13.
+A :class:`HandshakeRegisters` block reports every value change to its
+``probe`` slot (a :class:`repro.obs.Probe`, set by
+:meth:`repro.sim.fabric.Machine.attach_probe`); the VCD grant trace records
+them as the DONE_OP/DONE_RV waveforms of Figures 11-13.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from .kernel import Event, Simulator
 
@@ -82,22 +83,16 @@ class _Poll(Event):
 
 
 class HandshakeRegisters:
-    """Two one-bit registers with change notification and tracing."""
+    """Two one-bit registers with change notification."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str,
-        done_op: int = 0,
-        done_rv: int = 0,
-        trace: bool = False,
-    ):
+    def __init__(self, sim: Simulator, name: str, done_op: int = 0, done_rv: int = 0):
         self.sim = sim
         self.name = name
         self._values = {"DONE_OP": done_op & 1, "DONE_RV": done_rv & 1}
         self._watchers = {"DONE_OP": [], "DONE_RV": []}
-        self.trace_enabled = trace
-        self.trace: List[Tuple[int, str, int]] = []
+        # Observer (repro.obs.Probe) of value changes, set by
+        # Machine.attach_probe; None records nothing.
+        self.probe = None
 
     def _check_name(self, register: str) -> None:
         if register not in _VALID:
@@ -116,8 +111,8 @@ class HandshakeRegisters:
         if self._values[register] == value:
             return
         self._values[register] = value
-        if self.trace_enabled:
-            self.trace.append((self.sim.now, register, value))
+        if self.probe is not None:
+            self.probe.on_register_write(self, register, value)
         watchers = self._watchers[register]
         if watchers:
             post = self.sim._post_callback

@@ -38,12 +38,11 @@ Scheduler backends.  Two interchangeable event-queue implementations:
   tuples; the reference backend.
 * ``compiled`` (:class:`repro.sim.compiled.CompiledSimulator`) -- a
   calendar: this cycle's entries, next cycle's entries and the same heap
-  for anything later, drained by a run loop generated with
-  ``compile()``/``exec``.  Every ``yield <int>`` is served by a *direct
-  entry* -- a 1-tuple ``(process,)`` resumed straight through
-  ``generator.send`` in the run loop, with no proxy event or callback list
-  (see ``_use_direct`` in :meth:`Process._resume`) -- and the loop resumes
-  a process waiting alone on an event the same way.
+  for anything later, drained by its own run loop.  Every ``yield <int>``
+  is served by a *direct entry* -- a 1-tuple ``(process,)`` resumed
+  straight through ``generator.send`` in the run loop, with no proxy event
+  or callback list (see ``_use_direct`` in :meth:`Process._resume`) -- and
+  the loop resumes a process waiting alone on an event the same way.
 
 ``Simulator(kernel=...)`` selects a backend explicitly; with no argument
 the :data:`KERNEL_ENV` environment variable decides (default ``heap``).
@@ -471,8 +470,8 @@ class Simulator:
         if cls is Simulator:
             name = default_kernel() if kernel is None else check_kernel(kernel)
             if name == "compiled":
-                # Lazy import: the compiled package renders and compiles its
-                # run-loop sources on first use; heap users never pay.
+                # Lazy import: heap users never load the compiled package
+                # (its run loop and fabric specializer).
                 from .compiled import CompiledSimulator
 
                 return object.__new__(CompiledSimulator)

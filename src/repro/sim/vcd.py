@@ -5,14 +5,14 @@ XRAY/VCS (Figure 28).  This module produces a standard IEEE 1364 VCD file
 from a simulated machine so the handshake registers and bus-grant activity
 can be inspected in any waveform viewer (GTKWave etc.):
 
-* every handshake register block traced with ``trace_hsregs=True``
-  contributes its DONE_OP/DONE_RV bits;
-* with a :class:`GrantTrace` probe attached, every arbiter contributes a
-  per-master grant bit.
+with a :class:`GrantTrace` probe attached before the run,
+
+* every handshake register block contributes its DONE_OP/DONE_RV bits;
+* every arbiter contributes a per-master grant bit.
 
 Usage::
 
-    machine = build_machine(spec, trace_hsregs=True)
+    machine = build_machine(spec)
     machine.attach_probe(GrantTrace())
     ... run ...
     open("run.vcd", "w").write(vcd_from_machine(machine))
@@ -41,16 +41,22 @@ def _identifier(index: int) -> str:
 
 
 class GrantTrace(Probe):
-    """Grant edges per arbiter: ``(cycle, master, granted?)`` in order."""
+    """Grant edges per arbiter, ``(cycle, master, granted?)``, and value
+    changes per handshake register block, ``(cycle, register, value)``, in
+    order."""
 
     def __init__(self):
         self.edges: Dict[object, List[Tuple[int, str, bool]]] = {}
+        self.registers: Dict[object, List[Tuple[int, str, int]]] = {}
 
     def on_grant(self, arbiter, master: str, waited: Optional[int]) -> None:
         self.edges.setdefault(arbiter, []).append((arbiter.sim.now, master, True))
 
     def on_release(self, arbiter, master: str) -> None:
         self.edges.setdefault(arbiter, []).append((arbiter.sim.now, master, False))
+
+    def on_register_write(self, block, register: str, value: int) -> None:
+        self.registers.setdefault(block, []).append((block.sim.now, register, value))
 
 
 class VcdWriter:
@@ -137,13 +143,17 @@ class VcdWriter:
 def vcd_from_machine(machine) -> str:
     """Render a machine's collected traces (handshake regs, grants) as VCD.
 
-    Grant bits come from the machine's :class:`GrantTrace` probe, if any.
+    Both come from the machine's :class:`GrantTrace` probe; without one the
+    dump declares no signals.
     """
     writer = VcdWriter()
-    for ban, block in sorted(machine.hs_blocks.items()):
-        if not block.trace_enabled:
+    grants = next((p for p in machine._probes if isinstance(p, GrantTrace)), None)
+    if grants is None:
+        return writer.dumps()
+    for name, device in sorted(machine.devices.items()):
+        if device.kind != "hsregs":
             continue
-        scope = "hs_regs_%s" % ban.lower()
+        scope = name.lower()
         ids = {
             "DONE_OP": writer.add_signal(scope, "done_op"),
             "DONE_RV": writer.add_signal(scope, "done_rv"),
@@ -151,14 +161,12 @@ def vcd_from_machine(machine) -> str:
         # Initial values at time 0, then the recorded edges.
         writer.change(0, ids["DONE_OP"], 0)
         writer.change(0, ids["DONE_RV"], 0)
-        for time, register, value in block.trace:
+        for time, register, value in grants.registers.get(device.target, ()):
             writer.change(time, ids[register], value)
-    grants = next((p for p in machine._probes if isinstance(p, GrantTrace)), None)
-    edges = grants.edges if grants is not None else {}
     for name, segment in sorted(machine.segments.items()):
         scope = "arb_%s" % name.lower()
         master_ids: Dict[str, str] = {}
-        for time, master, granted in edges.get(segment.arbiter, ()):
+        for time, master, granted in grants.edges.get(segment.arbiter, ()):
             if master not in master_ids:
                 master_ids[master] = writer.add_signal(scope, "gnt_%s" % master.lower())
                 writer.change(0, master_ids[master], 0)

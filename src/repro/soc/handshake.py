@@ -157,6 +157,7 @@ class ThreeRegisterChannel(GbaviChannel):
 
             template = machine.hsregs_for(sender.ban, receiver.ban)
             block = HandshakeRegisters(machine.sim, name)
+            block.probe = template.target.probe
             parties = None
             if template.point_to_point:
                 parties = {sender.pe.name, receiver.pe.name}

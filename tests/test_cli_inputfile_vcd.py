@@ -141,7 +141,7 @@ class TestVcd:
             writer.change(-1, identifier, 0)
 
     def test_machine_export_contains_handshake_edges(self):
-        machine = build_machine(presets.preset("GBAVI", 4), trace_hsregs=True)
+        machine = build_machine(presets.preset("GBAVI", 4))
         machine.attach_probe(GrantTrace())
         channel = GbaviChannel(SocAPI(machine, "A"), SocAPI(machine, "B"), 8)
 
@@ -165,6 +165,25 @@ class TestVcd:
             line for line in after_t0.splitlines() if line[:1] in ("0", "1") and len(line) > 1
         ]
         assert len(scalar_changes) >= 6
+
+    def test_every_register_block_reports_to_the_probe(self):
+        """Blocks made for extra links, before or after the probe attached,
+        report their writes like the BAN's own block and get their own
+        VCD scope."""
+        machine = build_machine(presets.preset("GBAVI", 4))
+        early = machine.hsregs_for("C", "A").target
+        grants = GrantTrace()
+        machine.attach_probe(grants)
+        late = machine.hsregs_for("B", "A").target
+        blocks = [machine.hs_blocks["A"], early, late]
+        for block in blocks:
+            block.write("DONE_OP", 1)
+        assert [grants.registers.get(block) for block in blocks] == [
+            [(0, "DONE_OP", 1)]
+        ] * 3
+        text = vcd_from_machine(machine)
+        for scope in ("hs_regs_a", "hs_regs_a_from_b", "hs_regs_a_from_c"):
+            assert "$scope module %s $end" % scope in text
 
     def test_grant_trace_attached_between_rounds(self):
         """A grant trace attached after a run sees every later grant, on a

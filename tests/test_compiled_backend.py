@@ -1,80 +1,23 @@
-"""Gen-3 compiled backend: generated kernel variants + fabric specializer.
+"""Gen-3 compiled backend: a calendar run loop + fabric specializer.
 
-Observational parity with the heap backend is pinned three ways in
-``test_scheduler_parity.py`` (random workloads) and ``test_machine_builder.py``
-(hook combinations); this file covers what is *specific* to the compiled
-backend: the generated run-loop sources, the direct-entry representation,
-the specializer's eligibility rules, lazy per-pair binding, install/remove
-life cycle, parity with the generic fabric for every arbiter policy, and
-the ``repro compile`` inspection verb.
+Observational parity with the heap backend is pinned in
+``test_scheduler_parity.py`` (random workloads over every run mode); this
+file covers what is *specific* to the compiled backend: the direct-entry
+representation, the specializer's eligibility rules, lazy per-pair
+binding, install/remove life cycle, and parity with the generic fabric
+for every arbiter policy.
 """
-
-import os
 
 import pytest
 
 from repro.apps.ofdm import OfdmParameters, run_ofdm
 from repro.experiments.table2 import TABLE2_CASES
 from repro.options import presets
-from repro.sim.compiled import (
-    CompiledSimulator,
-    KERNEL_VARIANTS,
-    generated_kernel_sources,
-)
+from repro.sim.compiled import CompiledSimulator
 from repro.sim.compiled.specializer import eligible_pairs, specialize_machine
 from repro.sim.fabric import MachineBuilder, build_machine
 from repro.sim.kernel import Interrupt, SimulationError, Simulator
 from repro.soc.api import SocAPI
-
-
-# ---------------------------------------------------------------------------
-# Generated kernel variants
-# ---------------------------------------------------------------------------
-
-
-class TestGeneratedKernelSources:
-    def test_every_variant_rendered(self):
-        sources = generated_kernel_sources()
-        assert sorted(sources) == sorted(KERNEL_VARIANTS)
-        assert set(KERNEL_VARIANTS) == {"plain", "deadline", "stop", "monitored"}
-
-    def test_every_variant_compiles(self):
-        for variant, source in generated_kernel_sources().items():
-            compile(source, "<kernel:%s>" % variant, "exec")
-
-    def test_variants_specialize_their_checks(self):
-        # Every variant shares the uniform (sim, stop_event, deadline,
-        # limit) signature; what differs is the *body*.  The plain variant
-        # carries neither deadline nor stop-event checks and no per-event
-        # depth bookkeeping -- that is the whole point of generating one
-        # loop per configuration.
-        def body(variant):
-            lines = generated_kernel_sources()[variant].splitlines()
-            start = next(
-                index
-                for index, line in enumerate(lines)
-                if line.startswith("def _compiled_run")
-            )
-            return "\n".join(lines[start + 1 :])
-
-        assert "deadline" not in body("plain")
-        assert "stop_event" not in body("plain")
-        assert "deadline" in body("deadline")
-        assert "stop_event" in body("stop")
-        assert "stop_event" not in body("deadline")
-        assert "deadline" not in body("stop")
-        # Only the monitored variant pays for queue-depth tracking.
-        assert "peak" in body("monitored")
-        for variant in ("plain", "deadline", "stop"):
-            assert "peak" not in body(variant)
-
-    def test_no_hook_call_sites_in_fast_variants(self):
-        # Free-when-off becomes absent-when-off: the generated fast loops
-        # contain no tracer/obs call sites at all.
-        for variant in ("plain", "deadline", "stop"):
-            source = generated_kernel_sources()[variant]
-            assert "tracer" not in source
-            assert "obs" not in source
 
 
 class TestCompiledSimulatorSelection:
@@ -357,11 +300,11 @@ class TestSpecializedParity:
                 MachineBuilder(presets.preset(preset, 4))
                 .with_kernel("compiled")
                 .with_arbiter_policy(policy)
-                .with_counters()
             )
             if not specialize:
                 builder.without_specialization()
             machine = builder.build()
+            machine.attach_counters()
             result = run_ofdm(machine, "PPA", OfdmParameters(packets=1))
             assert machine._specialized == specialize
             plane = machine.counters
@@ -400,12 +343,11 @@ def _counted_snapshot(machine):
 
 
 def _counted_machine(preset, specialize):
-    builder = (
-        MachineBuilder(presets.preset(preset, 4)).with_kernel("compiled").with_counters()
-    )
+    builder = MachineBuilder(presets.preset(preset, 4)).with_kernel("compiled")
     if not specialize:
         builder.without_specialization()
     machine = builder.build()
+    machine.attach_counters()
     assert machine._specialized == specialize
     return machine
 
@@ -533,40 +475,3 @@ class TestLazyBinding:
         assert bound < eligible
         if style == "PPA":
             assert fused, "the pipeline's polls must take the fused loops"
-
-
-# ---------------------------------------------------------------------------
-# repro compile verb
-# ---------------------------------------------------------------------------
-
-
-class TestCompileVerb:
-    def test_dumps_kernel_sources(self, tmp_path, capsys):
-        from repro.cli import main
-
-        out = str(tmp_path / "dump")
-        assert main(["compile", "--preset", "GBAVIII", "--pes", "4", "-o", out]) == 0
-        files = sorted(os.listdir(out))
-        assert files == [
-            "kernel_deadline.py",
-            "kernel_monitored.py",
-            "kernel_plain.py",
-            "kernel_stop.py",
-        ]
-        for name in files:
-            with open(os.path.join(out, name)) as handle:
-                compile(handle.read(), name, "exec")
-        captured = capsys.readouterr().out
-        pairs = len(list(eligible_pairs(_machine())))
-        assert "GBAVIII: %d specialized (master, device) pair(s)\n" % pairs in captured
-
-    def test_out_is_required(self, tmp_path, monkeypatch):
-        from repro.cli import main
-
-        # Without -o the verb must refuse rather than write into the
-        # working directory.
-        monkeypatch.chdir(tmp_path)
-        with pytest.raises(SystemExit) as excinfo:
-            main(["compile", "--preset", "GBAVIII", "--pes", "4", "--no-ledger"])
-        assert excinfo.value.code == 2
-        assert os.listdir(str(tmp_path)) == []

@@ -34,12 +34,8 @@ PRESET_STYLES = [
 
 
 def counted_run(arch, style, backend, packets=2, pes=4):
-    machine = (
-        MachineBuilder(presets.preset(arch, pes))
-        .with_kernel(backend)
-        .with_counters()
-        .build()
-    )
+    machine = MachineBuilder(presets.preset(arch, pes)).with_kernel(backend).build()
+    machine.attach_counters()
     result = run_ofdm(machine, style, OfdmParameters(packets=packets))
     return machine, machine.counters, result
 

@@ -7,6 +7,7 @@ from repro.sim.cache import Cache, CacheStats, mpc755_dcache, mpc755_icache
 from repro.sim.hsregs import HandshakeRegisters, SharedVariables
 from repro.sim.kernel import KERNEL_BACKENDS, Simulator
 from repro.sim.memory import Sram
+from repro.sim.vcd import GrantTrace
 
 
 @pytest.fixture
@@ -123,11 +124,12 @@ class TestHandshakeRegisters:
         assert sim.events_processed == 7
 
     def test_trace_records_changes(self, sim):
-        block = HandshakeRegisters(sim, "hs", trace=True)
+        block = HandshakeRegisters(sim, "hs")
+        block.probe = trace = GrantTrace()
         block.write("DONE_OP", 1)
         block.write("DONE_OP", 1)  # no change: not traced
         block.write("DONE_OP", 0)
-        assert [(reg, val) for _t, reg, val in block.trace] == [
+        assert [(reg, val) for _t, reg, val in trace.registers[block]] == [
             ("DONE_OP", 1),
             ("DONE_OP", 0),
         ]

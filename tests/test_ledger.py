@@ -343,8 +343,13 @@ class TestCliRoundTrip:
             )
             == 0
         )
-        out = str(tmp_path_factory.mktemp("compiled"))
-        assert main(["compile", "--preset", "GBAVIII", "--pes", "4", "-o", out] + argv) == 0
+        assert (
+            main(
+                ["chaos", "--smoke", "--arch", "BFBA", "--backend", "heap", "--packets", "1"]
+                + argv
+            )
+            == 0
+        )
         assert main(["table", "5"] + argv) == 0
         assert (
             main(
@@ -367,7 +372,7 @@ class TestCliRoundTrip:
         records = ledger.records()
         assert {r["body"]["verb"] for r in records} == {
             "simulate",
-            "compile",
+            "chaos",
             "table",
             "verify",
         }
@@ -400,7 +405,7 @@ class TestCliRoundTrip:
         for record in ledger.records():
             by_verb.setdefault(record["body"]["verb"], record["hash"])
         a = by_verb["simulate"]
-        b = by_verb["compile"]
+        b = by_verb["chaos"]
         assert main(["report", "--ledger", ledger_dir, "--diff", a[:12], b[:12]]) == 0
         out = capsys.readouterr().out
         assert "verb" in out

@@ -165,6 +165,51 @@ class TestRandomWorkloadParity:
         assert sim.events_processed == whole[2]
 
 
+def _run_in_mode(kernel, seed, until, monitored, at):
+    """One ``run()`` of the random workload in a mode, then a plain
+    ``run()``: (log, now, events_processed, peak_queue_depth, return
+    value) after each.
+
+    The stop event is a timeout due at cycle ``at``, scheduled before the
+    workload, so it fires first in its cycle; ``at`` is a cycle in which
+    the workload resumes processes, so a loop that stops late (after the
+    event, or at the deadline) fires entries it must leave queued.
+    """
+    sim = Simulator(kernel=kernel)
+    sim.monitor_depth = monitored
+    stop = sim.timeout(at, value="stop")
+    log = []
+    _random_workload(sim, log, seed)
+    value = sim.run(until={"none": None, "cycle": at, "event": stop}[until])
+    first = (list(log), sim.now, sim.events_processed, sim.peak_queue_depth, value)
+    value = sim.run()
+    return first, (log, sim.now, sim.events_processed, sim.peak_queue_depth, value)
+
+
+class TestRunModeParity:
+    """Every way to call ``run()`` -- to quiescence, to a deadline, until a
+    pending event -- with depth monitoring off and on, leaves the same
+    state and returns the same value on every backend."""
+
+    @pytest.mark.parametrize("monitored", [False, True], ids=["bare", "monitored"])
+    @pytest.mark.parametrize("until", ["none", "cycle", "event"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_modes_identical(self, seed, until, monitored):
+        log = _run_backend("heap", seed)[0]
+        at = log[len(log) // 2][0]
+        heap = _run_in_mode("heap", seed, until, monitored, at)
+        for kernel in BACKENDS[1:]:
+            assert _run_in_mode(kernel, seed, until, monitored, at) == heap, kernel
+        first, last = heap
+        if until != "none":
+            assert first[1] == at
+            assert first[0] == [entry for entry in last[0] if entry[0] < at]
+            assert first[4] == ("stop" if until == "event" else None)
+        # Stopping early and resuming ends where one run() ends.
+        assert last[:4] == _run_in_mode("heap", seed, "none", monitored, at)[1][:4]
+        assert (last[3] > 0) == monitored
+
+
 class TestMonitoredDepth:
     @pytest.mark.parametrize("kernel", BACKENDS)
     def test_run_split_and_step_agree(self, kernel):
