@@ -181,7 +181,7 @@ def run_database(
 
     result = DatabaseResult(
         machine_name=machine.name,
-        cycles=max((pe.finished_at or 0) for pe in machine.pes.values()),
+        cycles=machine.program_cycles(),
         tasks_completed=len(completed),
         client_count=client_count,
         words_per_task=words_per_task,

@@ -516,5 +516,5 @@ def run_mpeg2(
     else:
         _run_relay(machine, chunks, result, msg_words)
     machine.sim.run()
-    result.cycles = max((pe.finished_at or 0) for pe in machine.pes.values())
+    result.cycles = machine.program_cycles()
     return result

@@ -382,9 +382,7 @@ def run_fpa(machine: Machine, params: Optional[OfdmParameters] = None) -> OfdmRe
 
 def _run_and_time(machine: Machine, result: OfdmResult) -> None:
     machine.sim.run()
-    result.cycles = max(
-        (pe.finished_at or 0) for pe in machine.pes.values()
-    )
+    result.cycles = machine.program_cycles()
 
 
 def run_ofdm(

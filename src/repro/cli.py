@@ -691,7 +691,19 @@ def _cmd_fuzz(args) -> int:
 
     from .dse.engine import resolve_kernel
     from .fuzz import format_fuzz_lines, fuzz_fingerprint, run_fuzz
+    from .fuzz.corpus import DEFAULT_CORPUS_DIR
 
+    if args.corpus is None:
+        # The checked-in corpus lives at the repository root; replaying a
+        # missing one would pass as an empty corpus.
+        if not os.path.isdir(DEFAULT_CORPUS_DIR):
+            print(
+                "repro: no %s/ directory here: run from the repository root "
+                "or pass --corpus DIR" % DEFAULT_CORPUS_DIR,
+                file=sys.stderr,
+            )
+            return 2
+        args.corpus = DEFAULT_CORPUS_DIR
     kernel = resolve_kernel(args.kernel)
     start = time.perf_counter()
     summary = run_fuzz(
@@ -1106,14 +1118,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes; cases are sharded by content hash, so the "
         "summary fingerprint is identical at any --jobs value",
     )
-    from .fuzz.corpus import DEFAULT_CORPUS_DIR
-
     fuzz.add_argument(
         "--corpus",
-        default=DEFAULT_CORPUS_DIR,
         metavar="DIR",
         help="corpus directory replayed on start and extended with new "
-        "findings (default: corpus/)",
+        "findings (default: corpus/, which must exist)",
     )
     fuzz.add_argument(
         "--no-write",

@@ -38,6 +38,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..apps.ofdm import OfdmParameters, run_ofdm
 from ..options import presets
 from ..sim.fabric import build_machine
+from ..sim.pe import ProgramError
 from ..sim.kernel import KERNEL_BACKENDS
 from .injector import RecoveryPolicy, install_faults
 from .plan import SCENARIOS, compile_plan, empty_plan
@@ -95,10 +96,14 @@ def run_chaos_case(
             # grants -- so monitors only arm when no faults are planned.)
             monitor = machine.attach_monitors(fail_fast=False)
         injector = install_faults(machine, plan, RecoveryPolicy())
-    result = run_ofdm(machine, style, OfdmParameters(packets=packets))
-    # Run-to-quiescence swallows process failures (a dead PE is just a
-    # failed, unwaited event), so an unfinished PE is the deadlock/crash
-    # signal -- check it in every mode, baseline included.
+    try:
+        result = run_ofdm(machine, style, OfdmParameters(packets=packets))
+        cycles, throughput = result.cycles, result.throughput_mbps
+    except ProgramError:
+        # A dead PE leaves the run untimed; it is reported below.
+        cycles = throughput = None
+    # An unfinished PE, dead or deadlocked, is the crash signal -- check it
+    # in every mode, baseline included.
     unfinished = [
         "%s: PE %s did not complete" % (arch, name)
         for name, pe in sorted(machine.pes.items())
@@ -121,8 +126,8 @@ def run_chaos_case(
         "style": style,
         "backend": backend,
         "mode": mode,
-        "cycles": result.cycles,
-        "throughput_mbps": result.throughput_mbps,
+        "cycles": cycles,
+        "throughput_mbps": throughput,
         "counters": plane.totals(),
         "invariant_failures": unfinished,
     }
@@ -195,7 +200,7 @@ def run_chaos(
             failures.extend(empty["invariant_failures"])
             if empty["cycles"] != baseline["cycles"]:
                 failures.append(
-                    "%s/%s: empty fault plan changed cycles (%d != baseline %d)"
+                    "%s/%s: empty fault plan changed cycles (%s != baseline %s)"
                     % (arch, backend, empty["cycles"], baseline["cycles"])
                 )
             if empty["resilience"]["injected"] != 0:
@@ -218,7 +223,7 @@ def run_chaos(
                 other = by_key[(arch, backend, mode)]
                 if other["cycles"] != reference["cycles"]:
                     failures.append(
-                        "%s/%s: cycles diverge across backends (%s=%d, %s=%d)"
+                        "%s/%s: cycles diverge across backends (%s=%s, %s=%s)"
                         % (
                             arch,
                             mode,
@@ -270,7 +275,7 @@ def format_chaos_summary(summary: Dict[str, Any]) -> List[str]:
             continue
         resilience = row["resilience"]
         lines.append(
-            "  %-8s %-4s %-8s  %8d cycles  planned %2d fired %2d "
+            "  %-8s %-4s %-8s  %8s cycles  planned %2d fired %2d "
             "recovered %2d residual %2d accounted %2d dormant %2d"
             % (
                 row["arch"],

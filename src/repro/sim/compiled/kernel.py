@@ -32,13 +32,22 @@ makes anyway, and every deadline comparison behind ``deadline is not
 None``, so a plain ``run()`` pays only that ``None`` test, once or twice
 per cycle, for the modes it does not use (docs/performance.md, "One run
 loop").
+
+Poll fast-forward: under a plain ``run()`` or a deadline, a cycle that
+ends with every running fused poll loop parked (see
+``repro.sim.fabric._PollLoop``) may end in a jump over whole periods of
+those loops (:meth:`CompiledSimulator._skip_periods`); ``events_processed``
+counts the skipped entries and ``events_skipped`` reports them
+(docs/performance.md, "Poll fast-forward").
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
-from typing import Any, Optional
+import sys
+from heapq import heapify, heappop, heappush
+from typing import Any, Optional, Tuple
 
+from ..fabric import _PollLoop, _PollModel
 from ..kernel import (
     Event,
     Interrupt,
@@ -51,6 +60,9 @@ from ..kernel import (
 from .. import kernel as _kernel_mod
 
 __all__ = ["CompiledSimulator"]
+
+# Poll states recorded before the oldest are dropped (see _skip_periods).
+_POLL_STATES = 256
 
 
 def _resume_slow(sim: "CompiledSimulator", process: Process, nxt: Any) -> None:
@@ -105,10 +117,23 @@ class CompiledSimulator(Simulator):
 
     ``run`` keeps the deadline/stop-event/limit contract and the event
     accounting of :meth:`Simulator.run`; the module docstring covers what
-    it resumes itself.
+    it resumes itself.  Where the fused poll loops of a specialized
+    machine wait out their capped back-offs alone, it also skips whole
+    periods of them (:meth:`_skip_periods`), firing only the entries
+    before the first recurrence and after the last whole period; the
+    clock, the event count and every counter end as if each entry had
+    fired.
     """
 
-    __slots__ = ("_current", "_next")
+    __slots__ = (
+        "_current",
+        "_next",
+        "_poll_loops",
+        "_polls_busy",
+        "_poll_model",
+        "_poll_seen",
+        "_events_skipped",
+    )
 
     kernel_name = "compiled"
     _use_direct = True
@@ -117,6 +142,21 @@ class CompiledSimulator(Simulator):
         super().__init__()
         self._current: list = []
         self._next: list = []
+        # Poll fast-forward (see _skip_periods): the running fused poll
+        # loops by generator, how many of them are not parked, the model
+        # state of the last set of loops seen, and the states recorded
+        # since the last jump.
+        self._poll_loops: dict = {}
+        self._polls_busy = 0
+        self._poll_model: Optional[_PollModel] = None
+        self._poll_seen: dict = {}
+        self._events_skipped = 0
+
+    @property
+    def events_skipped(self) -> int:
+        """Entries that poll fast-forward accounted for without firing
+        them; ``events_processed`` includes them."""
+        return self._events_skipped
 
     # -- scheduling -----------------------------------------------------
     def _schedule(self, event: Any, delay: int = 0) -> None:
@@ -162,6 +202,11 @@ class CompiledSimulator(Simulator):
         # that every test leads on to their checks.
         monitored = self.monitor_depth
         guard = -1 if monitored or stop_event is not None else limit
+        # Poll fast-forward runs under a plain run() or a deadline; ``retry``
+        # is the first cycle at whose end another attempt can succeed.
+        polls = {} if guard < 0 else self._poll_loops
+        retry = 0
+        self._poll_seen.clear()
         queue = self._queue
         current = self._current
         upcoming = self._next
@@ -266,6 +311,11 @@ class CompiledSimulator(Simulator):
                         raise SimulationError("event limit exceeded (livelock?)")
                     if stop_event is not None and stop_event._fired:
                         return stop_event.value
+                if polls and now >= retry and not self._polls_busy:
+                    skipped, retry = self._skip_periods(steps, limit, deadline)
+                    if skipped:
+                        steps = start = steps + skipped
+                        now = self.now
                 # Advance to the next populated cycle: next cycle's list
                 # becomes the current one, and the heap's entries due then
                 # go first.
@@ -306,6 +356,134 @@ class CompiledSimulator(Simulator):
             _kernel_mod._TOTAL_EVENTS += steps
             if peak > self.peak_queue_depth:
                 self.peak_queue_depth = peak
+
+    # -- poll fast-forward ----------------------------------------------
+    def _skip_periods(
+        self, steps: int, limit: int, deadline: Optional[int]
+    ) -> Tuple[int, int]:
+        """Jump parked poll loops over whole periods; called at the end of
+        a cycle in which every running fused poll loop is parked.
+
+        Records the state of the loops (the calendar part here, the model
+        part from :class:`~repro.sim.fabric._PollModel`); when a recorded
+        state recurs ``period`` cycles later with nothing else due before
+        ``t_next``, the loops have repeated themselves exactly, and will
+        again until something else acts.  So whole periods up to
+        ``t_next`` are skipped at once: the loops' heap entries move
+        ``periods * period`` cycles on (with fresh sequence numbers, in
+        their order, as the unskipped run would have pushed them), their
+        counters move on by as many periods' changes, and the skipped
+        entries count as processed.  Returns the entries skipped and the
+        cycle before which another attempt cannot succeed
+        (docs/performance.md, "Poll fast-forward").
+        """
+        now = self.now
+        loops = self._poll_loops
+        running = tuple(loops.values())
+        model = self._poll_model
+        if model is None or model.loops != running:
+            model = self._poll_model = _PollModel(running)
+        # A period spans at least one back-off of every loop, and each
+        # loop's entry is due within its back-off; so when more entries
+        # than loops are due within ``span``, something else acts before
+        # a period has passed (the common case, told cheaply).
+        span = model.span
+        horizon = now + span
+        due = len(self._next)
+        for item in self._queue:
+            if item[0] <= horizon:
+                due += 1
+        if due > len(running):
+            return 0, now + 1
+        # Each loop's process waits on exactly one live entry.
+        targets = {}
+        for loop in running:
+            process = loop.process or self._poll_process(loop)
+            if process is None or process._interrupts:
+                return 0, now + 1
+            targets[id(process._target)] = loop
+        # Sort the calendar into the loops' entries and the rest, which
+        # bound the jump: ``t_next`` is the first cycle something else acts.
+        t_next = sys.maxsize if deadline is None else deadline
+        parked = []
+        others = []
+        for item in self._queue:
+            loop = targets.pop(id(item[2]), None)
+            if loop is None:
+                others.append(item)
+                if item[0] < t_next:
+                    t_next = item[0]
+            else:
+                parked.append((item[0], item[1], loop, item[2]))
+        following = []
+        for entry in self._next:
+            loop = targets.pop(id(entry), None)
+            if loop is None:
+                return 0, now + 1
+            following.append(loop)
+        if targets:
+            return 0, now + 1
+        # A jump needs one period to recur in and one more to skip.
+        if t_next - now <= span:
+            return 0, t_next
+        if not model.ready():
+            return 0, now + 1
+        parked.sort()
+        key = (
+            t_next,
+            tuple([(when - now, loop) for when, _seq, loop, _entry in parked]),
+            tuple(following),
+            model.key(),
+        )
+        seen = self._poll_seen
+        recorded = seen.get(key)
+        if recorded is None:
+            if t_next - now > 2 * span:
+                if len(seen) >= _POLL_STATES:
+                    seen.clear()
+                seen[key] = (now, steps, model.counters())
+            return 0, now + 1
+        then, then_steps, before = recorded
+        period = now - then
+        per_period = steps - then_steps
+        periods = min((t_next - 1 - now) // period, (limit - steps) // per_period)
+        seen.clear()
+        if periods <= 0:
+            return 0, t_next
+        model.advance(before, model.counters(), periods)
+        shift = periods * period
+        queue = self._queue
+        queue[:] = others
+        seq = self._seq
+        for when, _seq, _loop, entry in parked:
+            seq += 1
+            queue.append((when + shift, seq, entry))
+        self._seq = seq
+        heapify(queue)
+        self.now = now + shift
+        skipped = periods * per_period
+        self._events_skipped += skipped
+        return skipped, t_next
+
+    def _poll_process(self, loop: _PollLoop) -> Optional[Process]:
+        """The process running ``loop``: the waiter of a calendar entry
+        whose generator delegates (``yield from``) down to the loop's."""
+        for entry in self._next + [item[2] for item in self._queue]:
+            if type(entry) is tuple:
+                process = entry[0]
+            elif len(entry.callbacks) == 1:
+                process = entry.callbacks[0]
+            else:
+                continue
+            if not isinstance(process, Process):
+                continue
+            generator = process.generator
+            while generator is not None:
+                if generator is loop.generator:
+                    loop.process = process
+                    return process
+                generator = getattr(generator, "gi_yieldfrom", None)
+        return None
 
     # -- stepping -------------------------------------------------------
     def step(self) -> None:

@@ -323,10 +323,14 @@ class _Bindings(dict):
 def specialize_machine(machine) -> bool:
     """Install the specialized dispatch on ``machine``.
 
-    Returns True when at least one pair is eligible.  No-op (False) when a
-    hook is attached or nothing is eligible; safe to call twice.  Pairs are
-    bound on first use (see the module docstring).
+    Returns True when at least one pair is eligible.  No-op (False) on a
+    simulator other than the compiled one (the fused poll loops register
+    with its run loop), when a hook is attached or when nothing is
+    eligible; safe to call twice.  Pairs are bound on first use (see the
+    module docstring).
     """
+    if machine.sim.kernel_name != "compiled":
+        return False
     if machine._probes or machine._faults is not None:
         return False
     if machine._specialized:

@@ -37,12 +37,13 @@ from ..obs import FanoutProbe
 from ..options.schema import BusSystemSpec, BusSubsystemSpec, OptionError
 from .arbiter import make_arbiter, note_hook
 from .bus import BusBridge, BusSegment, TransferTiming, find_route
+from .cache import CacheStats
 from .fifo import BiFifo, HardwareFifo
 from .hsregs import HandshakeRegisters, SharedVariables
 from .interrupt import InterruptController
 from .kernel import Simulator
-from .memory import Memory, Sram, make_memory
-from .pe import MISS_GROUP, ProcessingElement
+from .memory import Dram, Memory, Sram, make_memory
+from .pe import MISS_GROUP, ProcessingElement, ProgramError
 
 __all__ = [
     "Device",
@@ -380,6 +381,22 @@ class Machine:
 
     def elapsed_seconds(self) -> float:
         return self.sim.now / self.bus_clock_hz
+
+    def program_cycles(self) -> int:
+        """The cycle the last PE program finished in, after the run.
+
+        Raises :class:`ProgramError`, naming the PE and chained to the
+        program's exception, when a PE's program raised: the cycles of the
+        PEs that survived would time a workload that was never finished.
+        """
+        for name, pe in self.pes.items():
+            error = pe.program_error
+            if error is not None:
+                raise ProgramError(
+                    "%s: PE %s's program raised %s: %s"
+                    % (self.name, name, type(error).__name__, error)
+                ) from error
+        return max((pe.finished_at or 0) for pe in self.pes.values())
 
     # ------------------------------------------------------------------
     # Bus transactions
@@ -767,7 +784,11 @@ class Machine:
           reads, as ``pe.bus_read`` does.
 
         The compiled backend serves eligible pairs with a fused copy of this
-        loop (:func:`_hsregs_poll`, :func:`_memory_poll`).
+        loop (:func:`_hsregs_poll`, :func:`_memory_poll`).  Once every
+        fused loop waits at ``interval_max`` with nothing else due, the
+        compiled run loop skips whole periods of them and adds their
+        counters in bulk (``CompiledSimulator._skip_periods``); statistics
+        and cycles are those of polling every iteration.
         """
         device = self.devices[device_name]
         registers = device.kind == "hsregs"
@@ -850,6 +871,138 @@ class Machine:
 # the closure's code rather than delegating to it, because a ``yield from``
 # per poll costs more than the copy.  Defined here, not in the specializer,
 # so that their time counts as fabric work.
+#
+# Each running loop registers a _PollLoop with the compiled simulator and
+# marks it parked while it backs off at its capped interval, so that the
+# run loop can skip whole periods of parked loops (poll fast-forward,
+# CompiledSimulator._skip_periods); _PollModel is the model half of that.
+
+
+class _PollLoop:
+    """One running fused poll loop, as the compiled run loop sees it.
+
+    Registered in ``sim._poll_loops`` under its generator from its first
+    step to its ``finally``.  While the loop waits out a back-off of
+    ``interval`` cycles, its ``interval_max``, it is parked: it does not
+    count in ``sim._polls_busy``, and every later back-off is as long, so
+    until the polled word changes the loop repeats the same probe, read
+    and back-off.  ``process`` is the process running the loop, filled in
+    by the run loop the first time it needs it.
+    """
+
+    __slots__ = ("generator", "process", "interval", "pe", "segment", "memory")
+
+    def __init__(
+        self,
+        pe: ProcessingElement,
+        segment: BusSegment,
+        memory: Optional[Memory],
+        interval: int,
+    ):
+        self.generator = None
+        self.process = None
+        self.interval = interval
+        self.pe = pe
+        self.segment = segment
+        self.memory = memory
+
+
+# Arbiter and memory counters a poll adds to (PeStats, BusStats and
+# CacheStats count nothing else, so all their int fields are taken).
+_ARBITER_COUNTERS = ("grants", "busy_cycles", "wait_cycles")
+_MEMORY_COUNTERS = ("reads", "writes")
+_DRAM_COUNTERS = _MEMORY_COUNTERS + ("row_hits", "row_misses")
+
+
+def _int_fields(stats) -> List[str]:
+    return [name for name, value in vars(stats).items() if type(value) is int]
+
+
+class _PollModel:
+    """The model state a set of parked fused poll loops reads and writes.
+
+    Splits it three ways for poll fast-forward:
+
+    * :meth:`ready` -- whether a jump may start: every arbiter idle,
+      every machine still specialized (attaching a probe or a fault
+      injector despecializes it), and every I-cache on its warm shortcut
+      (a probe's fetches then only count hits);
+    * :meth:`key` -- what decides the loops' next steps besides the
+      calendar: each PE's fractional cycle carry, each arbiter's
+      round-robin ring and peak queue depth, each DRAM's open row;
+    * :meth:`counters` -- everything else the loops change, all of it
+      counters (and the I-fetch cursor, which wraps at the code
+      footprint), which :meth:`advance` moves on by whole periods.
+    """
+
+    __slots__ = ("loops", "span", "pes", "segments", "memories", "fields", "masters")
+
+    def __init__(self, loops: Tuple[_PollLoop, ...]):
+        self.loops = loops
+        # The shortest possible period: one back-off of the slowest loop.
+        self.span = max(loop.interval for loop in loops)
+        self.pes = list(dict.fromkeys(loop.pe for loop in loops))
+        self.segments = list(dict.fromkeys(loop.segment for loop in loops))
+        self.memories = [
+            memory for memory in dict.fromkeys(loop.memory for loop in loops) if memory is not None
+        ]
+        cells = []
+        for pe in self.pes:
+            cells += [(pe.stats, _int_fields(pe.stats)), (pe.icache.stats, CacheStats.__slots__)]
+        for segment in self.segments:
+            cells += [
+                (segment.stats, _int_fields(segment.stats)),
+                (segment.arbiter, _ARBITER_COUNTERS),
+            ]
+        for memory in self.memories:
+            cells.append((memory, _DRAM_COUNTERS if isinstance(memory, Dram) else _MEMORY_COUNTERS))
+        self.fields = [(owner, name) for owner, names in cells for name in names]
+        self.masters = [
+            (segment.stats.per_master, master)
+            for segment, master in dict.fromkeys((loop.segment, loop.pe.name) for loop in loops)
+        ]
+
+    def ready(self) -> bool:
+        for segment in self.segments:
+            if segment.arbiter.owner is not None or segment.arbiter._pending:
+                return False
+        for pe in self.pes:
+            icache = pe.icache
+            if not pe.machine._specialized or (
+                pe.program_device is not None
+                and not (pe._fetch_warm and not icache.stats.evictions and not icache.flushes)
+            ):
+                return False
+        return True
+
+    def key(self) -> tuple:
+        return (
+            tuple(pe._cycle_carry for pe in self.pes),
+            tuple(
+                (tuple(getattr(segment.arbiter, "_order", ())), segment.arbiter.peak_pending)
+                for segment in self.segments
+            ),
+            tuple(getattr(memory, "_open_row", None) for memory in self.memories),
+        )
+
+    def counters(self) -> List[int]:
+        values = [getattr(owner, name) for owner, name in self.fields]
+        values += [per_master.get(master, 0) for per_master, master in self.masters]
+        values += [pe._fetch_cursor for pe in self.pes]
+        return values
+
+    def advance(self, before: List[int], after: List[int], periods: int) -> None:
+        """Add ``periods`` times the change from ``before`` to ``after``,
+        two :meth:`counters` snapshots one period apart, to each counter."""
+        values = zip(before, after)
+        for (owner, name), (old, new) in zip(self.fields, values):
+            if new != old:
+                setattr(owner, name, new + periods * (new - old))
+        for (per_master, master), (old, new) in zip(self.masters, values):
+            if new != old:
+                per_master[master] = new + periods * (new - old)
+        for pe, (old, new) in zip(self.pes, values):
+            pe._fetch_cursor = (new + periods * (new - old)) % pe.code_footprint_words
 
 
 def _poll_dispatch(bindings, generic):
@@ -870,6 +1023,7 @@ def _poll_dispatch(bindings, generic):
 def _hsregs_poll(machine, pe, segment, device):
     """``pe`` polling a handshake register ``device`` over ``segment``."""
     sim = machine.sim
+    loops = sim._poll_loops
     master = pe.name
     registers = device.target
     arbiter = segment.arbiter
@@ -887,54 +1041,74 @@ def _hsregs_poll(machine, pe, segment, device):
     fetch_misses = pe._fetch_misses
 
     def poll(key, value, interval, interval_max, probe):
+        loop = _PollLoop(pe, segment, None, interval_max)
+        loop.generator = run(loop, key, value, interval, interval_max, probe)
+        return loop.generator
+
+    def run(loop, key, value, interval, interval_max, probe):
         _register_address(device.name, key)  # KeyError before any traffic
         if probe < 0:
             raise ValueError("negative instruction count")
-        while True:
-            if probe:
-                cycles = charge(probe)
-                if cycles > 0:
-                    yield cycles
-                misses = fetch_misses(probe)
-                if misses:
-                    yield from machine.miss_traffic(
-                        pe, pe.program_device, misses, pe.icache.line_words, False
-                    )
-            entry = sim.now
-            if arbiter.owner is None and not arbiter._pending:
-                if note is not None:
-                    note(master)
-                arbiter.owner = master
-                arbiter.grants += 1
-                arbiter.busy_since = entry
-            else:
-                yield request(master)
-            acquired = sim.now
-            try:
-                yield tenure
-            finally:
-                end = sim.now
-                arbiter.owner = None
-                arbiter.busy_cycles += end - arbiter.busy_since
-                arbiter.busy_since = None
-                if arbiter._pending:
-                    arbiter._dispatch()
-                stats.transactions += 1
-                stats.read_transactions += 1
-                stats.words_moved += 1
-                stats.busy_cycles += end - entry
-                stats.arbitration_cycles += acquired - entry
-                per_master[master] = per_master.get(master, 0) + 1
-            pe_stats.handshake_polls += 1
-            if register_values[key] == value:
-                return
-            poll = wait_for(key, value, interval)
-            if poll.watchers is None:
-                continue
-            yield poll
-            interval *= 2
-            if interval > interval_max:
-                interval = interval_max
+        loops[loop.generator] = loop
+        sim._polls_busy += 1
+        parked = False
+        try:
+            while True:
+                if probe:
+                    cycles = charge(probe)
+                    if cycles > 0:
+                        yield cycles
+                    misses = fetch_misses(probe)
+                    if misses:
+                        yield from machine.miss_traffic(
+                            pe, pe.program_device, misses, pe.icache.line_words, False
+                        )
+                entry = sim.now
+                if arbiter.owner is None and not arbiter._pending:
+                    if note is not None:
+                        note(master)
+                    arbiter.owner = master
+                    arbiter.grants += 1
+                    arbiter.busy_since = entry
+                else:
+                    yield request(master)
+                acquired = sim.now
+                try:
+                    yield tenure
+                finally:
+                    end = sim.now
+                    arbiter.owner = None
+                    arbiter.busy_cycles += end - arbiter.busy_since
+                    arbiter.busy_since = None
+                    if arbiter._pending:
+                        arbiter._dispatch()
+                    stats.transactions += 1
+                    stats.read_transactions += 1
+                    stats.words_moved += 1
+                    stats.busy_cycles += end - entry
+                    stats.arbitration_cycles += acquired - entry
+                    per_master[master] = per_master.get(master, 0) + 1
+                pe_stats.handshake_polls += 1
+                if register_values[key] == value:
+                    return
+                poll = wait_for(key, value, interval)
+                if poll.watchers is None:
+                    continue
+                if interval == interval_max:
+                    parked = True
+                    sim._polls_busy -= 1
+                    yield poll
+                    parked = False
+                    sim._polls_busy += 1
+                else:
+                    yield poll
+                interval *= 2
+                if interval > interval_max:
+                    interval = interval_max
+        finally:
+            del loops[loop.generator]
+            if not parked:
+                sim._polls_busy -= 1
 
     return poll
 
@@ -943,6 +1117,7 @@ def _memory_poll(machine, pe, segment, device):
     """``pe`` polling a shared control variable of a memory ``device``
     over ``segment``."""
     sim = machine.sim
+    loops = sim._poll_loops
     master = pe.name
     memory = device.target
     arbiter = segment.arbiter
@@ -959,58 +1134,78 @@ def _memory_poll(machine, pe, segment, device):
     fetch_misses = pe._fetch_misses
 
     def poll(key, value, interval, interval_max, probe):
+        loop = _PollLoop(pe, segment, memory, interval_max)
+        loop.generator = run(loop, key, value, interval, interval_max, probe)
+        return loop.generator
+
+    def run(loop, key, value, interval, interval_max, probe):
         if probe < 0:
             raise ValueError("negative instruction count")
+        loops[loop.generator] = loop
+        sim._polls_busy += 1
+        parked = False
         slot = None
-        while True:
-            if probe:
-                cycles = charge(probe)
-                if cycles > 0:
-                    yield cycles
-                misses = fetch_misses(probe)
-                if misses:
-                    yield from machine.miss_traffic(
-                        pe, pe.program_device, misses, pe.icache.line_words, False
-                    )
-            if slot is None:
-                slot = machine.shared_vars[device.name].slot(key)
-            latency = access_latency(slot, 1, False)
-            entry = sim.now
-            if arbiter.owner is None and not arbiter._pending:
-                if note is not None:
-                    note(master)
-                arbiter.owner = master
-                arbiter.grants += 1
-                arbiter.busy_since = entry
-            else:
-                yield request(master)
-            acquired = sim.now
-            try:
-                yield tenure + latency
-            finally:
-                end = sim.now
-                arbiter.owner = None
-                arbiter.busy_cycles += end - arbiter.busy_since
-                arbiter.busy_since = None
-                if arbiter._pending:
-                    arbiter._dispatch()
-                stats.transactions += 1
-                stats.read_transactions += 1
-                stats.words_moved += 1
-                stats.busy_cycles += end - entry
-                stats.arbitration_cycles += acquired - entry
-                stats.memory_cycles += latency
-                per_master[master] = per_master.get(master, 0) + 1
-            observed = read(slot, 1)[0]
-            pe_stats.bus_cycles += end - entry
-            pe_stats.words_read += 1
-            pe_stats.handshake_polls += 1
-            if observed == value:
-                return
-            yield interval
-            interval *= 2
-            if interval > interval_max:
-                interval = interval_max
+        try:
+            while True:
+                if probe:
+                    cycles = charge(probe)
+                    if cycles > 0:
+                        yield cycles
+                    misses = fetch_misses(probe)
+                    if misses:
+                        yield from machine.miss_traffic(
+                            pe, pe.program_device, misses, pe.icache.line_words, False
+                        )
+                if slot is None:
+                    slot = machine.shared_vars[device.name].slot(key)
+                latency = access_latency(slot, 1, False)
+                entry = sim.now
+                if arbiter.owner is None and not arbiter._pending:
+                    if note is not None:
+                        note(master)
+                    arbiter.owner = master
+                    arbiter.grants += 1
+                    arbiter.busy_since = entry
+                else:
+                    yield request(master)
+                acquired = sim.now
+                try:
+                    yield tenure + latency
+                finally:
+                    end = sim.now
+                    arbiter.owner = None
+                    arbiter.busy_cycles += end - arbiter.busy_since
+                    arbiter.busy_since = None
+                    if arbiter._pending:
+                        arbiter._dispatch()
+                    stats.transactions += 1
+                    stats.read_transactions += 1
+                    stats.words_moved += 1
+                    stats.busy_cycles += end - entry
+                    stats.arbitration_cycles += acquired - entry
+                    stats.memory_cycles += latency
+                    per_master[master] = per_master.get(master, 0) + 1
+                observed = read(slot, 1)[0]
+                pe_stats.bus_cycles += end - entry
+                pe_stats.words_read += 1
+                pe_stats.handshake_polls += 1
+                if observed == value:
+                    return
+                if interval == interval_max:
+                    parked = True
+                    sim._polls_busy -= 1
+                    yield interval
+                    parked = False
+                    sim._polls_busy += 1
+                else:
+                    yield interval
+                interval *= 2
+                if interval > interval_max:
+                    interval = interval_max
+        finally:
+            del loops[loop.generator]
+            if not parked:
+                sim._polls_busy -= 1
 
     return poll
 

@@ -175,10 +175,28 @@ class SharedVariables:
         self._slots = {}
 
     def slot(self, variable: str) -> int:
-        """Word address backing ``variable`` (allocated on first use)."""
-        if variable not in self._slots:
-            self._slots[variable] = self.base_address + len(self._slots)
-        return self._slots[variable]
+        """Word address backing ``variable`` (allocated on first use).
+
+        The variables fill the memory from ``base_address`` to its end;
+        a variable past that raises ``ValueError``.
+        """
+        slot = self._slots.get(variable)
+        if slot is None:
+            slot = self.base_address + len(self._slots)
+            if slot >= self.memory.size_words:
+                raise ValueError(
+                    "%s: shared variable area full: %d variables fill words %d-%d, "
+                    "no room for %r"
+                    % (
+                        self.memory.name,
+                        len(self._slots),
+                        self.base_address,
+                        self.memory.size_words - 1,
+                        variable,
+                    )
+                )
+            self._slots[variable] = slot
+        return slot
 
     def peek(self, variable: str) -> int:
         """Read without bus traffic (testing/debug only)."""

@@ -448,6 +448,12 @@ class Simulator:
     class) or ``"compiled"`` (:class:`repro.sim.compiled.CompiledSimulator`);
     ``None`` defers to ``$REPRO_SIM_KERNEL``.  Instantiating the subclass
     directly also works.
+
+    ``events_processed`` counts the events fired, one per heap pop here.
+    On the compiled backend it also counts the entries a poll
+    fast-forward jump accounted for without firing them
+    (``events_skipped``), so it is equal on both backends for one
+    workload.
     """
 
     __slots__ = (
@@ -482,12 +488,20 @@ class Simulator:
         self._queue: List = []
         self._seq = 0
         self._timeout_pool: List[_PooledTimeout] = []
-        # Events processed by this simulator (one per heap pop that fired).
+        # Events processed by this simulator: one per heap pop that fired,
+        # and on the compiled backend one per entry that poll fast-forward
+        # accounted for without firing it (see events_skipped).
         self.events_processed = 0
         # Observability (repro.obs): when monitor_depth is True, run() and
         # step() track the deepest the pending-event heap ever got.
         self.monitor_depth = False
         self.peak_queue_depth = 0
+
+    @property
+    def events_skipped(self) -> int:
+        """Entries counted in ``events_processed`` without being fired: 0
+        here; the compiled backend's poll fast-forward skips some."""
+        return 0
 
     # -- event construction helpers ------------------------------------
     def event(self) -> Event:

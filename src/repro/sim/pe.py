@@ -33,10 +33,16 @@ from .cache import Cache, mpc755_dcache, mpc755_icache
 from .kernel import Process, Simulator
 from .stats import PeStats
 
-__all__ = ["DataTouch", "ProcessingElement", "MISS_GROUP"]
+__all__ = ["DataTouch", "ProcessingElement", "ProgramError", "MISS_GROUP"]
 
 # Cache misses bundled into a single bus tenure (see module docstring).
 MISS_GROUP = 8
+
+
+class ProgramError(RuntimeError):
+    """A PE's program raised, so the run's timing is not the workload's
+    (raised by :meth:`repro.sim.fabric.Machine.program_cycles`, chained to
+    the program's exception)."""
 
 
 class DataTouch:
@@ -73,6 +79,7 @@ class ProcessingElement:
         "_cycle_carry",
         "_fetch_cursor",
         "finished_at",
+        "program_error",
         "_fetch_warm",
         "_footprint_lines",
         "faults",
@@ -103,6 +110,7 @@ class ProcessingElement:
         self._cycle_carry = 0.0
         self._fetch_cursor = 0
         self.finished_at: Optional[int] = None
+        self.program_error: Optional[BaseException] = None
         # Warm-footprint fast path state for _fetch_misses (see there).
         self._fetch_warm = False
         line_words = self.icache.line_words
@@ -120,7 +128,8 @@ class ProcessingElement:
         """Launch a program generator as a simulation process.
 
         ``finished_at`` is set when the process event fires, in the cycle
-        the program returned; a program that raises leaves it None.
+        the program returned; a program that raises leaves it None and
+        its exception in ``program_error`` (the first, when several do).
         """
         process = self.sim.process(program, name or "%s.program" % self.name)
         process.callbacks.append(self._finished)
@@ -129,6 +138,8 @@ class ProcessingElement:
     def _finished(self, process: Process) -> None:
         if process._exception is None:
             self.finished_at = self.sim.now
+        elif self.program_error is None:
+            self.program_error = process._exception
 
     # ------------------------------------------------------------------
     # Compute phases

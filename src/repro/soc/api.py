@@ -129,7 +129,9 @@ class SocAPI:
         between probes the PE idles with a capped exponential backoff (so
         event counts stay bounded on long waits while contention from the
         polling traffic is still present); a matching write ends the
-        backoff early (see :meth:`repro.sim.fabric.Machine.poll`).
+        backoff early (see :meth:`repro.sim.fabric.Machine.poll`).  On the
+        compiled backend, stretches where only capped polls act are
+        skipped period by period with the same statistics.
         """
         return self.machine.poll(
             self.pe,
@@ -164,7 +166,9 @@ class SocAPI:
         Unlike :meth:`reg_wait` there is no hardware change notification for
         a plain memory word, so this polls on a capped-backoff timer; every
         probe is a real arbitrated global-bus read (the contention source
-        discussed in section IV.C's 'possible bus conflicts').
+        discussed in section IV.C's 'possible bus conflicts').  On the
+        compiled backend, stretches where only capped polls act are
+        skipped period by period with the same statistics.
         """
         return self.machine.poll(
             self.pe,

@@ -5,6 +5,7 @@ import pytest
 from repro.apps.database import ObjectStore, run_database
 from repro.options import presets
 from repro.sim.fabric import build_machine
+from repro.sim.pe import ProgramError
 from repro.soc.api import SocAPI
 from repro.soc.rtos import Rtos
 
@@ -65,6 +66,14 @@ class TestWorkload:
         splitba = run_database(build_machine(presets.preset("SPLITBA", 4)))
         assert splitba.tasks_completed == 41
         assert splitba.execution_time_ns < ggba.execution_time_ns
+
+    def test_a_pe_program_that_raises_fails_the_run(self):
+        machine = build_machine(presets.preset("GBAVIII", 4))
+        # PE B's first instruction fetch goes to a memory that does not exist.
+        machine.pe("B").program_device = "NO_SUCH_MEMORY"
+        with pytest.raises(ProgramError, match="MPC755_B") as raised:
+            run_database(machine, client_count=4)
+        assert isinstance(raised.value.__cause__, KeyError)
 
     def test_requires_shared_memory(self):
         machine = build_machine(presets.preset("BFBA", 4))

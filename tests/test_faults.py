@@ -260,6 +260,13 @@ class TestChaosInvariants:
                     + resilience["accounted"]
                 )
 
+    def test_a_dead_pe_is_an_invariant_failure(self):
+        # FPA at 33 packets runs out of shared variables, so PE A's program
+        # raises: the case reports it instead of timing the survivors.
+        row = run_chaos_case(("GBAVIII", "FPA", "heap", "baseline"), packets=33)
+        assert row["cycles"] is None and row["throughput_mbps"] is None
+        assert row["invariant_failures"] == ["GBAVIII: PE MPC755_A did not complete"]
+
     def test_unknown_scenario_is_rejected(self):
         with pytest.raises(ValueError, match="unknown scenario"):
             run_chaos(scenario="nope")

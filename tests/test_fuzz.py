@@ -502,6 +502,16 @@ class TestCli:
         assert report["coverage"][0]["verb"] == "fuzz"
         assert report["coverage"][0]["evaluated"] == 1
 
+    def test_fuzz_without_corpus_outside_the_repo_root_exits_2(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # A missing ./corpus would replay as an empty corpus and fingerprint
+        # a different campaign; nothing is run and nothing is written.
+        monkeypatch.chdir(tmp_path)
+        assert main(["fuzz", "--budget", "1", "--seed", "15"]) == 2
+        assert "run from the repository root or pass --corpus DIR" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_chaos_unknown_arch_exits_2_with_candidates(self, capsys):
         code = main(["chaos", "--arch", "GBAV3", "--no-ledger"])
         assert code == 2

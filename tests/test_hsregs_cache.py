@@ -144,6 +144,15 @@ class TestSharedVariables:
         assert a != b
         assert shared.slot("A") == a
 
+    def test_the_slot_past_the_area_raises(self):
+        memory = Sram("m", 128)
+        shared = SharedVariables(memory, 128 - 64)
+        slots = [shared.slot("V%d" % index) for index in range(64)]
+        assert slots == list(range(64, 128))
+        with pytest.raises(ValueError, match="m: shared variable area full"):
+            shared.slot("V64")
+        assert shared.slot("V63") == 127
+
     def test_peek_poke(self):
         memory = Sram("m", 128)
         shared = SharedVariables(memory, 64)

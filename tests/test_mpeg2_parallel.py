@@ -16,6 +16,7 @@ from repro.apps.mpeg2.parallel import (
 )
 from repro.options import presets
 from repro.sim.fabric import build_machine
+from repro.sim.pe import ProgramError
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +79,15 @@ class TestSharedDriver:
         assert_frames_match(result, reference)
         assert result.gops == 4
         assert result.throughput_mbps > 0
+
+
+def test_a_pe_program_that_raises_fails_the_run(video):
+    machine = build_machine(presets.preset("GBAVIII", 4))
+    # PE D's first instruction fetch goes to a memory that does not exist.
+    machine.pe("D").program_device = "NO_SUCH_MEMORY"
+    with pytest.raises(ProgramError, match="MPC755_D") as raised:
+        run_mpeg2(machine, video)
+    assert isinstance(raised.value.__cause__, KeyError)
 
 
 @pytest.mark.parametrize("preset_name", ["BFBA", "GBAVI"])

@@ -26,6 +26,7 @@ from repro.apps.ofdm.transmitter import (
 )
 from repro.options import presets
 from repro.sim.fabric import build_machine
+from repro.sim.pe import ProgramError
 
 
 class TestFft:
@@ -194,6 +195,16 @@ class TestSimulatedRuns:
             np.round(transmit_packet(SMALL, i), 6).tobytes() for i in range(2)
         }
         assert produced == expected
+
+    def test_fpa_beyond_the_variable_area_raises(self):
+        # FPA keeps two flags per packet in the 64-word variable area, so
+        # packet 33's second flag has no word: PE A's program raises, and
+        # the run is not timed over the PEs that survived.
+        machine = build_machine(presets.preset("GBAVIII", 4))
+        with pytest.raises(ProgramError, match="MPC755_A") as raised:
+            run_ofdm(machine, "FPA", OfdmParameters(packets=33))
+        assert isinstance(raised.value.__cause__, ValueError)
+        assert "variable area full" in str(raised.value.__cause__)
 
     def test_fpa_needs_shared_memory(self):
         machine = build_machine(presets.preset("BFBA", 4))

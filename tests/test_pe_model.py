@@ -5,7 +5,7 @@ import pytest
 from repro.options import presets
 from repro.sim.fabric import build_machine
 from repro.sim.kernel import KERNEL_BACKENDS, Simulator
-from repro.sim.pe import MISS_GROUP, DataTouch, ProcessingElement
+from repro.sim.pe import MISS_GROUP, DataTouch, ProcessingElement, ProgramError
 
 
 def fresh_pe(preset_name="GBAVIII", ban="A"):
@@ -317,6 +317,9 @@ class TestFinishedAt:
         assert pe.finished_at is None
         with pytest.raises(RuntimeError):
             process.value
+        assert str(pe.program_error) == "boom"
+        with pytest.raises(ProgramError, match="MPC755_A's program raised RuntimeError: boom"):
+            machine.program_cycles()
 
     def test_joiner_resumes_in_the_same_cycle(self, kernel):
         machine, pe = self._pe(kernel)

@@ -974,47 +974,230 @@ class TestCalendarOrder:
         self._check(scenario, stepped, expected)
 
 
+def _machine_state(machine):
+    """Everything a poll touches, and the clock and event count: what the
+    compiled backend's poll fast-forward must leave as firing every entry
+    would.  Copies, not the live stats: a discarded machine's suspended
+    generators still run their ``finally`` blocks when collected."""
+    sim = machine.sim
+    state = {"now": sim.now, "events": sim.events_processed, "pes": {}, "buses": {}}
+    for name, pe in machine.pes.items():
+        cache = pe.icache.stats
+        state["pes"][name] = (
+            pe.stats.as_dict(),
+            (cache.hits, cache.misses, cache.evictions, cache.writebacks),
+            pe._fetch_cursor,
+            pe._cycle_carry,
+            pe.finished_at,
+        )
+    for name, segment in machine.segments.items():
+        arbiter = segment.arbiter
+        state["buses"][name] = (
+            segment.stats.as_dict(),
+            dict(segment.stats.per_master),
+            (arbiter.grants, arbiter.busy_cycles, arbiter.wait_cycles, arbiter.peak_pending),
+        )
+    state["memories"] = {
+        name: (
+            device.target.reads,
+            device.target.writes,
+            getattr(device.target, "row_hits", None),
+            getattr(device.target, "row_misses", None),
+        )
+        for name, device in machine.devices.items()
+        if device.kind == "memory"
+    }
+    return state
+
+
+def _poll_spec(bus, data_width=64, policy=None, memory_type=None):
+    from repro.options import presets
+
+    spec = presets.preset(bus, 4)
+    for subsystem in spec.subsystems:
+        for bus_spec in subsystem.buses:
+            bus_spec.data_width = data_width
+            bus_spec.arbiter_policy = policy or bus_spec.arbiter_policy
+        for ban in subsystem.bans:
+            for memory in ban.memories:
+                memory.data_width = data_width
+                memory.memory_type = memory_type or memory.memory_type
+    spec.validate()
+    return spec
+
+
+def _ofdm_run(spec, style, packets, kernel):
+    from repro.apps.ofdm import OfdmParameters, run_ofdm
+    from repro.sim.fabric import build_machine
+
+    machine = build_machine(spec, kernel=kernel)
+    result = run_ofdm(machine, style, OfdmParameters(packets=packets))
+    out = _machine_state(machine)
+    out["row"] = (result.throughput_mbps, result.cycles, result.schedule)
+    out["outputs"] = [output.tobytes() for output in result.outputs]
+    return out, machine.sim.events_skipped
+
+
+def _assert_ofdm_parity(spec, style, packets):
+    reference, heap_skipped = _ofdm_run(spec, style, packets, "heap")
+    assert heap_skipped == 0
+    assert any(stats[0]["handshake_polls"] for stats in reference["pes"].values())
+    compiled, skipped = _ofdm_run(spec, style, packets, "compiled")
+    for key in reference:
+        assert compiled[key] == reference[key], key
+    return skipped
+
+
 class TestTable2PollTraffic:
     """Heap and compiled agree on the real DONE_OP/DONE_RV poll traffic.
 
-    Every Table II case at one packet: the synthetic workloads above do not
-    produce the poll timers, write hops and arbiter grants the tables run
-    on.  Any event the calendar or an inline resume adds, drops or reorders
-    moves the clock, the event count or a statistic.
+    Every Table II case at two packets: the synthetic workloads above do
+    not produce the poll timers, write hops and arbiter grants the tables
+    run on.  Any event the calendar, an inline resume or a poll
+    fast-forward jump adds, drops or reorders moves the clock, the event
+    count or a counter.  The PPA cases poll long enough to jump; the FPA
+    cases at two packets do not.
     """
-
-    @staticmethod
-    def _run(case, kernel):
-        from repro.apps.ofdm import OfdmParameters, run_ofdm
-        from repro.options import presets
-        from repro.sim.fabric import build_machine
-
-        _number, bus_name, style = case
-        machine = build_machine(presets.preset(bus_name, 4), kernel=kernel)
-        result = run_ofdm(machine, style, OfdmParameters(packets=1))
-        sim = machine.sim
-        return {
-            "row": (result.throughput_mbps, result.cycles, result.schedule),
-            "outputs": [output.tobytes() for output in result.outputs],
-            "now": sim.now,
-            "events": sim.events_processed,
-            "pe_stats": {name: vars(pe.stats) for name, pe in machine.pes.items()},
-            "bus_stats": {
-                name: vars(segment.stats) for name, segment in machine.segments.items()
-            },
-        }
 
     @pytest.mark.parametrize(
         "case", TABLE2_CASES, ids=["%d-%s-%s" % case for case in TABLE2_CASES]
     )
     def test_case_identical_across_backends(self, case):
-        reference = self._run(case, "heap")
-        assert reference["events"] > 0
-        assert any(stats["handshake_polls"] for stats in reference["pe_stats"].values())
-        for kernel in BACKENDS[1:]:
-            other = self._run(case, kernel)
-            for key in reference:
-                assert other[key] == reference[key], (kernel, key)
+        _number, bus, style = case
+        skipped = _assert_ofdm_parity(_poll_spec(bus), style, packets=2)
+        if style == "PPA":
+            assert skipped > 0
+
+
+class TestPollFastForward:
+    """The compiled backend jumps parked fused poll loops over whole
+    periods (``CompiledSimulator._skip_periods``); the heap backend fires
+    every entry, so it is the reference for the clock, the event count and
+    every counter a poll moves."""
+
+    @pytest.mark.parametrize("width", [32, 64])
+    @pytest.mark.parametrize("policy", ["fcfs", "round_robin", "priority"])
+    @pytest.mark.parametrize("bus", ["GBAVIII", "GGBA", "SPLITBA", "HYBRID", "BFBA"])
+    def test_ppa_under_every_policy_and_width(self, bus, policy, width):
+        assert _assert_ofdm_parity(_poll_spec(bus, width, policy), "PPA", packets=1) > 0
+
+    @pytest.mark.parametrize("policy", ["fcfs", "round_robin", "priority"])
+    def test_dram_open_rows(self, policy):
+        spec = _poll_spec("GBAVIII", policy=policy, memory_type="DRAM")
+        assert _assert_ofdm_parity(spec, "PPA", packets=1) > 0
+
+    @staticmethod
+    def _pollers(kernel, never=False):
+        """Two processes on PE A poll shared variables, one on PE C polls
+        a third, while PE B stalls long before setting each in turn."""
+        from repro.soc import SocAPI
+        from repro.sim.fabric import build_machine
+
+        machine = build_machine(_poll_spec("GBAVIII"), kernel=kernel)
+        first, second, waiter, setter = (
+            SocAPI(machine, ban) for ban in ("A", "A", "C", "B")
+        )
+
+        def wait(api, variable):
+            def program():
+                yield from api.compute(3000)
+                yield from api.var_wait(variable, 1)
+                yield from api.compute(500)
+
+            return program()
+
+        def release():
+            for variable in ("GO_1", "GO_2", "GO_3"):
+                yield from setter.stall(40_000)
+                if not never:
+                    yield from setter.var_write(variable, 1)
+
+        first.pe.run(wait(first, "GO_1"))
+        second.pe.run(wait(second, "GO_2"))
+        waiter.pe.run(wait(waiter, "GO_3"))
+        setter.pe.run(release())
+        return machine
+
+    def test_two_processes_polling_on_one_pe(self):
+        states = {}
+        for kernel in BACKENDS:
+            machine = self._pollers(kernel)
+            machine.sim.run()
+            states[kernel] = _machine_state(machine)
+        assert states["compiled"] == states["heap"]
+        assert machine.sim.events_skipped > 0
+        assert machine.pe("C").finished_at > machine.pe("A").finished_at > 80_000
+
+    def test_deadline_inside_a_jumpable_stretch(self):
+        states = {}
+        skipped = {}
+        for kernel in BACKENDS:
+            machine = self._pollers(kernel)
+            sim = machine.sim
+            sim.run(until=61_234)
+            skipped[kernel] = sim.events_skipped
+            states[kernel] = [_machine_state(machine)]
+            sim.run()
+            states[kernel].append(_machine_state(machine))
+        assert states["compiled"] == states["heap"]
+        assert states["heap"][0]["now"] == 61_234
+        assert skipped["heap"] == 0 and skipped["compiled"] > 0
+
+    def test_a_deadline_at_every_cycle_of_a_period(self):
+        # A lone poller's period is about 143 cycles, so one of these
+        # deadlines falls right after a jump's last whole period: the jump
+        # must stop before the deadline's cycle, whose entries stay queued.
+        from repro.options import presets
+        from repro.sim.fabric import build_machine
+        from repro.soc import SocAPI
+
+        def run(kernel, deadline):
+            machine = build_machine(presets.preset("GBAVIII", 2), kernel=kernel)
+            api = SocAPI(machine, "A")
+
+            def program():
+                yield from api.compute(3000)
+                yield from api.var_wait("GO", 1)
+
+            api.pe.run(program())
+            machine.sim.run(until=deadline)
+            return _machine_state(machine), machine.sim.events_skipped
+
+        for deadline in range(30_000, 30_160):
+            reference, _ = run("heap", deadline)
+            state, skipped = run("compiled", deadline)
+            assert state == reference, deadline
+            assert skipped > 0
+
+    def test_unsatisfied_poll_hits_the_event_limit_at_the_same_event(self):
+        states = {}
+        for kernel in BACKENDS:
+            machine = self._pollers(kernel, never=True)
+            with pytest.raises(SimulationError, match="event limit exceeded"):
+                machine.sim.run(limit=20_000)
+            states[kernel] = _machine_state(machine)
+            if kernel == "compiled":
+                assert machine.sim.events_skipped > 0
+        assert states["compiled"] == states["heap"]
+        assert states["heap"]["events"] == 20_001
+
+    @pytest.mark.parametrize("hook", ["probe", "faults"])
+    def test_hooked_machine_never_jumps(self, hook):
+        from repro.faults import install_faults
+        from repro.faults.plan import empty_plan
+        from repro.obs import Probe
+
+        machine = self._pollers("compiled")
+        if hook == "probe":
+            machine.attach_probe(Probe())
+        else:
+            install_faults(machine, empty_plan())
+        machine.sim.run()
+        assert machine.sim.events_skipped == 0
+        bare = self._pollers("compiled")
+        bare.sim.run()
+        assert bare.sim.events_skipped > 0
+        assert _machine_state(machine) == _machine_state(bare)
 
 
 # ---------------------------------------------------------------------------
