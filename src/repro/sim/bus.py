@@ -151,13 +151,18 @@ class BusSegment:
         # observable state change in between: charge them as a single kernel
         # event and derive the arbitration boundary arithmetically.
         arbitration_done = sim.now + grant
+        closed = False
         try:
             beats = self.beats_for(words) * self.beat_cycles
             yield grant + beats + extra_cycles
+        except GeneratorExit:
+            closed = True  # with a discarded machine: releases nothing
+            raise
         finally:
-            self.arbiter.release(master)
-            if probe is not None:
-                probe.on_transfer_close(self, master)
+            if not closed:
+                self.arbiter.release(master)
+                if probe is not None:
+                    probe.on_transfer_close(self, master)
         end = sim.now
         timing = TransferTiming(
             start=start,

@@ -34,11 +34,11 @@ per cycle, for the modes it does not use (docs/performance.md, "One run
 loop").
 
 Poll fast-forward: under a plain ``run()`` or a deadline, a cycle that
-ends with every running fused poll loop parked (see
-``repro.sim.fabric._PollLoop``) may end in a jump over whole periods of
-those loops (:meth:`CompiledSimulator._skip_periods`); ``events_processed``
-counts the skipped entries and ``events_skipped`` reports them
-(docs/performance.md, "Poll fast-forward").
+ends with every running poll loop of a specialized machine parked (fused
+or bridged; see ``repro.sim.fabric._PollLoop``) may end in a jump over
+whole periods of those loops (:meth:`CompiledSimulator._skip_periods`);
+``events_processed`` counts the skipped entries and ``events_skipped``
+reports them (docs/performance.md, "Poll fast-forward").
 """
 
 from __future__ import annotations
@@ -61,8 +61,11 @@ from .. import kernel as _kernel_mod
 
 __all__ = ["CompiledSimulator"]
 
-# Poll states recorded before the oldest are dropped (see _skip_periods).
-_POLL_STATES = 256
+# Poll states recorded in one stretch (one ``t_next``) without a recurrence
+# before _skip_periods gives the stretch up.  The longest searches in the
+# benchmark workloads end in a jump after 367 states (Table II's GBAVI case,
+# whose 143- and 147-cycle polls share a bus) and 256 (Table III's).
+_POLL_STATES = 512
 
 
 def _resume_slow(sim: "CompiledSimulator", process: Process, nxt: Any) -> None:
@@ -117,8 +120,8 @@ class CompiledSimulator(Simulator):
 
     ``run`` keeps the deadline/stop-event/limit contract and the event
     accounting of :meth:`Simulator.run`; the module docstring covers what
-    it resumes itself.  Where the fused poll loops of a specialized
-    machine wait out their capped back-offs alone, it also skips whole
+    it resumes itself.  Where the poll loops of a specialized machine
+    wait out their capped back-offs alone, it also skips whole
     periods of them (:meth:`_skip_periods`), firing only the entries
     before the first recurrence and after the last whole period; the
     clock, the event count and every counter end as if each entry had
@@ -132,6 +135,7 @@ class CompiledSimulator(Simulator):
         "_polls_busy",
         "_poll_model",
         "_poll_seen",
+        "_poll_stretch",
         "_events_skipped",
     )
 
@@ -142,14 +146,15 @@ class CompiledSimulator(Simulator):
         super().__init__()
         self._current: list = []
         self._next: list = []
-        # Poll fast-forward (see _skip_periods): the running fused poll
-        # loops by generator, how many of them are not parked, the model
-        # state of the last set of loops seen, and the states recorded
-        # since the last jump.
+        # Poll fast-forward (see _skip_periods): the running poll loops by
+        # generator, how many of them are not parked, the model state of the
+        # last set of loops seen, the states recorded since the last jump,
+        # and the stretch (its ``t_next``) they were recorded in.
         self._poll_loops: dict = {}
         self._polls_busy = 0
         self._poll_model: Optional[_PollModel] = None
         self._poll_seen: dict = {}
+        self._poll_stretch: Optional[int] = None
         self._events_skipped = 0
 
     @property
@@ -362,19 +367,27 @@ class CompiledSimulator(Simulator):
         self, steps: int, limit: int, deadline: Optional[int]
     ) -> Tuple[int, int]:
         """Jump parked poll loops over whole periods; called at the end of
-        a cycle in which every running fused poll loop is parked.
+        a cycle in which every running poll loop is parked.
 
         Records the state of the loops (the calendar part here, the model
-        part from :class:`~repro.sim.fabric._PollModel`); when a recorded
-        state recurs ``period`` cycles later with nothing else due before
+        part, every segment, arbiter and bridge on their routes, from
+        :class:`~repro.sim.fabric._PollModel`); when a recorded state
+        recurs ``period`` cycles later with nothing else due before
         ``t_next``, the loops have repeated themselves exactly, and will
         again until something else acts.  So whole periods up to
         ``t_next`` are skipped at once: the loops' heap entries move
         ``periods * period`` cycles on (with fresh sequence numbers, in
         their order, as the unskipped run would have pushed them), their
         counters move on by as many periods' changes, and the skipped
-        entries count as processed.  Returns the entries skipped and the
-        cycle before which another attempt cannot succeed
+        entries count as processed.
+
+        States are recorded per stretch, the cycles up to one ``t_next``:
+        a new ``t_next`` drops the states recorded before it, which can
+        never recur.  A stretch that records ``_POLL_STATES`` states
+        without a recurrence is given up until ``t_next``, which bounds
+        the work and the memory a stretch that never recurs can take.
+        Returns the entries
+        skipped and the cycle before which another attempt cannot succeed
         (docs/performance.md, "Poll fast-forward").
         """
         now = self.now
@@ -428,19 +441,24 @@ class CompiledSimulator(Simulator):
             return 0, t_next
         if not model.ready():
             return 0, now + 1
+        seen = self._poll_seen
+        if t_next != self._poll_stretch:
+            # A new stretch: no state recorded before it can recur.
+            seen.clear()
+            self._poll_stretch = t_next
         parked.sort()
         key = (
-            t_next,
             tuple([(when - now, loop) for when, _seq, loop, _entry in parked]),
             tuple(following),
             model.key(),
         )
-        seen = self._poll_seen
         recorded = seen.get(key)
         if recorded is None:
+            if len(seen) >= _POLL_STATES:
+                # The loops' joint schedule has not recurred in as many
+                # states: give the stretch up.
+                return 0, t_next
             if t_next - now > 2 * span:
-                if len(seen) >= _POLL_STATES:
-                    seen.clear()
                 seen[key] = (now, steps, model.counters())
             return 0, now + 1
         then, then_steps, before = recorded

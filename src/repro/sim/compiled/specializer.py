@@ -39,7 +39,13 @@ A pair's poll closure is a fused loop: the probe's instructions, the
 one-word read tenure and the backoff run in one generator, so a poll
 iteration resumes one frame instead of a chain of up to four.  Its two
 factories, and its dispatch, live in :mod:`repro.sim.fabric` beside the
-generic ``Machine.poll``.
+generic ``Machine.poll``, which serves the bridged pairs.  Both kinds of
+loop register with the compiled run loop, which skips whole periods of
+them once they all back off at their capped interval (poll fast-forward).
+
+A tenure closed by ``GeneratorExit`` -- its generator collected with a
+discarded machine -- counts nothing and releases nothing; an interrupted
+one ends through ``repro.sim.fabric._end_tenure``, as the generic path's.
 
 The per-pair functions here are named ``transaction`` and
 ``miss_traffic``, like the dispatch itself: the end-to-end benchmark
@@ -52,7 +58,7 @@ from __future__ import annotations
 from typing import Callable, Dict
 
 from ..arbiter import note_hook
-from ..fabric import _HS_REGISTERS, _hsregs_poll, _memory_poll, _poll_dispatch
+from ..fabric import _HS_REGISTERS, _end_tenure, _hsregs_poll, _memory_poll, _poll_dispatch
 from ..pe import MISS_GROUP
 
 __all__ = ["specialize_machine", "eligible_pairs"]
@@ -139,23 +145,27 @@ def _memory_transaction(machine, pe, segment, device):
                 + (max(words, 1) + wpb - 1) // wpb * beat
                 + latency
             )
-        finally:
-            end = sim.now
-            arbiter.owner = None
-            arbiter.busy_cycles += end - arbiter.busy_since
-            arbiter.busy_since = None
-            if arbiter._pending:
-                arbiter._dispatch()
-            stats.transactions += 1
-            if write:
-                stats.write_transactions += 1
-            else:
-                stats.read_transactions += 1
-            stats.words_moved += words
-            stats.busy_cycles += end - entry
-            stats.arbitration_cycles += acquired - entry
-            stats.memory_cycles += latency
-            per_master[master] = per_master.get(master, 0) + 1
+        except GeneratorExit:
+            raise  # closed with a discarded machine: counts nothing
+        except BaseException:
+            _end_tenure(segment, master, entry, acquired, words, write, latency)
+            raise
+        end = sim.now
+        arbiter.owner = None
+        arbiter.busy_cycles += end - arbiter.busy_since
+        arbiter.busy_since = None
+        if arbiter._pending:
+            arbiter._dispatch()
+        stats.transactions += 1
+        if write:
+            stats.write_transactions += 1
+        else:
+            stats.read_transactions += 1
+        stats.words_moved += words
+        stats.busy_cycles += end - entry
+        stats.arbitration_cycles += acquired - entry
+        stats.memory_cycles += latency
+        per_master[master] = per_master.get(master, 0) + 1
         if write:
             store(address, data if data is not None else [0] * words)
             return None
@@ -194,22 +204,26 @@ def _hsregs_transaction(machine, pe, segment, device):
         acquired = sim.now
         try:
             yield (w_grant if write else r_grant) + (max(words, 1) + wpb - 1) // wpb * beat
-        finally:
-            end = sim.now
-            arbiter.owner = None
-            arbiter.busy_cycles += end - arbiter.busy_since
-            arbiter.busy_since = None
-            if arbiter._pending:
-                arbiter._dispatch()
-            stats.transactions += 1
-            if write:
-                stats.write_transactions += 1
-            else:
-                stats.read_transactions += 1
-            stats.words_moved += words
-            stats.busy_cycles += end - entry
-            stats.arbitration_cycles += acquired - entry
-            per_master[master] = per_master.get(master, 0) + 1
+        except GeneratorExit:
+            raise  # closed with a discarded machine: counts nothing
+        except BaseException:
+            _end_tenure(segment, master, entry, acquired, words, write, 0)
+            raise
+        end = sim.now
+        arbiter.owner = None
+        arbiter.busy_cycles += end - arbiter.busy_since
+        arbiter.busy_since = None
+        if arbiter._pending:
+            arbiter._dispatch()
+        stats.transactions += 1
+        if write:
+            stats.write_transactions += 1
+        else:
+            stats.read_transactions += 1
+        stats.words_moved += words
+        stats.busy_cycles += end - entry
+        stats.arbitration_cycles += acquired - entry
+        per_master[master] = per_master.get(master, 0) + 1
         register = _HS_REGISTERS[address]
         if write:
             reg_write(register, (data or [0])[0])
@@ -259,23 +273,27 @@ def _miss_traffic(machine, pe, segment, device):
                     + (max(words, 1) + wpb - 1) // wpb * beat
                     + memory_cycles
                 )
-            finally:
-                end = sim.now
-                arbiter.owner = None
-                arbiter.busy_cycles += end - arbiter.busy_since
-                arbiter.busy_since = None
-                if arbiter._pending:
-                    arbiter._dispatch()
-                stats.transactions += 1
-                if write:
-                    stats.write_transactions += 1
-                else:
-                    stats.read_transactions += 1
-                stats.words_moved += words
-                stats.busy_cycles += end - entry
-                stats.arbitration_cycles += acquired - entry
-                stats.memory_cycles += memory_cycles
-                per_master[master] = per_master.get(master, 0) + 1
+            except GeneratorExit:
+                raise  # closed with a discarded machine: counts nothing
+            except BaseException:
+                _end_tenure(segment, master, entry, acquired, words, write, memory_cycles)
+                raise
+            end = sim.now
+            arbiter.owner = None
+            arbiter.busy_cycles += end - arbiter.busy_since
+            arbiter.busy_since = None
+            if arbiter._pending:
+                arbiter._dispatch()
+            stats.transactions += 1
+            if write:
+                stats.write_transactions += 1
+            else:
+                stats.read_transactions += 1
+            stats.words_moved += words
+            stats.busy_cycles += end - entry
+            stats.arbitration_cycles += acquired - entry
+            stats.memory_cycles += memory_cycles
+            per_master[master] = per_master.get(master, 0) + 1
             if write:
                 memory.writes += words
             else:
@@ -324,7 +342,7 @@ def specialize_machine(machine) -> bool:
     """Install the specialized dispatch on ``machine``.
 
     Returns True when at least one pair is eligible.  No-op (False) on a
-    simulator other than the compiled one (the fused poll loops register
+    simulator other than the compiled one (the poll loops register
     with its run loop), when a hook is attached or when nothing is
     eligible; safe to call twice.  Pairs are bound on first use (see the
     module docstring).

@@ -31,7 +31,7 @@ generated architectures in Table II (observation B).
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Set, Tuple
+from typing import Dict, Generator, List, Optional, Sequence, Set, Tuple
 
 from ..obs import FanoutProbe
 from ..options.schema import BusSystemSpec, BusSubsystemSpec, OptionError
@@ -117,6 +117,27 @@ class _PreparedPlan:
         self.beat_cycles = max(segment.beat_cycles for segment, _bridge in plan)
         self.words_per_beat = min(segment.words_per_beat for segment, _bridge in plan)
         self.bridges = [bridge for _segment, bridge in plan if bridge is not None]
+
+
+def _end_tenure(segment, master, entry, acquired, words, write, memory_cycles):
+    """End ``master``'s tenure of ``segment`` now: release and count it.
+
+    What an interrupted tenure does.  A completed one does the same inline
+    (``Machine._occupy_path``, the fused poll loops, the specializer's
+    closures).  A tenure closed by ``GeneratorExit`` -- its generator
+    collected with a discarded machine -- does neither, so a machine
+    stopped at a ``run(until=)`` deadline keeps its counters.
+    """
+    end = segment.sim.now
+    segment.arbiter.release(master)
+    probe = segment.probe
+    if probe is not None:
+        probe.on_transfer_close(segment, master)
+    transfer = end - acquired - memory_cycles
+    timing = TransferTiming(entry, end, acquired - entry, transfer, memory_cycles)
+    segment.stats.record(master, words, write, timing)
+    if probe is not None:
+        probe.on_tenure(segment, master, entry, acquired, end, words, write, memory_cycles)
 
 
 class Machine:
@@ -505,30 +526,34 @@ class Machine:
                 # tenure with no observable state change in between, so they
                 # are charged as a single kernel event.
                 yield grant * items + beats + memory_cycles
-            finally:
-                end = sim.now
-                segment.arbiter.release(master)
-                if probe is not None:
-                    probe.on_transfer_close(segment, master)
-                # Inlined BusStats.record (hot path: one call per bus
-                # tenure) without materializing a TransferTiming.
-                stats = segment.stats
-                stats.transactions += 1
-                if write:
-                    stats.write_transactions += 1
-                else:
-                    stats.read_transactions += 1
-                stats.words_moved += words
-                stats.busy_cycles += end - entry
-                stats.arbitration_cycles += acquired - entry
-                stats.memory_cycles += memory_cycles
-                per_master = stats.per_master
-                per_master[master] = per_master.get(master, 0) + 1
-                if probe is not None:
-                    probe.on_tenure(
-                        segment, master, entry, acquired, end,
-                        words, write, memory_cycles,
-                    )
+            except GeneratorExit:
+                raise  # closed with a discarded machine: counts nothing
+            except BaseException:
+                _end_tenure(segment, master, entry, acquired, words, write, memory_cycles)
+                raise
+            end = sim.now
+            segment.arbiter.release(master)
+            if probe is not None:
+                probe.on_transfer_close(segment, master)
+            # Inlined BusStats.record (hot path: one call per bus tenure)
+            # without materializing a TransferTiming.
+            stats = segment.stats
+            stats.transactions += 1
+            if write:
+                stats.write_transactions += 1
+            else:
+                stats.read_transactions += 1
+            stats.words_moved += words
+            stats.busy_cycles += end - entry
+            stats.arbitration_cycles += acquired - entry
+            stats.memory_cycles += memory_cycles
+            per_master = stats.per_master
+            per_master[master] = per_master.get(master, 0) + 1
+            if probe is not None:
+                probe.on_tenure(
+                    segment, master, entry, acquired, end,
+                    words, write, memory_cycles,
+                )
             return
         held_segments: List[BusSegment] = []
         entry = sim.now
@@ -556,6 +581,9 @@ class Machine:
             for bridge in plan.bridges:
                 hops += bridge.cross(master)
             yield beats + hops + memory_cycles
+        except GeneratorExit:
+            held_segments.clear()  # closed with a discarded machine: counts nothing
+            raise
         finally:
             end = sim.now
             for segment in reversed(held_segments):
@@ -771,9 +799,10 @@ class Machine:
     ) -> Generator:
         """Software polling (section IV.C): read ``key`` until it is ``value``.
 
-        Each iteration runs a ``probe``-instruction compute phase (load,
-        mask, compare, branch), then a real one-word bus read, then backs
-        off; the interval doubles up to ``interval_max``:
+        Returns the polling generator.  Each iteration runs a
+        ``probe``-instruction compute phase (load, mask, compare, branch),
+        then a real one-word bus read, then backs off; the interval doubles
+        up to ``interval_max``:
 
         * on a handshake register block, ``key`` names the register, and
           the back-off ends early on a matching write
@@ -783,42 +812,99 @@ class Machine:
           the PE idles for the interval; its reads count as the PE's bus
           reads, as ``pe.bus_read`` does.
 
+        An unknown device or register raises ``KeyError`` at the first
+        step, before any bus traffic; an unreachable route raises
+        ``LookupError`` at the first read.
+
         The compiled backend serves eligible pairs with a fused copy of this
-        loop (:func:`_hsregs_poll`, :func:`_memory_poll`).  Once every
-        fused loop waits at ``interval_max`` with nothing else due, the
+        loop (:func:`_hsregs_poll`, :func:`_memory_poll`) and the rest --
+        bridged routes: GBAVI's neighbour registers, SplitBA's other
+        subsystem -- with this one.  On a specialized machine every such
+        loop registers a :class:`_PollLoop` and parks at ``interval_max``;
+        once every registered loop is parked with nothing else due, the
         compiled run loop skips whole periods of them and adds their
         counters in bulk (``CompiledSimulator._skip_periods``); statistics
         and cycles are those of polling every iteration.
         """
+        loop = _PollLoop(pe, (), (), None, interval_max)
+        loop.generator = self._polling(loop, device_name, key, value, interval, probe)
+        return loop.generator
+
+    def _polling(
+        self,
+        loop: "_PollLoop",
+        device_name: str,
+        key: str,
+        value: int,
+        interval: int,
+        probe: float,
+    ) -> Generator:
+        """The generator :meth:`poll` returns, running ``loop``."""
+        pe = loop.pe
+        interval_max = loop.interval
         device = self.devices[device_name]
         registers = device.kind == "hsregs"
         if registers:
             address = _register_address(device_name, key)
             block = device.target
+            memory = None
+        else:
+            memory = device.target
         slot = None
         stats = pe.stats
-        while True:
-            if probe:
-                yield from pe.compute(probe)
-            if registers:
-                values = yield from self.transaction(pe, device_name, address, 1, False)
-            else:
-                if slot is None:
-                    slot = self.shared_vars[device_name].slot(key)
-                values = yield from pe.bus_read(device_name, slot, 1)
-            stats.handshake_polls += 1
-            if values[0] == value:
-                return
-            if registers:
-                poll = block.wait_for(key, value, interval)
-                if poll.watchers is None:
-                    continue
-                yield poll
-            else:
-                yield interval
-            interval *= 2
-            if interval > interval_max:
-                interval = interval_max
+        sim = self.sim
+        generator = loop.generator
+        # Registered for poll fast-forward on a specialized machine only:
+        # never on heap, never with a probe or a fault injector attached.
+        loops = sim._poll_loops if self._specialized else None
+        if loops is not None:
+            loops[generator] = loop
+            sim._polls_busy += 1
+        parked = False
+        try:
+            while True:
+                if probe:
+                    yield from pe.compute(probe)
+                if registers:
+                    values = yield from self.transaction(pe, device_name, address, 1, False)
+                else:
+                    if slot is None:
+                        slot = self.shared_vars[device_name].slot(key)
+                    values = yield from pe.bus_read(device_name, slot, 1)
+                stats.handshake_polls += 1
+                if values[0] == value:
+                    return
+                if registers:
+                    backoff = block.wait_for(key, value, interval)
+                    if backoff.watchers is None:
+                        continue
+                else:
+                    backoff = interval
+                if loops is not None and interval == interval_max:
+                    plan = self._plan_for(pe, device)
+                    if plan.segments is not loop.segments:
+                        # The first route, or a new one after a bridge was
+                        # toggled: a fresh _PollLoop, so that the run loop
+                        # rebuilds its model and no state recorded on the
+                        # old route can recur.
+                        loop = _PollLoop(pe, plan.segments, plan.bridges, memory, interval_max)
+                        loop.generator = generator
+                        loops[generator] = loop
+                    parked = True
+                    sim._polls_busy -= 1
+                    yield backoff
+                    parked = False
+                    sim._polls_busy += 1
+                else:
+                    yield backoff
+                interval *= 2
+                if interval > interval_max:
+                    interval = interval_max
+        finally:
+            if loops is not None:
+                del loops[generator]
+                if not parked:
+                    sim._polls_busy -= 1
 
     def fifo_push(
         self, pe: ProcessingElement, device: Device, fifo: HardwareFifo, values: List[int]
@@ -872,30 +958,38 @@ class Machine:
 # per poll costs more than the copy.  Defined here, not in the specializer,
 # so that their time counts as fabric work.
 #
-# Each running loop registers a _PollLoop with the compiled simulator and
-# marks it parked while it backs off at its capped interval, so that the
-# run loop can skip whole periods of parked loops (poll fast-forward,
+# Each running loop -- fused, or Machine.poll on a specialized machine --
+# registers a _PollLoop with the compiled simulator and marks it parked
+# while it backs off at its capped interval, so that the run loop can skip
+# whole periods of parked loops (poll fast-forward,
 # CompiledSimulator._skip_periods); _PollModel is the model half of that.
 
 
 class _PollLoop:
-    """One running fused poll loop, as the compiled run loop sees it.
+    """One running poll loop and its route, as the compiled run loop sees it.
 
     Registered in ``sim._poll_loops`` under its generator from its first
     step to its ``finally``.  While the loop waits out a back-off of
     ``interval`` cycles, its ``interval_max``, it is parked: it does not
     count in ``sim._polls_busy``, and every later back-off is as long, so
     until the polled word changes the loop repeats the same probe, read
-    and back-off.  ``process`` is the process running the loop, filled in
-    by the run loop the first time it needs it.
+    and back-off.  ``segments`` are the segments its read holds and
+    ``bridges`` the bridges it crosses: one segment and no bridge for a
+    fused loop; for :meth:`Machine.poll`, the route its next read takes,
+    as it stood when the loop parked, which registers a fresh
+    ``_PollLoop`` when a toggled bridge re-routes it.
+    ``memory`` is the polled memory (None for a register block).
+    ``process`` is the process running the loop, filled in by the run loop
+    the first time it needs it.
     """
 
-    __slots__ = ("generator", "process", "interval", "pe", "segment", "memory")
+    __slots__ = ("generator", "process", "interval", "pe", "segments", "bridges", "memory")
 
     def __init__(
         self,
         pe: ProcessingElement,
-        segment: BusSegment,
+        segments: Sequence[BusSegment],
+        bridges: Sequence[BusBridge],
         memory: Optional[Memory],
         interval: int,
     ):
@@ -903,13 +997,15 @@ class _PollLoop:
         self.process = None
         self.interval = interval
         self.pe = pe
-        self.segment = segment
+        self.segments = segments
+        self.bridges = bridges
         self.memory = memory
 
 
-# Arbiter and memory counters a poll adds to (PeStats, BusStats and
+# Arbiter, bridge and memory counters a poll adds to (PeStats, BusStats and
 # CacheStats count nothing else, so all their int fields are taken).
 _ARBITER_COUNTERS = ("grants", "busy_cycles", "wait_cycles")
+_BRIDGE_COUNTERS = ("crossings",)
 _MEMORY_COUNTERS = ("reads", "writes")
 _DRAM_COUNTERS = _MEMORY_COUNTERS + ("row_hits", "row_misses")
 
@@ -919,20 +1015,23 @@ def _int_fields(stats) -> List[str]:
 
 
 class _PollModel:
-    """The model state a set of parked fused poll loops reads and writes.
+    """The model state a set of parked poll loops reads and writes.
 
-    Splits it three ways for poll fast-forward:
+    Covers every segment, arbiter and bridge on every loop's route.  Splits
+    it three ways for poll fast-forward:
 
-    * :meth:`ready` -- whether a jump may start: every arbiter idle,
+    * :meth:`ready` -- whether a jump may start: every route arbiter idle,
       every machine still specialized (attaching a probe or a fault
       injector despecializes it), and every I-cache on its warm shortcut
       (a probe's fetches then only count hits);
     * :meth:`key` -- what decides the loops' next steps besides the
-      calendar: each PE's fractional cycle carry, each arbiter's
+      calendar: each PE's fractional cycle carry, each route arbiter's
       round-robin ring and peak queue depth, each DRAM's open row;
     * :meth:`counters` -- everything else the loops change, all of it
       counters (and the I-fetch cursor, which wraps at the code
-      footprint), which :meth:`advance` moves on by whole periods.
+      footprint), which :meth:`advance` moves on by whole periods:
+      per-master counts on each route segment and bridge crossings
+      included.
     """
 
     __slots__ = ("loops", "span", "pes", "segments", "memories", "fields", "masters")
@@ -942,7 +1041,7 @@ class _PollModel:
         # The shortest possible period: one back-off of the slowest loop.
         self.span = max(loop.interval for loop in loops)
         self.pes = list(dict.fromkeys(loop.pe for loop in loops))
-        self.segments = list(dict.fromkeys(loop.segment for loop in loops))
+        self.segments = list(dict.fromkeys(s for loop in loops for s in loop.segments))
         self.memories = [
             memory for memory in dict.fromkeys(loop.memory for loop in loops) if memory is not None
         ]
@@ -954,12 +1053,16 @@ class _PollModel:
                 (segment.stats, _int_fields(segment.stats)),
                 (segment.arbiter, _ARBITER_COUNTERS),
             ]
+        for bridge in dict.fromkeys(b for loop in loops for b in loop.bridges):
+            cells.append((bridge, _BRIDGE_COUNTERS))
         for memory in self.memories:
             cells.append((memory, _DRAM_COUNTERS if isinstance(memory, Dram) else _MEMORY_COUNTERS))
         self.fields = [(owner, name) for owner, names in cells for name in names]
         self.masters = [
             (segment.stats.per_master, master)
-            for segment, master in dict.fromkeys((loop.segment, loop.pe.name) for loop in loops)
+            for segment, master in dict.fromkeys(
+                (segment, loop.pe.name) for loop in loops for segment in loop.segments
+            )
         ]
 
     def ready(self) -> bool:
@@ -1023,6 +1126,7 @@ def _poll_dispatch(bindings, generic):
 def _hsregs_poll(machine, pe, segment, device):
     """``pe`` polling a handshake register ``device`` over ``segment``."""
     sim = machine.sim
+    route = (segment,)
     loops = sim._poll_loops
     master = pe.name
     registers = device.target
@@ -1041,7 +1145,7 @@ def _hsregs_poll(machine, pe, segment, device):
     fetch_misses = pe._fetch_misses
 
     def poll(key, value, interval, interval_max, probe):
-        loop = _PollLoop(pe, segment, None, interval_max)
+        loop = _PollLoop(pe, route, (), None, interval_max)
         loop.generator = run(loop, key, value, interval, interval_max, probe)
         return loop.generator
 
@@ -1075,19 +1179,23 @@ def _hsregs_poll(machine, pe, segment, device):
                 acquired = sim.now
                 try:
                     yield tenure
-                finally:
-                    end = sim.now
-                    arbiter.owner = None
-                    arbiter.busy_cycles += end - arbiter.busy_since
-                    arbiter.busy_since = None
-                    if arbiter._pending:
-                        arbiter._dispatch()
-                    stats.transactions += 1
-                    stats.read_transactions += 1
-                    stats.words_moved += 1
-                    stats.busy_cycles += end - entry
-                    stats.arbitration_cycles += acquired - entry
-                    per_master[master] = per_master.get(master, 0) + 1
+                except GeneratorExit:
+                    raise  # closed with a discarded machine: counts nothing
+                except BaseException:
+                    _end_tenure(segment, master, entry, acquired, 1, False, 0)
+                    raise
+                end = sim.now
+                arbiter.owner = None
+                arbiter.busy_cycles += end - arbiter.busy_since
+                arbiter.busy_since = None
+                if arbiter._pending:
+                    arbiter._dispatch()
+                stats.transactions += 1
+                stats.read_transactions += 1
+                stats.words_moved += 1
+                stats.busy_cycles += end - entry
+                stats.arbitration_cycles += acquired - entry
+                per_master[master] = per_master.get(master, 0) + 1
                 pe_stats.handshake_polls += 1
                 if register_values[key] == value:
                     return
@@ -1117,6 +1225,7 @@ def _memory_poll(machine, pe, segment, device):
     """``pe`` polling a shared control variable of a memory ``device``
     over ``segment``."""
     sim = machine.sim
+    route = (segment,)
     loops = sim._poll_loops
     master = pe.name
     memory = device.target
@@ -1134,7 +1243,7 @@ def _memory_poll(machine, pe, segment, device):
     fetch_misses = pe._fetch_misses
 
     def poll(key, value, interval, interval_max, probe):
-        loop = _PollLoop(pe, segment, memory, interval_max)
+        loop = _PollLoop(pe, route, (), memory, interval_max)
         loop.generator = run(loop, key, value, interval, interval_max, probe)
         return loop.generator
 
@@ -1171,20 +1280,24 @@ def _memory_poll(machine, pe, segment, device):
                 acquired = sim.now
                 try:
                     yield tenure + latency
-                finally:
-                    end = sim.now
-                    arbiter.owner = None
-                    arbiter.busy_cycles += end - arbiter.busy_since
-                    arbiter.busy_since = None
-                    if arbiter._pending:
-                        arbiter._dispatch()
-                    stats.transactions += 1
-                    stats.read_transactions += 1
-                    stats.words_moved += 1
-                    stats.busy_cycles += end - entry
-                    stats.arbitration_cycles += acquired - entry
-                    stats.memory_cycles += latency
-                    per_master[master] = per_master.get(master, 0) + 1
+                except GeneratorExit:
+                    raise  # closed with a discarded machine: counts nothing
+                except BaseException:
+                    _end_tenure(segment, master, entry, acquired, 1, False, latency)
+                    raise
+                end = sim.now
+                arbiter.owner = None
+                arbiter.busy_cycles += end - arbiter.busy_since
+                arbiter.busy_since = None
+                if arbiter._pending:
+                    arbiter._dispatch()
+                stats.transactions += 1
+                stats.read_transactions += 1
+                stats.words_moved += 1
+                stats.busy_cycles += end - entry
+                stats.arbitration_cycles += acquired - entry
+                stats.memory_cycles += latency
+                per_master[master] = per_master.get(master, 0) + 1
                 observed = read(slot, 1)[0]
                 pe_stats.bus_cycles += end - entry
                 pe_stats.words_read += 1

@@ -130,8 +130,9 @@ class SocAPI:
         event counts stay bounded on long waits while contention from the
         polling traffic is still present); a matching write ends the
         backoff early (see :meth:`repro.sim.fabric.Machine.poll`).  On the
-        compiled backend, stretches where only capped polls act are
-        skipped period by period with the same statistics.
+        compiled backend, stretches where only capped polls act -- local
+        ones, and GBAVI's reads of a neighbour's registers across a bus
+        bridge -- are skipped period by period with the same statistics.
         """
         return self.machine.poll(
             self.pe,
@@ -167,8 +168,10 @@ class SocAPI:
         a plain memory word, so this polls on a capped-backoff timer; every
         probe is a real arbitrated global-bus read (the contention source
         discussed in section IV.C's 'possible bus conflicts').  On the
-        compiled backend, stretches where only capped polls act are
-        skipped period by period with the same statistics.
+        compiled backend, stretches where only capped polls act -- local
+        ones, and SplitBA's reads of the other subsystem's variables across
+        its bus bridge -- are skipped period by period with the same
+        statistics.
         """
         return self.machine.poll(
             self.pe,

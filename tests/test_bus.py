@@ -73,6 +73,21 @@ class TestBusSegment:
         assert second[0].end > first[0].end
         assert segment.stats.transactions == 2
 
+    def test_closed_tenure_releases_nothing(self, sim):
+        """A FIFO tenure whose generator is closed mid-burst (collected
+        with a discarded machine) moves no arbiter or bus counter; the
+        waiting master is not granted."""
+        segment = BusSegment(sim, "bus")
+        first = sim.process(segment.occupy("a", 64, write=False))
+        occupy(sim, segment, "b", 64)
+        sim.run(until=10)
+        arbiter = segment.arbiter
+        before = (arbiter.grants, arbiter.busy_cycles, arbiter.wait_cycles, arbiter.owner)
+        first.generator.close()
+        assert (arbiter.grants, arbiter.busy_cycles, arbiter.wait_cycles, arbiter.owner) == before
+        assert before == (1, 0, 0, "a")
+        assert segment.stats.transactions == 0
+
     def test_stats_utilization(self, sim):
         segment = BusSegment(sim, "bus")
         occupy(sim, segment, "a", 64)

@@ -1007,6 +1007,7 @@ def _machine_state(machine):
         for name, device in machine.devices.items()
         if device.kind == "memory"
     }
+    state["bridges"] = {bridge.name: bridge.crossings for bridge in machine.bridges}
     return state
 
 
@@ -1039,13 +1040,15 @@ def _ofdm_run(spec, style, packets, kernel):
 
 
 def _assert_ofdm_parity(spec, style, packets):
+    """Heap and compiled agree on an OFDM run; returns the share of its
+    events the compiled run skipped."""
     reference, heap_skipped = _ofdm_run(spec, style, packets, "heap")
     assert heap_skipped == 0
     assert any(stats[0]["handshake_polls"] for stats in reference["pes"].values())
     compiled, skipped = _ofdm_run(spec, style, packets, "compiled")
     for key in reference:
         assert compiled[key] == reference[key], key
-    return skipped
+    return skipped / compiled["events"]
 
 
 class TestTable2PollTraffic:
@@ -1198,6 +1201,275 @@ class TestPollFastForward:
         bare.sim.run()
         assert bare.sim.events_skipped > 0
         assert _machine_state(machine) == _machine_state(bare)
+
+    # -- bridged polls: Machine.poll parked on a specialized machine --------
+
+    @pytest.mark.parametrize("width", [32, 64])
+    @pytest.mark.parametrize("policy", ["fcfs", "round_robin", "priority"])
+    @pytest.mark.parametrize("bus", ["GBAVI", "SPLITBA"])
+    def test_bridged_polls_jump(self, bus, policy, width):
+        """GBAVI reads its neighbours' registers and SplitBA the other
+        subsystem's shared variables across a bridge, through the generic
+        poll loop; it parks like the fused ones, so their stretches jump."""
+        share = _assert_ofdm_parity(_poll_spec(bus, width, policy), "PPA", packets=1)
+        assert share > 0
+        if bus == "SPLITBA":
+            assert share >= 0.8
+
+    @staticmethod
+    def _neighbour_poll(kernel):
+        """PE A polls B's DONE_OP over BB_AB until B sets it at cycle 80,000."""
+        from repro.soc import SocAPI
+        from repro.sim.fabric import build_machine
+
+        machine = build_machine(_poll_spec("GBAVI"), kernel=kernel)
+        waiter, setter = SocAPI(machine, "A"), SocAPI(machine, "B")
+
+        def wait():
+            yield from waiter.reg_wait("HS_REGS_B", "DONE_OP", 1)
+            yield from waiter.compute(500)
+
+        def release():
+            yield from setter.stall(80_000)
+            yield from setter.reg_write("HS_REGS_B", "DONE_OP", 1)
+
+        waiter.pe.run(wait())
+        setter.pe.run(release())
+        return machine
+
+    def test_bridge_toggled_while_a_bridged_poll_is_parked(self):
+        """With BB_AB disabled between two runs, A's parked poll re-routes
+        around the ring (over D and C); the jumps after it must count the
+        new route's segments and crossings."""
+        states, skipped = {}, {}
+        for kernel in BACKENDS:
+            machine = self._neighbour_poll(kernel)
+            sim = machine.sim
+            states[kernel] = []
+            skipped[kernel] = []
+            for until in (30_000, 60_000, None):
+                sim.run(until=until)
+                states[kernel].append(_machine_state(machine))
+                skipped[kernel].append(sim.events_skipped)
+                if until == 30_000:
+                    next(b for b in machine.bridges if b.name == "BB_AB").enabled = False
+        assert states["compiled"] == states["heap"]
+        first, second, final = states["heap"]
+        assert first["bridges"]["BB_AB"] > 0 and first["bridges"]["BB_CD"] == 0
+        assert second["bridges"]["BB_AB"] == first["bridges"]["BB_AB"]
+        assert second["bridges"]["BB_CD"] > 0
+        assert final["pes"]["MPC755_A"][4] > 80_000
+        assert skipped["heap"] == [0, 0, 0]
+        assert 0 < skipped["compiled"][0] < skipped["compiled"][1]
+
+    def test_states_are_kept_per_stretch_and_given_up(self, monkeypatch):
+        """_skip_periods records at most _POLL_STATES states in a stretch,
+        then gives the stretch up.  On Table II's GBAVI case local polls (a
+        143-cycle period) and bridged ones (147) share CPU_BUS_B, and their
+        joint schedule takes long to recur: at two packets the longest
+        stretch needs 255 states, so the backends are compared there with
+        the cap lowered to 64; at the case's eight packets six stretches
+        need 367 states each, under the real cap, and jump."""
+        from repro.apps.ofdm import OfdmParameters, run_ofdm
+        from repro.sim.compiled import kernel as compiled_kernel
+        from repro.sim.fabric import build_machine
+
+        recorded = {}
+        skip_periods = CompiledSimulator._skip_periods
+
+        def counting(sim, steps, limit, deadline):
+            stretch = sim._poll_stretch
+            before = len(sim._poll_seen)
+            result = skip_periods(sim, steps, limit, deadline)
+            if sim._poll_stretch != stretch:
+                before = 0
+            if len(sim._poll_seen) == before + 1:
+                recorded[sim._poll_stretch] = recorded.get(sim._poll_stretch, 0) + 1
+            return result
+
+        monkeypatch.setattr(CompiledSimulator, "_skip_periods", counting)
+        with monkeypatch.context() as lowered:
+            lowered.setattr(compiled_kernel, "_POLL_STATES", 64)
+            assert _assert_ofdm_parity(_poll_spec("GBAVI"), "PPA", packets=2) > 0
+        assert max(recorded.values()) == 64
+        recorded.clear()
+        machine = build_machine(_poll_spec("GBAVI"), kernel="compiled")
+        run_ofdm(machine, "PPA", OfdmParameters(packets=8))
+        assert sorted(recorded.values()).count(367) == 6
+        assert max(recorded.values()) < compiled_kernel._POLL_STATES
+        assert machine.sim.events_skipped > 0.75 * machine.sim.events_processed
+
+    @pytest.mark.parametrize("hook", ["probe", "faults"])
+    def test_hooked_bridged_machine_never_jumps(self, hook):
+        from repro.faults import install_faults
+        from repro.faults.plan import empty_plan
+        from repro.obs import Probe
+
+        machine = self._neighbour_poll("compiled")
+        if hook == "probe":
+            machine.attach_probe(Probe())
+        else:
+            install_faults(machine, empty_plan())
+        machine.sim.run()
+        assert machine.sim.events_skipped == 0
+        assert not machine.sim._poll_loops
+        bare = self._neighbour_poll("compiled")
+        bare.sim.run()
+        assert bare.sim.events_skipped > 0
+        assert _machine_state(machine) == _machine_state(bare)
+
+    @pytest.mark.parametrize("case", ["register", "device", "route"])
+    def test_poll_errors_where_they_were(self, case):
+        """An unknown register or device raises KeyError at the poll's
+        first step, before any bus traffic; an unreachable route (SplitBA
+        with its bridge disabled) raises LookupError at the first read,
+        after the probe's compute phase."""
+        from repro.soc import SocAPI
+        from repro.sim.fabric import build_machine
+
+        outcomes = {}
+        for kernel in BACKENDS:
+            spec = _poll_spec("SPLITBA" if case == "route" else "GBAVI")
+            machine = build_machine(spec, kernel=kernel)
+            api = SocAPI(machine, "A")
+            if case == "register":
+                wait = api.reg_wait("HS_REGS_B", "DONE_XX", 1)
+            elif case == "device":
+                wait = api.reg_wait("HS_REGS_Z", "DONE_OP", 1)
+            else:
+                machine.bridges[0].enabled = False
+                wait = api.var_wait("GO", 1, "GLOBAL_SRAM_G2")
+            caught = []
+
+            def program():
+                try:
+                    yield from wait
+                except Exception as error:  # noqa: BLE001
+                    caught.append((type(error), str(error), machine.sim.now))
+
+            api.pe.run(program())
+            machine.sim.run()
+            outcomes[kernel] = (caught, _machine_state(machine))
+        assert outcomes["compiled"] == outcomes["heap"]
+        [(error, _message, when)], state = outcomes["heap"]
+        pe_stats = state["pes"]["MPC755_A"][0]
+        assert pe_stats["handshake_polls"] == 0 and not any(state["bridges"].values())
+        if case == "route":
+            assert error is LookupError
+            # 25 probe instructions at CPI 0.4, and their I-cache refills.
+            assert pe_stats["compute_cycles"] == 10 and when > 10
+        else:
+            assert error is KeyError and when == 0
+            assert not any(bus[0]["transactions"] for bus in state["buses"].values())
+
+
+class TestDiscardedMachine:
+    """A machine stopped at a ``run(until=)`` deadline and then discarded
+    keeps its counters: when the collector closes a generator suspended
+    mid-tenure, the tenure counts nothing and releases nothing.  At
+    cycle 1,000 GBAVIII's PE A is inside an I-cache refill tenure; at
+    cycle 20,000 SplitBA's PE C is inside a bridged poll read holding both
+    global buses."""
+
+    CASES = [("GBAVIII", "FPA", 1000), ("SPLITBA", "PPA", 20_000)]
+
+    @staticmethod
+    def _stopped(kernel, bus, style, until, monkeypatch):
+        from repro.apps.ofdm import OfdmParameters, mapping, run_ofdm
+        from repro.options import presets
+        from repro.sim.fabric import build_machine
+
+        monkeypatch.setattr(
+            mapping, "_run_and_time", lambda machine, result: machine.sim.run(until=until)
+        )
+        machine = build_machine(presets.preset(bus, 4), kernel=kernel)
+        run_ofdm(machine, style, OfdmParameters(packets=1))
+        owners = [segment.arbiter.owner for segment in machine.segments.values()]
+        held = [owner for owner in owners if owner is not None]
+        assert len(held) == (2 if bus == "SPLITBA" else 1) and len(set(held)) == 1
+        return machine
+
+    @pytest.mark.parametrize("kernel", BACKENDS)
+    @pytest.mark.parametrize("case", CASES, ids=["%s-%s-%d" % case for case in CASES])
+    def test_collected_machine_keeps_its_bus_stats(self, kernel, case, monkeypatch):
+        import gc
+        import weakref
+
+        machine = self._stopped(kernel, *case, monkeypatch)
+        held = [segment.stats for segment in machine.segments.values()]
+        before = [(stats.as_dict(), dict(stats.per_master)) for stats in held]
+        alive = weakref.ref(machine)
+        del machine
+        gc.collect()
+        assert alive() is None
+        assert [(stats.as_dict(), dict(stats.per_master)) for stats in held] == before
+
+    @pytest.mark.parametrize("kernel", BACKENDS)
+    @pytest.mark.parametrize("case", CASES, ids=["%s-%s-%d" % case for case in CASES])
+    def test_closed_tenure_changes_no_counter(self, kernel, case, monkeypatch):
+        """What the collector does, on a machine still held: close every
+        suspended process; no bus, arbiter, bridge or memory counter moves."""
+        import gc
+
+        from repro.sim.kernel import Process
+
+        machine = self._stopped(kernel, *case, monkeypatch)
+        before = _machine_state(machine)
+        processes = [
+            item
+            for item in gc.get_objects()
+            if type(item) is Process and item.sim is machine.sim and not item._triggered
+        ]
+        assert processes
+        for process in processes:
+            process.generator.close()
+        assert _machine_state(machine) == before
+
+    @pytest.mark.parametrize("route", ["local", "bridged", "poll"])
+    def test_interrupted_tenure_still_counts(self, route):
+        """An Interrupt thrown into a tenure ends it where it stands: the
+        arbiter is released and the transaction counted, on both backends
+        alike (a local read, a bridged read, a poll's read)."""
+        from repro.soc import SocAPI
+        from repro.sim.fabric import build_machine
+
+        states = {}
+        for kernel in BACKENDS:
+            machine = build_machine(_poll_spec("SPLITBA"), kernel=kernel)
+            api = SocAPI(machine, "A")
+            sim = machine.sim
+            home = machine.segments["GLOBAL_BUS_SUB1"]
+            caught = []
+
+            def victim():
+                try:
+                    if route == "poll":
+                        yield from api.var_wait("GO", 1)
+                    else:
+                        memory = "GLOBAL_SRAM_G1" if route == "local" else "GLOBAL_SRAM_G2"
+                        yield from api.pe.bus_read(memory, 0, 64)
+                except Interrupt:
+                    caught.append(sim.now)
+
+            process = api.pe.run(victim())
+
+            def interrupter():
+                yield 12
+                assert home.arbiter.owner == api.pe.name
+                process.interrupt("stop")
+
+            sim.process(interrupter())
+            sim.run()
+            states[kernel] = (caught, _machine_state(machine))
+        assert states["compiled"] == states["heap"]
+        caught, state = states["heap"]
+        assert caught == [12]
+        segments = ["GLOBAL_BUS_SUB1"] + (["GLOBAL_BUS_SUB2"] if route == "bridged" else [])
+        for name in segments:
+            stats, per_master, arbiter = state["buses"][name]
+            assert stats["transactions"] == 1 and per_master == {"MPC755_A": 1}
+            assert arbiter[0] == 1  # one grant, released at the interrupt
+        assert state["bridges"]["BB_SYS_1"] == (1 if route == "bridged" else 0)
 
 
 # ---------------------------------------------------------------------------
