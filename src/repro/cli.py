@@ -951,8 +951,8 @@ def build_parser() -> argparse.ArgumentParser:
         dest="backends",
         metavar=kernel_metavar,
         help="scheduler backend (repeatable; default: every backend, with a "
-        "parity check; faults despecialize the compiled backend, so it "
-        "re-proves the generic-path fallback)",
+        "parity check; faults turn the compiled backend's poll "
+        "fast-forward off, so it re-proves the hooked fabric path)",
     )
     chaos.add_argument("--packets", type=int, default=4, help="OFDM packets per run")
     chaos.add_argument("--pes", type=int, default=4, help="processor count")
@@ -988,8 +988,8 @@ def build_parser() -> argparse.ArgumentParser:
         dest="backends",
         metavar=kernel_metavar,
         help="scheduler backend (repeatable; default: every backend, with a "
-        "parity check; monitors despecialize the compiled backend, so it "
-        "re-proves the generic-path fallback)",
+        "parity check; monitors turn the compiled backend's poll "
+        "fast-forward off, so it re-proves the hooked fabric path)",
     )
     verify.add_argument("--packets", type=int, default=2, help="OFDM packets per run")
     verify.add_argument("--pes", type=int, default=4, help="processor count")

@@ -477,9 +477,6 @@ def install_faults(
     trigger tables and no recovery process is spawned, so the run stays
     bit-identical to an uninstrumented machine.
     """
-    # Fault hooks live on the generic transaction paths; drop any
-    # compiled-backend specialized dispatch first.
-    machine._despecialize()
     injector = FaultInjector(machine, plan, policy)
     machine._faults = injector
     for segment in machine.segments.values():

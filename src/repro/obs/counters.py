@@ -1,12 +1,13 @@
 """Counter plane: per-segment tenure counters, read from :class:`BusStats`.
 
 The plane answers *how much did each bus segment do* since it was
-attached, on any backend, without despecializing the compiled backend's
-fast path and without a hook on any tenure.  Every tenure already adds
-one transaction and its arbitration wait to its segment's
-:class:`~repro.sim.stats.BusStats` -- on the generic paths, in the
-specializer's closures and in the fused poll loops alike -- so the plane
-is a view of those counters: :meth:`CounterPlane.bind` records each
+attached, on any backend, without a hook on any tenure, so a counted
+machine keeps the fabric's inline tenures and poll fast-forward.  Every
+tenure already adds one transaction and its arbitration wait to its
+segment's :class:`~repro.sim.stats.BusStats` -- in
+``Machine._occupy_path``, in the inline tenures of
+``Machine.miss_traffic`` and ``Machine.poll`` and in
+``BusSegment.occupy`` alike -- so the plane is a view of those counters: :meth:`CounterPlane.bind` records each
 segment's ``transactions`` and ``arbitration_cycles``, and every read
 reports the change since then.  A plane attached mid-run therefore counts
 only the tenures after it.

@@ -18,7 +18,7 @@ CCBA baseline).
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from .kernel import Event, Simulator
 
@@ -28,7 +28,6 @@ __all__ = [
     "RoundRobinArbiter",
     "PriorityArbiter",
     "make_arbiter",
-    "note_hook",
     "ARBITER_POLICIES",
 ]
 
@@ -120,7 +119,8 @@ class Arbiter:
         if self.busy_since is not None:
             self.busy_cycles += self.sim.now - self.busy_since
             self.busy_since = None
-        self._dispatch()
+        if self._pending:
+            self._dispatch()
 
     def cancel(self, master: str, grant: Event) -> None:
         """Withdraw a request whose master stopped waiting for ``grant``.
@@ -284,14 +284,3 @@ def make_arbiter(
     if cls is PriorityArbiter:
         return PriorityArbiter(sim, name, priorities)
     return cls(sim, name)
-
-
-def note_hook(arbiter: Arbiter) -> Optional[Callable[[str], None]]:
-    """The policy's immediate-grant hook, or None for the base no-op.
-
-    Code that claims an idle arbiter inline (the compiled backend's fabric
-    fast paths) calls it where :meth:`Arbiter.try_claim` calls ``_note``.
-    """
-    if type(arbiter)._note is Arbiter._note:
-        return None
-    return arbiter._note

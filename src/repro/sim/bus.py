@@ -125,14 +125,19 @@ class BusSegment:
         arbitration accounting differs from every other tenure's: it
         charges ``acquired + grant - start`` to
         ``BusStats.arbitration_cycles`` and reports ``acquired + grant`` to
-        ``probe.on_tenure``, while ``Machine._occupy_path``, the compiled
-        specializer's closures and the fused poll loops charge
+        ``probe.on_tenure``, while the fabric's tenures
+        (``Machine._occupy_path`` and the inline ones in
+        ``Machine.miss_traffic`` and ``Machine.poll``) charge
         ``acquired - start``.  So on BFBA and Hybrid segments the
         arbitration totals, the counter plane's ``wait_cycles`` and the
         arbitration-wait histogram count grant latency as arbitration for
         FIFO tenures only.  Backend-parity fingerprints of the pinned fuzz
         campaign hash these totals, so aligning the two moves a pin
         (ROADMAP, open items).
+
+        An interrupted burst ends at the interruption: it releases the
+        segment and is counted like a completed one, with its grant
+        boundary no later than the interruption cycle.
         """
         sim = self.sim
         start = sim.now
@@ -151,33 +156,50 @@ class BusSegment:
         # observable state change in between: charge them as a single kernel
         # event and derive the arbitration boundary arithmetically.
         arbitration_done = sim.now + grant
-        closed = False
         try:
-            beats = self.beats_for(words) * self.beat_cycles
-            yield grant + beats + extra_cycles
+            yield grant + self.beats_for(words) * self.beat_cycles + extra_cycles
         except GeneratorExit:
-            closed = True  # with a discarded machine: releases nothing
+            raise  # closed with a discarded machine: releases and counts nothing
+        except BaseException:
+            arbitration_done = min(arbitration_done, sim.now)
+            self.end_tenure(master, start, arbitration_done, words, write, extra_cycles, probe)
             raise
-        finally:
-            if not closed:
-                self.arbiter.release(master)
-                if probe is not None:
-                    probe.on_transfer_close(self, master)
-        end = sim.now
+        return self.end_tenure(master, start, arbitration_done, words, write, extra_cycles, probe)
+
+    def end_tenure(
+        self,
+        master: str,
+        start: int,
+        acquired: int,
+        words: int,
+        write: bool,
+        memory_cycles: int,
+        probe,
+    ) -> TransferTiming:
+        """End ``master``'s tenure now: release the segment and count it.
+
+        ``start`` is the cycle the master asked for the segment and
+        ``acquired`` where arbitration ends.  ``probe`` is the observer
+        the tenure opened with (None when it opened unobserved); it sees
+        the close and the tenure.  A completed or interrupted tenure ends
+        here, except the fabric's unobserved ones, which count inline.
+        """
+        end = self.sim.now
+        self.arbiter.release(master)
+        if probe is not None:
+            probe.on_transfer_close(self, master)
         timing = TransferTiming(
             start=start,
             end=end,
-            arbitration=arbitration_done - start,
-            transfer=end - arbitration_done - extra_cycles,
-            memory=extra_cycles,
+            arbitration=acquired - start,
+            transfer=end - acquired - memory_cycles,
+            memory=memory_cycles,
         )
         self.stats.record(master, words, write, timing)
         if probe is not None:
-            # Span boundaries mirror the stats: arbitration runs to the
-            # grant-latency boundary, tenure from there to release.
-            probe.on_tenure(
-                self, master, start, arbitration_done, end, words, write, extra_cycles
-            )
+            # Span boundaries mirror the stats: arbitration runs to
+            # ``acquired``, tenure from there to release.
+            probe.on_tenure(self, master, start, acquired, end, words, write, memory_cycles)
         return timing
 
 

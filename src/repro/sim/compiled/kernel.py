@@ -34,8 +34,8 @@ per cycle, for the modes it does not use (docs/performance.md, "One run
 loop").
 
 Poll fast-forward: under a plain ``run()`` or a deadline, a cycle that
-ends with every running poll loop of a specialized machine parked (fused
-or bridged; see ``repro.sim.fabric._PollLoop``) may end in a jump over
+ends with every running poll loop of an unhooked machine parked (see
+``repro.sim.fabric._PollLoop``) may end in a jump over
 whole periods of those loops (:meth:`CompiledSimulator._skip_periods`);
 ``events_processed`` counts the skipped entries and ``events_skipped``
 reports them (docs/performance.md, "Poll fast-forward").
@@ -120,7 +120,7 @@ class CompiledSimulator(Simulator):
 
     ``run`` keeps the deadline/stop-event/limit contract and the event
     accounting of :meth:`Simulator.run`; the module docstring covers what
-    it resumes itself.  Where the poll loops of a specialized machine
+    it resumes itself.  Where the poll loops of an unhooked machine
     wait out their capped back-offs alone, it also skips whole
     periods of them (:meth:`_skip_periods`), firing only the entries
     before the first recurrence and after the last whole period; the

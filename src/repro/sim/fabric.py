@@ -35,7 +35,7 @@ from typing import Dict, Generator, List, Optional, Sequence, Set, Tuple
 
 from ..obs import FanoutProbe
 from ..options.schema import BusSystemSpec, BusSubsystemSpec, OptionError
-from .arbiter import make_arbiter, note_hook
+from .arbiter import make_arbiter
 from .bus import BusBridge, BusSegment, TransferTiming, find_route
 from .cache import CacheStats
 from .fifo import BiFifo, HardwareFifo
@@ -119,27 +119,6 @@ class _PreparedPlan:
         self.bridges = [bridge for _segment, bridge in plan if bridge is not None]
 
 
-def _end_tenure(segment, master, entry, acquired, words, write, memory_cycles):
-    """End ``master``'s tenure of ``segment`` now: release and count it.
-
-    What an interrupted tenure does.  A completed one does the same inline
-    (``Machine._occupy_path``, the fused poll loops, the specializer's
-    closures).  A tenure closed by ``GeneratorExit`` -- its generator
-    collected with a discarded machine -- does neither, so a machine
-    stopped at a ``run(until=)`` deadline keeps its counters.
-    """
-    end = segment.sim.now
-    segment.arbiter.release(master)
-    probe = segment.probe
-    if probe is not None:
-        probe.on_transfer_close(segment, master)
-    transfer = end - acquired - memory_cycles
-    timing = TransferTiming(entry, end, acquired - entry, transfer, memory_cycles)
-    segment.stats.record(master, words, write, timing)
-    if probe is not None:
-        probe.on_tenure(segment, master, entry, acquired, end, words, write, memory_cycles)
-
-
 class Machine:
     """A runnable simulated SoC built from a BusSystemSpec."""
 
@@ -178,12 +157,9 @@ class Machine:
         # repro.faults.install_faults.
         self._faults = None
         # Counter plane (repro.obs.counters.CounterPlane): a view of the
-        # segments' BusStats, so it hooks nothing and keeps specialization.
+        # segments' BusStats, so it hooks nothing and keeps the inline
+        # tenures and poll fast-forward.
         self._counters = None
-        # Compiled-backend fabric specialization (repro.sim.compiled): when
-        # set, ``transaction``/``miss_traffic``/``poll`` are shadowed by a
-        # per-(master, device) dispatch installed as instance attributes.
-        self._specialized = False
 
     # ------------------------------------------------------------------
     # Observability
@@ -198,13 +174,13 @@ class Machine:
         The one setter of the ``probe`` slots: every segment, arbiter,
         bridge, FIFO and handshake register block gets the probe, or a
         :class:`repro.obs.FanoutProbe` over all attached probes once there
-        are several.  A probed machine runs the generic fabric paths, so
-        the compiled backend's specialized dispatch is dropped first.
-        Attaching a probe that is already attached is a no-op.
+        are several.  A probed machine's tenures all run through
+        :meth:`_occupy_path`, which reports them, from the next one on, and
+        its polls stop fast-forwarding.  Attaching a probe that is already
+        attached is a no-op.
         """
         if any(attached is probe for attached in self._probes):
             return
-        self._despecialize()
         self._probes.append(probe)
         if len(self._probes) > 1:
             probe = FanoutProbe(self._probes)
@@ -262,7 +238,8 @@ class Machine:
         """Bind a :class:`repro.obs.counters.CounterPlane`; returns it.
 
         The plane reads the segments' :class:`BusStats`, so it hooks no
-        model and the compiled backend stays specialized.
+        model: a counted machine keeps its inline tenures and poll
+        fast-forward.
         """
         from ..obs.counters import CounterPlane
 
@@ -271,21 +248,6 @@ class Machine:
         plane.bind(self)
         self._counters = plane
         return plane
-
-    def _despecialize(self) -> None:
-        """Remove compiled-backend specialized dispatch, if installed.
-
-        Both hook attach points (:meth:`attach_probe` and fault injection)
-        call this first: a hooked machine must run the generic
-        instrumented ``transaction``/``miss_traffic``/``poll`` paths.  The
-        specialized dispatch and its bound pairs live in instance
-        attributes, so dropping them restores the class methods; a later
-        re-specialization starts over.
-        """
-        self.__dict__.pop("transaction", None)
-        self.__dict__.pop("miss_traffic", None)
-        self.__dict__.pop("poll", None)
-        self._specialized = False
 
     def run_report(self, wall_seconds: float = 0.0, name: Optional[str] = None):
         """Snapshot this machine into a :class:`repro.obs.report.RunReport`."""
@@ -455,14 +417,18 @@ class Machine:
     def _plan_for(self, pe: ProcessingElement, device: Device) -> _PreparedPlan:
         """Cached :class:`_PreparedPlan` for ``pe`` -> ``device``.
 
-        Cached plans are revalidated against the bridge-enable mask so that
-        toggling a bridge (isolation tests, reconfiguration experiments)
-        transparently re-routes.
+        A one-segment plan -- a point-to-point link or a directly mastered
+        segment -- never consults the bridges (:meth:`_route_plan`), so it
+        is returned as cached.  A bridged plan is revalidated against the
+        bridge-enable mask, so that toggling a bridge (isolation tests,
+        reconfiguration experiments) transparently re-routes.
         """
-        bridges = self.bridges
-        state = tuple(bridge.enabled for bridge in bridges) if bridges else ()
         key = (pe.name, device.name)
         entry = self._plan_cache.get(key)
+        if entry is not None and entry[1].single is not None:
+            return entry[1]
+        bridges = self.bridges
+        state = tuple(bridge.enabled for bridge in bridges) if bridges else ()
         if entry is not None and entry[0] == state:
             return entry[1]
         prepared = _PreparedPlan(self._route_plan(pe, device))
@@ -529,7 +495,7 @@ class Machine:
             except GeneratorExit:
                 raise  # closed with a discarded machine: counts nothing
             except BaseException:
-                _end_tenure(segment, master, entry, acquired, words, write, memory_cycles)
+                segment.end_tenure(master, entry, acquired, words, write, memory_cycles, probe)
                 raise
             end = sim.now
             segment.arbiter.release(master)
@@ -718,24 +684,71 @@ class Machine:
         call site) per bus tenure; arbitration is charged per miss within
         the group, so contention costs scale with miss count while the
         simulator's event count stays proportional to groups.
+
+        A group bound for a memory over one segment of an unhooked machine
+        (no probe, no fault injector) runs its tenure inline: what
+        :meth:`_occupy_path` does, without a generator per group.
         """
         device = self.devices[device_name]
         plan = self._plan_for(pe, device)
-        per_line_latency = self._device_latency(device, 0, line_words, write)
+        if device.kind == "memory":
+            memory = device.target
+            per_line_latency = memory.access_latency(0, line_words, write)
+            segment = plan.single
+        else:
+            memory = segment = None
+            per_line_latency = 0
+        sim = self.sim
+        master = pe.name
         remaining = misses
         while remaining > 0:
-            group = min(remaining, MISS_GROUP)
+            group = remaining if remaining < MISS_GROUP else MISS_GROUP
             remaining -= group
-            yield from self._occupy_path(
-                pe, plan, group * line_words, write, per_line_latency, items=group
-            )
-            if device.kind == "memory":
+            words = group * line_words
+            if segment is None or self._probes or self._faults is not None:
+                yield from self._occupy_path(
+                    pe, plan, words, write, per_line_latency, items=group
+                )
+            else:
+                memory_cycles = per_line_latency * group
+                entry = sim.now
+                arbiter = segment.arbiter
+                if not arbiter.try_claim(master):
+                    yield arbiter.request(master)
+                acquired = sim.now
+                wpb = segment.words_per_beat
+                try:
+                    yield (
+                        (segment.write_grant_cycles if write else segment.grant_cycles) * group
+                        + (max(words, 1) + wpb - 1) // wpb * segment.beat_cycles
+                        + memory_cycles
+                    )
+                except GeneratorExit:
+                    raise  # closed with a discarded machine: counts nothing
+                except BaseException:
+                    segment.end_tenure(master, entry, acquired, words, write, memory_cycles, None)
+                    raise
+                end = sim.now
+                arbiter.release(master)
+                stats = segment.stats
+                stats.transactions += 1
+                if write:
+                    stats.write_transactions += 1
+                else:
+                    stats.read_transactions += 1
+                stats.words_moved += words
+                stats.busy_cycles += end - entry
+                stats.arbitration_cycles += acquired - entry
+                stats.memory_cycles += memory_cycles
+                per_master = stats.per_master
+                per_master[master] = per_master.get(master, 0) + 1
+            if memory is not None:
                 # Account traffic volume without disturbing program data:
                 # refills read, writebacks write, against a scratch region.
                 if write:
-                    device.target.writes += group * line_words
+                    memory.writes += words
                 else:
-                    device.target.reads += group * line_words
+                    memory.reads += words
 
     def atomic_rmw(
         self,
@@ -812,19 +825,21 @@ class Machine:
           the PE idles for the interval; its reads count as the PE's bus
           reads, as ``pe.bus_read`` does.
 
-        An unknown device or register raises ``KeyError`` at the first
-        step, before any bus traffic; an unreachable route raises
+        An unknown device or register, or a negative ``probe``, raises at
+        the first step, before any bus traffic; an unreachable route raises
         ``LookupError`` at the first read.
 
-        The compiled backend serves eligible pairs with a fused copy of this
-        loop (:func:`_hsregs_poll`, :func:`_memory_poll`) and the rest --
-        bridged routes: GBAVI's neighbour registers, SplitBA's other
-        subsystem -- with this one.  On a specialized machine every such
-        loop registers a :class:`_PollLoop` and parks at ``interval_max``;
-        once every registered loop is parked with nothing else due, the
-        compiled run loop skips whole periods of them and adds their
-        counters in bulk (``CompiledSimulator._skip_periods``); statistics
-        and cycles are those of polling every iteration.
+        On an unhooked machine (no probe, no fault injector) the loop runs
+        its probe and, over a one-segment route, its read's tenure inline:
+        what ``pe.compute`` and :meth:`transaction` (or ``pe.bus_read``)
+        would do, without a generator per step.  It tests for hooks on
+        every iteration, so a probe attached mid-wait sees the next read.
+        On the compiled backend an unhooked machine's loops register a
+        :class:`_PollLoop` and park at ``interval_max``; once every
+        registered loop is parked with nothing else due, the compiled run
+        loop skips whole periods of them and adds their counters in bulk
+        (``CompiledSimulator._skip_periods``); statistics and cycles are
+        those of polling every iteration.
         """
         loop = _PollLoop(pe, (), (), None, interval_max)
         loop.generator = self._polling(loop, device_name, key, value, interval, probe)
@@ -849,30 +864,86 @@ class Machine:
             block = device.target
             memory = None
         else:
+            address = None  # the variable's slot, allocated at the first read
             memory = device.target
-        slot = None
+        if probe < 0:
+            raise ValueError("negative instruction count")
+        master = pe.name
         stats = pe.stats
+        charge = pe._charge
+        fetch_misses = pe._fetch_misses
         sim = self.sim
         generator = loop.generator
-        # Registered for poll fast-forward on a specialized machine only:
-        # never on heap, never with a probe or a fault injector attached.
-        loops = sim._poll_loops if self._specialized else None
-        if loops is not None:
+        # Registered for poll fast-forward on the compiled backend only,
+        # and only on a machine with no probe and no fault injector.
+        loops = None
+        if sim.kernel_name == "compiled" and not self._probes and self._faults is None:
+            loops = sim._poll_loops
             loops[generator] = loop
             sim._polls_busy += 1
+        plan = None
         parked = False
         try:
             while True:
                 if probe:
-                    yield from pe.compute(probe)
-                if registers:
-                    values = yield from self.transaction(pe, device_name, address, 1, False)
+                    if pe.faults is None:
+                        cycles = charge(probe)
+                        if cycles > 0:
+                            yield cycles
+                        misses = fetch_misses(probe)
+                        if misses:
+                            yield from self.miss_traffic(
+                                pe, pe.program_device, misses, pe.icache.line_words, False
+                            )
+                    else:
+                        yield from pe.compute(probe)
+                if address is None:
+                    address = self.shared_vars[device_name].slot(key)
+                if plan is None or plan.single is None:
+                    # A one-segment plan stays valid (see _plan_for).
+                    plan = self._plan_for(pe, device)
+                segment = plan.single
+                if segment is None or self._probes or self._faults is not None:
+                    if registers:
+                        values = yield from self.transaction(pe, device_name, address, 1, False)
+                    else:
+                        values = yield from pe.bus_read(device_name, address, 1)
+                    observed = values[0]
                 else:
-                    if slot is None:
-                        slot = self.shared_vars[device_name].slot(key)
-                    values = yield from pe.bus_read(device_name, slot, 1)
+                    # One word: the read grant, one beat and the memory's
+                    # latency.
+                    latency = 0 if registers else memory.access_latency(address, 1, False)
+                    entry = sim.now
+                    arbiter = segment.arbiter
+                    if not arbiter.try_claim(master):
+                        yield arbiter.request(master)
+                    acquired = sim.now
+                    try:
+                        yield segment.grant_cycles + segment.beat_cycles + latency
+                    except GeneratorExit:
+                        raise  # closed with a discarded machine: counts nothing
+                    except BaseException:
+                        segment.end_tenure(master, entry, acquired, 1, False, latency, None)
+                        raise
+                    end = sim.now
+                    arbiter.release(master)
+                    bus = segment.stats
+                    bus.transactions += 1
+                    bus.read_transactions += 1
+                    bus.words_moved += 1
+                    bus.busy_cycles += end - entry
+                    bus.arbitration_cycles += acquired - entry
+                    bus.memory_cycles += latency
+                    per_master = bus.per_master
+                    per_master[master] = per_master.get(master, 0) + 1
+                    if registers:
+                        observed = block.read(key)
+                    else:
+                        observed = memory.read(address, 1)[0]
+                        stats.bus_cycles += end - entry
+                        stats.words_read += 1
                 stats.handshake_polls += 1
-                if values[0] == value:
+                if observed == value:
                     return
                 if registers:
                     backoff = block.wait_for(key, value, interval)
@@ -881,7 +952,6 @@ class Machine:
                 else:
                     backoff = interval
                 if loops is not None and interval == interval_max:
-                    plan = self._plan_for(pe, device)
                     if plan.segments is not loop.segments:
                         # The first route, or a new one after a bridge was
                         # toggled: a fresh _PollLoop, so that the run loop
@@ -946,23 +1016,14 @@ class Machine:
 
 
 # ----------------------------------------------------------------------
-# Fused poll loops (compiled backend)
+# Poll fast-forward (compiled backend)
 # ----------------------------------------------------------------------
 #
-# repro.sim.compiled.specializer binds one of these per (PE, device) pair on
-# the pair's first poll.  Each is Machine.poll for one device kind, with the
-# probe's compute phase and the one-word read tenure inline: what
-# ProcessingElement.compute, Machine.transaction (or pe.bus_read) and the
-# pair's transaction closure would do, in one generator.  The tenure repeats
-# the closure's code rather than delegating to it, because a ``yield from``
-# per poll costs more than the copy.  Defined here, not in the specializer,
-# so that their time counts as fabric work.
-#
-# Each running loop -- fused, or Machine.poll on a specialized machine --
-# registers a _PollLoop with the compiled simulator and marks it parked
-# while it backs off at its capped interval, so that the run loop can skip
-# whole periods of parked loops (poll fast-forward,
-# CompiledSimulator._skip_periods); _PollModel is the model half of that.
+# Each running Machine.poll loop of an unhooked machine on the compiled
+# backend registers a _PollLoop with the simulator and marks it parked while
+# it backs off at its capped interval, so that the run loop can skip whole
+# periods of parked loops (CompiledSimulator._skip_periods); _PollModel is
+# the model half of that.
 
 
 class _PollLoop:
@@ -974,10 +1035,9 @@ class _PollLoop:
     count in ``sim._polls_busy``, and every later back-off is as long, so
     until the polled word changes the loop repeats the same probe, read
     and back-off.  ``segments`` are the segments its read holds and
-    ``bridges`` the bridges it crosses: one segment and no bridge for a
-    fused loop; for :meth:`Machine.poll`, the route its next read takes,
-    as it stood when the loop parked, which registers a fresh
-    ``_PollLoop`` when a toggled bridge re-routes it.
+    ``bridges`` the bridges it crosses: the route its next read takes, as
+    it stood when the loop parked, which registers a fresh ``_PollLoop``
+    when a toggled bridge re-routes it.
     ``memory`` is the polled memory (None for a register block).
     ``process`` is the process running the loop, filled in by the run loop
     the first time it needs it.
@@ -1021,9 +1081,9 @@ class _PollModel:
     it three ways for poll fast-forward:
 
     * :meth:`ready` -- whether a jump may start: every route arbiter idle,
-      every machine still specialized (attaching a probe or a fault
-      injector despecializes it), and every I-cache on its warm shortcut
-      (a probe's fetches then only count hits);
+      every machine still unhooked (no probe and no fault injector
+      attached since the loops registered), and every I-cache on its warm
+      shortcut (a probe's fetches then only count hits);
     * :meth:`key` -- what decides the loops' next steps besides the
       calendar: each PE's fractional cycle carry, each route arbiter's
       round-robin ring and peak queue depth, each DRAM's open row;
@@ -1071,7 +1131,8 @@ class _PollModel:
                 return False
         for pe in self.pes:
             icache = pe.icache
-            if not pe.machine._specialized or (
+            machine = pe.machine
+            if machine._probes or machine._faults is not None or (
                 pe.program_device is not None
                 and not (pe._fetch_warm and not icache.stats.evictions and not icache.flushes)
             ):
@@ -1108,221 +1169,6 @@ class _PollModel:
             pe._fetch_cursor = (new + periods * (new - old)) % pe.code_footprint_words
 
 
-def _poll_dispatch(bindings, generic):
-    """``machine.poll`` on a specialized machine: a pair's fused loop, or
-    the generic :meth:`Machine.poll` for a pair that has none."""
-
-    def poll(pe, device_name, key, value, interval, interval_max, probe):
-        fused = bindings[pe.name, device_name]
-        if fused is not None:
-            return fused(key, value, interval, interval_max, probe)
-        return generic(pe, device_name, key, value, interval, interval_max, probe)
-
-    # The cache stays reachable for inspection: which pairs a run bound.
-    poll.bindings = bindings
-    return poll
-
-
-def _hsregs_poll(machine, pe, segment, device):
-    """``pe`` polling a handshake register ``device`` over ``segment``."""
-    sim = machine.sim
-    route = (segment,)
-    loops = sim._poll_loops
-    master = pe.name
-    registers = device.target
-    arbiter = segment.arbiter
-    stats = segment.stats
-    per_master = stats.per_master
-    request = arbiter.request
-    note = note_hook(arbiter)
-    # One word: the read grant and one beat.
-    tenure = segment.grant_cycles + segment.beat_cycles
-    # The registers' values; the name is checked once per wait.
-    register_values = registers._values
-    wait_for = registers.wait_for
-    pe_stats = pe.stats
-    charge = pe._charge
-    fetch_misses = pe._fetch_misses
-
-    def poll(key, value, interval, interval_max, probe):
-        loop = _PollLoop(pe, route, (), None, interval_max)
-        loop.generator = run(loop, key, value, interval, interval_max, probe)
-        return loop.generator
-
-    def run(loop, key, value, interval, interval_max, probe):
-        _register_address(device.name, key)  # KeyError before any traffic
-        if probe < 0:
-            raise ValueError("negative instruction count")
-        loops[loop.generator] = loop
-        sim._polls_busy += 1
-        parked = False
-        try:
-            while True:
-                if probe:
-                    cycles = charge(probe)
-                    if cycles > 0:
-                        yield cycles
-                    misses = fetch_misses(probe)
-                    if misses:
-                        yield from machine.miss_traffic(
-                            pe, pe.program_device, misses, pe.icache.line_words, False
-                        )
-                entry = sim.now
-                if arbiter.owner is None and not arbiter._pending:
-                    if note is not None:
-                        note(master)
-                    arbiter.owner = master
-                    arbiter.grants += 1
-                    arbiter.busy_since = entry
-                else:
-                    yield request(master)
-                acquired = sim.now
-                try:
-                    yield tenure
-                except GeneratorExit:
-                    raise  # closed with a discarded machine: counts nothing
-                except BaseException:
-                    _end_tenure(segment, master, entry, acquired, 1, False, 0)
-                    raise
-                end = sim.now
-                arbiter.owner = None
-                arbiter.busy_cycles += end - arbiter.busy_since
-                arbiter.busy_since = None
-                if arbiter._pending:
-                    arbiter._dispatch()
-                stats.transactions += 1
-                stats.read_transactions += 1
-                stats.words_moved += 1
-                stats.busy_cycles += end - entry
-                stats.arbitration_cycles += acquired - entry
-                per_master[master] = per_master.get(master, 0) + 1
-                pe_stats.handshake_polls += 1
-                if register_values[key] == value:
-                    return
-                poll = wait_for(key, value, interval)
-                if poll.watchers is None:
-                    continue
-                if interval == interval_max:
-                    parked = True
-                    sim._polls_busy -= 1
-                    yield poll
-                    parked = False
-                    sim._polls_busy += 1
-                else:
-                    yield poll
-                interval *= 2
-                if interval > interval_max:
-                    interval = interval_max
-        finally:
-            del loops[loop.generator]
-            if not parked:
-                sim._polls_busy -= 1
-
-    return poll
-
-
-def _memory_poll(machine, pe, segment, device):
-    """``pe`` polling a shared control variable of a memory ``device``
-    over ``segment``."""
-    sim = machine.sim
-    route = (segment,)
-    loops = sim._poll_loops
-    master = pe.name
-    memory = device.target
-    arbiter = segment.arbiter
-    stats = segment.stats
-    per_master = stats.per_master
-    request = arbiter.request
-    note = note_hook(arbiter)
-    # One word: the read grant and one beat, plus the memory's latency.
-    tenure = segment.grant_cycles + segment.beat_cycles
-    access_latency = memory.access_latency
-    read = memory.read
-    pe_stats = pe.stats
-    charge = pe._charge
-    fetch_misses = pe._fetch_misses
-
-    def poll(key, value, interval, interval_max, probe):
-        loop = _PollLoop(pe, route, (), memory, interval_max)
-        loop.generator = run(loop, key, value, interval, interval_max, probe)
-        return loop.generator
-
-    def run(loop, key, value, interval, interval_max, probe):
-        if probe < 0:
-            raise ValueError("negative instruction count")
-        loops[loop.generator] = loop
-        sim._polls_busy += 1
-        parked = False
-        slot = None
-        try:
-            while True:
-                if probe:
-                    cycles = charge(probe)
-                    if cycles > 0:
-                        yield cycles
-                    misses = fetch_misses(probe)
-                    if misses:
-                        yield from machine.miss_traffic(
-                            pe, pe.program_device, misses, pe.icache.line_words, False
-                        )
-                if slot is None:
-                    slot = machine.shared_vars[device.name].slot(key)
-                latency = access_latency(slot, 1, False)
-                entry = sim.now
-                if arbiter.owner is None and not arbiter._pending:
-                    if note is not None:
-                        note(master)
-                    arbiter.owner = master
-                    arbiter.grants += 1
-                    arbiter.busy_since = entry
-                else:
-                    yield request(master)
-                acquired = sim.now
-                try:
-                    yield tenure + latency
-                except GeneratorExit:
-                    raise  # closed with a discarded machine: counts nothing
-                except BaseException:
-                    _end_tenure(segment, master, entry, acquired, 1, False, latency)
-                    raise
-                end = sim.now
-                arbiter.owner = None
-                arbiter.busy_cycles += end - arbiter.busy_since
-                arbiter.busy_since = None
-                if arbiter._pending:
-                    arbiter._dispatch()
-                stats.transactions += 1
-                stats.read_transactions += 1
-                stats.words_moved += 1
-                stats.busy_cycles += end - entry
-                stats.arbitration_cycles += acquired - entry
-                stats.memory_cycles += latency
-                per_master[master] = per_master.get(master, 0) + 1
-                observed = read(slot, 1)[0]
-                pe_stats.bus_cycles += end - entry
-                pe_stats.words_read += 1
-                pe_stats.handshake_polls += 1
-                if observed == value:
-                    return
-                if interval == interval_max:
-                    parked = True
-                    sim._polls_busy -= 1
-                    yield interval
-                    parked = False
-                    sim._polls_busy += 1
-                else:
-                    yield interval
-                interval *= 2
-                if interval > interval_max:
-                    interval = interval_max
-        finally:
-            del loops[loop.generator]
-            if not parked:
-                sim._polls_busy -= 1
-
-    return poll
-
-
 # ----------------------------------------------------------------------
 # Builders
 # ----------------------------------------------------------------------
@@ -1332,16 +1178,16 @@ class MachineBuilder:
     """Single composition point for building a runnable :class:`Machine`.
 
     The builder picks the simulator (an existing one or a backend by
-    name), elaborates the spec with the requested CPI and arbiter-policy
-    override, and -- last -- installs the compiled backend's fabric
-    specialization (see :mod:`repro.sim.compiled.specializer`).
+    name) and elaborates the spec with the requested CPI and
+    arbiter-policy override.
 
     Observers, counter planes and fault injectors attach to the built
     machine: :meth:`Machine.attach_observability`,
     :meth:`Machine.attach_monitors`, :meth:`Machine.attach_counters`,
     :meth:`Machine.attach_probe` and :func:`repro.faults.install_faults`.
-    Each enforces its own ordering: a probe or a fault injector drops the
-    specialized fast paths first, and a counter plane hooks nothing.
+    A probe or a fault injector routes every later tenure through the
+    hooked path and turns poll fast-forward off; a counter plane hooks
+    nothing.
 
     Example::
 
@@ -1357,7 +1203,6 @@ class MachineBuilder:
         self._kernel: Optional[str] = None
         self._cpi = 0.4
         self._arbiter_policy: Optional[str] = None
-        self._specialize = True
 
     # -- simulator selection ------------------------------------------------
     def with_sim(self, sim: Simulator) -> "MachineBuilder":
@@ -1380,11 +1225,6 @@ class MachineBuilder:
         self._arbiter_policy = policy
         return self
 
-    def without_specialization(self) -> "MachineBuilder":
-        """Keep the generic fabric paths even on the compiled backend."""
-        self._specialize = False
-        return self
-
     # -- build ----------------------------------------------------------------
     def build(self) -> Machine:
         spec = self.spec
@@ -1392,10 +1232,6 @@ class MachineBuilder:
         sim = self._sim if self._sim is not None else Simulator(kernel=self._kernel)
         machine = Machine(sim, spec)
         _Builder(machine, self._cpi, self._arbiter_policy).build()
-        if self._specialize and sim.kernel_name == "compiled":
-            from .compiled.specializer import specialize_machine
-
-            specialize_machine(machine)
         return machine
 
 

@@ -477,7 +477,7 @@ class Simulator:
             name = default_kernel() if kernel is None else check_kernel(kernel)
             if name == "compiled":
                 # Lazy import: heap users never load the compiled package
-                # (its run loop and fabric specializer).
+                # (its calendar and run loop).
                 from .compiled import CompiledSimulator
 
                 return object.__new__(CompiledSimulator)

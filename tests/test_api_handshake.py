@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from repro.obs import Probe
 from repro.options import presets
 from repro.sim import fabric
 from repro.sim.fabric import MachineBuilder, build_machine
@@ -136,7 +137,9 @@ class TestSocAPI:
 
 class TestRegisterNames:
     """A name that is not DONE_OP/DONE_RV is an error before any bus
-    traffic, on every path that takes a register name."""
+    traffic, on every path that takes a register name: "specialized" is a
+    bare machine, whose poll reads run inline, "generic" one with a probe
+    attached, whose tenures all take ``Machine._occupy_path``."""
 
     @pytest.mark.parametrize("specialize", [True, False], ids=["specialized", "generic"])
     @pytest.mark.parametrize("kernel", KERNEL_BACKENDS)
@@ -150,10 +153,9 @@ class TestRegisterNames:
         ids=["write", "read", "wait"],
     )
     def test_unknown_name_raises_before_the_bus(self, call, kernel, specialize):
-        builder = MachineBuilder(presets.preset("GBAVI", 4)).with_kernel(kernel)
+        machine = MachineBuilder(presets.preset("GBAVI", 4)).with_kernel(kernel).build()
         if not specialize:
-            builder.without_specialization()
-        machine = builder.build()
+            machine.attach_probe(Probe())
         api = SocAPI(machine, "B")
         block = machine.devices["HS_REGS_B"].target
 

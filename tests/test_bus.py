@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.obs import Probe
 from repro.sim.bus import BusBridge, BusSegment, find_route
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import KERNEL_BACKENDS, Interrupt, Simulator
 
 
 @pytest.fixture
@@ -87,6 +88,45 @@ class TestBusSegment:
         assert (arbiter.grants, arbiter.busy_cycles, arbiter.wait_cycles, arbiter.owner) == before
         assert before == (1, 0, 0, "a")
         assert segment.stats.transactions == 0
+
+    @pytest.mark.parametrize("at, arbitration", [(10, 3), (2, 2)])
+    @pytest.mark.parametrize("kernel", KERNEL_BACKENDS)
+    def test_interrupted_tenure_is_counted(self, kernel, at, arbitration):
+        """A burst interrupted mid-tenure releases the segment and counts
+        as one transaction ending at the interruption, its grant boundary
+        no later than that, where the arbiter counts the grant."""
+        sim = Simulator(kernel=kernel)
+        segment = BusSegment(sim, "bus", grant_cycles=3)
+        tenures = []
+
+        class Tenures(Probe):
+            def on_tenure(self, segment, master, start, acquired, end, words, write, memory):
+                tenures.append((master, start, acquired, end, words))
+
+        segment.probe = Tenures()
+
+        def burst():
+            with pytest.raises(Interrupt):
+                yield from segment.occupy("m", 64, write=False)
+
+        process = sim.process(burst())
+
+        def reset():
+            yield at
+            process.interrupt("reset")
+
+        sim.process(reset())
+        sim.run()
+        arbiter = segment.arbiter
+        assert (arbiter.grants, arbiter.busy_cycles, arbiter.owner) == (1, at, None)
+        stats = segment.stats
+        assert (stats.transactions, stats.busy_cycles, stats.arbitration_cycles) == (
+            1,
+            at,
+            arbitration,
+        )
+        assert stats.per_master == {"m": 1}
+        assert tenures == [("m", 0, arbitration, at, 64)]
 
     def test_stats_utilization(self, sim):
         segment = BusSegment(sim, "bus")

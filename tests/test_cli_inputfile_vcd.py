@@ -187,8 +187,8 @@ class TestVcd:
 
     def test_grant_trace_attached_between_rounds(self):
         """A grant trace attached after a run sees every later grant, on a
-        compiled machine too: attaching the probe drops the specialized
-        paths that would bypass it."""
+        compiled machine too: a probed machine's tenures all take the
+        hooked path."""
 
         def transfer(machine, channel):
             def sender():

@@ -1,11 +1,12 @@
-"""Gen-3 compiled backend: a calendar run loop + fabric specializer.
+"""Compiled backend: a calendar run loop, and the fabric's inline tenures.
 
 Observational parity with the heap backend is pinned in
 ``test_scheduler_parity.py`` (random workloads over every run mode); this
-file covers what is *specific* to the compiled backend: the direct-entry
-representation, the specializer's eligibility rules, lazy per-pair
-binding, install/remove life cycle, and parity with the generic fabric
-for every arbiter policy.
+file covers what is *specific* to the compiled backend -- its selection
+and the direct-entry representation -- and pins the fabric's inline
+one-segment tenures (``Machine.miss_traffic``, ``Machine.poll``): which
+tenures run inline, lazy route plans, and parity with the hooked path on
+both backends for every arbiter policy.
 """
 
 import pytest
@@ -13,9 +14,9 @@ import pytest
 from repro.apps.ofdm import OfdmParameters, run_ofdm
 from repro.experiments.table2 import TABLE2_CASES
 from repro.options import presets
+from repro.obs import Probe
 from repro.sim.compiled import CompiledSimulator
-from repro.sim.compiled.specializer import eligible_pairs, specialize_machine
-from repro.sim.fabric import MachineBuilder, build_machine
+from repro.sim.fabric import MachineBuilder
 from repro.sim.kernel import Interrupt, SimulationError, Simulator
 from repro.soc.api import SocAPI
 
@@ -143,170 +144,124 @@ class TestDirectEntries:
 
 
 # ---------------------------------------------------------------------------
-# Fabric specializer
+# Inline tenures against the hooked path
 # ---------------------------------------------------------------------------
+#
+# A bare machine runs its one-segment cache refills and poll reads inline
+# (Machine.miss_traffic, Machine.poll); a machine with a probe attached runs
+# every tenure through Machine._occupy_path, the reference.  In the names
+# below, "specialized" is the bare machine and "generic" the probed one;
+# both are run on both backends.
 
 
 def _machine(preset="GBAVIII", pes=4, kernel="compiled"):
-    return build_machine(presets.preset(preset, pes), kernel=kernel)
+    return MachineBuilder(presets.preset(preset, pes)).with_kernel(kernel).build()
 
 
 class TestEligibility:
-    def test_memory_and_hsregs_only(self):
-        machine = _machine()
-        kinds = {device.kind for _pe, device, _seg in eligible_pairs(machine)}
-        assert kinds <= {"memory", "hsregs"}
+    """Which tenures run inline: one-segment ones of a bare machine."""
 
     def test_every_preset_has_pairs(self):
+        """Every PE of every preset reaches its program memory over one
+        segment, so its I-cache refills run inline."""
         for preset in sorted(presets.PRESETS):
             machine = _machine(preset)
-            assert machine._specialized, preset
-            pairs = list(eligible_pairs(machine))
-            assert pairs, "no eligible pairs on %s" % preset
+            for pe in machine.pes.values():
+                plan = machine._plan_for(pe, machine.devices[pe.program_device])
+                assert plan.single is not None, (preset, pe.name)
 
     def test_traced_segment_is_ineligible(self):
+        """A traced machine runs no tenure inline: its tracer records
+        every tenure, the polls' reads and the cache refills included,
+        and its polls never fast-forward."""
         from repro.obs import Observability
 
         machine = _machine()
-        machine.attach_observability(Observability())
-        assert list(eligible_pairs(machine)) == []
+        obs = Observability()
+        machine.attach_observability(obs)
+        run_ofdm(machine, "PPA", OfdmParameters(packets=1))
+        tenures = sum(segment.stats.transactions for segment in machine.segments.values())
+        assert len(obs.tracer.transactions) == tenures
+        assert machine.sim.events_skipped == 0
 
 
-def _bound_constants(function):
-    """The int and str values a bound pair's closure captured: master name,
-    grant cycles, words per beat, beat cycles and counter base."""
-    return {
-        name: cell.cell_contents
-        for name, cell in zip(function.__code__.co_freevars, function.__closure__)
-        if type(cell.cell_contents) in (int, str)
+_ENTRY_POINTS = ("transaction", "miss_traffic", "poll", "atomic_rmw")
+
+
+class TestLazyBinding:
+    @pytest.mark.parametrize(
+        "preset,style", [("GBAVIII", "FPA"), ("GBAVII", "PPA"), ("GBAVI", "PPA")]
+    )
+    def test_run_binds_only_the_pairs_it_uses(self, preset, style):
+        """Route plans are bound on a pair's first use: none at build, and
+        after a run exactly the (PE, device) pairs the run asked for."""
+        machine = _machine(preset)
+        assert machine._plan_cache == {}
+        used = set()
+        for name in _ENTRY_POINTS:
+            method = getattr(machine, name)
+
+            def record(pe, device_name, *args, _method=method, **kwargs):
+                used.add((pe.name, device_name))
+                return _method(pe, device_name, *args, **kwargs)
+
+            setattr(machine, name, record)
+        run_ofdm(machine, style, OfdmParameters(packets=1))
+        assert used
+        assert set(machine._plan_cache) == used
+
+
+def _parity_machine(preset, kernel, hooked, policy=None):
+    machine = (
+        MachineBuilder(presets.preset(preset, 4))
+        .with_kernel(kernel)
+        .with_arbiter_policy(policy)
+        .build()
+    )
+    if hooked:
+        machine.attach_probe(Probe())
+    machine.attach_counters()
+    return machine
+
+
+def _on_every_path(run):
+    """``run(kernel, hooked)`` on both backends, bare and probed; the bare
+    compiled result, after checking that the others equal it."""
+    runs = {
+        (kernel, hooked): run(kernel, hooked)
+        for kernel in ("compiled", "heap")
+        for hooked in (False, True)
     }
-
-
-def _bind_every_pair(machine):
-    """Look up every eligible pair in both tables, binding each one."""
-    bound = []
-    for table in (machine.transaction.bindings, machine.miss_traffic.bindings):
-        for pe, device, _segment in eligible_pairs(machine):
-            function = table[pe.name, device.name]
-            if function is not None:
-                bound.append(((pe.name, device.name), function))
-    return bound
-
-
-class TestSpecializeLifecycle:
-    def test_binding_is_deterministic(self):
-        bound_a = _bind_every_pair(_machine())
-        bound_b = _bind_every_pair(_machine())
-        assert bound_a
-        assert [pair for pair, _fn in bound_a] == [pair for pair, _fn in bound_b]
-        assert [_bound_constants(fn) for _pair, fn in bound_a] == [
-            _bound_constants(fn) for _pair, fn in bound_b
-        ]
-
-    def test_bound_pairs_run_standalone(self):
-        # Every eligible pair binds a function that moves real data on its
-        # own, outside any application: a write, a read-back and, for a
-        # memory, one group of cache misses, each one bus tenure.
-        machine = _machine()
-        pairs = list(eligible_pairs(machine))
-        assert pairs
-        results = []
-
-        def drive():
-            for pe, device, segment in pairs:
-                before = segment.stats.transactions
-                address = 0 if device.kind == "memory" else 1
-                yield from machine.transaction(pe, device.name, address, 1, True, [7])
-                values = yield from machine.transaction(pe, device.name, address, 1, False)
-                if device.kind == "memory":
-                    yield from machine.miss_traffic(pe, device.name, 3, 8, False)
-                results.append((values, segment.stats.transactions - before))
-
-        machine.sim.process(drive())
-        machine.sim.run()
-        assert results == [
-            ([7], 3 if device.kind == "memory" else 2) for _pe, device, _seg in pairs
-        ]
-        for pe, device, _segment in pairs:
-            assert machine.transaction.bindings[pe.name, device.name] is not None
-
-    def test_install_is_idempotent(self):
-        machine = _machine()
-        assert machine._specialized
-        dispatch = machine.__dict__["transaction"]
-        assert specialize_machine(machine)  # second call: no-op, still True
-        assert machine.__dict__["transaction"] is dispatch
-
-    def test_heap_machine_never_specializes(self):
-        # The builder gates specialization on the compiled kernel; a heap
-        # build keeps the generic class-level dispatch.
-        machine = _machine(kernel="heap")
-        assert not machine._specialized
-        assert "transaction" not in machine.__dict__
-
-    def test_despecialize_restores_class_methods(self):
-        machine = _machine()
-        assert "transaction" in machine.__dict__
-        machine._despecialize()
-        assert "transaction" not in machine.__dict__
-        assert "miss_traffic" not in machine.__dict__
-        assert not machine._specialized
-        # The class-level generic path still works after removal.
-        assert machine.transaction.__self__ is machine
-
-    def test_attach_monitors_despecializes(self):
-        machine = _machine()
-        machine.attach_monitors()
-        assert not machine._specialized
-
-    def test_install_faults_despecializes(self):
-        from repro.faults import SMOKE_SCENARIO, compile_plan, install_faults
-
-        machine = _machine()
-        plan = compile_plan(machine, SMOKE_SCENARIO, seed=1)
-        install_faults(machine, plan)
-        assert not machine._specialized
+    reference = runs["compiled", False]
+    for path, result in runs.items():
+        assert result == reference, path
+    return reference
 
 
 class TestSpecializedParity:
     @pytest.mark.parametrize("preset,style", [("GBAVIII", "FPA"), ("GBAVII", "PPA")])
     def test_specialized_matches_generic(self, preset, style):
-        """Specialized dispatch is bit-identical to the generic fabric path
-        on the same compiled kernel (GBAVII adds DMA masters, which fall
-        through the jump table to the generic path)."""
+        """Inline tenures are bit-identical to the hooked path (GBAVII adds
+        DMA masters, whose routes are bridged)."""
 
-        def run(specialize):
-            builder = MachineBuilder(presets.preset(preset, 4)).with_kernel("compiled")
-            if not specialize:
-                builder.without_specialization()
-            machine = builder.build()
-            assert machine._specialized == specialize
+        def run(kernel, hooked):
+            machine = _parity_machine(preset, kernel, hooked)
             result = run_ofdm(machine, style, OfdmParameters(packets=1))
             return result.cycles, result.throughput_mbps, vars(
                 machine.run_report(name="parity")
             )
 
-        assert run(True) == run(False)
+        _on_every_path(run)
 
     @pytest.mark.parametrize("policy", ["fcfs", "round_robin", "priority"])
     @pytest.mark.parametrize("preset", ["GBAVIII", "SPLITBA", "GBAVI"])
     def test_every_policy_matches_generic(self, preset, policy):
-        """Every arbiter policy is eligible: on contended PPA traffic the
-        closures grant, queue and count exactly like the generic path
-        (GBAVI's register polls take the fused poll loops)."""
+        """On contended PPA traffic the inline tenures grant, queue and
+        count exactly like the hooked path under every arbiter policy."""
 
-        def run(specialize):
-            builder = (
-                MachineBuilder(presets.preset(preset, 4))
-                .with_kernel("compiled")
-                .with_arbiter_policy(policy)
-            )
-            if not specialize:
-                builder.without_specialization()
-            machine = builder.build()
-            machine.attach_counters()
+        def run(kernel, hooked):
+            machine = _parity_machine(preset, kernel, hooked, policy)
             result = run_ofdm(machine, "PPA", OfdmParameters(packets=1))
-            assert machine._specialized == specialize
             plane = machine.counters
             assert plane.check_against_stats(machine) == []
             waited = sum(
@@ -320,14 +275,12 @@ class TestSpecializedParity:
                 waited,
             )
 
-        specialized = run(True)
-        assert specialized[-1] > 0, "the case must contend for a bus"
-        assert specialized == run(False)
+        assert _on_every_path(run)[-1] > 0, "the case must contend for a bus"
 
 
 def _counted_snapshot(machine):
-    """Everything a counted run leaves behind that the fused poll loops
-    could get wrong."""
+    """Everything a counted run leaves behind that an inline poll could get
+    wrong."""
     plane = machine.counters
     assert plane.check_against_stats(machine) == []
     return {
@@ -342,48 +295,42 @@ def _counted_snapshot(machine):
     }
 
 
-def _counted_machine(preset, specialize):
-    builder = MachineBuilder(presets.preset(preset, 4)).with_kernel("compiled")
-    if not specialize:
-        builder.without_specialization()
-    machine = builder.build()
-    machine.attach_counters()
-    assert machine._specialized == specialize
-    return machine
-
-
 class TestPollParity:
-    """The fused poll loops against ``Machine.poll`` on the same kernel."""
+    """``Machine.poll`` with its inline probe and read against the hooked
+    path."""
 
     @pytest.mark.parametrize(
         "case", TABLE2_CASES, ids=["%d-%s-%s" % case for case in TABLE2_CASES]
     )
     def test_table2_case_matches_generic(self, case):
         _number, preset, style = case
+        skipped = {}
 
-        def run(specialize):
-            machine = _counted_machine(preset, specialize)
+        def run(kernel, hooked):
+            machine = _parity_machine(preset, kernel, hooked)
             result = run_ofdm(machine, style, OfdmParameters(packets=1))
+            skipped[kernel, hooked] = machine.sim.events_skipped
             snapshot = _counted_snapshot(machine)
             snapshot["cycles"] = result.cycles
-            return snapshot, machine
+            return snapshot
 
-        specialized, machine = run(True)
-        generic, _ = run(False)
-        assert specialized == generic
+        _on_every_path(run)
+        # Only the bare compiled machine fast-forwards its polls.
+        jumped = {path for path, count in skipped.items() if count}
+        assert jumped <= {("compiled", False)}
         if style == "PPA":
-            assert any(machine.poll.bindings.values())
+            assert jumped == {("compiled", False)}
 
     @pytest.mark.parametrize("preset,kind", [("GBAVI", "reg"), ("GBAVIII", "var")])
     def test_cold_icache_probe_matches_generic(self, preset, kind):
         """A PE whose first instructions are a poll probe misses in its
-        cold I-cache; the fused loop turns the misses into the same bus
+        cold I-cache; the inline probe turns the misses into the same bus
         traffic as ``ProcessingElement.compute``, and allocates a shared
         variable's slot at its first read, after the probe, so a variable
         another PE writes meanwhile comes first."""
 
-        def run(specialize):
-            machine = _counted_machine(preset, specialize)
+        def run(kernel, hooked):
+            machine = _parity_machine(preset, kernel, hooked)
             waiter, setter = SocAPI(machine, "B"), SocAPI(machine, "A")
             waiter.poll_probe_instructions = 200  # 25 I-cache lines
 
@@ -411,67 +358,6 @@ class TestPollParity:
             if kind == "var":
                 slots = machine.shared_vars[machine.global_memory]._slots
                 assert list(slots) == ["OTHER", "GO"]
-            if specialize:
-                pair = (waiter.pe.name, "HS_REGS_B" if kind == "reg" else machine.global_memory)
-                assert machine.poll.bindings[pair] is not None
             return _counted_snapshot(machine)
 
-        assert run(True) == run(False)
-
-
-_DISPATCH = ("transaction", "miss_traffic", "poll")
-
-
-def _used_pairs(preset, style):
-    """(transaction, miss-traffic, poll) pairs a generic run asks for.
-
-    A generic poll reads through ``transaction``, so its pairs are
-    transaction pairs too.
-    """
-    machine = (
-        MachineBuilder(presets.preset(preset, 4))
-        .with_kernel("compiled")
-        .without_specialization()
-        .build()
-    )
-    used = (set(), set(), set())
-    for index, name in enumerate(_DISPATCH):
-        generic = getattr(machine, name)
-
-        def record(pe, device_name, *args, _generic=generic, _used=used[index], **kw):
-            _used.add((pe.name, device_name))
-            return _generic(pe, device_name, *args, **kw)
-
-        setattr(machine, name, record)
-    run_ofdm(machine, style, OfdmParameters(packets=1))
-    return used
-
-
-class TestLazyBinding:
-    def test_despecialized_machine_binds_nothing(self):
-        machine = _machine()
-        dispatch = [getattr(machine, name) for name in _DISPATCH]
-        machine.attach_monitors()
-        run_ofdm(machine, "FPA", OfdmParameters(packets=1))
-        assert [len(function.bindings) for function in dispatch] == [0, 0, 0]
-
-    @pytest.mark.parametrize(
-        "preset,style", [("GBAVIII", "FPA"), ("GBAVII", "PPA"), ("GBAVI", "PPA")]
-    )
-    def test_run_binds_only_the_pairs_it_uses(self, preset, style):
-        machine = MachineBuilder(presets.preset(preset, 4)).with_kernel("compiled").build()
-        run_ofdm(machine, style, OfdmParameters(packets=1))
-        txn, miss, poll = (getattr(machine, name).bindings for name in _DISPATCH)
-        used_txn, used_miss, used_poll = _used_pairs(preset, style)
-        fused = {pair for pair, function in poll.items() if function is not None}
-        # A fused poll reads inline; a generic one through transaction.
-        assert set(txn) | fused == used_txn
-        assert set(miss) == used_miss
-        assert set(poll) == used_poll
-        eligible = {(pe.name, device.name) for pe, device, _seg in eligible_pairs(machine)}
-        bound = {pair for pair, function in txn.items() if function is not None}
-        assert bound == set(txn) & eligible
-        assert fused == used_poll & eligible
-        assert bound < eligible
-        if style == "PPA":
-            assert fused, "the pipeline's polls must take the fused loops"
+        _on_every_path(run)

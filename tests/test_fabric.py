@@ -144,6 +144,25 @@ class TestTransactions:
         machine.sim.run()  # would raise on livelock / hang forever
         assert machine.bridges[0].crossings == 40
 
+    def test_one_segment_plans_survive_bridge_toggles(self):
+        """A one-segment plan never consults the bridges, so it is reused
+        whatever they do; a bridged pair re-plans when one toggles."""
+        machine = build_machine(presets.preset("GBAVI", 4))
+        pe = machine.pe("A")
+        local, neighbour = machine.devices["SRAM_A"], machine.devices["HS_REGS_B"]
+        single = machine._plan_for(pe, local)
+        bridged = machine._plan_for(pe, neighbour)
+        assert single.single is not None and bridged.single is None
+        bridge = next(bridge for bridge in machine.bridges if bridge.name == "BB_AB")
+        assert bridged.bridges == [bridge]
+        bridge.enabled = False
+        assert machine._plan_for(pe, local) is single
+        detour = machine._plan_for(pe, neighbour)
+        assert bridge not in detour.bridges and len(detour.bridges) == 3
+        bridge.enabled = True
+        assert machine._plan_for(pe, local) is single
+        assert machine._plan_for(pe, neighbour).bridges == [bridge]
+
     def test_atomic_rmw(self):
         machine = build_machine(presets.preset("GGBA", 4))
         api = SocAPI(machine, "A")

@@ -281,7 +281,6 @@ class TestRegressionGates:
                 "counters": {
                     "kernel": "compiled",
                     "bit_identical": True,
-                    "stayed_specialized": True,
                     "overhead_fraction": overhead,
                 },
             },

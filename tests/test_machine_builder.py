@@ -1,15 +1,16 @@
-"""MachineBuilder: one composition point for kernels, CPI, arbiter policy
-and specialization.
+"""MachineBuilder: one composition point for kernels, CPI and arbiter
+policy.
 
 ``build_machine`` stays a thin keyword wrapper over the builder and is
 tested as such.  Hooks attach to the built machine; the compiled backend
-makes the ordering observable: attaching a probe or a fault injector
-drops the specialized dispatch, while a hook-free compiled build
-installs it -- both are pinned here.
+makes them observable: a machine with a probe or a fault injector runs
+every tenure through the hooked path and never fast-forwards its polls,
+which is pinned here.
 """
 
 import pytest
 
+from repro.apps.ofdm import OfdmParameters, run_ofdm
 from repro.faults import RecoveryPolicy, SMOKE_SCENARIO, compile_plan, install_faults
 from repro.obs import Observability
 from repro.options import presets
@@ -41,19 +42,12 @@ class TestBuilderComposition:
         assert builder.with_kernel("heap") is builder
         assert builder.with_cycles_per_instruction(0.5) is builder
         assert builder.with_arbiter_policy(None) is builder
-        assert builder.without_specialization() is builder
-
-    def test_compiled_without_hooks_specializes(self):
-        machine = MachineBuilder(_spec()).with_kernel("compiled").build()
-        assert machine._specialized
-        assert "transaction" in machine.__dict__
-        assert "miss_traffic" in machine.__dict__
-        # Pairs bind on their first transaction, not at build.
-        assert machine.transaction.bindings == {}
-        assert machine.miss_traffic.bindings == {}
 
     @pytest.mark.parametrize("hooks", ["tracer", "monitor", "faults"])
     def test_compiled_with_hooks_stays_generic(self, hooks):
+        """A hooked compiled machine polls every iteration: its polls
+        register no loop and the run loop skips nothing, where the bare
+        machine's jump."""
         machine = MachineBuilder(_spec()).with_kernel("compiled").build()
         if hooks == "tracer":
             machine.attach_observability(Observability())
@@ -61,21 +55,11 @@ class TestBuilderComposition:
             machine.attach_monitors()
         else:
             install_faults(machine, _smoke_plan(), RecoveryPolicy())
-        assert not machine._specialized
-        assert "transaction" not in machine.__dict__
-
-    def test_without_specialization_opts_out(self):
-        machine = (
-            MachineBuilder(_spec())
-            .with_kernel("compiled")
-            .without_specialization()
-            .build()
-        )
-        assert not machine._specialized
-
-    def test_non_compiled_backends_never_specialize(self):
-        machine = MachineBuilder(_spec()).with_kernel("heap").build()
-        assert not machine._specialized
+        run_ofdm(machine, "PPA", OfdmParameters(packets=1))
+        assert machine.sim.events_skipped == 0
+        bare = MachineBuilder(_spec()).with_kernel("compiled").build()
+        run_ofdm(bare, "PPA", OfdmParameters(packets=1))
+        assert bare.sim.events_skipped > 0
 
 
 class TestBuildMachineBackCompat:
@@ -114,7 +98,3 @@ class TestBuildMachineBackCompat:
         }
         for machine in (legacy, built):
             assert {pe.cycles_per_instruction for pe in machine.pes.values()} == {0.5}
-
-    def test_compiled_kwarg_specializes_like_builder(self):
-        machine = build_machine(_spec(), kernel="compiled")
-        assert machine._specialized

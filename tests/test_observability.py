@@ -14,7 +14,7 @@ import json
 import pytest
 
 from repro.apps.ofdm import OfdmParameters, run_ofdm
-from repro.obs import Observability
+from repro.obs import Observability, Probe
 from repro.obs.metrics import (
     DEFAULT_CYCLE_BUCKETS,
     Counter,
@@ -212,18 +212,58 @@ class TestProbes:
         assert requests and grants and opened == closed and findings == []
         assert together["grants"]
 
-    def test_attach_probe_despecializes_and_ignores_a_second_attach(self):
+    def test_attach_probe_ignores_a_second_attach(self):
         machine = build_machine(presets.preset("GBAVIII", 4), kernel="compiled")
-        assert machine._specialized
         obs = Observability()
         machine.attach_probe(obs)
-        assert not machine._specialized
-        assert not {"transaction", "miss_traffic", "poll"} & set(machine.__dict__)
         # attach_observability attaches the same probe again: a no-op.
         machine.attach_observability(obs)
         run_ofdm(machine, "FPA", OfdmParameters(packets=1))
         tenures = sum(segment.stats.transactions for segment in machine.segments.values())
         assert len(obs.tracer.transactions) == tenures
+
+
+class _CountingProbe(Probe):
+    """Counts the calls of every hook, by hook name."""
+
+    def __init__(self):
+        self.calls = {}
+
+
+def _counting_hook(hook):
+    def count(self, *args):
+        self.calls[hook] = self.calls.get(hook, 0) + 1
+
+    return count
+
+
+for _hook in [name for name in vars(Probe) if name.startswith("on_")]:
+    setattr(_CountingProbe, _hook, _counting_hook(_hook))
+
+
+class TestMidRunProbe:
+    """A probe attached mid-run sees every later tenure, those of polls
+    and cache refills already under way included, on both backends."""
+
+    @pytest.mark.parametrize("arch", ["GBAVIII", "BFBA", "GBAVI"])
+    def test_probe_attached_mid_run_matches_heap(self, arch):
+        def run(kernel):
+            machine = build_machine(presets.preset(arch, 4), kernel=kernel)
+            probe = _CountingProbe()
+
+            def attach():
+                yield 20_000
+                machine.attach_probe(probe)
+
+            machine.sim.process(attach())
+            result = run_ofdm(machine, "PPA", OfdmParameters(packets=1))
+            return result.cycles, probe.calls
+
+        heap = run("heap")
+        calls = heap[1]
+        assert calls["on_tenure"] > 1000
+        assert calls["on_transfer_open"] == calls["on_transfer_close"] == calls["on_tenure"]
+        assert run("compiled") == heap
 
 
 class TestChromeTrace:

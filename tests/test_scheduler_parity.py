@@ -1073,7 +1073,7 @@ class TestTable2PollTraffic:
 
 
 class TestPollFastForward:
-    """The compiled backend jumps parked fused poll loops over whole
+    """The compiled backend jumps parked poll loops over whole
     periods (``CompiledSimulator._skip_periods``); the heap backend fires
     every entry, so it is the reference for the clock, the event count and
     every counter a poll moves."""
@@ -1202,15 +1202,16 @@ class TestPollFastForward:
         assert bare.sim.events_skipped > 0
         assert _machine_state(machine) == _machine_state(bare)
 
-    # -- bridged polls: Machine.poll parked on a specialized machine --------
+    # -- bridged polls: Machine.poll parked across a bridge -----------------
 
     @pytest.mark.parametrize("width", [32, 64])
     @pytest.mark.parametrize("policy", ["fcfs", "round_robin", "priority"])
     @pytest.mark.parametrize("bus", ["GBAVI", "SPLITBA"])
     def test_bridged_polls_jump(self, bus, policy, width):
         """GBAVI reads its neighbours' registers and SplitBA the other
-        subsystem's shared variables across a bridge, through the generic
-        poll loop; it parks like the fused ones, so their stretches jump."""
+        subsystem's shared variables across a bridge, through
+        ``_occupy_path``; such a loop parks like the one-segment ones, so
+        their stretches jump."""
         share = _assert_ofdm_parity(_poll_spec(bus, width, policy), "PPA", packets=1)
         assert share > 0
         if bus == "SPLITBA":
