@@ -951,8 +951,9 @@ def build_parser() -> argparse.ArgumentParser:
         dest="backends",
         metavar=kernel_metavar,
         help="scheduler backend (repeatable; default: every backend, with a "
-        "parity check; faults turn the compiled backend's poll "
-        "fast-forward off, so it re-proves the hooked fabric path)",
+        "parity check; faulted runs take the hooked fabric path, and the "
+        "compiled backend's poll fast-forward moves the injector's "
+        "counters in bulk)",
     )
     chaos.add_argument("--packets", type=int, default=4, help="OFDM packets per run")
     chaos.add_argument("--pes", type=int, default=4, help="processor count")
@@ -988,8 +989,9 @@ def build_parser() -> argparse.ArgumentParser:
         dest="backends",
         metavar=kernel_metavar,
         help="scheduler backend (repeatable; default: every backend, with a "
-        "parity check; monitors turn the compiled backend's poll "
-        "fast-forward off, so it re-proves the hooked fabric path)",
+        "parity check; monitored runs take the hooked fabric path, and the "
+        "compiled backend's poll fast-forward moves the monitors' "
+        "counters in bulk)",
     )
     verify.add_argument("--packets", type=int, default=2, help="OFDM packets per run")
     verify.add_argument("--pes", type=int, default=4, help="processor count")

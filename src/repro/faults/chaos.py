@@ -96,18 +96,21 @@ def run_chaos_case(
             # grants -- so monitors only arm when no faults are planned.)
             monitor = machine.attach_monitors(fail_fast=False)
         injector = install_faults(machine, plan, RecoveryPolicy())
+    died = False
     try:
         result = run_ofdm(machine, style, OfdmParameters(packets=packets))
         cycles, throughput = result.cycles, result.throughput_mbps
     except ProgramError:
-        # A dead PE leaves the run untimed; it is reported below.
+        # A dead PE stops the run untimed; it is reported below.
         cycles = throughput = None
+        died = True
     # An unfinished PE, dead or deadlocked, is the crash signal -- check it
-    # in every mode, baseline included.
+    # in every mode, baseline included.  Once a program died, the PEs the
+    # stopped run cut short are not failures of their own.
     unfinished = [
         "%s: PE %s did not complete" % (arch, name)
         for name, pe in sorted(machine.pes.items())
-        if pe.finished_at is None
+        if pe.finished_at is None and (pe.program_error is not None or not died)
     ]
     if monitor is not None:
         unfinished += [

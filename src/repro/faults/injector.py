@@ -124,6 +124,25 @@ class FaultInjector:
         self._mem_n: Dict[str, int] = {}
         self._bridge_n: Dict[str, int] = {}
         self._pe_n: Dict[str, int] = {}
+        # The ordinals a bus transfer, a queued grant or a compute phase
+        # advances, as poll fast-forward counter cells (see counters):
+        # (ordinals, site, the site's (lo, hi) trigger windows).
+        segments = list(machine.segments.values())
+        sites = (
+            [(self._seg_n, self._flip_sites, s.name) for s in segments]
+            + [(self._disp_n, self._lost_sites, s.arbiter.name) for s in segments]
+            + [
+                (self._mem_n, self._jitter_sites, device.target.name)
+                for device in machine.devices.values()
+                if device.kind == "memory"
+            ]
+            + [(self._bridge_n, self._bridge_sites, b.name) for b in machine.bridges]
+            + [(self._pe_n, self._crash_sites, pe.name) for pe in machine.pes.values()]
+        )
+        self._ordinals = [
+            (ordinals, site, tuple((lo, hi) for _spec, lo, hi in windows.get(site, ())))
+            for ordinals, windows, site in sites
+        ]
         # Segments whose arbiter is a grant-fault site run the guarded
         # (timeout-raced) acquisition path; everything else keeps the plain
         # path, so an arbiter-fault-free plan adds zero timer events.
@@ -206,6 +225,22 @@ class FaultInjector:
                 registry.counter("faults.%s" % outcome).inc()
                 if outcome == "recovered":
                     registry.histogram("faults.recovery_latency").observe(latency)
+
+    def counters(self):
+        """Poll fast-forward's view of the injector, in the shape of
+        :meth:`repro.obs.Probe.counters`: the per-site ordinals as counters,
+        each with its trigger windows, so that a jump stops short of the
+        next fault; the episode, retry and timeout counts as the key, so a
+        period in which a fault fires or resolves never recurs."""
+        return self._ordinals, (
+            self.injected,
+            self.detected,
+            self.recovered,
+            self.residual,
+            self.accounted,
+            self.retries,
+            self.timeouts,
+        )
 
     def resilience_report(self):
         from .report import ResilienceReport
@@ -454,13 +489,14 @@ class FaultInjector:
         return False
 
     def crash_restart(self, pe):
-        """Cold restart: caches invalidated, warm-fetch state reset."""
+        """Cold restart: caches invalidated (the PE's warm fetch shortcut
+        sees the flush and re-arms once its footprint refilled), fetch
+        cursor and cycle carry reset."""
         spec = self._due_crash
         self._due_crash = None
         episode = self._fire(spec)
         pe.icache.flush()
         pe.dcache.flush()
-        pe._fetch_warm = False
         pe._fetch_cursor = 0
         pe._cycle_carry = 0.0
         pe.stats.stall_cycles += spec.param
@@ -479,6 +515,7 @@ def install_faults(
     """
     injector = FaultInjector(machine, plan, policy)
     machine._faults = injector
+    machine._hooked()
     for segment in machine.segments.values():
         segment.faults = injector
         segment.arbiter.faults = injector

@@ -29,8 +29,10 @@ ledger-scrubbed keys, exactly like the DSE sweep.
 
 from __future__ import annotations
 
+import gc
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..core.busyn import BusSyn
 from ..dse.cache import DEFAULT_CACHE_DIR, ArtifactCache
@@ -50,6 +52,21 @@ __all__ = [
     "fuzz_fingerprint",
     "format_fuzz_lines",
 ]
+
+
+@contextmanager
+def _frozen_heap() -> Iterator[None]:
+    """Collect once, then freeze what survives for the loop inside.
+
+    ``evaluate_case`` collects after every case to keep peak memory at one
+    case's worth; with the interpreter's startup heap frozen, those
+    collections walk only what the cases made since."""
+    gc.collect()
+    gc.freeze()
+    try:
+        yield
+    finally:
+        gc.unfreeze()
 
 
 def _cached_evaluator(
@@ -87,18 +104,19 @@ def run_fuzz_shard(
     verdicts: List[Dict[str, Any]] = []
     hits = 0
     start = time.perf_counter()
-    for case in cases:
-        key = oracle_cache_key(case)
-        if cache is not None and use_cache:
-            stored = cache.get_json("fuzz", key)
-            if stored is not None:
-                verdicts.append(stored)
-                hits += 1
-                continue
-        verdict = evaluate_case(case, kernel=kernel, tool=tool)
-        if cache is not None:
-            cache.put_json("fuzz", key, verdict)
-        verdicts.append(verdict)
+    with _frozen_heap():
+        for case in cases:
+            key = oracle_cache_key(case)
+            if cache is not None and use_cache:
+                stored = cache.get_json("fuzz", key)
+                if stored is not None:
+                    verdicts.append(stored)
+                    hits += 1
+                    continue
+            verdict = evaluate_case(case, kernel=kernel, tool=tool)
+            if cache is not None:
+                cache.put_json("fuzz", key, verdict)
+            verdicts.append(verdict)
     return {
         "shard": shard_index,
         "cases": len(cases),
@@ -124,9 +142,10 @@ def shrink_fuzz_case(
     """
     cache = ArtifactCache(cache_dir) if cache_dir else None
     evaluate = _cached_evaluator(cache, kernel, use_cache=use_cache)
-    return shrink_case(
-        payload["case"], verdict=payload["verdict"], evaluate=evaluate, kernel=kernel
-    )
+    with _frozen_heap():
+        return shrink_case(
+            payload["case"], verdict=payload["verdict"], evaluate=evaluate, kernel=kernel
+        )
 
 
 def replay_corpus(
@@ -144,26 +163,27 @@ def replay_corpus(
     rows: List[Dict[str, Any]] = []
     regressions = 0
     fixed = 0
-    for entry in load_corpus(corpus_dir):
-        verdict = evaluate(entry["case"])
-        expected_fail = entry["status"] == "open"
-        stable = verdict["ok"] != expected_fail
-        if not stable:
-            if entry["status"] == "fixed":
-                regressions += 1
-            else:
-                fixed += 1
-        rows.append(
-            {
-                "file": entry["file"],
-                "key": entry["key"],
-                "status": entry["status"],
-                "label": verdict["label"],
-                "ok": verdict["ok"],
-                "failed_checks": verdict["failed_checks"],
-                "stable": stable,
-            }
-        )
+    with _frozen_heap():
+        for entry in load_corpus(corpus_dir):
+            verdict = evaluate(entry["case"])
+            expected_fail = entry["status"] == "open"
+            stable = verdict["ok"] != expected_fail
+            if not stable:
+                if entry["status"] == "fixed":
+                    regressions += 1
+                else:
+                    fixed += 1
+            rows.append(
+                {
+                    "file": entry["file"],
+                    "key": entry["key"],
+                    "status": entry["status"],
+                    "label": verdict["label"],
+                    "ok": verdict["ok"],
+                    "failed_checks": verdict["failed_checks"],
+                    "stable": stable,
+                }
+            )
     return {
         "entries": len(rows),
         "stable": sum(1 for row in rows if row["stable"]),

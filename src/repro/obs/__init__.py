@@ -89,6 +89,29 @@ class Probe:
     bit-identical to a bare one.
     """
 
+    def counters(self):
+        """The counters this probe keeps, for poll fast-forward.
+
+        ``None`` (the default) means the probe needs every hook call: the
+        polls of a machine it observes never jump.  A probe whose hooks,
+        over a period of parked polls, only add to counters returns
+        ``(cells, key)`` instead, and the compiled backend may skip whole
+        periods of hook calls (docs/performance.md, "Poll fast-forward"):
+
+        * ``cells`` lists the counters as ``(owner, name)``: the int
+          attribute ``name`` of ``owner``, or the entry ``name`` of a dict
+          ``owner`` (a missing entry reads 0).  A jump adds as many
+          periods' changes to each.  A cell may carry a third element, the
+          ``(lo, hi)`` ranges of values in which its owner acts on the
+          counter; a jump stops before the counter reaches one.
+        * ``key`` is the rest of the probe's state that can change, as a
+          hashable value: a period over which it changes never recurs, so
+          it is never skipped.
+
+        Asked again each time the run loop looks for a period.
+        """
+        return None
+
     def on_request(self, arbiter, master: str) -> None:
         """``master``'s request was queued behind the current owner."""
 

@@ -34,9 +34,10 @@ per cycle, for the modes it does not use (docs/performance.md, "One run
 loop").
 
 Poll fast-forward: under a plain ``run()`` or a deadline, a cycle that
-ends with every running poll loop of an unhooked machine parked (see
+ends with every running poll loop parked (see
 ``repro.sim.fabric._PollLoop``) may end in a jump over
-whole periods of those loops (:meth:`CompiledSimulator._skip_periods`);
+whole periods of those loops (:meth:`CompiledSimulator._skip_periods`),
+hooks that declare their counters included;
 ``events_processed`` counts the skipped entries and ``events_skipped``
 reports them (docs/performance.md, "Poll fast-forward").
 """
@@ -49,6 +50,7 @@ from typing import Any, Optional, Tuple
 
 from ..fabric import _PollLoop, _PollModel
 from ..kernel import (
+    AnyOf,
     Event,
     Interrupt,
     Process,
@@ -66,6 +68,18 @@ __all__ = ["CompiledSimulator"]
 # benchmark workloads end in a jump after 367 states (Table II's GBAVI case,
 # whose 143- and 147-cycle polls share a bus) and 256 (Table III's).
 _POLL_STATES = 512
+
+
+def _spent(timer: Timeout) -> bool:
+    """Whether firing ``timer`` only counts an event: each of its callbacks
+    is an ``AnyOf`` that another child already triggered, as a guarded
+    bus acquisition leaves its timeout once the grant won the race."""
+    for callback in timer.callbacks:
+        if getattr(callback, "__func__", None) is not AnyOf._on_child:
+            return False
+        if not callback.__self__._triggered:
+            return False
+    return True
 
 
 def _resume_slow(sim: "CompiledSimulator", process: Process, nxt: Any) -> None:
@@ -120,8 +134,8 @@ class CompiledSimulator(Simulator):
 
     ``run`` keeps the deadline/stop-event/limit contract and the event
     accounting of :meth:`Simulator.run`; the module docstring covers what
-    it resumes itself.  Where the poll loops of an unhooked machine
-    wait out their capped back-offs alone, it also skips whole
+    it resumes itself.  Where poll loops wait out their capped
+    back-offs alone, it also skips whole
     periods of them (:meth:`_skip_periods`), firing only the entries
     before the first recurrence and after the last whole period; the
     clock, the event count and every counter end as if each entry had
@@ -370,16 +384,17 @@ class CompiledSimulator(Simulator):
         a cycle in which every running poll loop is parked.
 
         Records the state of the loops (the calendar part here, the model
-        part, every segment, arbiter and bridge on their routes, from
-        :class:`~repro.sim.fabric._PollModel`); when a recorded state
-        recurs ``period`` cycles later with nothing else due before
-        ``t_next``, the loops have repeated themselves exactly, and will
-        again until something else acts.  So whole periods up to
-        ``t_next`` are skipped at once: the loops' heap entries move
-        ``periods * period`` cycles on (with fresh sequence numbers, in
-        their order, as the unskipped run would have pushed them), their
-        counters move on by as many periods' changes, and the skipped
-        entries count as processed.
+        part, every segment, arbiter and bridge on their routes and the
+        hooks' counters, from :class:`~repro.sim.fabric._PollModel`); when
+        a recorded state recurs ``period`` cycles later with nothing else
+        due before ``t_next``, the loops have repeated themselves exactly,
+        and will again until something else acts.  So whole periods up to
+        ``t_next`` are skipped at once, or up to the next value a hook
+        acts on: the loops' heap entries, and the spent timers that fire
+        among them, move ``periods * period`` cycles on (with fresh
+        sequence numbers, in their order, as the unskipped run would have
+        pushed them), their counters move on by as many periods' changes,
+        and the skipped entries count as processed.
 
         States are recorded per stretch, the cycles up to one ``t_next``:
         a new ``t_next`` drops the states recorded before it, which can
@@ -393,18 +408,23 @@ class CompiledSimulator(Simulator):
         now = self.now
         loops = self._poll_loops
         running = tuple(loops.values())
+        seen = self._poll_seen
         model = self._poll_model
         if model is None or model.loops != running:
+            # New loops or new hooks: no state recorded before can recur.
             model = self._poll_model = _PollModel(running)
+            seen.clear()
         # A period spans at least one back-off of every loop, and each
         # loop's entry is due within its back-off; so when more entries
         # than loops are due within ``span``, something else acts before
-        # a period has passed (the common case, told cheaply).
+        # a period has passed (the common case, told cheaply).  Timers are
+        # left to the sort below, which tells the spent ones.
         span = model.span
         horizon = now + span
         due = len(self._next)
+        timer_type = Timeout
         for item in self._queue:
-            if item[0] <= horizon:
+            if item[0] <= horizon and type(item[2]) is not timer_type:
                 due += 1
         if due > len(running):
             return 0, now + 1
@@ -417,17 +437,20 @@ class CompiledSimulator(Simulator):
             targets[id(process._target)] = loop
         # Sort the calendar into the loops' entries and the rest, which
         # bound the jump: ``t_next`` is the first cycle something else acts.
+        # A spent timer acts on nothing: it moves with the loops (its
+        # offset in the key) rather than ending the stretch.
         t_next = sys.maxsize if deadline is None else deadline
         parked = []
         others = []
         for item in self._queue:
-            loop = targets.pop(id(item[2]), None)
-            if loop is None:
+            entry = item[2]
+            loop = targets.pop(id(entry), None)
+            if loop is not None or (type(entry) is timer_type and _spent(entry)):
+                parked.append((item[0], item[1], loop, entry))
+            else:
                 others.append(item)
                 if item[0] < t_next:
                     t_next = item[0]
-            else:
-                parked.append((item[0], item[1], loop, item[2]))
         following = []
         for entry in self._next:
             loop = targets.pop(id(entry), None)
@@ -441,7 +464,6 @@ class CompiledSimulator(Simulator):
             return 0, t_next
         if not model.ready():
             return 0, now + 1
-        seen = self._poll_seen
         if t_next != self._poll_stretch:
             # A new stretch: no state recorded before it can recur.
             seen.clear()
@@ -468,7 +490,19 @@ class CompiledSimulator(Simulator):
         seen.clear()
         if periods <= 0:
             return 0, t_next
-        model.advance(before, model.counters(), periods)
+        after = model.counters()
+        retry = t_next
+        if model.declared:
+            # Stop short of the next value a hook acts on (a fault's
+            # trigger window); the periods up to it fire, and the loops
+            # may settle into a new period after it, before ``t_next``.
+            cleared = model.clear_periods(before, after, periods)
+            if cleared < periods:
+                if cleared <= 0:
+                    return 0, now + 1
+                periods = cleared
+                retry = now + cleared * period + 1
+        model.advance(before, after, periods)
         shift = periods * period
         queue = self._queue
         queue[:] = others
@@ -481,7 +515,7 @@ class CompiledSimulator(Simulator):
         self.now = now + shift
         skipped = periods * per_period
         self._events_skipped += skipped
-        return skipped, t_next
+        return skipped, retry
 
     def _poll_process(self, loop: _PollLoop) -> Optional[Process]:
         """The process running ``loop``: the waiter of a calendar entry

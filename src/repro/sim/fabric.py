@@ -160,6 +160,9 @@ class Machine:
         # segments' BusStats, so it hooks nothing and keeps the inline
         # tenures and poll fast-forward.
         self._counters = None
+        # Whether this machine's polls park for poll fast-forward: False
+        # once a probe needing every hook call is attached (see _hooked).
+        self._polls_park = True
 
     # ------------------------------------------------------------------
     # Observability
@@ -175,13 +178,17 @@ class Machine:
         bridge, FIFO and handshake register block gets the probe, or a
         :class:`repro.obs.FanoutProbe` over all attached probes once there
         are several.  A probed machine's tenures all run through
-        :meth:`_occupy_path`, which reports them, from the next one on, and
-        its polls stop fast-forwarding.  Attaching a probe that is already
-        attached is a no-op.
+        :meth:`_occupy_path`, which reports them, from the next one on.
+        Its polls keep fast-forwarding only if the probe declares the
+        counters it keeps (:meth:`repro.obs.Probe.counters`), which a jump
+        then moves on in bulk; a probe that needs every hook call turns
+        the jumps off.  Attaching a probe that is already attached is a
+        no-op.
         """
         if any(attached is probe for attached in self._probes):
             return
         self._probes.append(probe)
+        self._hooked()
         if len(self._probes) > 1:
             probe = FanoutProbe(self._probes)
         for segment in self.segments.values():
@@ -195,6 +202,16 @@ class Machine:
         for device in self.devices.values():
             if device.kind == "hsregs":
                 device.target.probe = probe
+
+    def _hooked(self) -> None:
+        """Note an attached probe or fault injector for poll fast-forward.
+
+        Polls started from here on register and park only while every
+        probe declares its counters, and the compiled run loop rebuilds
+        its model of the parked loops, which reads the hooks' counters."""
+        self._polls_park = all(probe.counters() is not None for probe in self._probes)
+        if self.sim.kernel_name == "compiled":
+            self.sim._poll_model = None
 
     def attach_observability(self, obs) -> None:
         """Attach an :class:`repro.obs.Observability` as a probe.
@@ -375,10 +392,7 @@ class Machine:
         for name, pe in self.pes.items():
             error = pe.program_error
             if error is not None:
-                raise ProgramError(
-                    "%s: PE %s's program raised %s: %s"
-                    % (self.name, name, type(error).__name__, error)
-                ) from error
+                raise ProgramError.naming(self.name, name, error) from error
         return max((pe.finished_at or 0) for pe in self.pes.values())
 
     # ------------------------------------------------------------------
@@ -834,12 +848,14 @@ class Machine:
         what ``pe.compute`` and :meth:`transaction` (or ``pe.bus_read``)
         would do, without a generator per step.  It tests for hooks on
         every iteration, so a probe attached mid-wait sees the next read.
-        On the compiled backend an unhooked machine's loops register a
-        :class:`_PollLoop` and park at ``interval_max``; once every
+        On the compiled backend the loops register a :class:`_PollLoop` and
+        park at ``interval_max`` -- unless a probe that needs every hook
+        call is attached (``repro.obs.Probe.counters``); once every
         registered loop is parked with nothing else due, the compiled run
-        loop skips whole periods of them and adds their counters in bulk
-        (``CompiledSimulator._skip_periods``); statistics and cycles are
-        those of polling every iteration.
+        loop skips whole periods of them and adds their counters, and the
+        counters the machine's protocol monitor and fault injector keep,
+        in bulk (``CompiledSimulator._skip_periods``); statistics, cycles
+        and hook counts are those of polling every iteration.
         """
         loop = _PollLoop(pe, (), (), None, interval_max)
         loop.generator = self._polling(loop, device_name, key, value, interval, probe)
@@ -875,9 +891,9 @@ class Machine:
         sim = self.sim
         generator = loop.generator
         # Registered for poll fast-forward on the compiled backend only,
-        # and only on a machine with no probe and no fault injector.
+        # and only while no probe needs every hook call.
         loops = None
-        if sim.kernel_name == "compiled" and not self._probes and self._faults is None:
+        if sim.kernel_name == "compiled" and self._polls_park:
             loops = sim._poll_loops
             loops[generator] = loop
             sim._polls_busy += 1
@@ -1019,11 +1035,12 @@ class Machine:
 # Poll fast-forward (compiled backend)
 # ----------------------------------------------------------------------
 #
-# Each running Machine.poll loop of an unhooked machine on the compiled
-# backend registers a _PollLoop with the simulator and marks it parked while
-# it backs off at its capped interval, so that the run loop can skip whole
-# periods of parked loops (CompiledSimulator._skip_periods); _PollModel is
-# the model half of that.
+# Each running Machine.poll loop on the compiled backend (unless a probe
+# that needs every hook call is attached) registers a _PollLoop with the
+# simulator and marks it parked while it backs off at its capped interval,
+# so that the run loop can skip whole periods of parked loops
+# (CompiledSimulator._skip_periods); _PollModel is the model half of that,
+# hooks' counters included.
 
 
 class _PollLoop:
@@ -1077,24 +1094,36 @@ def _int_fields(stats) -> List[str]:
 class _PollModel:
     """The model state a set of parked poll loops reads and writes.
 
-    Covers every segment, arbiter and bridge on every loop's route.  Splits
-    it three ways for poll fast-forward:
+    Covers every segment, arbiter and bridge on every loop's route, and
+    the hooks of the loops' machines: the probes and the fault injector,
+    each declaring its counters (:meth:`repro.obs.Probe.counters`).
+    Splits it three ways for poll fast-forward:
 
     * :meth:`ready` -- whether a jump may start: every route arbiter idle,
-      every machine still unhooked (no probe and no fault injector
-      attached since the loops registered), and every I-cache on its warm
-      shortcut (a probe's fetches then only count hits);
+      every I-cache on its warm shortcut (a probe's fetches then only
+      count hits) and every hook declaring its counters (a probe that
+      needs every hook call never lets a jump start);
     * :meth:`key` -- what decides the loops' next steps besides the
       calendar: each PE's fractional cycle carry, each route arbiter's
-      round-robin ring and peak queue depth, each DRAM's open row;
+      round-robin ring and peak queue depth, each DRAM's open row, and
+      each hook's key and number of counters;
     * :meth:`counters` -- everything else the loops change, all of it
       counters (and the I-fetch cursor, which wraps at the code
       footprint), which :meth:`advance` moves on by whole periods:
-      per-master counts on each route segment and bridge crossings
-      included.
+      per-master counts on each route segment, bridge crossings and the
+      hooks' counters included.  :meth:`clear_periods` keeps a jump short
+      of the next value at which a hook acts on one of its counters (a
+      fault injector's next trigger window).
+
+    :meth:`ready` reads the hooks' declarations; :meth:`key`,
+    :meth:`counters`, :meth:`clear_periods` and :meth:`advance` use the
+    last ones it read.
     """
 
-    __slots__ = ("loops", "span", "pes", "segments", "memories", "fields", "masters")
+    __slots__ = (
+        "loops", "span", "pes", "segments", "memories", "fields", "masters",
+        "hooks", "declared",
+    )
 
     def __init__(self, loops: Tuple[_PollLoop, ...]):
         self.loops = loops
@@ -1124,6 +1153,12 @@ class _PollModel:
                 (segment, loop.pe.name) for loop in loops for segment in loop.segments
             )
         ]
+        self.hooks = []
+        for machine in dict.fromkeys(pe.machine for pe in self.pes):
+            self.hooks += machine._probes
+            if machine._faults is not None:
+                self.hooks.append(machine._faults)
+        self.declared = []
 
     def ready(self) -> bool:
         for segment in self.segments:
@@ -1131,16 +1166,22 @@ class _PollModel:
                 return False
         for pe in self.pes:
             icache = pe.icache
-            machine = pe.machine
-            if machine._probes or machine._faults is not None or (
-                pe.program_device is not None
-                and not (pe._fetch_warm and not icache.stats.evictions and not icache.flushes)
+            if pe.program_device is not None and not (
+                pe._fetch_warm
+                and icache.flushes == pe._fetch_flushes
+                and icache.stats.evictions == pe._fetch_evictions
             ):
                 return False
+        if self.hooks:
+            declared = [hook.counters() for hook in self.hooks]
+            for declaration in declared:
+                if declaration is None:
+                    return False
+            self.declared = declared
         return True
 
     def key(self) -> tuple:
-        return (
+        key = (
             tuple(pe._cycle_carry for pe in self.pes),
             tuple(
                 (tuple(getattr(segment.arbiter, "_order", ())), segment.arbiter.peak_pending)
@@ -1148,12 +1189,36 @@ class _PollModel:
             ),
             tuple(getattr(memory, "_open_row", None) for memory in self.memories),
         )
+        if self.declared:
+            key += tuple([(len(cells), hook_key) for cells, hook_key in self.declared])
+        return key
 
     def counters(self) -> List[int]:
         values = [getattr(owner, name) for owner, name in self.fields]
         values += [per_master.get(master, 0) for per_master, master in self.masters]
         values += [pe._fetch_cursor for pe in self.pes]
+        for cells, _key in self.declared:
+            values += [
+                cell[0].get(cell[1], 0) if type(cell[0]) is dict else getattr(cell[0], cell[1])
+                for cell in cells
+            ]
         return values
+
+    def clear_periods(self, before: List[int], after: List[int], periods: int) -> int:
+        """``periods``, or fewer, so that no hook counter that moved between
+        ``before`` and ``after`` reaches one of the ``(lo, hi)`` ranges of
+        values its cell names within the periods skipped."""
+        index = len(self.fields) + len(self.masters) + len(self.pes)
+        for cells, _key in self.declared:
+            for cell in cells:
+                delta = after[index] - before[index]
+                if delta and len(cell) > 2:
+                    value = after[index]
+                    for lo, hi in cell[2]:
+                        if hi > value:
+                            periods = min(periods, (max(lo, value) - value) // delta)
+                index += 1
+        return periods
 
     def advance(self, before: List[int], after: List[int], periods: int) -> None:
         """Add ``periods`` times the change from ``before`` to ``after``,
@@ -1167,6 +1232,13 @@ class _PollModel:
                 per_master[master] = new + periods * (new - old)
         for pe, (old, new) in zip(self.pes, values):
             pe._fetch_cursor = (new + periods * (new - old)) % pe.code_footprint_words
+        for cells, _key in self.declared:
+            for (owner, name, *_ranges), (old, new) in zip(cells, values):
+                if new != old:
+                    if type(owner) is dict:
+                        owner[name] = new + periods * (new - old)
+                    else:
+                        setattr(owner, name, new + periods * (new - old))
 
 
 # ----------------------------------------------------------------------
@@ -1186,8 +1258,9 @@ class MachineBuilder:
     :meth:`Machine.attach_monitors`, :meth:`Machine.attach_counters`,
     :meth:`Machine.attach_probe` and :func:`repro.faults.install_faults`.
     A probe or a fault injector routes every later tenure through the
-    hooked path and turns poll fast-forward off; a counter plane hooks
-    nothing.
+    hooked path, and keeps poll fast-forward on only if it declares the
+    counters it keeps (:meth:`repro.obs.Probe.counters`; the protocol
+    monitor and the fault injector do); a counter plane hooks nothing.
 
     Example::
 

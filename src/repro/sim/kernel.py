@@ -631,10 +631,12 @@ class Simulator:
                     return None
                 event = pop(queue)[2]
                 self.now = when
+                # Counted before it fires, so that an event whose callback
+                # raises out of run() counts as on the compiled backend.
+                steps += 1
                 event._fire()
                 if type(event) is pooled_type:
                     pool.append(event)
-                steps += 1
                 if steps > limit:
                     raise SimulationError("event limit exceeded (livelock?)")
             if stop_event is not None:

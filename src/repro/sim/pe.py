@@ -40,9 +40,19 @@ MISS_GROUP = 8
 
 
 class ProgramError(RuntimeError):
-    """A PE's program raised, so the run's timing is not the workload's
-    (raised by :meth:`repro.sim.fabric.Machine.program_cycles`, chained to
-    the program's exception)."""
+    """A PE's program raised, so the run's timing is not the workload's.
+
+    Raised out of ``sim.run()`` in the cycle the program failed, which
+    stops the run (its partners would otherwise poll for it forever), and
+    by :meth:`repro.sim.fabric.Machine.program_cycles` after the run;
+    chained to the program's exception either way."""
+
+    @classmethod
+    def naming(cls, machine_name: str, pe_name: str, error: BaseException) -> "ProgramError":
+        return cls(
+            "%s: PE %s's program raised %s: %s"
+            % (machine_name, pe_name, type(error).__name__, error)
+        )
 
 
 class DataTouch:
@@ -81,6 +91,9 @@ class ProcessingElement:
         "finished_at",
         "program_error",
         "_fetch_warm",
+        "_fetch_flushes",
+        "_fetch_evictions",
+        "_fetch_base",
         "_footprint_lines",
         "faults",
     )
@@ -111,8 +124,13 @@ class ProcessingElement:
         self._fetch_cursor = 0
         self.finished_at: Optional[int] = None
         self.program_error: Optional[BaseException] = None
-        # Warm-footprint fast path state for _fetch_misses (see there).
+        # Warm-footprint fast path state for _fetch_misses (see there): the
+        # I-cache's flush and eviction counts when the footprint last began
+        # to fill, and its misses, misses - ours and hits - ours then.
         self._fetch_warm = False
+        self._fetch_flushes = 0
+        self._fetch_evictions = 0
+        self._fetch_base = (0, 0, 0)
         line_words = self.icache.line_words
         if code_footprint_words % line_words == 0:
             self._footprint_lines: Optional[int] = code_footprint_words // line_words
@@ -128,18 +146,23 @@ class ProcessingElement:
         """Launch a program generator as a simulation process.
 
         ``finished_at`` is set when the process event fires, in the cycle
-        the program returned; a program that raises leaves it None and
-        its exception in ``program_error`` (the first, when several do).
+        the program returned.  A program that raises leaves it None and
+        its exception in ``program_error`` (the first, when several do),
+        and stops the run: :class:`ProgramError` leaves ``sim.run()`` when
+        the process event fires, in the cycle the program failed.
         """
         process = self.sim.process(program, name or "%s.program" % self.name)
         process.callbacks.append(self._finished)
         return process
 
     def _finished(self, process: Process) -> None:
-        if process._exception is None:
+        error = process._exception
+        if error is None:
             self.finished_at = self.sim.now
-        elif self.program_error is None:
-            self.program_error = process._exception
+            return
+        if self.program_error is None:
+            self.program_error = error
+        raise ProgramError.naming(self.machine.name, self.name, error) from error
 
     # ------------------------------------------------------------------
     # Compute phases
@@ -192,13 +215,15 @@ class ProcessingElement:
 
         Warm shortcut: the I-cache is private to this PE (nothing else
         issues accesses to it).  Once every footprint line is resident --
-        observed as ``misses == footprint_lines`` with zero evictions --
-        every later fetch is a hit and can never evict, so the rest of the
-        walk, in this call and every later one, is replaced by a counter
-        update.  The statistics, the cursor and the bus traffic are exactly
-        those of the full walk.  Any eviction or flush (i.e. somebody else
-        used the cache after all) invalidates the shortcut and the walk
-        resumes.  An unaligned footprint never takes it.
+        observed as ``footprint_lines`` misses, all of them ours, with no
+        eviction since the cache was last empty -- every later fetch is a
+        hit and can never evict, so the rest of the walk, in this call and
+        every later one, is replaced by a counter update.  The statistics,
+        the cursor and the bus traffic are exactly those of the full walk.
+        An eviction or a flush invalidates the shortcut and the walk
+        resumes; after a flush (a crash restart empties the cache) the
+        footprint refills from the flush on, and the shortcut re-arms once
+        it is resident again.  An unaligned footprint never takes it.
         """
         icache = self.icache
         line_words = icache.line_words
@@ -210,7 +235,22 @@ class ProcessingElement:
         footprint = self.code_footprint_words
         cursor = self._fetch_cursor
         misses = 0
-        if not self._fetch_warm or cache_stats.evictions or icache.flushes:
+        if (
+            not self._fetch_warm
+            or icache.flushes != self._fetch_flushes
+            or cache_stats.evictions != self._fetch_evictions
+        ):
+            if icache.flushes != self._fetch_flushes:
+                # Emptied since the footprint last filled: count it anew.
+                self._fetch_warm = False
+                self._fetch_flushes = icache.flushes
+                self._fetch_evictions = cache_stats.evictions
+                self._fetch_base = (
+                    cache_stats.misses,
+                    cache_stats.misses - stats.icache_misses,
+                    cache_stats.hits - stats.icache_hits,
+                )
+            base_misses, miss_gap, hit_gap = self._fetch_base
             while fetches:
                 # Fetches left in this lap: cursor, cursor + line_words, ...
                 # while below the footprint.
@@ -226,14 +266,14 @@ class ProcessingElement:
                 cursor = (cursor + lap * line_words) % footprint
                 if (
                     self._footprint_lines is not None
-                    and cache_stats.evictions == 0
-                    and icache.flushes == 0
-                    and cache_stats.misses == self._footprint_lines
-                    and cache_stats.misses == stats.icache_misses
-                    and cache_stats.hits == stats.icache_hits
+                    and cache_stats.evictions == self._fetch_evictions
+                    and cache_stats.misses - base_misses == self._footprint_lines
+                    and cache_stats.misses - stats.icache_misses == miss_gap
+                    and cache_stats.hits - stats.icache_hits == hit_gap
                 ):
-                    # The cache holds exactly the footprint (and only our
-                    # accesses ever touched it): steady state from here on.
+                    # The cache holds the whole footprint (and only our
+                    # accesses touched it since it was empty): steady state
+                    # from here on.
                     self._fetch_warm = True
                     break
         if fetches:

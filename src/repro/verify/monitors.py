@@ -39,6 +39,15 @@ from .findings import Finding
 
 __all__ = ["ProtocolViolationError", "ProtocolMonitor", "attach_monitors"]
 
+# What the hooks count (ProtocolMonitor.counters).
+_COUNTS = (
+    "grants_observed",
+    "requests_observed",
+    "cancels_observed",
+    "transfers_opened",
+    "transfers_closed",
+)
+
 
 class ProtocolViolationError(AssertionError):
     """A bus-protocol invariant failed during simulation."""
@@ -89,6 +98,17 @@ class ProtocolMonitor(Probe):
     def watch_bridge(self, bridge) -> None:
         self._bridge_base[bridge] = bridge.crossings
         self._bridge_seen[bridge] = 0
+
+    # -- poll fast-forward -----------------------------------------------
+    def counters(self):
+        """The observation counts and per-bridge crossings as counters; the
+        findings count as the key, so a period that adds a finding never
+        recurs and no check is skipped.  A period that recurs without one
+        leaves the shadow state where it began: every grant released,
+        every transfer closed, every REQ answered."""
+        cells = [(self, name) for name in _COUNTS]
+        cells += [(self._bridge_seen, bridge) for bridge in self._bridge_seen]
+        return cells, len(self.findings)
 
     # -- violation plumbing ----------------------------------------------
     def _violation(self, category: str, where: str, text: str, cycle: int) -> None:

@@ -11,6 +11,7 @@ from repro.sim import fabric
 from repro.sim.fabric import MachineBuilder, build_machine
 from repro.sim.hsregs import HandshakeRegisters
 from repro.sim.kernel import KERNEL_BACKENDS
+from repro.sim.pe import ProgramError
 from repro.soc.api import SocAPI
 from repro.soc.handshake import (
     BfbaChannel,
@@ -163,7 +164,8 @@ class TestRegisterNames:
             yield from call(api)
 
         process = api.pe.run(program())
-        machine.sim.run()
+        with pytest.raises(ProgramError, match="MPC755_B"):
+            machine.sim.run()
         with pytest.raises(KeyError, match="unknown handshake register"):
             process.value
         assert (block.done_op, block.done_rv) == (0, 0)
@@ -361,7 +363,8 @@ class TestChannels:
             yield from channel.send(list(range(9)))
 
         process = machine.pe("A").run(sender())
-        machine.sim.run()
+        with pytest.raises(ProgramError, match="MPC755_A"):
+            machine.sim.run()
         with pytest.raises(ValueError):
             process.value
 

@@ -5,6 +5,7 @@ import pytest
 from repro.options import presets
 from repro.options.schema import OptionError
 from repro.sim.fabric import CODE_FOOTPRINT_WORDS, build_machine
+from repro.sim.pe import ProgramError
 from repro.soc.api import SocAPI
 
 ALL_PRESETS = ["BFBA", "GBAVI", "GBAVIII", "HYBRID", "SPLITBA", "GGBA", "CCBA"]
@@ -209,7 +210,8 @@ class TestTransactions:
             yield from machine.transaction(api_c.pe, "BIFIFO_B", 0, 1, False)
 
         process = machine.pe("C").run(program())
-        machine.sim.run()
+        with pytest.raises(ProgramError, match="MPC755_C"):
+            machine.sim.run()
         with pytest.raises(LookupError):
             process.value
 

@@ -2,10 +2,10 @@
 policy.
 
 ``build_machine`` stays a thin keyword wrapper over the builder and is
-tested as such.  Hooks attach to the built machine; the compiled backend
-makes them observable: a machine with a probe or a fault injector runs
-every tenure through the hooked path and never fast-forwards its polls,
-which is pinned here.
+tested as such.  Hooks attach to the built machine: a machine with a
+probe or a fault injector runs every tenure through the hooked path, and
+on the compiled backend its polls fast-forward only when every hook
+declares the counters it keeps, which is pinned here.
 """
 
 import pytest
@@ -45,21 +45,33 @@ class TestBuilderComposition:
 
     @pytest.mark.parametrize("hooks", ["tracer", "monitor", "faults"])
     def test_compiled_with_hooks_stays_generic(self, hooks):
-        """A hooked compiled machine polls every iteration: its polls
-        register no loop and the run loop skips nothing, where the bare
-        machine's jump."""
-        machine = MachineBuilder(_spec()).with_kernel("compiled").build()
+        """A hooked compiled machine runs its tenures through the hooked
+        path and ends as the heap machine does.  A tracer needs every hook
+        call, so its polls register no loop and nothing is skipped; a
+        protocol monitor and a fault injector declare their counters, so
+        the polls still jump."""
+        runs = {}
+        for kernel in BACKENDS:
+            machine = MachineBuilder(_spec()).with_kernel(kernel).build()
+            if hooks == "tracer":
+                machine.attach_observability(Observability())
+            elif hooks == "monitor":
+                machine.attach_monitors()
+            else:
+                install_faults(machine, _smoke_plan(), RecoveryPolicy())
+            result = run_ofdm(machine, "PPA", OfdmParameters(packets=1))
+            runs[kernel] = (
+                result.cycles,
+                machine.sim.events_processed,
+                {name: pe.stats.as_dict() for name, pe in machine.pes.items()},
+                {name: seg.stats.as_dict() for name, seg in machine.segments.items()},
+            )
+            skipped = machine.sim.events_skipped
+        assert runs["compiled"] == runs["heap"]
         if hooks == "tracer":
-            machine.attach_observability(Observability())
-        elif hooks == "monitor":
-            machine.attach_monitors()
+            assert skipped == 0
         else:
-            install_faults(machine, _smoke_plan(), RecoveryPolicy())
-        run_ofdm(machine, "PPA", OfdmParameters(packets=1))
-        assert machine.sim.events_skipped == 0
-        bare = MachineBuilder(_spec()).with_kernel("compiled").build()
-        run_ofdm(bare, "PPA", OfdmParameters(packets=1))
-        assert bare.sim.events_skipped > 0
+            assert skipped > 0
 
 
 class TestBuildMachineBackCompat:

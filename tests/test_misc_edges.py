@@ -7,6 +7,7 @@ from repro.cli import main
 from repro.hdl import emit_design
 from repro.options.schema import BANSpec, BusSpec, BusSubsystemSpec, BusSystemSpec, MemorySpec
 from repro.sim.bus import find_route
+from repro.sim.pe import ProgramError
 from repro.soc.api import SocAPI
 
 
@@ -79,7 +80,8 @@ class TestOverridesAndKnobs:
             yield from api_a.read((far, 0), 1)
 
         process = machine.pe("A").run(program())
-        machine.sim.run()
+        with pytest.raises(ProgramError, match="MPC755_A"):
+            machine.sim.run()
         with pytest.raises(LookupError):
             process.value
 

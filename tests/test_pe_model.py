@@ -44,7 +44,8 @@ class TestComputeCharging:
             yield from pe.compute(-1)
 
         process = pe.run(program())
-        machine.sim.run()
+        with pytest.raises(ProgramError, match="negative instruction count"):
+            machine.sim.run()
         with pytest.raises(ValueError):
             process.value
 
@@ -198,6 +199,51 @@ class TestFetchWalk:
         assert pe.stats.icache_misses == 256
         assert pe.stats.icache_hits == 100_000 // 8 - 256
 
+    def test_warm_shortcut_rearms_after_a_flush(self):
+        """A crash restart flushes the I-cache: the footprint refills from
+        the flush on, a few lines per short phase, and the shortcut takes
+        over again once it is resident, with the full walk's statistics."""
+        pe, _recorder = _cold_pe(2048, 0)
+        reference, _unused = _cold_pe(2048, 0)
+        walked = []
+        access_lines = pe.icache.access_lines
+
+        def spy(first, last, write):
+            walked.append((first, last))
+            return access_lines(first, last, write)
+
+        pe.icache.access_lines = spy
+        phases = [100_000, "crash"] + [25] * 120 + [100_000]
+
+        def program():
+            for phase in phases:
+                if phase == "crash":
+                    # What FaultInjector.crash_restart does to the fetch state.
+                    pe.icache.flush()
+                    pe._fetch_cursor = 0
+                else:
+                    yield from pe.compute(phase)
+
+        pe.sim.process(program())
+        pe.sim.run()
+        for phase in phases:
+            if phase == "crash":
+                reference.icache.flush()
+                reference._fetch_cursor = 0
+            else:
+                _per_line_fetch(reference, phase)
+        reference.stats.compute_cycles = pe.stats.compute_cycles
+        assert pe.stats.as_dict() == reference.stats.as_dict()
+        for name in ("hits", "misses", "evictions", "writebacks"):
+            assert getattr(pe.icache.stats, name) == getattr(reference.icache.stats, name)
+        assert pe._fetch_cursor == reference._fetch_cursor
+        assert pe.icache._sets == reference.icache._sets
+        assert pe._fetch_warm and pe.stats.icache_misses == 2 * 256
+        # Walked: the first cold lap, then 3 lines per short phase until the
+        # 86th phase fills line 255, then nothing.
+        assert walked[0] == (0, 255) and walked[-1][1] == 255
+        assert len(walked) == 1 + 86
+
 
 class TestDataStreamTraffic:
     def test_small_buffer_cached_after_first_pass(self):
@@ -313,7 +359,10 @@ class TestFinishedAt:
             raise RuntimeError("boom")
 
         process = pe.run(program())
-        machine.sim.run()
+        # The run stops in the cycle the program failed.
+        with pytest.raises(ProgramError, match="MPC755_A's program raised RuntimeError: boom"):
+            machine.sim.run()
+        assert machine.sim.now == 5
         assert pe.finished_at is None
         with pytest.raises(RuntimeError):
             process.value

@@ -1184,22 +1184,54 @@ class TestPollFastForward:
         assert states["compiled"] == states["heap"]
         assert states["heap"]["events"] == 20_001
 
-    @pytest.mark.parametrize("hook", ["probe", "faults"])
+    @pytest.mark.parametrize("bus,style", [("GBAVIII", "FPA"), ("BFBA", "PPA")])
+    def test_a_dying_program_stops_the_run(self, bus, style):
+        """PE B's first instruction fetch goes to a memory that does not
+        exist: its partners would poll for it until the event limit, but
+        the run stops with ``ProgramError`` naming B, in the cycle its
+        program failed, on both backends."""
+        from repro.apps.ofdm import OfdmParameters, run_ofdm
+        from repro.options import presets
+        from repro.sim.fabric import build_machine
+        from repro.sim.pe import ProgramError
+
+        outcomes = {}
+        for kernel in BACKENDS:
+            machine = build_machine(presets.preset(bus, 4), kernel=kernel)
+            machine.pe("B").program_device = "NO_SUCH_MEMORY"
+            with pytest.raises(ProgramError, match="MPC755_B") as raised:
+                run_ofdm(machine, style, OfdmParameters(packets=4))
+            assert isinstance(raised.value.__cause__, KeyError)
+            outcomes[kernel] = (str(raised.value), _machine_state(machine))
+        assert outcomes["compiled"] == outcomes["heap"]
+        assert outcomes["heap"][1]["events"] < 1_000
+
+    @pytest.mark.parametrize("hook", ["probe", "faults", "observability", "grant_trace"])
     def test_hooked_machine_never_jumps(self, hook):
+        """A plain probe, a tracer and the VCD grant trace need every hook
+        call, so their machine never jumps; an installed empty fault plan
+        declares its ordinals and jumps as the bare machine does."""
         from repro.faults import install_faults
         from repro.faults.plan import empty_plan
-        from repro.obs import Probe
+        from repro.obs import Observability, Probe
+        from repro.sim.vcd import GrantTrace
 
         machine = self._pollers("compiled")
-        if hook == "probe":
-            machine.attach_probe(Probe())
-        else:
+        if hook == "faults":
             install_faults(machine, empty_plan())
+        elif hook == "observability":
+            machine.attach_observability(Observability())
+        else:
+            machine.attach_probe(GrantTrace() if hook == "grant_trace" else Probe())
         machine.sim.run()
-        assert machine.sim.events_skipped == 0
         bare = self._pollers("compiled")
         bare.sim.run()
         assert bare.sim.events_skipped > 0
+        if hook == "faults":
+            assert machine.sim.events_skipped == bare.sim.events_skipped
+        else:
+            assert machine.sim.events_skipped == 0
+            assert not machine.sim._poll_loops and machine.sim._poll_model is None
         assert _machine_state(machine) == _machine_state(bare)
 
     # -- bridged polls: Machine.poll parked across a bridge -----------------
@@ -1302,6 +1334,7 @@ class TestPollFastForward:
 
     @pytest.mark.parametrize("hook", ["probe", "faults"])
     def test_hooked_bridged_machine_never_jumps(self, hook):
+        """As test_hooked_machine_never_jumps, over a bridge."""
         from repro.faults import install_faults
         from repro.faults.plan import empty_plan
         from repro.obs import Probe
@@ -1312,11 +1345,14 @@ class TestPollFastForward:
         else:
             install_faults(machine, empty_plan())
         machine.sim.run()
-        assert machine.sim.events_skipped == 0
         assert not machine.sim._poll_loops
         bare = self._neighbour_poll("compiled")
         bare.sim.run()
         assert bare.sim.events_skipped > 0
+        if hook == "probe":
+            assert machine.sim.events_skipped == 0
+        else:
+            assert machine.sim.events_skipped == bare.sim.events_skipped
         assert _machine_state(machine) == _machine_state(bare)
 
     @pytest.mark.parametrize("case", ["register", "device", "route"])
@@ -1362,6 +1398,196 @@ class TestPollFastForward:
         else:
             assert error is KeyError and when == 0
             assert not any(bus[0]["transactions"] for bus in state["buses"].values())
+
+
+def _hook_state(monitor, injector):
+    """What the hooks keep, copied as _machine_state copies the models:
+    the monitor's counts, crossings and findings, the injector's ordinals,
+    episodes and report."""
+    from dataclasses import asdict
+
+    state = {}
+    if monitor is not None:
+        state["monitor"] = (
+            monitor.grants_observed,
+            monitor.requests_observed,
+            monitor.cancels_observed,
+            monitor.transfers_opened,
+            monitor.transfers_closed,
+            {bridge.name: seen for bridge, seen in monitor._bridge_seen.items()},
+            [str(finding) for finding in monitor.findings],
+        )
+    if injector is not None:
+        state["faults"] = (
+            [
+                dict(ordinals)
+                for ordinals in (
+                    injector._seg_n,
+                    injector._fifo_n,
+                    injector._disp_n,
+                    injector._mem_n,
+                    injector._bridge_n,
+                    injector._pe_n,
+                )
+            ],
+            [dict(episode) for episode in injector.outcomes],
+            asdict(injector.resilience_report()),
+        )
+    return state
+
+
+class TestHookedFastForward:
+    """Poll fast-forward under a protocol monitor and a fault injector,
+    which declare the counters they keep (``repro.obs.Probe.counters``):
+    the compiled backend jumps their hook calls in bulk, and ends with
+    every model and hook counter, finding and fault episode the heap
+    backend's run has."""
+
+    @staticmethod
+    def _hooked(machine, hook, seed=1):
+        from repro.faults import RecoveryPolicy, SMOKE_SCENARIO, compile_plan, install_faults
+        from repro.sim.fabric import build_machine
+
+        monitor = injector = None
+        if hook in ("monitor", "both"):
+            monitor = machine.attach_monitors(fail_fast=False)
+        if hook in ("faults", "both"):
+            # Plans bind sites by name: compile against a throwaway twin.
+            plan = compile_plan(build_machine(machine.spec), SMOKE_SCENARIO, seed)
+            injector = install_faults(machine, plan, RecoveryPolicy())
+        return monitor, injector
+
+    @pytest.mark.parametrize("bus", ["BFBA", "SPLITBA", "GBAVI", "GBAVIII", "GGBA", "HYBRID"])
+    @pytest.mark.parametrize("hook", ["monitor", "faults", "both"])
+    def test_hooked_ppa_identical_across_backends(self, hook, bus):
+        from repro.apps.ofdm import OfdmParameters, run_ofdm
+        from repro.sim.fabric import build_machine
+
+        runs = {}
+        for kernel in BACKENDS:
+            machine = build_machine(_poll_spec(bus), kernel=kernel)
+            monitor, injector = self._hooked(machine, hook)
+            result = run_ofdm(machine, "PPA", OfdmParameters(packets=1))
+            state = _machine_state(machine)
+            state["row"] = (result.throughput_mbps, result.cycles)
+            state["outputs"] = [output.tobytes() for output in result.outputs]
+            state.update(_hook_state(monitor, injector))
+            runs[kernel] = state
+        assert runs["compiled"] == runs["heap"]
+        assert machine.sim.events_skipped > 0
+        if injector is not None:
+            assert injector.injected > 0
+
+    @staticmethod
+    def _crashing_pollers(kernel, until=None):
+        """_pollers with PE A's 120th compute phase, one of its polls'
+        probes, crashing (a 200-cycle cold restart)."""
+        from repro.faults import FaultPlan, FaultSpec, install_faults
+        from repro.faults.plan import FaultKind
+
+        machine = TestPollFastForward._pollers(kernel)
+        crash = FaultSpec(FaultKind.PE_CRASH, "MPC755_A", 120, param=200)
+        injector = install_faults(machine, FaultPlan([crash]))
+        skipped = []
+        for deadline in (until, None):
+            machine.sim.run(until=deadline)
+            skipped.append(machine.sim.events_skipped)
+        return machine, injector, skipped
+
+    def test_fault_window_caps_the_jump(self):
+        """The crash's trigger window lies ahead of the parked loops: the
+        jumps stop short of it, the crash fires at the heap's cycle, and
+        the jumps resume once the flushed I-cache is warm again."""
+        reference, expected, _ = self._crashing_pollers("heap")
+        [episode] = expected.outcomes
+        assert 0 < episode["cycle"] < 40_000  # inside PE A's first wait
+        machine, injector, skipped = self._crashing_pollers("compiled")
+        assert _machine_state(machine) == _machine_state(reference)
+        assert _hook_state(None, injector) == _hook_state(None, expected)
+        # Stopped at the crash cycle, the compiled run has jumped already,
+        # and it jumps again after the crash.
+        _, _, (before, total) = self._crashing_pollers("compiled", until=episode["cycle"])
+        assert 0 < before < total == skipped[-1]
+        assert machine.pe("A")._fetch_warm and machine.pe("A").icache.flushes == 1
+
+    def test_monitor_violation_in_a_stretch_is_not_skipped(self):
+        """A shadow owner corrupted at cycle 30,000, inside PE A's first
+        wait, makes its next poll grant a double grant: with ``fail_fast``
+        the violation fails PE A's program, which stops both runs at the
+        same cycle, after the compiled run jumped to it."""
+        from repro.sim.pe import ProgramError
+        from repro.verify.monitors import ProtocolViolationError
+
+        outcomes = {}
+        for kernel in BACKENDS:
+            machine = TestPollFastForward._pollers(kernel)
+            monitor = machine.attach_monitors(fail_fast=True)
+            memory = machine.shared_memory_of["A"]
+            arbiter = machine.devices[memory].segment.arbiter
+
+            def corrupt():
+                yield 30_000
+                monitor._owner[arbiter] = "ghost"
+
+            machine.sim.process(corrupt())
+            with pytest.raises(ProgramError, match="MPC755_A") as raised:
+                machine.sim.run()
+            assert isinstance(raised.value.__cause__, ProtocolViolationError)
+            outcomes[kernel] = (str(raised.value), _machine_state(machine))
+            finding = raised.value.__cause__.finding
+            assert finding.category == "grant-onehot" and finding.cycle == machine.sim.now
+        assert outcomes["compiled"] == outcomes["heap"]
+        assert outcomes["heap"][1]["now"] > 30_000
+        assert machine.sim.events_skipped > 0
+
+    def test_a_period_with_a_finding_never_recurs(self):
+        """A monitor that flags every release by PE C finds something in
+        each of C's polls: the findings count is in the state key, so no
+        period of C's polling recurs and every finding is made, where the
+        same monitor flagging nothing lets the loops jump."""
+        from repro.verify.monitors import ProtocolMonitor
+
+        class Strict(ProtocolMonitor):
+            def __init__(self, flagged):
+                super().__init__(fail_fast=False)
+                self.flagged = flagged
+
+            def on_release(self, arbiter, master):
+                super().on_release(arbiter, master)
+                if master == self.flagged:
+                    self._violation("test", arbiter.name, "flagged", arbiter.sim.now)
+
+        runs = {}
+        for flagged in ("MPC755_C", None):
+            for kernel in BACKENDS:
+                machine = TestPollFastForward._pollers(kernel)
+                monitor = Strict(flagged)
+                machine.attach_probe(monitor)
+                machine.sim.run()
+                runs[flagged, kernel] = (_machine_state(machine), _hook_state(monitor, None))
+            assert runs[flagged, "compiled"] == runs[flagged, "heap"]
+            skipped = machine.sim.events_skipped
+            assert skipped == 0 if flagged else skipped > 0
+        assert len(runs["MPC755_C", "heap"][1]["monitor"][6]) > 500
+
+    def test_hook_attached_mid_run_rebuilds_the_model(self):
+        """A monitor attached at cycle 20,000, while the loops are parked,
+        drops the run loop's model; the rebuilt one moves the monitor's
+        counts on with every jump after it."""
+        states = {}
+        for kernel in BACKENDS:
+            machine = TestPollFastForward._pollers(kernel)
+            sim = machine.sim
+            sim.run(until=20_000)
+            before = sim.events_skipped
+            monitor = machine.attach_monitors(fail_fast=False)
+            if kernel == "compiled":
+                assert before > 0 and sim._poll_model is None
+            sim.run()
+            states[kernel] = (_machine_state(machine), _hook_state(monitor, None))
+        assert states["compiled"] == states["heap"]
+        assert sim.events_skipped > before
+        assert states["heap"][1]["monitor"][0] > 0
 
 
 class TestDiscardedMachine:
