@@ -7,11 +7,11 @@ Mirrors the paper's flow end to end:
    4-PE GBAVIII preset -- global arbiter + global memory, Figure 5);
 2. run BusSyn to get synthesizable Verilog, a generation-time/gate-count
    report (Table V's columns), and a structural lint check;
-3. build the simulation twin of the same spec and run the OFDM
+3. build the simulation machine from that netlist and run the OFDM
    transmitter on it in functional-parallel style (Table II, case 3).
 """
 
-from repro import BusSyn, build_machine, presets
+from repro import BusSyn, presets
 from repro.apps.ofdm import OfdmParameters, run_ofdm
 
 
@@ -34,8 +34,8 @@ def main() -> None:
     for line in files[top_file].splitlines()[:12]:
         print("   ", line)
 
-    # -- 3. simulate the OFDM transmitter on the same spec -----------------
-    machine = build_machine(spec)
+    # -- 3. simulate the OFDM transmitter on the generated system ----------
+    machine = generated.build_machine()
     result = run_ofdm(machine, "FPA", OfdmParameters(packets=4))
     print("\nOFDM transmitter, FPA style, %d packets:" % result.packets)
     print("  throughput: %.4f Mbps over %d bus cycles (%.2f ms at 100 MHz)"

@@ -17,7 +17,7 @@ Quickstart::
     generated = BusSyn().generate(spec)            # synthesizable Verilog
     print(generated.report.row())
 
-    machine = build_machine(spec)                  # simulation twin
+    machine = generated.build_machine()            # built from the netlist
     result = run_ofdm(machine, "FPA")
     print(result.throughput_mbps, "Mbps")
 """

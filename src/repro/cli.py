@@ -463,7 +463,7 @@ def _cmd_verify(args) -> int:
     """Run the cross-layer verification sweep (docs/verification.md)."""
     import json
 
-    from .verify import SMOKE_ARCHITECTURES, format_verify_summary, run_verify
+    from .verify.runner import SMOKE_ARCHITECTURES, format_verify_summary, run_verify
 
     import time
 
@@ -969,7 +969,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser(
         "verify",
-        help="netlist<->machine equivalence + protocol assertion sweep "
+        help="netlist pin-level check + protocol assertion sweep "
         "(docs/verification.md)",
     )
     verify.add_argument(
@@ -980,8 +980,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--arch",
         action="append",
-        help="architecture to verify (repeatable; default: all supported "
-        "presets; CCBA is excluded by design, see docs/verification.md)",
+        help="architecture to verify (repeatable; default: every preset)",
     )
     verify.add_argument(
         "--backend",

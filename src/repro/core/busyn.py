@@ -8,7 +8,7 @@ generation, BAN integration, Bus Subsystem generation, Bus System assembly
 * the parsed design hierarchy (for lint/elaboration),
 * the generation report: wall-clock generation time in milliseconds and
   the NAND2 gate estimate (the two columns of Table V),
-* a hook building the matching cycle-level simulation machine.
+* a hook building the cycle-level simulation machine from the netlist.
 """
 
 from __future__ import annotations
@@ -87,10 +87,16 @@ class GeneratedBusSystem:
         return [message for message in self.lint() if message.severity == "error"]
 
     def build_machine(self, **kwargs):
-        """The simulation twin of this generated system."""
+        """The simulation machine of this generated system.
+
+        Built from this netlist's :class:`~repro.verify.graph.FabricGraph`
+        (:class:`repro.sim.fabric.MachineBuilder`), with what the RTL does
+        not encode taken from :attr:`spec`; keyword arguments are those of
+        :func:`repro.sim.fabric.build_machine`.
+        """
         from ..sim.fabric import build_machine
 
-        return build_machine(self.spec, **kwargs)
+        return build_machine(self, **kwargs)
 
     def testbench(self, cycles: int = 1000) -> str:
         """A simple co-simulation harness for the generated top module.

@@ -106,13 +106,12 @@ def simulate_config(config: DseConfig, machine) -> Dict[str, Any]:
     raise ValueError("unknown app %r" % config.app)
 
 
-def _score_resilience(config: DseConfig, spec, kernel: str) -> Dict[str, Any]:
+def _score_resilience(config: DseConfig, generated, kernel: str) -> Dict[str, Any]:
     """Chaos scoring: seeded smoke plan, recovered fraction as the score."""
     from ..faults.injector import RecoveryPolicy, install_faults
     from ..faults.plan import SCENARIOS, compile_plan
-    from ..sim.fabric import build_machine
 
-    machine = build_machine(spec, kernel=kernel)
+    machine = generated.build_machine(kernel=kernel)
     # None-check, not truthiness: seed 0 is a real, reproducible seed and
     # must never be conflated with "unseeded" (docs/fuzzing.md).
     plan = compile_plan(machine, SCENARIOS["smoke"], 0 if config.seed is None else config.seed)
@@ -128,11 +127,9 @@ def _score_resilience(config: DseConfig, spec, kernel: str) -> Dict[str, Any]:
     }
 
 
-def _score_verify(config: DseConfig, spec, kernel: str) -> Dict[str, Any]:
+def _score_verify(config: DseConfig, generated, kernel: str) -> Dict[str, Any]:
     """Verification scoring: protocol monitors armed, findings counted."""
-    from ..sim.fabric import build_machine
-
-    machine = build_machine(spec, kernel=kernel)
+    machine = generated.build_machine(kernel=kernel)
     monitor = machine.attach_monitors(fail_fast=False)
     simulate_config(config, machine)
     findings = monitor.finalize()
@@ -141,12 +138,10 @@ def _score_verify(config: DseConfig, spec, kernel: str) -> Dict[str, Any]:
 
 def _run_config(config: DseConfig, tool: BusSyn, kernel: str) -> Dict[str, Any]:
     """Generate + simulate one config; returns its (deterministic) row."""
-    from ..sim.fabric import build_machine
-
     start = time.perf_counter()
     spec = build_config_spec(config)
     generated = tool.generate(spec)
-    machine = build_machine(spec, kernel=kernel)
+    machine = generated.build_machine(kernel=kernel)
     metric = simulate_config(config, machine)
     row: Dict[str, Any] = {
         "key": config.key(),
@@ -166,11 +161,11 @@ def _run_config(config: DseConfig, tool: BusSyn, kernel: str) -> Dict[str, Any]:
         "cached": False,
     }
     if config.score_resilience:
-        resilience = _score_resilience(config, build_config_spec(config), kernel)
+        resilience = _score_resilience(config, generated, kernel)
         row["resilience"] = resilience["score"]
         row["resilience_detail"] = resilience
     if config.score_verify:
-        row["verify"] = _score_verify(config, build_config_spec(config), kernel)
+        row["verify"] = _score_verify(config, generated, kernel)
     row["seconds"] = time.perf_counter() - start
     return row
 

@@ -415,13 +415,10 @@ def build_config_spec(config: DseConfig) -> BusSystemSpec:
         if config.fifo_depth is not None and config.bus in FIFO_ARCHS:
             kwargs["fifo_depth"] = config.fifo_depth
         spec = presets.preset(config.bus, config.pes, **kwargs)
+    spec.set_data_width(config.data_width)
     for subsystem in spec.subsystems:
         for bus in subsystem.buses:
-            bus.data_width = config.data_width
             bus.arbiter_policy = config.arbiter_policy
-        for ban in subsystem.bans:
-            for memory in ban.memories:
-                memory.data_width = config.data_width
     spec.validate()
     return spec
 

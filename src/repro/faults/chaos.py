@@ -35,8 +35,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..apps.ofdm import OfdmParameters, run_ofdm
+from ..apps.ofdm import GROUP_OF_BAN, OfdmParameters, run_ofdm
 from ..options import presets
+from ..options.schema import BusSystemSpec, OptionError
 from ..sim.fabric import build_machine
 from ..sim.pe import ProgramError
 from ..sim.kernel import KERNEL_BACKENDS
@@ -46,6 +47,7 @@ from .plan import SCENARIOS, compile_plan, empty_plan
 __all__ = [
     "CHAOS_ARCHITECTURES",
     "CHAOS_STYLES",
+    "case_spec",
     "run_chaos_case",
     "run_chaos",
     "format_chaos_summary",
@@ -71,6 +73,26 @@ CHAOS_STYLES = {
 MODES = ("baseline", "empty", "faulted")
 
 
+def case_spec(arch: str, pe_count: int, data_width: Optional[int] = None) -> BusSystemSpec:
+    """The preset a chaos or verify case runs OFDM on.
+
+    Raises :class:`OptionError` for a PE count or data width the preset
+    cannot take, and for fewer PEs than the architecture's programming
+    style needs (PPA pipelines Table I's groups over one PE each), so a
+    sweep can reject bad options before it fans out.
+    """
+    spec = presets.preset(arch, pe_count)
+    if data_width is not None:
+        spec.set_data_width(data_width)
+        spec.validate()
+    if CHAOS_STYLES[arch] == "PPA" and pe_count < len(GROUP_OF_BAN):
+        raise OptionError(
+            "%s runs PPA, which needs at least %d PEs (got %d)"
+            % (arch, len(GROUP_OF_BAN), pe_count)
+        )
+    return spec
+
+
 def run_chaos_case(
     case: Tuple[str, str, str, str],
     packets: int = 4,
@@ -80,7 +102,7 @@ def run_chaos_case(
 ) -> Dict[str, Any]:
     """Run one ``(arch, style, backend, mode)`` chaos case; picklable."""
     arch, style, backend, mode = case
-    machine = build_machine(presets.preset(arch, pe_count), kernel=backend)
+    machine = build_machine(case_spec(arch, pe_count), kernel=backend)
     plane = machine.attach_counters()
     injector = None
     monitor = None
@@ -166,13 +188,14 @@ def run_chaos(
         # unknown-name path (core/netlist.py style).
         if arch not in presets.PRESETS or arch not in CHAOS_STYLES:
             from ..core.netlist import _did_you_mean
-            from ..options.schema import OptionError
 
             known = sorted(set(presets.PRESETS) & set(CHAOS_STYLES))
             raise OptionError(
                 "unknown architecture %r%s; known architectures: %s"
                 % (arch, _did_you_mean(arch, known), ", ".join(known))
             )
+        # Bad PE counts exit 2 here, before any case runs.
+        case_spec(arch, pe_count)
     cases: List[Tuple[str, str, str, str]] = []
     for arch in archs:
         style = CHAOS_STYLES[arch]

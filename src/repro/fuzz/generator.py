@@ -38,10 +38,10 @@ MAX_DRAW_FACTOR = 64
 class FuzzProfile:
     """The sampled design space: one value pool per dimension.
 
-    CCBA is deliberately absent from the default bus pool -- its machine
-    abstraction diverges from the generated netlist by design
-    (docs/verification.md), so the structural oracle would flag every
-    CCBA draw as a false positive.
+    CCBA is absent from the default bus pool only to keep seeded
+    campaigns reproducible: adding a bus changes every seed's draws and
+    fingerprints.  The oracle judges a CCBA case like any other (a custom
+    profile, or ``repro verify --arch CCBA``).
     """
 
     buses: Tuple[str, ...] = (

@@ -3,9 +3,10 @@
 Each fuzz case is judged by every harness the repo has grown, composed
 into one verdict:
 
-* ``structural`` -- generate the Verilog bus system and require the
-  netlist and simulation-machine :class:`FabricGraph` abstractions to be
-  equivalent (:func:`repro.verify.equiv.compare_graphs`);
+* ``structural`` -- generate the Verilog bus system and require its
+  pin-level extraction (:func:`repro.verify.graph.graph_from_design`) to
+  find nothing; every machine below is built from that netlist, once
+  generated per case;
 * ``protocol`` -- run the workload with
   :class:`~repro.verify.monitors.ProtocolMonitor` armed on every
   arbiter/segment/FIFO/bridge; any protocol finding, unfinished PE, or
@@ -60,11 +61,6 @@ ORACLE_CHECKS = ("structural", "protocol", "resilience", "parity")
 #: -- the parity check runs the bare workload on each.
 PARITY_BACKENDS = tuple(KERNEL_BACKENDS)
 
-#: Architectures whose netlist <-> machine structural comparison is a
-#: documented modelled divergence, not a bug (docs/verification.md).
-STRUCTURAL_EXCLUDED = frozenset(["CCBA"])
-
-
 def oracle_cache_key(case: Dict[str, Any]) -> str:
     """Artifact-store key for one case's verdict.
 
@@ -109,22 +105,10 @@ def _findings_from_error(error: BaseException) -> List[str]:
     return ["exception: %s: %s" % (type(error).__name__, error)]
 
 
-def _check_structural(config: DseConfig, tool: BusSyn) -> List[str]:
-    from ..sim.fabric import build_machine
-    from ..verify.equiv import compare_graphs
-    from ..verify.graph import graph_from_design, graph_from_machine
+def _check_structural(generated) -> List[str]:
+    from ..verify.graph import graph_from_design
 
-    if config.bus in STRUCTURAL_EXCLUDED:
-        return []
-    spec = build_config_spec(config)
-    generated = tool.generate(spec)
-    return [
-        str(finding)
-        for finding in compare_graphs(
-            graph_from_design(generated.design()),
-            graph_from_machine(build_machine(spec)),
-        )
-    ]
+    return [str(finding) for finding in graph_from_design(generated.design()).findings]
 
 
 def _unfinished_pes(machine) -> List[str]:
@@ -136,19 +120,16 @@ def _unfinished_pes(machine) -> List[str]:
 
 
 def _check_protocol(
-    config: DseConfig, kernel: str, baseline_cycles: Optional[int] = None
+    config: DseConfig, generated, kernel: str, baseline_cycles: Optional[int] = None
 ) -> List[str]:
-    from ..sim.fabric import build_machine
-
-    spec = build_config_spec(config)
     if baseline_cycles is None:
         # Normally the parity check's run for this kernel is the baseline
         # (monitors are free-when-off, counters never change cycles); only
         # a parity-stage error forces a dedicated bare run here.
-        bare = build_machine(spec, kernel=kernel)
+        bare = generated.build_machine(kernel=kernel)
         baseline_cycles = simulate_config(config, bare)["cycles"]
 
-    monitored = build_machine(spec, kernel=kernel)
+    monitored = generated.build_machine(kernel=kernel)
     monitor = monitored.attach_monitors(fail_fast=False)
     metric = simulate_config(config, monitored)
     findings = [str(finding) for finding in monitor.finalize()]
@@ -162,18 +143,17 @@ def _check_protocol(
 
 
 def _check_resilience(
-    config: DseConfig, fault_seed: int, fault_scale: int, kernel: str
+    config: DseConfig, generated, fault_seed: int, fault_scale: int, kernel: str
 ) -> List[str]:
     from ..faults.injector import RecoveryPolicy, install_faults
     from ..faults.plan import SMOKE_SCENARIO, compile_plan
-    from ..sim.fabric import build_machine
 
     if fault_scale <= 0:
         return []
     scenario = (
         SMOKE_SCENARIO if fault_scale == 1 else SMOKE_SCENARIO.scaled(fault_scale)
     )
-    machine = build_machine(build_config_spec(config), kernel=kernel)
+    machine = generated.build_machine(kernel=kernel)
     plan = compile_plan(machine, scenario, fault_seed)
     injector = install_faults(machine, plan, RecoveryPolicy())
     simulate_config(config, machine)
@@ -182,15 +162,13 @@ def _check_resilience(
     return report.check() + _unfinished_pes(machine)
 
 
-def _check_parity(config: DseConfig) -> Dict[str, Any]:
-    from ..sim.fabric import build_machine
-
+def _check_parity(config: DseConfig, generated) -> Dict[str, Any]:
     fingerprints: Dict[str, str] = {}
     cycles: Dict[str, int] = {}
     findings: List[str] = []
     for backend in PARITY_BACKENDS:
         try:
-            machine = build_machine(build_config_spec(config), kernel=backend)
+            machine = generated.build_machine(kernel=backend)
             machine.attach_counters()
             metric = simulate_config(config, machine)
             fingerprints[backend] = run_fingerprint(config, machine, metric)
@@ -223,28 +201,35 @@ def evaluate_case(
     config = DseConfig.from_options(case["options"])
     tool = tool or BusSyn()
     checks: Dict[str, List[str]] = {}
+    parity = {"fingerprints": {}, "cycles": {}, "findings": []}
 
     try:
-        checks["structural"] = _check_structural(config, tool)
+        generated = tool.generate(build_config_spec(config))
     except Exception as error:  # noqa: BLE001 -- deterministic finding
-        checks["structural"] = _findings_from_error(error)
-    try:
-        parity = _check_parity(config)
-    except Exception as error:  # noqa: BLE001
-        parity = {"fingerprints": {}, "cycles": {}, "findings": _findings_from_error(error)}
-    checks["parity"] = parity["findings"]
-    try:
-        checks["protocol"] = _check_protocol(
-            config, kernel, baseline_cycles=parity["cycles"].get(kernel)
-        )
-    except Exception as error:  # noqa: BLE001
-        checks["protocol"] = _findings_from_error(error)
-    try:
-        checks["resilience"] = _check_resilience(
-            config, case["fault_seed"], case["fault_scale"], kernel
-        )
-    except Exception as error:  # noqa: BLE001
-        checks["resilience"] = _findings_from_error(error)
+        # Nothing to check or build: every check reports why.
+        checks = {name: _findings_from_error(error) for name in ORACLE_CHECKS}
+    else:
+        try:
+            checks["structural"] = _check_structural(generated)
+        except Exception as error:  # noqa: BLE001
+            checks["structural"] = _findings_from_error(error)
+        try:
+            parity = _check_parity(config, generated)
+        except Exception as error:  # noqa: BLE001
+            parity["findings"] = _findings_from_error(error)
+        checks["parity"] = parity["findings"]
+        try:
+            checks["protocol"] = _check_protocol(
+                config, generated, kernel, baseline_cycles=parity["cycles"].get(kernel)
+            )
+        except Exception as error:  # noqa: BLE001
+            checks["protocol"] = _findings_from_error(error)
+        try:
+            checks["resilience"] = _check_resilience(
+                config, generated, case["fault_seed"], case["fault_scale"], kernel
+            )
+        except Exception as error:  # noqa: BLE001
+            checks["resilience"] = _findings_from_error(error)
 
     # Every check built and dropped whole machines, and a machine's object
     # graph is cyclic: collect them now, so a campaign's peak memory is one

@@ -277,14 +277,14 @@ def elaborate(design: Design, top: Optional[str] = None) -> Dict[str, int]:
     if top is None:
         raise ValueError("no top module given")
     counts: Dict[str, int] = {}
-
-    def visit(name: str) -> None:
+    # Depth-first, in instance order, with an explicit stack: a recursive
+    # closure would be a reference cycle holding the whole design until
+    # the collector's next full pass.
+    stack = [top]
+    while stack:
+        name = stack.pop()
         counts[name] = counts.get(name, 0) + 1
         module = design.modules.get(name)
-        if module is None:
-            return
-        for instance in module.instances:
-            visit(instance.module)
-
-    visit(top)
+        if module is not None:
+            stack.extend(reversed([instance.module for instance in module.instances]))
     return counts

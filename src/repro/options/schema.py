@@ -255,6 +255,16 @@ class BusSystemSpec:
         names = [subsystem.name for subsystem in self.subsystems]
         return list(zip(names, names[1:]))
 
+    def set_data_width(self, width: int) -> None:
+        """Give every bus and memory the data width ``width``; call
+        :meth:`validate` afterwards."""
+        for subsystem in self.subsystems:
+            for bus in subsystem.buses:
+                bus.data_width = width
+            for ban in subsystem.bans:
+                for memory in ban.memories:
+                    memory.data_width = width
+
     def subsystem(self, name: str) -> BusSubsystemSpec:
         for subsystem in self.subsystems:
             if subsystem.name == name:

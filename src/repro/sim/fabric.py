@@ -1,9 +1,10 @@
-"""Bus fabric construction: from a :class:`BusSystemSpec` to a runnable machine.
+"""Bus fabric construction: from the generated netlist to a runnable machine.
 
-This is the simulation twin of the Verilog generator: the same user options
-(Figure 18) that BusSyn turns into HDL are turned here into a connected set
-of simulation models -- PEs, bus segments, bridges, arbiters, memories,
-handshake registers and Bi-FIFOs -- matching the topologies of Figures 3-9.
+The machine simulates what BusSyn generates: :class:`MachineBuilder` walks
+the :class:`~repro.verify.graph.FabricGraph` extracted from the Verilog of
+a :class:`BusSystemSpec` and turns it into a connected set of simulation
+models -- PEs, bus segments, bridges, arbiters, memories, handshake
+registers and Bi-FIFOs -- matching the topologies of Figures 3-9.
 
 Topology summary (4-PE shape; all scale with PE count):
 
@@ -22,7 +23,8 @@ Topology summary (4-PE shape; all scale with PE count):
 * **GGBA** (Fig 9, baseline) -- a single arbitrated segment; one shared
   SRAM holds *everything* including each PE's program and local data.
 * **CCBA** (Fig 8, baseline) -- a single PLB-style segment with a 5-cycle
-  read grant; per-PE SRAMs and the shared SRAM all sit behind it.
+  read grant; per-PE SRAMs and the shared SRAM all sit behind it (the
+  netlist's per-BAN local buses fold into the PLB).
 
 Every PE also owns L1 I/D caches; cache-miss refills are real bus traffic
 against the PE's program/data memory, which is what separates GGBA from the
@@ -31,10 +33,11 @@ generated architectures in Table II (observation B).
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Sequence, Set, Tuple
 
 from ..obs import FanoutProbe
-from ..options.schema import BusSystemSpec, BusSubsystemSpec, OptionError
+from ..core.busyn import BusSyn, GeneratedBusSystem
+from ..options.schema import BusSpec, BusSubsystemSpec, BusSystemSpec, OptionError
 from .arbiter import make_arbiter
 from .bus import BusBridge, BusSegment, TransferTiming, find_route
 from .cache import CacheStats
@@ -44,6 +47,9 @@ from .interrupt import InterruptController
 from .kernel import Simulator
 from .memory import Dram, Memory, Sram, make_memory
 from .pe import MISS_GROUP, ProcessingElement, ProgramError
+
+if TYPE_CHECKING:
+    from ..verify.graph import BanNode, FabricGraph, SegmentNode, SubsystemNode
 
 __all__ = [
     "Device",
@@ -1249,9 +1255,15 @@ class _PollModel:
 class MachineBuilder:
     """Single composition point for building a runnable :class:`Machine`.
 
-    The builder picks the simulator (an existing one or a backend by
-    name) and elaborates the spec with the requested CPI and
-    arbiter-policy override.
+    The machine is built from the netlist BusSyn generates: the builder
+    takes a :class:`~repro.core.busyn.GeneratedBusSystem`, or a spec it
+    has BusSyn generate, extracts the design's
+    :class:`~repro.verify.graph.FabricGraph` and instantiates the
+    segments, memories, PEs, bridges and FIFO/handshake links the graph
+    holds.  What the RTL does not encode comes from the spec -- memory
+    types and names, bus address widths, write-grant cycles -- or from
+    the builder: the CPI and the arbiter-policy override.  The builder
+    also picks the simulator (an existing one or a backend by name).
 
     Observers, counter planes and fault injectors attach to the built
     machine: :meth:`Machine.attach_observability`,
@@ -1270,8 +1282,9 @@ class MachineBuilder:
     :func:`build_machine` remains as a thin keyword-argument wrapper.
     """
 
-    def __init__(self, spec: BusSystemSpec):
-        self.spec = spec
+    def __init__(self, system):
+        # A BusSystemSpec, or the GeneratedBusSystem BusSyn made from one.
+        self.system = system
         self._sim: Optional[Simulator] = None
         self._kernel: Optional[str] = None
         self._cpi = 0.4
@@ -1300,30 +1313,39 @@ class MachineBuilder:
 
     # -- build ----------------------------------------------------------------
     def build(self) -> Machine:
-        spec = self.spec
-        spec.validate()
+        from ..verify.graph import graph_from_design
+
+        generated = self.system
+        if not isinstance(generated, GeneratedBusSystem):
+            # A tool without a memo, so a table run keeps no design alive.
+            generated = BusSyn(cache=False).generate(generated)
+        spec = generated.spec
+        graph = graph_from_design(generated.design())
+        del generated  # a generated spec's design is garbage from here on
         sim = self._sim if self._sim is not None else Simulator(kernel=self._kernel)
         machine = Machine(sim, spec)
-        _Builder(machine, self._cpi, self._arbiter_policy).build()
+        _Builder(machine, graph, self._cpi, self._arbiter_policy).build()
         return machine
 
 
 def build_machine(
-    spec: BusSystemSpec,
+    system,
     sim: Optional[Simulator] = None,
     cycles_per_instruction: float = 0.4,
     arbiter_policy: Optional[str] = None,
     kernel: Optional[str] = None,
 ) -> Machine:
-    """Build the simulation machine matching ``spec``.
+    """Build the simulation machine of ``system``.
 
-    Thin keyword wrapper over :class:`MachineBuilder`.
-    ``arbiter_policy`` overrides every bus's arbiter policy (for the
-    arbitration-policy ablation); ``kernel`` picks the scheduler backend
+    Thin keyword wrapper over :class:`MachineBuilder`: ``system`` is a
+    :class:`BusSystemSpec`, which BusSyn generates first, or a
+    :class:`~repro.core.busyn.GeneratedBusSystem`.  ``arbiter_policy``
+    overrides every bus's arbiter policy (for the arbitration-policy
+    ablation); ``kernel`` picks the scheduler backend
     (``"heap"``/``"compiled"``, default
     :func:`repro.sim.kernel.default_kernel`) when no ``sim`` is supplied.
     """
-    builder = MachineBuilder(spec)
+    builder = MachineBuilder(system)
     if sim is not None:
         builder.with_sim(sim)
     return (
@@ -1335,94 +1357,213 @@ def build_machine(
 
 
 class _Builder:
+    """Instantiates a machine from the :class:`FabricGraph` of its design.
+
+    Segments, devices, PEs and bridges are created subsystem by
+    subsystem, in the order route search, code reservation and the fault
+    injector's site tables rely on: the shared buses the PEs master, then
+    each PE's BAN, then the shared buses reached only over bridges, then
+    the point-to-point chain links and the subsystem's bridges; the
+    system bridges come last.
+    """
+
     def __init__(
         self,
         machine: Machine,
+        graph: FabricGraph,
         cycles_per_instruction: float,
         arbiter_policy: Optional[str],
     ):
         self.machine = machine
         self.sim = machine.sim
-        self.spec = machine.spec
+        self.graph = graph
         self.cpi = cycles_per_instruction
         self.arbiter_policy = arbiter_policy
+        # Graph BAN name -> its spec (names, memory types).
+        self.bans = {ban.name.upper(): ban for ban in machine.spec.all_bans}
+        self.segments: Dict[SegmentNode, BusSegment] = {}
+        self.memory_on: Dict[SegmentNode, str] = {}  # shared bus -> its memory
 
-    # -- small helpers ----------------------------------------------------
-    def _segment(self, name: str, bus_spec, policy: str = "fcfs") -> BusSegment:
-        policy = self.arbiter_policy or bus_spec.arbiter_policy or policy
-        return self.machine.add_segment(
-            BusSegment(
-                self.sim,
-                name,
-                data_width=bus_spec.data_width,
-                address_width=bus_spec.address_width,
-                arbiter=make_arbiter(self.sim, policy, name + ".arb"),
-                grant_cycles=bus_spec.grant_cycles,
-                write_grant_cycles=bus_spec.effective_write_grant,
+    def build(self) -> None:
+        subsystems = {sub.name.upper(): sub for sub in self.machine.spec.subsystems}
+        for node in self.graph.subsystems:
+            self._subsystem(subsystems[node.name], node)
+        for name, side_a, side_b in self.graph.bridges:
+            self._bridge(name, side_a, side_b)
+        self._finalize_shared_memory_map()
+        self._finalize_bus_loading()
+
+    def _subsystem(self, spec: BusSubsystemSpec, node: SubsystemNode) -> None:
+        machine = self.machine
+        # The segments take the options of the subsystem's one bus, or of a
+        # Hybrid's global bus.
+        bus = next((bus for bus in spec.buses if bus.bus_type != "BFBA"), spec.buses[0])
+        pe_bans = [ban for ban in node.bans if ban.cpu is not None]
+        global_bans = [ban for ban in node.bans if ban.cpu is None]
+        shared_memory = None
+        # A shared bus the PEs master comes before them: its memory holds
+        # the shared variables and the programs of PEs without local memory.
+        flat = spec.bus_of_type("CCBA") is not None
+        for ban in global_bans:
+            if ban.segment.masters:
+                label = "PLB_%s" if flat else "GLOBAL_BUS_%s"
+                shared_memory = self._global_ban(ban, label % spec.name, bus)
+        if flat:
+            # The CCBA flattening rule.  Its netlist keeps a local bus per
+            # BAN, but the CoreConnect baseline (Figure 8) puts every memory
+            # and PE behind the one PLB and its 5-cycle read grant, which is
+            # what Table III's CCBA row measures.
+            for ban in pe_bans:
+                if ban.segment is not None:
+                    self.segments[ban.segment] = self.segments[ban.shared]
+        for ban in pe_bans:
+            self._pe_ban(ban, bus)
+        # A shared bus reached only over bridges (GBAVII's ring) follows.
+        for ban in global_bans:
+            if not ban.segment.masters:
+                name = "GLOBAL_BUS_%s" % self.bans[ban.name].name
+                shared_memory = self._global_ban(ban, name, bus)
+        if shared_memory is not None:
+            if machine.global_memory is None:
+                machine.global_memory = shared_memory
+            for ban in pe_bans:
+                machine.shared_memory_of[self.bans[ban.name].name] = shared_memory
+        for ban in pe_bans:
+            self._chain_links(ban)
+        for side_a, side_b in node.bridges:
+            name = "BB_%s%s" % (self.bans[side_a.ban].name, self.bans[side_b.ban].name)
+            self._bridge(name, side_a, side_b)
+
+    def _segment(self, node: SegmentNode, name: str, bus: BusSpec) -> BusSegment:
+        segment = self.segments.get(node)
+        if segment is None:
+            policy = self.arbiter_policy or node.arbiter_policy or bus.arbiter_policy or "fcfs"
+            segment = self.machine.add_segment(
+                BusSegment(
+                    self.sim,
+                    name,
+                    data_width=node.data_width or bus.data_width,
+                    address_width=bus.address_width,
+                    arbiter=make_arbiter(self.sim, policy, name + ".arb"),
+                    grant_cycles=node.grant_cycles or bus.grant_cycles,
+                    write_grant_cycles=bus.effective_write_grant,
+                )
             )
-        )
+            self.segments[node] = segment
+        return segment
 
-    def _memory_device(self, mem_spec, segment: BusSegment) -> Device:
+    def _memory(self, ban: BanNode, segment: BusSegment) -> str:
+        """The BAN's memory, sized as its netlist; returns its name."""
+        memory_spec = self.bans[ban.name].memories[0]
         memory = make_memory(
-            mem_spec.memory_type if mem_spec.memory_type != "DPRAM" else "SRAM",
-            mem_spec.name,
-            mem_spec.size_words,
+            memory_spec.memory_type if memory_spec.memory_type != "DPRAM" else "SRAM",
+            memory_spec.name,
+            ban.memory_words,
         )
-        return self.machine.add_device(Device(mem_spec.name, "memory", memory, segment))
+        self.machine.add_device(Device(memory_spec.name, "memory", memory, segment))
+        return memory_spec.name
 
-    def _pe(self, ban_spec, home: BusSegment, program_device: str, program_base: int):
-        name = "%s_%s" % (ban_spec.cpu_type, ban_spec.name)
+    def _global_ban(self, ban: BanNode, segment_name: str, bus: BusSpec) -> str:
+        """A shared bus with its memory and shared variables; returns the
+        memory's name."""
+        machine = self.machine
+        name = self._memory(ban, self._segment(ban.segment, segment_name, bus))
+        self.memory_on[ban.segment] = name
+        memory = machine.memory(name)
+        machine.shared_vars[name] = SharedVariables(memory, memory.size_words - VAR_AREA_WORDS)
+        return name
+
+    def _pe_ban(self, ban: BanNode, bus: BusSpec) -> None:
+        machine = self.machine
+        letter = self.bans[ban.name].name
+        if ban.segment is not None:
+            home = self._segment(ban.segment, "CPU_BUS_%s" % letter, bus)
+            program = self._memory(ban, home)
+        else:
+            # No local memory: the PE lives on the shared bus and runs its
+            # program out of the shared memory (GGBA/SplitBA).
+            home = self.segments[ban.shared]
+            program = self.memory_on[ban.shared]
+        name = "%s_%s" % (ban.cpu, letter)
         pe = ProcessingElement(
             self.sim,
             name,
-            self.machine,
+            machine,
             cycles_per_instruction=self.cpi,
-            program_device=program_device,
-            program_base=program_base,
+            program_device=program,
+            program_base=0,
             code_footprint_words=CODE_FOOTPRINT_WORDS,
         )
-        machine = self.machine
         machine.pes[name] = pe
-        machine.pe_order.append(ban_spec.name)
-        machine.pe_by_ban[ban_spec.name] = pe
-        machine.ban_of_pe[name] = ban_spec.name
+        machine.pe_order.append(letter)
+        machine.pe_by_ban[letter] = pe
+        machine.ban_of_pe[name] = letter
         machine.home_segment[name] = home
         machine.direct_segments[name] = {home}
+        if ban.shared is not None:
+            machine.direct_segments[name].add(self.segments[ban.shared])
         machine.interrupt_controllers[name] = InterruptController(self.sim, name + ".intc")
-        return pe
+        pe.program_base = machine.reserve(program, CODE_FOOTPRINT_WORDS)
+        if ban.hs_regs:
+            # HS_REGS for the pair (predecessor -> this BAN) live on this
+            # BAN's segment and are bus-addressable from both sides (Fig 10).
+            block = HandshakeRegisters(self.sim, "HS_REGS_%s" % letter)
+            machine.hs_blocks[letter] = block
+            machine.add_device(Device(block.name, "hsregs", block, home))
 
-    def _hsregs(self, ban: str) -> Device:
-        block = HandshakeRegisters(self.sim, "HS_REGS_%s" % ban)
-        self.machine.hs_blocks[ban] = block
-        return block
-
-    def _setup_shared_vars(self, memory_name: str) -> None:
+    def _chain_links(self, ban: BanNode) -> None:
+        """The Bi-FIFO block and handshake registers on the chain wires
+        ending in ``ban`` (Figure 4); ``up`` carries pred->ban data."""
         machine = self.machine
-        memory = machine.memory(memory_name)
-        base = memory.size_words - VAR_AREA_WORDS
-        machine.shared_vars[memory_name] = SharedVariables(memory, base)
-
-    def _reserve_code(self, device_name: str, pe: ProcessingElement) -> None:
-        base = self.machine.reserve(device_name, CODE_FOOTPRINT_WORDS)
-        pe.program_device = device_name
-        pe.program_base = base
-
-    # -- top level ----------------------------------------------------------
-    def build(self) -> None:
-        subsystem_anchor: Dict[str, BusSegment] = {}
-        for subsystem in self.spec.subsystems:
-            anchor = self._build_subsystem(subsystem)
-            subsystem_anchor[subsystem.name] = anchor
-        for index, (left, right) in enumerate(self.spec.effective_bridges(), start=1):
-            bridge = BusBridge(
-                self.sim,
-                "BB_SYS_%d" % index,
-                subsystem_anchor[left],
-                subsystem_anchor[right],
+        letter = self.bans[ban.name].name
+        this_pe = machine.pe_by_ban[letter]
+        if ban.fifo_from is not None:
+            predecessor = self.bans[ban.fifo_from].name
+            pred_pe = machine.pe_by_ban[predecessor]
+            block = BiFifo(self.sim, "BIFIFO_%s" % letter, ban.fifo_depth)
+            machine.fifo_blocks[letter] = block
+            machine.add_device(
+                Device(
+                    block.name,
+                    "fifo",
+                    block,
+                    None,
+                    point_to_point=True,
+                    parties={pred_pe.name, this_pe.name},
+                )
             )
-            self.machine.bridges.append(bridge)
-        self._finalize_shared_memory_map()
-        self._finalize_bus_loading()
+            # Threshold interrupts: up carries pred->ban, down carries ban->pred.
+            up_line = machine.interrupt_controllers[this_pe.name].line(
+                "fifo_from_%s" % predecessor
+            )
+            block.up.on_threshold = (
+                lambda fifo, line=up_line: line.raise_interrupt(fifo.name)
+            )
+            down_line = machine.interrupt_controllers[pred_pe.name].line(
+                "fifo_from_%s" % letter
+            )
+            block.down.on_threshold = (
+                lambda fifo, line=down_line: line.raise_interrupt(fifo.name)
+            )
+        if ban.hs_from is not None:
+            pred_pe = machine.pe_by_ban[self.bans[ban.hs_from].name]
+            block = HandshakeRegisters(self.sim, "HS_REGS_%s" % letter)
+            machine.hs_blocks[letter] = block
+            machine.add_device(
+                Device(
+                    block.name,
+                    "hsregs",
+                    block,
+                    None,
+                    point_to_point=True,
+                    parties={pred_pe.name, this_pe.name},
+                )
+            )
+
+    def _bridge(self, name: str, side_a: SegmentNode, side_b: SegmentNode) -> None:
+        self.machine.bridges.append(
+            BusBridge(self.sim, name, self.segments[side_a], self.segments[side_b])
+        )
 
     def _finalize_bus_loading(self) -> None:
         """Derive per-segment beat time from electrical loading.
@@ -1450,247 +1591,6 @@ class _Builder:
 
     def _finalize_shared_memory_map(self) -> None:
         machine = self.machine
-        if machine.global_memory is None and machine.shared_vars:
-            machine.global_memory = sorted(machine.shared_vars)[0]
         for ban in machine.pe_order:
             if ban not in machine.shared_memory_of and machine.global_memory:
                 machine.shared_memory_of[ban] = machine.global_memory
-
-    def _build_subsystem(self, subsystem: BusSubsystemSpec) -> BusSegment:
-        bus_types = {bus.bus_type for bus in subsystem.buses}
-        if bus_types == {"BFBA"}:
-            return self._build_bfba(subsystem)
-        if bus_types == {"GBAVI"}:
-            return self._build_gbavi(subsystem)
-        if bus_types == {"GBAVII"}:
-            return self._build_gbavii(subsystem)
-        if bus_types == {"GBAVIII"}:
-            return self._build_global(subsystem, "GBAVIII", local_memories=True)
-        if bus_types == {"BFBA", "GBAVIII"}:
-            return self._build_hybrid(subsystem)
-        if bus_types == {"SPLITBA"}:
-            return self._build_global(subsystem, "SPLITBA", local_memories=False)
-        if bus_types == {"GGBA"}:
-            return self._build_global(subsystem, "GGBA", local_memories=False)
-        if bus_types == {"CCBA"}:
-            return self._build_ccba(subsystem)
-        raise OptionError(
-            "subsystem %s: unsupported bus combination %s"
-            % (subsystem.name, sorted(bus_types))
-        )
-
-    # -- BFBA (Figure 4) -------------------------------------------------
-    def _build_bfba(self, subsystem: BusSubsystemSpec) -> BusSegment:
-        bus_spec = subsystem.bus_of_type("BFBA")
-        machine = self.machine
-        pe_bans = subsystem.pe_bans
-        first_segment = None
-        for ban_spec in pe_bans:
-            segment = self._segment("CPU_BUS_%s" % ban_spec.name, bus_spec)
-            if first_segment is None:
-                first_segment = segment
-            for mem_spec in ban_spec.memories:
-                self._memory_device(mem_spec, segment)
-            pe = self._pe(ban_spec, segment, ban_spec.memories[0].name, 0)
-            self._reserve_code(ban_spec.memories[0].name, pe)
-        self._link_bfba_chain(subsystem, bus_spec)
-        return first_segment
-
-    def _link_bfba_chain(self, subsystem: BusSubsystemSpec, bus_spec) -> None:
-        """Create Bi-FIFO blocks + HS_REGS point-to-point links (ring)."""
-        machine = self.machine
-        bans = [b.name for b in subsystem.pe_bans]
-        if len(bans) < 2:
-            return
-        count = len(bans)
-        for index, ban in enumerate(bans):
-            predecessor = bans[(index - 1) % count]
-            if count == 2 and index == 1 and "BIFIFO_%s" % ban in machine.devices:
-                break
-            pred_pe = machine.pe_by_ban[predecessor]
-            this_pe = machine.pe_by_ban[ban]
-            parties = {pred_pe.name, this_pe.name}
-            block = BiFifo(self.sim, "BIFIFO_%s" % ban, bus_spec.fifo_depth)
-            machine.fifo_blocks[ban] = block
-            machine.add_device(
-                Device("BIFIFO_%s" % ban, "fifo", block, None, point_to_point=True, parties=parties)
-            )
-            hs = self._hsregs(ban)
-            machine.add_device(
-                Device(hs.name, "hsregs", hs, None, point_to_point=True, parties=parties)
-            )
-            # Threshold interrupts: up carries pred->ban, down carries ban->pred.
-            up_line = machine.interrupt_controllers[this_pe.name].line(
-                "fifo_from_%s" % predecessor
-            )
-            block.up.on_threshold = (
-                lambda fifo, line=up_line: line.raise_interrupt(fifo.name)
-            )
-            down_line = machine.interrupt_controllers[pred_pe.name].line(
-                "fifo_from_%s" % ban
-            )
-            block.down.on_threshold = (
-                lambda fifo, line=down_line: line.raise_interrupt(fifo.name)
-            )
-
-    # -- GBAVI (Figure 3) --------------------------------------------------
-    def _build_gbavi(self, subsystem: BusSubsystemSpec) -> BusSegment:
-        bus_spec = subsystem.bus_of_type("GBAVI")
-        machine = self.machine
-        pe_bans = subsystem.pe_bans
-        segments = []
-        for ban_spec in pe_bans:
-            segment = self._segment("CPU_BUS_%s" % ban_spec.name, bus_spec)
-            segments.append(segment)
-            for mem_spec in ban_spec.memories:
-                self._memory_device(mem_spec, segment)
-            pe = self._pe(ban_spec, segment, ban_spec.memories[0].name, 0)
-            self._reserve_code(ban_spec.memories[0].name, pe)
-            # HS_REGS for the pair (predecessor -> this BAN) live on this
-            # BAN's segment and are bus-addressable from both sides (Fig 10).
-            hs = self._hsregs(ban_spec.name)
-            machine.add_device(Device(hs.name, "hsregs", hs, segment))
-        # Bridges joining adjacent BAN segments; ring closure when > 2 BANs
-        # (BB_2, BB_4, BB_6, BB_8 in Figure 3).
-        bans = [b.name for b in pe_bans]
-        pairs = list(zip(range(len(bans)), range(1, len(bans))))
-        for left_index, right_index in pairs:
-            bridge = BusBridge(
-                self.sim,
-                "BB_%s%s" % (bans[left_index], bans[right_index]),
-                segments[left_index],
-                segments[right_index],
-            )
-            machine.bridges.append(bridge)
-        if len(bans) > 2:
-            machine.bridges.append(
-                BusBridge(
-                    self.sim,
-                    "BB_%s%s" % (bans[-1], bans[0]),
-                    segments[-1],
-                    segments[0],
-                )
-            )
-        return segments[0]
-
-    # -- GBAVII (extension; see repro.options.presets.gbavii) ---------------
-    def _build_gbavii(self, subsystem: BusSubsystemSpec) -> BusSegment:
-        """GBAVI's segmented ring plus a global-memory BAN on the ring.
-
-        The global SRAM sits on its own segment, bridged to the last and
-        first PE segments (closing the ring through BAN G); PEs reach it
-        across the bridges, so shared accesses serialize on the segments
-        along the way rather than at a dedicated global arbiter.
-        """
-        bus_spec = subsystem.bus_of_type("GBAVII")
-        machine = self.machine
-        pe_bans = subsystem.pe_bans
-        segments = []
-        for ban_spec in pe_bans:
-            segment = self._segment("CPU_BUS_%s" % ban_spec.name, bus_spec)
-            segments.append(segment)
-            for mem_spec in ban_spec.memories:
-                self._memory_device(mem_spec, segment)
-            pe = self._pe(ban_spec, segment, ban_spec.memories[0].name, 0)
-            self._reserve_code(ban_spec.memories[0].name, pe)
-            hs = self._hsregs(ban_spec.name)
-            machine.add_device(Device(hs.name, "hsregs", hs, segment))
-        global_memory_name = None
-        global_segment = None
-        for ban_spec in subsystem.global_bans:
-            global_segment = self._segment("GLOBAL_BUS_%s" % ban_spec.name, bus_spec)
-            for mem_spec in ban_spec.memories:
-                self._memory_device(mem_spec, global_segment)
-            global_memory_name = ban_spec.memories[0].name
-            self._setup_shared_vars(global_memory_name)
-        if machine.global_memory is None:
-            machine.global_memory = global_memory_name
-        for ban_spec in pe_bans:
-            machine.shared_memory_of[ban_spec.name] = global_memory_name
-        bans = [b.name for b in pe_bans]
-        for left_index in range(len(bans) - 1):
-            machine.bridges.append(
-                BusBridge(
-                    self.sim,
-                    "BB_%s%s" % (bans[left_index], bans[left_index + 1]),
-                    segments[left_index],
-                    segments[left_index + 1],
-                )
-            )
-        if global_segment is not None and segments:
-            machine.bridges.append(
-                BusBridge(self.sim, "BB_%sG" % bans[-1], segments[-1], global_segment)
-            )
-            if len(segments) > 1:
-                machine.bridges.append(
-                    BusBridge(self.sim, "BB_G%s" % bans[0], global_segment, segments[0])
-                )
-        return segments[0] if segments else global_segment
-
-    # -- Global-bus family: GBAVIII / SplitBA-half / GGBA --------------------
-    def _build_global(
-        self,
-        subsystem: BusSubsystemSpec,
-        bus_type: str,
-        local_memories: bool,
-    ) -> BusSegment:
-        bus_spec = subsystem.bus_of_type(bus_type)
-        machine = self.machine
-        global_segment = self._segment(
-            "GLOBAL_BUS_%s" % subsystem.name, bus_spec
-        )
-        global_bans = subsystem.global_bans
-        global_memory_name = None
-        for ban_spec in global_bans:
-            for mem_spec in ban_spec.memories:
-                self._memory_device(mem_spec, global_segment)
-            global_memory_name = ban_spec.memories[0].name
-            self._setup_shared_vars(global_memory_name)
-        if machine.global_memory is None:
-            machine.global_memory = global_memory_name
-        for ban_spec in subsystem.pe_bans:
-            if local_memories and ban_spec.memories:
-                local_segment = self._segment("CPU_BUS_%s" % ban_spec.name, bus_spec)
-                for mem_spec in ban_spec.memories:
-                    self._memory_device(mem_spec, local_segment)
-                pe = self._pe(ban_spec, local_segment, ban_spec.memories[0].name, 0)
-                self._reserve_code(ban_spec.memories[0].name, pe)
-                machine.direct_segments[pe.name].add(global_segment)
-            else:
-                # No local memory: the PE lives on the shared segment and
-                # runs its program out of the shared memory (GGBA/SplitBA).
-                pe = self._pe(ban_spec, global_segment, global_memory_name, 0)
-                self._reserve_code(global_memory_name, pe)
-            machine.shared_memory_of[ban_spec.name] = global_memory_name
-        return global_segment
-
-    # -- Hybrid (Figure 6) ----------------------------------------------------
-    def _build_hybrid(self, subsystem: BusSubsystemSpec) -> BusSegment:
-        anchor = self._build_global(subsystem, "GBAVIII", local_memories=True)
-        self._link_bfba_chain(subsystem, subsystem.bus_of_type("BFBA"))
-        return anchor
-
-    # -- CCBA (Figure 8) -------------------------------------------------------
-    def _build_ccba(self, subsystem: BusSubsystemSpec) -> BusSegment:
-        """CoreConnect PLB: everything behind one 5-cycle-read-grant bus."""
-        bus_spec = subsystem.bus_of_type("CCBA")
-        machine = self.machine
-        plb = self._segment("PLB_%s" % subsystem.name, bus_spec)
-        global_memory_name = None
-        for ban_spec in subsystem.global_bans:
-            for mem_spec in ban_spec.memories:
-                self._memory_device(mem_spec, plb)
-            global_memory_name = ban_spec.memories[0].name
-            self._setup_shared_vars(global_memory_name)
-        if machine.global_memory is None:
-            machine.global_memory = global_memory_name
-        for ban_spec in subsystem.pe_bans:
-            for mem_spec in ban_spec.memories:
-                self._memory_device(mem_spec, plb)
-            program_memory = (
-                ban_spec.memories[0].name if ban_spec.memories else global_memory_name
-            )
-            pe = self._pe(ban_spec, plb, program_memory, 0)
-            self._reserve_code(program_memory, pe)
-            machine.shared_memory_of[ban_spec.name] = global_memory_name
-        return plb

@@ -1,47 +1,36 @@
-"""Cross-layer verification: netlist<->fabric equivalence + protocol monitors.
+"""Cross-layer verification: the netlist's structure + protocol monitors.
 
 Two complementary checks tie the generator (:mod:`repro.core`) and the
 simulator (:mod:`repro.sim`) together:
 
-* **structural** -- :func:`graph_from_design` and :func:`graph_from_machine`
-  abstract both elaborations of a spec into a :class:`FabricGraph`;
-  :func:`compare_graphs` reports every structural divergence as a typed
-  :class:`Finding`;
+* **structural** -- :func:`graph_from_design` extracts the bus fabric of a
+  generated design pin by pin into the :class:`FabricGraph` the
+  simulation machine is built from, reporting every dropped or misrouted
+  wire as a typed :class:`Finding`;
 * **runtime** -- :class:`ProtocolMonitor` probes arbiters, segments,
   FIFOs and bridges (a :class:`repro.obs.Probe`, free when off) and
   asserts the bus-protocol invariants (grant one-hot, REQ-until-GNT, FIFO
   conservation/bounds, bridge forwarding conservation, transaction
   retirement) while the workload runs.
 
-:func:`run_verify` sweeps both checks across architectures and scheduler
-backends; the ``repro verify`` CLI verb and CI's smoke step drive it.
+:func:`repro.verify.runner.run_verify` sweeps both checks across
+architectures and scheduler backends; the ``repro verify`` CLI verb and
+CI's smoke step drive it.  The package itself does not load the sweep,
+so the machine builder, which needs only the extractor, stays light.
 """
 
-from .equiv import compare_graphs
 from .findings import Finding
-from .graph import FabricGraph, SegmentNode, graph_from_design, graph_from_machine
+from .graph import BanNode, FabricGraph, SegmentNode, SubsystemNode, graph_from_design
 from .monitors import ProtocolMonitor, ProtocolViolationError, attach_monitors
-from .runner import (
-    SMOKE_ARCHITECTURES,
-    VERIFY_ARCHITECTURES,
-    format_verify_summary,
-    run_verify,
-    run_verify_case,
-)
 
 __all__ = [
     "Finding",
     "FabricGraph",
+    "SubsystemNode",
+    "BanNode",
     "SegmentNode",
     "graph_from_design",
-    "graph_from_machine",
-    "compare_graphs",
     "ProtocolMonitor",
     "ProtocolViolationError",
     "attach_monitors",
-    "VERIFY_ARCHITECTURES",
-    "SMOKE_ARCHITECTURES",
-    "run_verify_case",
-    "run_verify",
-    "format_verify_summary",
 ]

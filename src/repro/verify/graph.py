@@ -1,42 +1,34 @@
-"""Connectivity graphs for netlist<->fabric equivalence checking.
+"""The bus fabric a generated design describes, extracted pin by pin.
 
-The generated Verilog (:mod:`repro.core`) and the simulation machine
-(:mod:`repro.sim.fabric`) are two elaborations of the same
-:class:`~repro.options.schema.BusSystemSpec`; this module abstracts each
-into a :class:`FabricGraph` -- bus segments with their masters, memories
-and arbiters, the bridges joining segments, and the point-to-point
-FIFO/handshake links of the BFBA family -- so the two can be compared
-key-for-key by :mod:`repro.verify.equiv`.
+:func:`graph_from_design` walks an elaborated :class:`~repro.hdl.ast.Design`
+into a :class:`FabricGraph`: per subsystem, its BANs in instance order --
+each PE with the bus its CPU and memory sit on, the shared bus it masters,
+its handshake registers and the FIFO/handshake chain wires ending in it;
+each global BAN with its shared bus, arbiter and memory -- and the bridges
+joining the segments.  :class:`repro.sim.fabric.MachineBuilder` builds the
+simulation machine from this graph, so the RTL and the machine agree by
+construction.
 
-Canonical segment identity is the *master set*: a segment is named
-``seg(<sorted master PE names>)`` on both sides, which survives the naming
-differences between the RTL (nets like ``w_sa_1``/``sub_addr``) and the
-machine (``CPU_BUS_A``/``GLOBAL_BUS_SUB1``).  GBAVII's global segment has
-no direct masters (PEs reach it over bridges) and keys as ``seg()``.
-
-Netlist extraction walks the real module hierarchy pin by pin -- the CPU's
+Extraction walks the real module hierarchy pin by pin -- the CPU's
 address/data buses into the CBI, the CBI/MBI bundles onto a segment's
 wires, the MBI's SRAM pins into the memory, the arbiter's REQ/GNT pair
 through the ABI onto the shared bus -- so a single dropped or misrouted
-wire in the generated Verilog surfaces as a typed :class:`Finding`, not as
-a silently different graph.
-
-Known modelled divergence: CCBA's machine flattens every memory onto one
-PLB segment while the netlist keeps per-BAN structure; CCBA is therefore
-outside this checker's supported set (see docs/verification.md).
+wire in the generated Verilog surfaces as a typed :class:`Finding`.  The
+findings are the structural check of ``repro verify`` and the fuzz
+oracle; a part they report unreachable (a bridge side on no segment, a
+chain wire with one end) is left out of the graph.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..hdl.ast import Design, Instance, Module
 from .findings import Finding
 
-__all__ = ["SegmentNode", "FabricGraph", "graph_from_machine", "graph_from_design"]
+__all__ = ["SegmentNode", "BanNode", "SubsystemNode", "FabricGraph", "graph_from_design"]
 
 
 _ARBITER_RE = re.compile(r"^arbiter_([a-z_]+)_n(\d+)$")
@@ -50,116 +42,49 @@ _FIFO_CHAIN = ("fifo_cs_up", "fifo_cs_dn")
 _HS_CHAIN = ("done_op_cs_up", "done_op_cs_dn")
 
 
-@dataclass
+@dataclass(eq=False)
 class SegmentNode:
-    """One arbitrated bus segment, abstracted from either elaboration."""
+    """One bus segment of the netlist."""
 
-    origin: str  # machine segment name / netlist net name (for messages)
-    masters: set = field(default_factory=set)  # PE names
-    memories: List[int] = field(default_factory=list)  # word counts
-    hs_count: int = 0  # bus-addressable handshake blocks
+    ban: str = ""  # the BAN carrying it: a PE BAN's local bus, a global BAN's shared bus
+    masters: List[str] = field(default_factory=list)  # BANs whose PEs master it directly
     data_width: Optional[int] = None
-    arbiter_policy: Optional[str] = None
-    n_masters: Optional[int] = None
+    arbiter_policy: Optional[str] = None  # None: no arbiter on this segment
     grant_cycles: Optional[int] = None
 
-    @property
-    def key(self) -> str:
-        return "seg(%s)" % ",".join(sorted(self.masters))
 
-    def describe(self) -> str:
-        return "%s [%s]" % (self.key, self.origin)
+@dataclass(eq=False)
+class BanNode:
+    """One BAN instance of a subsystem."""
+
+    name: str  # the instance's BAN name, upper-cased (``u_ban_a`` -> ``A``)
+    cpu: Optional[str] = None  # CPU type of a PE BAN; None for a global BAN
+    segment: Optional[SegmentNode] = None  # the bus its memory (and CPU) sit on
+    shared: Optional[SegmentNode] = None  # the shared bus its PE masters
+    memory_words: Optional[int] = None
+    hs_regs: bool = False  # a bus-addressable handshake-register block
+    fifo_from: Optional[str] = None  # BAN at the far end of the FIFO chain wire ending here
+    fifo_depth: Optional[int] = None
+    hs_from: Optional[str] = None  # likewise for the handshake chain wire
+
+
+@dataclass
+class SubsystemNode:
+    name: str  # the instance's subsystem name, upper-cased (``u_sub1`` -> ``SUB1``)
+    bans: List[BanNode] = field(default_factory=list)
+    bridges: List[Tuple[SegmentNode, SegmentNode]] = field(default_factory=list)
 
 
 @dataclass
 class FabricGraph:
-    origin: str  # 'netlist' | 'machine'
-    segments: Dict[str, SegmentNode] = field(default_factory=dict)
-    bridges: Counter = field(default_factory=Counter)  # (key_a, key_b) sorted
-    fifo_links: Counter = field(default_factory=Counter)  # (pe, pe) sorted
-    hs_links: Counter = field(default_factory=Counter)  # (pe, pe) sorted
-    fifo_depth_of: Dict[Tuple[str, str], int] = field(default_factory=dict)
-    pes: set = field(default_factory=set)
+    subsystems: List[SubsystemNode] = field(default_factory=list)
+    # System bridges between subsystem shared buses: (name, side a, side b),
+    # named after their instances (``u_bb_sys_1`` -> ``BB_SYS_1``).
+    bridges: List[Tuple[str, SegmentNode, SegmentNode]] = field(default_factory=list)
     findings: List[Finding] = field(default_factory=list)
 
     def _finding(self, where: str, text: str, severity: str = "error") -> None:
         self.findings.append(Finding(severity, "structure", where, text))
-
-    def add_segment(self, node: SegmentNode) -> str:
-        # Two segments may legitimately share a master set (a single PE
-        # mastering both its local and a shared segment); disambiguate by
-        # insertion order, which is deterministic on both sides.
-        key = node.key
-        if key in self.segments:
-            key = "%s#%d" % (key, len(self.segments))
-        self.segments[key] = node
-        return key
-
-
-# ----------------------------------------------------------------------
-# Machine side
-# ----------------------------------------------------------------------
-
-
-_POLICY_OF_CLASS = {
-    "FCFSArbiter": "fcfs",
-    "RoundRobinArbiter": "round_robin",
-    "PriorityArbiter": "priority",
-}
-
-
-def graph_from_machine(machine) -> FabricGraph:
-    """Abstract a freshly built :class:`~repro.sim.fabric.Machine`.
-
-    Use a machine that has not run yet: lazily created devices (the extra
-    ``HS_REGS_X_FROM_Y`` register pairs) would otherwise skew link counts.
-    """
-    graph = FabricGraph("machine")
-    graph.pes = set(machine.pes)
-
-    nodes: Dict[str, SegmentNode] = {}
-    for name, segment in machine.segments.items():
-        masters = {
-            pe
-            for pe, direct in machine.direct_segments.items()
-            if segment in direct
-        }
-        nodes[name] = SegmentNode(
-            origin=name,
-            masters=masters,
-            data_width=segment.data_width,
-            arbiter_policy=_POLICY_OF_CLASS.get(type(segment.arbiter).__name__),
-            n_masters=len(masters) if masters else None,
-            grant_cycles=segment.grant_cycles,
-        )
-
-    for device in machine.devices.values():
-        if device.kind == "memory" and device.segment is not None:
-            nodes[device.segment.name].memories.append(device.target.size_words)
-        elif device.kind == "hsregs":
-            if device.point_to_point:
-                pair = tuple(sorted(device.parties))
-                graph.hs_links[pair] += 1
-            elif device.segment is not None:
-                nodes[device.segment.name].hs_count += 1
-        elif device.kind == "fifo":
-            pair = tuple(sorted(device.parties))
-            graph.fifo_links[pair] += 1
-            graph.fifo_depth_of[pair] = device.target.depth_words
-
-    key_of: Dict[str, str] = {}
-    for name, node in nodes.items():
-        node.memories.sort()
-        key_of[name] = graph.add_segment(node)
-    for bridge in machine.bridges:
-        pair = tuple(sorted((key_of[bridge.side_a.name], key_of[bridge.side_b.name])))
-        graph.bridges[pair] += 1
-    return graph
-
-
-# ----------------------------------------------------------------------
-# Netlist side
-# ----------------------------------------------------------------------
 
 
 def _conn_base(instance: Instance, port: str) -> Optional[str]:
@@ -185,7 +110,6 @@ class _BanInfo:
     exports_seg: bool = False
     # global-BAN fields
     policy: Optional[str] = None
-    n_masters: Optional[int] = None
     grant_cycles: Optional[int] = None
     findings: List[Finding] = field(default_factory=list)
 
@@ -400,7 +324,6 @@ def _extract_global_ban(module: Module, by_kind: Dict[str, List[Instance]]) -> _
     arb = by_kind["arb"][0]
     match = _ARBITER_RE.match(arb.module)
     info.policy = match.group(1)
-    info.n_masters = int(match.group(2))
 
     abi = by_kind.get("abi", [None])[0]
     if abi is None:
@@ -472,8 +395,8 @@ def _extract_global_ban(module: Module, by_kind: Dict[str, List[Instance]]) -> _
 
 
 def graph_from_design(design: Design) -> FabricGraph:
-    """Abstract an elaborated :class:`~repro.hdl.ast.Design` (whole system)."""
-    graph = FabricGraph("netlist")
+    """Extract the bus fabric of an elaborated (whole-system) design."""
+    graph = FabricGraph()
     if design.top is None:
         graph._finding("<design>", "design has no top module")
         return graph
@@ -487,8 +410,6 @@ def graph_from_design(design: Design) -> FabricGraph:
             graph.findings.extend(info.findings)
         return info_cache[module_name]
 
-    nodes: List[SegmentNode] = []
-    bridge_pairs: List[Tuple[SegmentNode, SegmentNode]] = []
     # (subsystem instance name, EXT port) -> shared node, for system bridges.
     exported_shared: Dict[Tuple[str, str], SegmentNode] = {}
 
@@ -496,20 +417,21 @@ def graph_from_design(design: Design) -> FabricGraph:
         if not sub_inst.module.startswith("subsys_"):
             continue
         sub_mod = design.module(sub_inst.module)
+        subsystem = SubsystemNode(sub_inst.name[len("u_"):].upper())
+        graph.subsystems.append(subsystem)
         # net -> segment node reachable for bridging on that net.
         net_node: Dict[str, SegmentNode] = {}
         shared_nodes: Dict[str, SegmentNode] = {}
-        # chain wires: net -> {'up'|'dn': (pe, fifo_depth)}
-        fifo_chain: Dict[str, Dict[str, Tuple[str, Optional[int]]]] = {}
-        hs_chain: Dict[str, Dict[str, str]] = {}
+        # chain wires: net -> {'up'|'dn': BAN node}
+        fifo_chain: Dict[str, Dict[str, BanNode]] = {}
+        hs_chain: Dict[str, Dict[str, BanNode]] = {}
         local_bridges: List[Tuple[Optional[str], Optional[str], str]] = []
 
-        def shared(net: Optional[str], origin: str) -> SegmentNode:
+        def shared(net: Optional[str]) -> SegmentNode:
             key = net or "<unconnected>"
             if key not in shared_nodes:
-                node = SegmentNode(origin="%s.%s" % (sub_inst.name, origin))
+                node = SegmentNode()
                 shared_nodes[key] = node
-                nodes.append(node)
                 if net is not None:
                     net_node[net] = node
                     if sub_mod.port(net) is not None:
@@ -518,52 +440,42 @@ def graph_from_design(design: Design) -> FabricGraph:
 
         for inst in sub_mod.instances:
             if inst.name.startswith("u_ban_"):
-                letter = inst.name[len("u_ban_"):].upper()
+                ban = BanNode(inst.name[len("u_ban_"):].upper())
                 info = ban_info(inst.module)
                 if info.kind == "global":
                     net = _conn_base(inst, "g_addr")
-                    node = shared(net, net or inst.name)
-                    if info.mem_words is not None:
-                        node.memories.append(info.mem_words)
+                    node = shared(net)
+                    node.ban = ban.name
                     node.arbiter_policy = info.policy
-                    node.n_masters = info.n_masters
                     node.grant_cycles = info.grant_cycles
                     node.data_width = info.seg_width
+                    ban.segment = node
+                    ban.memory_words = info.mem_words
+                    subsystem.bans.append(ban)
                     continue
                 if info.kind != "pe" or info.cpu is None:
                     continue
-                pe = "%s_%s" % (info.cpu, letter)
-                graph.pes.add(pe)
+                ban.cpu = info.cpu
+                subsystem.bans.append(ban)
                 if info.masters_global:
                     net = _conn_base(inst, "g_addr")
-                    shared(net, net or inst.name).masters.add(pe)
+                    ban.shared = shared(net)
+                    ban.shared.masters.append(ban.name)
                 if info.mem_words is not None:
-                    node = SegmentNode(
-                        origin="%s.%s" % (sub_inst.name, inst.name),
-                        masters={pe},
-                        memories=[info.mem_words],
-                        hs_count=info.hs_bus,
-                        data_width=info.seg_width,
+                    ban.segment = SegmentNode(
+                        ban.name, masters=[ban.name], data_width=info.seg_width
                     )
-                    nodes.append(node)
+                    ban.memory_words = info.mem_words
+                    ban.hs_regs = info.hs_bus > 0
                     if info.exports_seg:
                         seg_net = _conn_base(inst, "seg_addr")
                         if seg_net is not None:
-                            net_node[seg_net] = node
+                            net_node[seg_net] = ban.segment
                 if info.fifo_depth is not None:
-                    up = _conn_base(inst, _FIFO_CHAIN[0])
-                    dn = _conn_base(inst, _FIFO_CHAIN[1])
-                    if up is not None and sub_mod.port(up) is None:
-                        fifo_chain.setdefault(up, {})["up"] = (pe, None)
-                    if dn is not None and sub_mod.port(dn) is None:
-                        fifo_chain.setdefault(dn, {})["dn"] = (pe, info.fifo_depth)
+                    ban.fifo_depth = info.fifo_depth
+                    _chain_ends(fifo_chain, sub_mod, inst, _FIFO_CHAIN, ban)
                 if info.has_hs_chain:
-                    up = _conn_base(inst, _HS_CHAIN[0])
-                    dn = _conn_base(inst, _HS_CHAIN[1])
-                    if up is not None and sub_mod.port(up) is None:
-                        hs_chain.setdefault(up, {})["up"] = pe
-                    if dn is not None and sub_mod.port(dn) is None:
-                        hs_chain.setdefault(dn, {})["dn"] = pe
+                    _chain_ends(hs_chain, sub_mod, inst, _HS_CHAIN, ban)
             elif inst.module.startswith("bb_"):
                 local_bridges.append(
                     (_conn_base(inst, "a_addr"), _conn_base(inst, "b_addr"), inst.name)
@@ -579,31 +491,21 @@ def graph_from_design(design: Design) -> FabricGraph:
                     % (net_a if node_a is None else net_b),
                 )
                 continue
-            bridge_pairs.append((node_a, node_b))
+            subsystem.bridges.append((node_a, node_b))
 
-        for net, ends in sorted(fifo_chain.items()):
-            if "up" in ends and "dn" in ends:
-                pair = tuple(sorted((ends["up"][0], ends["dn"][0])))
-                graph.fifo_links[pair] += 1
-                depth = ends["dn"][1]
-                if depth is not None:
-                    graph.fifo_depth_of[pair] = depth
-            else:
-                graph._finding(
-                    "%s.%s" % (sub_inst.name, net),
-                    "FIFO chain wire has only one endpoint (%s)"
-                    % ", ".join(sorted(ends)),
-                )
-        for net, ends in sorted(hs_chain.items()):
-            if "up" in ends and "dn" in ends:
-                pair = tuple(sorted((ends["up"], ends["dn"])))
-                graph.hs_links[pair] += 1
-            else:
-                graph._finding(
-                    "%s.%s" % (sub_inst.name, net),
-                    "handshake chain wire has only one endpoint (%s)"
-                    % ", ".join(sorted(ends)),
-                )
+        for label, chain, attribute in (
+            ("FIFO", fifo_chain, "fifo_from"),
+            ("handshake", hs_chain, "hs_from"),
+        ):
+            for net, ends in sorted(chain.items()):
+                if "up" in ends and "dn" in ends:
+                    setattr(ends["dn"], attribute, ends["up"].name)
+                else:
+                    graph._finding(
+                        "%s.%s" % (sub_inst.name, net),
+                        "%s chain wire has only one endpoint (%s)"
+                        % (label, ", ".join(sorted(ends))),
+                    )
 
     # System-level bridges between subsystem shared buses (SplitBA).
     for inst in top.instances:
@@ -628,13 +530,20 @@ def graph_from_design(design: Design) -> FabricGraph:
                 "system bridge side reaches no subsystem shared bus",
             )
             continue
-        bridge_pairs.append((sides[0], sides[1]))
-
-    key_of: Dict[int, str] = {}
-    for node in nodes:
-        node.memories.sort()
-        key_of[id(node)] = graph.add_segment(node)
-    for node_a, node_b in bridge_pairs:
-        pair = tuple(sorted((key_of[id(node_a)], key_of[id(node_b)])))
-        graph.bridges[pair] += 1
+        graph.bridges.append((inst.name[len("u_"):].upper(), sides[0], sides[1]))
     return graph
+
+
+def _chain_ends(
+    chain: Dict[str, Dict[str, BanNode]],
+    sub_mod: Module,
+    inst: Instance,
+    pins: Tuple[str, str],
+    ban: BanNode,
+) -> None:
+    """Record ``ban`` at the ends of the chain wires on its ``pins``; a
+    pin tied to a subsystem port (a one-BAN chain) links nothing."""
+    for end, pin in zip(("up", "dn"), pins):
+        net = _conn_base(inst, pin)
+        if net is not None and sub_mod.port(net) is None:
+            chain.setdefault(net, {})[end] = ban

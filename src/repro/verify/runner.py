@@ -1,10 +1,11 @@
-"""The ``repro verify`` sweep: structural equivalence + monitored runs.
+"""The ``repro verify`` sweep: the netlist's pin-level findings + monitored runs.
 
 For every architecture under test this runs, per scheduler backend:
 
-1. **structural** -- generate the Verilog bus system, abstract both the
-   netlist and the simulation machine into :class:`FabricGraph`\\ s, and
-   compare them (:func:`repro.verify.equiv.compare_graphs`);
+1. **structural** -- generate the Verilog bus system and extract its
+   :class:`FabricGraph` (:func:`repro.verify.graph.graph_from_design`);
+   every dropped or misrouted wire is a finding.  The machines below are
+   built from that same graph, so they simulate what was generated;
 2. **runtime** -- run the OFDM workload twice, once bare and once with
    :class:`~repro.verify.monitors.ProtocolMonitor` attached to every
    arbiter/segment/FIFO/bridge, and require (a) zero protocol findings
@@ -18,11 +19,6 @@ with ``BusStats`` and the arbiters' grant counts in these fault-free
 sweeps).  Cases fan out over the
 parallel experiment runner, so ``repro verify --jobs N`` sweeps
 architectures concurrently with deterministic results.
-
-CCBA is deliberately excluded: its machine abstraction flattens every
-BAN's memory onto one processor local bus while the generated netlist
-keeps the per-BAN structure, a modelled divergence documented in
-docs/verification.md.
 """
 
 from __future__ import annotations
@@ -31,12 +27,10 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..apps.ofdm import OfdmParameters, run_ofdm
 from ..core.busyn import BusSyn
-from ..faults.chaos import CHAOS_STYLES
+from ..faults.chaos import CHAOS_STYLES, case_spec
 from ..options import presets
-from ..sim.fabric import build_machine
 from ..sim.kernel import KERNEL_BACKENDS
-from .equiv import compare_graphs
-from .graph import graph_from_design, graph_from_machine
+from .graph import graph_from_design
 
 __all__ = [
     "VERIFY_ARCHITECTURES",
@@ -46,7 +40,7 @@ __all__ = [
     "format_verify_summary",
 ]
 
-# Every preset whose machine and netlist elaborate the same structure.
+# Every preset.
 VERIFY_ARCHITECTURES = [
     "BFBA",
     "GBAVI",
@@ -55,6 +49,7 @@ VERIFY_ARCHITECTURES = [
     "HYBRID",
     "SPLITBA",
     "GGBA",
+    "CCBA",
 ]
 
 # CI's quick pass: one distributed-memory and one shared-memory family
@@ -71,29 +66,11 @@ def run_verify_case(
 ) -> Dict[str, Any]:
     """Run one ``(arch, backend)`` verification case; picklable."""
     arch, backend = case
-    style = CHAOS_STYLES.get(arch, "PPA")
-    spec = presets.preset(arch, pe_count)
-    if data_width is not None:
-        # Same width-axis application as the DSE sweep's
-        # build_config_spec: the option lands on every bus and memory.
-        for subsystem in spec.subsystems:
-            for bus in subsystem.buses:
-                bus.data_width = data_width
-            for ban in subsystem.bans:
-                for memory in ban.memories:
-                    memory.data_width = data_width
-        spec.validate()
+    style = CHAOS_STYLES[arch]
+    generated = BusSyn().generate(case_spec(arch, pe_count, data_width))
+    structural = [str(finding) for finding in graph_from_design(generated.design()).findings]
 
-    generated = BusSyn().generate(spec)
-    structural = [
-        str(finding)
-        for finding in compare_graphs(
-            graph_from_design(generated.design()),
-            graph_from_machine(build_machine(spec, kernel=backend)),
-        )
-    ]
-
-    bare_machine = build_machine(spec, kernel=backend)
+    bare_machine = generated.build_machine(kernel=backend)
     plane = bare_machine.attach_counters()
     baseline = run_ofdm(bare_machine, style, OfdmParameters(packets=packets))
     counter_findings = plane.check_against_stats(bare_machine)
@@ -107,7 +84,7 @@ def run_verify_case(
                 % (name, counted, granted)
             )
 
-    monitored_machine = build_machine(spec, kernel=backend)
+    monitored_machine = generated.build_machine(kernel=backend)
     monitor = monitored_machine.attach_monitors(fail_fast=False)
     monitored = run_ofdm(monitored_machine, style, OfdmParameters(packets=packets))
     runtime = [str(finding) for finding in monitor.finalize()]
@@ -156,6 +133,8 @@ def run_verify(
                 "unknown architecture %r%s; known architectures: %s"
                 % (arch, _did_you_mean(arch, known), ", ".join(known))
             )
+        # Bad PE counts and widths exit 2 here, before any case runs.
+        case_spec(arch, pe_count, data_width)
     cases = [(arch, backend) for arch in archs for backend in backends]
     results, _telemetry = run_cases(
         run_verify_case,

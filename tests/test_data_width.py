@@ -7,8 +7,8 @@ size, and the verify layer reads the same widths out of the elaborated
 netlist.  Three guards:
 
 * a {32, 64, 128} x {BFBA, SPLITBA, GBAVII} sweep asserting HDL lint
-  cleanliness and netlist<->machine structural equivalence at every
-  width;
+  cleanliness, a netlist free of structural findings, and segment widths
+  read from it (and so in the machine built from it) at every width;
 * bit-identity of every default-width (64) preset netlist against the
   checked-in SHA-256 baselines captured before the width work landed
   (``tests/data/netlist_sha256_w64.json``) -- no regression at the
@@ -26,8 +26,7 @@ import pytest
 from repro.core.busyn import BusSyn
 from repro.hdl import lint_design
 from repro.options import presets
-from repro.sim.fabric import build_machine
-from repro.verify import compare_graphs, graph_from_design, graph_from_machine
+from repro.verify import graph_from_design
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "netlist_sha256_w64.json")
 
@@ -38,14 +37,7 @@ SWEEP_ARCHS = ["BFBA", "SPLITBA", "GBAVII"]
 def _spec(arch, data_width, pe_count=4):
     spec = presets.preset(arch, pe_count)
     if data_width is not None:
-        # The same width-axis application as the DSE sweep and the verify
-        # runner: the option lands on every bus and every memory.
-        for subsystem in spec.subsystems:
-            for bus in subsystem.buses:
-                bus.data_width = data_width
-            for ban in subsystem.bans:
-                for memory in ban.memories:
-                    memory.data_width = data_width
+        spec.set_data_width(data_width)
         spec.validate()
     return spec
 
@@ -61,13 +53,11 @@ class TestWidthSweep:
     @pytest.mark.parametrize("arch", SWEEP_ARCHS)
     @pytest.mark.parametrize("width", WIDTHS)
     def test_structural_equivalence(self, arch, width):
-        spec = _spec(arch, width)
-        generated = BusSyn(cache=False).generate(spec)
-        findings = compare_graphs(
-            graph_from_design(generated.design()),
-            graph_from_machine(build_machine(spec)),
-        )
+        generated = BusSyn(cache=False).generate(_spec(arch, width))
+        findings = graph_from_design(generated.design()).findings
         assert findings == [], "\n".join(str(f) for f in findings)
+        machine = generated.build_machine()
+        assert {segment.data_width for segment in machine.segments.values()} == {width}
 
     @pytest.mark.parametrize("arch", SWEEP_ARCHS)
     def test_segment_width_tracks_option(self, arch):
@@ -76,8 +66,10 @@ class TestWidthSweep:
             graph = graph_from_design(BusSyn(cache=False).generate(spec).design())
             seg_widths = {
                 node.data_width
-                for node in graph.segments.values()
-                if node.data_width is not None
+                for subsystem in graph.subsystems
+                for ban in subsystem.bans
+                for node in (ban.segment, ban.shared)
+                if node is not None
             }
             assert seg_widths == {width}, (
                 "%s at %d bits: netlist segment widths %s" % (arch, width, seg_widths)

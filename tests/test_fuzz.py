@@ -311,19 +311,22 @@ class TestFuzzLoop:
         assert zero["seed"] == 0
         assert fuzz_fingerprint(zero) != fuzz_fingerprint(one)
 
-    def test_injected_arbiter_latency_bug_is_found_and_shrunk(
+    def test_injected_arbiter_wiring_bug_is_found_and_shrunk(
         self, tmp_path, monkeypatch
     ):
-        from repro.sim.bus import BusSegment
+        from repro.core.netlist import NetlistBuilder
 
-        original = BusSegment.__init__
+        original = NetlistBuilder.connect
 
-        def bumped(self, *args, **kwargs):
-            original(self, *args, **kwargs)
-            self.grant_cycles += 1
-            self.write_grant_cycles += 1
+        def miswired(self, wire_name, width, taps):
+            # The ABI samples a grant line the arbiter never drives.
+            if wire_name == "w_arb_gnt":
+                original(self, wire_name, width, taps[:1])
+                original(self, "w_abi_gnt", width, taps[1:])
+            else:
+                original(self, wire_name, width, taps)
 
-        monkeypatch.setattr(BusSegment, "__init__", bumped)
+        monkeypatch.setattr(NetlistBuilder, "connect", miswired)
         profile = FuzzProfile(
             buses=("GBAVIII",),
             pes=(4, 8),
@@ -347,13 +350,12 @@ class TestFuzzLoop:
         assert summary["new_findings"] == 1
         finding = summary["findings"][0]
         assert finding["failed_checks"] == ["structural"]
-        assert "arbiter grant cycles" in "".join(
+        assert "ARB.gnt_b <-> ABI0.arb_gnt_b" in "".join(
             finding["verdict"]["checks"]["structural"]
         )
-        # Acceptance criterion: the minimal repro is <= 2 PEs (at 1 PE
-        # the netlist has no arbiter module, so the latency lie becomes
-        # unobservable and the shrinker must stop at the boundary).
-        assert finding["case"]["options"]["pes"] <= 2
+        # Every global BAN carries the miswired arbiter, so the shrinker
+        # walks the PE count down to the minimum.
+        assert finding["case"]["options"]["pes"] == 1
         # The finding landed in the corpus and replays as unstable-free.
         entries = load_corpus(str(tmp_path / "corpus"))
         assert len(entries) == 1

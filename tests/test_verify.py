@@ -1,10 +1,10 @@
 """Tests for the cross-layer verification pass (repro.verify).
 
-Covers both halves of the tentpole -- structural netlist<->machine
-equivalence and runtime protocol assertion monitors -- plus the negative
-cases the acceptance criteria call out: a deliberately corrupted netlist
-(dropped wire) and a deliberately broken arbiter (double grant) must each
-be caught.
+Covers both halves: the pin-level structure of the generated netlist,
+from which the simulation machine is built, and the runtime protocol
+assertion monitors -- plus the negative cases: a deliberately corrupted
+netlist (dropped wire, cut bridge) and a deliberately broken arbiter
+(double grant) must each be caught.
 """
 
 import copy
@@ -20,23 +20,22 @@ from repro.sim.arbiter import FCFSArbiter, RoundRobinArbiter
 from repro.sim.fabric import build_machine
 from repro.sim.fifo import HardwareFifo
 from repro.sim.kernel import Simulator
-from repro.verify import (
-    VERIFY_ARCHITECTURES,
-    Finding,
-    ProtocolMonitor,
-    ProtocolViolationError,
-    compare_graphs,
-    graph_from_design,
-    graph_from_machine,
-    run_verify,
-    run_verify_case,
-)
+from repro.verify import Finding, ProtocolMonitor, ProtocolViolationError, graph_from_design
+from repro.verify.runner import VERIFY_ARCHITECTURES, run_verify, run_verify_case
 
 
-def _graphs(arch, pe_count=4):
-    spec = presets.preset(arch, pe_count)
-    design = BusSyn().generate(spec).design()
-    return graph_from_design(design), graph_from_machine(build_machine(spec))
+def _generated(arch, pe_count=4):
+    """A private copy of a generated system, free to corrupt."""
+    return copy.deepcopy(BusSyn(cache=False).generate(presets.preset(arch, pe_count)))
+
+
+def _instance(generated, module_prefix, name):
+    module = next(
+        module
+        for module_name, module in generated.design().modules.items()
+        if module_name.startswith(module_prefix)
+    )
+    return next(inst for inst in module.instances if inst.name == name)
 
 
 class TestFinding:
@@ -46,85 +45,67 @@ class TestFinding:
         assert Finding("error", "structure", "m", "x").as_dict()["cycle"] is None
 
 
-class TestStructuralEquivalence:
+class TestStructure:
     @pytest.mark.parametrize("arch", VERIFY_ARCHITECTURES)
-    def test_netlist_matches_machine(self, arch):
-        netlist_graph, machine_graph = _graphs(arch)
-        findings = compare_graphs(netlist_graph, machine_graph)
+    def test_netlist_has_no_findings(self, arch):
+        design = BusSyn().generate(presets.preset(arch, 4)).design()
+        findings = graph_from_design(design).findings
         assert findings == [], "\n".join(str(f) for f in findings)
 
     def test_graph_shapes_bfba(self):
-        netlist_graph, machine_graph = _graphs("BFBA")
-        for graph in (netlist_graph, machine_graph):
-            # Four per-PE segments, a ring of four FIFO and four HS links.
-            assert len(graph.segments) == 4
-            assert sum(graph.fifo_links.values()) == 4
-            assert sum(graph.hs_links.values()) == 4
-            assert not graph.bridges
-            assert graph.pes == {
-                "MPC755_A",
-                "MPC755_B",
-                "MPC755_C",
-                "MPC755_D",
-            }
+        graph = graph_from_design(BusSyn().generate(presets.preset("BFBA", 4)).design())
+        (subsystem,) = graph.subsystems
+        # Four PEs on their own segments, a ring of four FIFO and four
+        # handshake links, each ending in the BAN after its source.
+        assert [(ban.name, ban.cpu) for ban in subsystem.bans] == [
+            ("A", "MPC755"), ("B", "MPC755"), ("C", "MPC755"), ("D", "MPC755"),
+        ]
+        assert all(ban.segment.masters == [ban.name] for ban in subsystem.bans)
+        assert [ban.fifo_from for ban in subsystem.bans] == ["D", "A", "B", "C"]
+        assert [ban.hs_from for ban in subsystem.bans] == ["D", "A", "B", "C"]
+        assert {ban.fifo_depth for ban in subsystem.bans} == {1024}
+        assert not subsystem.bridges and not graph.bridges
 
     def test_graph_shapes_splitba(self):
-        netlist_graph, machine_graph = _graphs("SPLITBA")
-        for graph in (netlist_graph, machine_graph):
-            shared = [
-                node for node in graph.segments.values() if len(node.masters) == 2
-            ]
-            assert len(shared) == 2
-            assert sum(graph.bridges.values()) == 1
-            for node in shared:
-                assert node.arbiter_policy == "fcfs"
-                assert node.n_masters == 2
+        graph = graph_from_design(BusSyn().generate(presets.preset("SPLITBA", 4)).design())
+        shared = [ban.segment for sub in graph.subsystems for ban in sub.bans if ban.cpu is None]
+        assert [node.masters for node in shared] == [["A", "B"], ["C", "D"]]
+        for node in shared:
+            assert node.arbiter_policy == "fcfs"
+            assert node.grant_cycles == 3
+        assert [(name, a, b) for name, a, b in graph.bridges] == [
+            ("BB_SYS_1", shared[0], shared[1])
+        ]
 
     def test_dropped_wire_is_caught(self):
         """Acceptance: a corrupted netlist (dropped wire) must be detected."""
-        spec = presets.preset("GBAVI", 4)
-        # BusSyn memoizes per spec repr; mutate a private deep copy so the
-        # cached design other tests see stays intact.
-        design = copy.deepcopy(BusSyn().generate(spec).design())
-        ban = next(
-            module
-            for name, module in design.modules.items()
-            if name.startswith("ban_gbavi")
-        )
-        mbi = next(inst for inst in ban.instances if inst.name == "u_mbi0")
+        generated = _generated("GBAVI")
+        mbi = _instance(generated, "ban_gbavi", "u_mbi0")
         mbi.connection("dh").expression = "w_dangling"
-        findings = compare_graphs(
-            graph_from_design(design),
-            graph_from_machine(build_machine(spec)),
-        )
+        findings = graph_from_design(generated.design()).findings
         assert any(
             "MBI0.dh" in str(f) and "w_dangling" in str(f) for f in findings
         ), findings
 
-    def test_missing_machine_bridge_is_caught(self):
-        spec = presets.preset("GBAVI", 4)
-        machine = build_machine(spec)
-        machine.bridges.pop()
-        findings = compare_graphs(
-            graph_from_design(BusSyn().generate(spec).design()),
-            graph_from_machine(machine),
-        )
-        assert any("bridge count differs" in str(f) for f in findings), findings
+    def test_cut_bridge_is_reported_and_left_out(self):
+        """A bridge the netlist leaves unattached is a finding, and the
+        machine built from that netlist has no such bridge."""
+        generated = _generated("GBAVI")
+        bridge = _instance(generated, "subsys_", "u_bb_2")
+        bridge.connection("a_addr").expression = "w_dangling"
+        findings = graph_from_design(generated.design()).findings
+        assert [(f.where, f.text) for f in findings] == [
+            ("u_sub1.u_bb_2", "bridge side on net 'w_dangling' reaches no bus segment")
+        ]
+        machine = generated.build_machine()
+        assert [bridge.name for bridge in machine.bridges] == ["BB_AB", "BB_CD", "BB_DA"]
 
-    def test_arbiter_policy_divergence_is_caught(self):
-        spec = presets.preset("GBAVIII", 4)
-        machine = build_machine(spec)
-        shared = next(
-            segment
-            for segment in machine.segments.values()
-            if segment.name.startswith("GLOBAL_BUS")
-        )
-        shared.arbiter = RoundRobinArbiter(machine.sim, shared.arbiter.name)
-        findings = compare_graphs(
-            graph_from_design(BusSyn().generate(spec).design()),
-            graph_from_machine(machine),
-        )
-        assert any("arbiter policy differs" in str(f) for f in findings), findings
+    def test_arbiter_policy_follows_the_netlist(self):
+        generated = _generated("GBAVIII")
+        _instance(generated, "ban_global", "u_arb").module = "arbiter_round_robin_n4"
+        machine = generated.build_machine()
+        assert isinstance(machine.segments["GLOBAL_BUS_SUB1"].arbiter, RoundRobinArbiter)
+        assert isinstance(machine.segments["CPU_BUS_A"].arbiter, FCFSArbiter)
 
 
 class _DoubleGrantArbiter(FCFSArbiter):
@@ -326,3 +307,23 @@ class TestCliVerify:
         assert "verify sweep" in stdout and "GBAVIII" in stdout
         assert "structurally equivalent" in stdout
         assert out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--arch", "BFBA", "--pes", "0"],
+            ["verify", "--arch", "BFBA", "--data-width", "48"],
+            ["verify", "--arch", "GBAVI", "--pes", "1"],
+            ["chaos", "--smoke", "--pes", "0"],
+        ],
+    )
+    def test_bad_options_exit_2_before_any_case(self, argv, capsys, monkeypatch):
+        from repro.experiments import runner
+
+        def no_cases(*_args, **_kwargs):
+            raise AssertionError("a case ran")
+
+        monkeypatch.setattr(runner, "run_cases", no_cases)
+        assert main(argv + ["--no-ledger"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: option error:") and err.count("\n") == 1
