@@ -507,6 +507,10 @@ def _cmd_verify(args) -> int:
     return 0 if summary["ok"] else 1
 
 
+def _fmt_cost(value) -> str:
+    return "-" if value is None else "%.3f" % value
+
+
 def _cmd_report(args) -> int:
     """Query the run ledger: aggregate, diff two runs, or gate regressions."""
     import json
@@ -517,6 +521,7 @@ def _cmd_report(args) -> int:
         check_regressions,
         coverage_rows,
         diff_bodies,
+        envelope_pairs,
         filter_records,
         find_record,
         load_baselines,
@@ -532,6 +537,7 @@ def _cmd_report(args) -> int:
         left = find_record(ledger, args.diff[0])
         right = find_record(ledger, args.diff[1])
         diffs = diff_bodies(left, right)
+        costs = envelope_pairs(left, right)
         if args.json:
             print(
                 json.dumps(
@@ -542,6 +548,9 @@ def _cmd_report(args) -> int:
                             {"field": field, "left": a, "right": b}
                             for field, a, b in diffs
                         ],
+                        "envelope": {
+                            field: {"left": a, "right": b} for field, a, b in costs
+                        },
                     },
                     indent=2,
                     sort_keys=True,
@@ -553,6 +562,8 @@ def _cmd_report(args) -> int:
                 print("  identical hashed bodies")
             for field, a, b in diffs:
                 print("  %-40s %r -> %r" % (field, a, b))
+            for field, a, b in costs:
+                print("  envelope.%-31s %s -> %s" % (field, _fmt_cost(a), _fmt_cost(b)))
         return 1 if diffs and args.check else 0
 
     records = filter_records(

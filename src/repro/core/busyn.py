@@ -13,10 +13,9 @@ generation, BAN integration, Bus Subsystem generation, Bus System assembly
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from ..hdl.ast import Design
 from ..hdl.emitter import emit_design, emit_module
@@ -31,8 +30,9 @@ __all__ = ["GenerationReport", "GeneratedBusSystem", "BusSyn", "GENERATOR_VERSIO
 
 #: Bump whenever the generation stack's output changes for an unchanged
 #: spec (template edits, wire-section layout changes, naming schemes).
-#: The shared-store key mixes this in so stale pickled systems from an
-#: older generator are never served for the same spec.
+#: Every cached artifact (:class:`repro.dse.cache.ArtifactCache`) records
+#: the version it was written under and reads as a miss under another, so
+#: a sweep row or fuzz verdict from an older generator is never served.
 GENERATOR_VERSION = 2
 
 
@@ -150,79 +150,25 @@ class GeneratedBusSystem:
 
 
 class BusSyn:
-    """The bus synthesis tool: libraries in, Verilog out, in seconds.
+    """The bus synthesis tool: libraries in, Verilog out, in milliseconds.
 
-    Generation is deterministic in the spec (and the libraries), so results
-    are cached at two levels, both keyed by the spec:
-
-    * an in-process **memo** per tool instance (keyed by :meth:`spec_key`),
-      which returns the *original* :class:`GeneratedBusSystem` object --
-      including its first-run ``generation_time_ms`` -- which is what
-      repeated-measurement harnesses want;
-    * an optional shared **store** (``store=``), any object with
-      ``get_object(kind, key)`` / ``put_object(kind, key, payload)`` --
-      in practice the content-addressed :class:`~repro.dse.cache.ArtifactCache`
-      under ``.repro/dse/`` -- which persists pickled generated systems
-      across tool instances *and across processes*, keyed by
-      :meth:`spec_hash`.  DSE sweep workers all share one store, so a spec
-      is generated once per fleet rather than once per worker.
-
-    Pass ``cache=False`` to bypass **both** levels and time every
-    generation afresh (the Table V measurement path does this).
+    :meth:`generate` always generates, times the generation afresh and
+    keeps nothing: a caller that needs one design several times holds on
+    to it, and a design nobody holds is freed.  A generation takes a few
+    milliseconds, so no cache of designs, in process or on disk, pays for
+    what it costs to keep.
     """
-
-    #: Store namespace for generated systems.
-    STORE_KIND = "busyn"
 
     def __init__(
         self,
         module_library: Optional[ModuleLibrary] = None,
         wire_library: Optional[WireLibrary] = None,
-        cache: bool = True,
-        store: Optional[Any] = None,
     ):
         self.module_library = module_library or default_library()
         self.wire_library = wire_library or default_wire_library()
-        self._cache: Optional[Dict[str, GeneratedBusSystem]] = {} if cache else None
-        self._store = store if cache else None
-        self.memo_hits = 0
-        self.store_hits = 0
-        self.generations = 0
-
-    @staticmethod
-    def spec_key(spec: BusSystemSpec) -> str:
-        """In-process memo key: the dataclass repr is complete and stable."""
-        return repr(spec)
-
-    @staticmethod
-    def spec_hash(spec: BusSystemSpec) -> str:
-        """Content hash of the spec (the shared-store key): SHA-256 over the
-        canonical JSON of the spec's dataclass fields plus the generator
-        version, so a generator change invalidates stored systems."""
-        from ..obs.ledger import canonical_json, content_hash
-
-        payload = {
-            "generator": GENERATOR_VERSION,
-            "spec": dataclasses.asdict(spec),
-        }
-        return content_hash(canonical_json(payload))
 
     def generate(self, spec: BusSystemSpec) -> GeneratedBusSystem:
         """Generate the Bus System described by the user options."""
-        cache = self._cache
-        key = None
-        if cache is not None:
-            key = self.spec_key(spec)
-            hit = cache.get(key)
-            if hit is not None:
-                self.memo_hits += 1
-                return hit
-            if self._store is not None:
-                stored = self._store.get_object(self.STORE_KIND, self.spec_hash(spec))
-                if stored is not None:
-                    self.store_hits += 1
-                    cache[key] = stored
-                    return stored
         start = time.perf_counter()
         system = generate_system(self.module_library, self.wire_library, spec)
         gates = count_system_gates(system)
@@ -234,10 +180,4 @@ class BusSyn:
             gate_count=gates,
             gate_breakdown=gate_report(system),
         )
-        generated = GeneratedBusSystem(spec, system, report)
-        self.generations += 1
-        if cache is not None:
-            cache[key] = generated
-            if self._store is not None:
-                self._store.put_object(self.STORE_KIND, self.spec_hash(spec), generated)
-        return generated
+        return GeneratedBusSystem(spec, system, report)

@@ -11,12 +11,14 @@ This package lifts that loop to production scale:
   :class:`~repro.dse.spec.DseConfig` entries, each keyed by the content
   hash of its canonical options (the PR 7 ledger hashing discipline);
 * :mod:`repro.dse.cache` -- an on-disk content-addressed artifact cache
-  (``.repro/dse/``) holding generated BusSyn systems and per-config
-  sweep outcomes, shared across worker processes and across sweeps;
+  (``.repro/dse/``) holding per-config sweep outcomes (JSON, stamped
+  with the generator version), shared across worker processes and
+  across sweeps; generated designs are never stored;
 * :mod:`repro.dse.engine` -- sharded execution of the queue on the
   parallel experiment runner (deterministic shard assignment by config
   hash, ``--jobs`` fan-out, per-shard progress), cache-first so a warm
-  re-run never simulates a previously seen config;
+  re-run never simulates a previously seen config, and one generation
+  per distinct spec in a shard;
 * :mod:`repro.dse.pareto` -- Pareto frontier (throughput up, NAND2 gate
   count down, optional resilience / verify axes) and the ranked
   JSON / markdown report.

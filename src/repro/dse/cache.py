@@ -1,29 +1,27 @@
 """On-disk content-addressed artifact cache (``.repro/dse/``).
 
-One store shared by every stage of the DSE pipeline and by every worker
-process touching it:
+One store of JSON documents shared by every DSE stage and worker
+process: ``result`` rows (one per swept config, keyed by its canonical
+options hash) and ``fuzz`` verdicts (one per fuzz case).  Generated
+designs are not stored: generating one again takes a few milliseconds.
 
-* ``result`` artifacts -- one JSON document per swept config (generation
-  gate counts + simulation outcome), keyed by the config's canonical
-  options hash;
-* ``busyn`` artifacts -- pickled :class:`~repro.core.busyn.GeneratedBusSystem`
-  objects keyed by the spec's content hash (the shared promotion of the
-  per-instance ``BusSyn`` memo -- see ``BusSyn(store=...)``).
-
-Layout: ``<root>/objects/<kind>/<key[:2]>/<key>.<ext>`` -- the two-char
+Layout: ``<root>/objects/<kind>/<key[:2]>/<key>.json`` -- the two-char
 fan-out keeps directories small at hundreds of thousands of artifacts.
-Writes are atomic (unique temp file + ``os.replace``) so overlapping
-sweeps and pool workers never observe a torn artifact; a corrupt or
-half-typed file reads as a miss, never an error.  The cache keeps local
-hit/miss/put counters so sweeps can report their cache economics.
+Each envelope records the artifact schema and the generator version
+(:data:`~repro.core.busyn.GENERATOR_VERSION`) it was written under; an
+artifact from another reads as a miss, so a row holding an older
+generator's gate count is never served.  Writes are atomic (unique temp
+file + ``os.replace``) so overlapping sweeps and pool workers never
+observe a torn artifact; a corrupt file reads as a miss, never an error.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import pickle
-from typing import Any, Dict, Optional
+from typing import Any, Optional
+
+from ..core.busyn import GENERATOR_VERSION
 
 __all__ = ["DEFAULT_CACHE_DIR", "ArtifactCache"]
 
@@ -36,7 +34,7 @@ ARTIFACT_VERSION = 1
 
 
 class ArtifactCache:
-    """Content-addressed get/put of JSON and pickled artifacts."""
+    """Content-addressed get/put of JSON artifacts."""
 
     def __init__(self, root: str = DEFAULT_CACHE_DIR):
         self.root = root
@@ -46,10 +44,10 @@ class ArtifactCache:
         self._tmp_serial = 0
 
     # -- paths -----------------------------------------------------------
-    def path(self, kind: str, key: str, ext: str) -> str:
+    def path(self, kind: str, key: str) -> str:
         if len(key) < 3 or any(c not in "0123456789abcdef" for c in key):
             raise ValueError("artifact key must be a hex content hash, got %r" % key)
-        return os.path.join(self.root, "objects", kind, key[:2], key + ext)
+        return os.path.join(self.root, "objects", kind, key[:2], key + ".json")
 
     def _write_atomic(self, path: str, data: bytes) -> None:
         directory = os.path.dirname(path)
@@ -63,61 +61,32 @@ class ArtifactCache:
 
     # -- JSON artifacts --------------------------------------------------
     def get_json(self, kind: str, key: str) -> Optional[Any]:
-        """The stored payload, or None on miss / corruption / stale version."""
+        """The stored payload, or None on miss / corruption / a stale
+        artifact schema or generator version."""
         try:
-            with open(self.path(kind, key, ".json")) as handle:
+            with open(self.path(kind, key)) as handle:
                 envelope = json.load(handle)
         except (OSError, ValueError):
             self.misses += 1
             return None
-        if not isinstance(envelope, dict) or envelope.get("version") != ARTIFACT_VERSION:
+        if (
+            not isinstance(envelope, dict)
+            or envelope.get("version") != ARTIFACT_VERSION
+            or envelope.get("generator") != GENERATOR_VERSION
+        ):
             self.misses += 1
             return None
         self.hits += 1
         return envelope.get("payload")
 
     def put_json(self, kind: str, key: str, payload: Any) -> str:
-        path = self.path(kind, key, ".json")
-        envelope = {"version": ARTIFACT_VERSION, "key": key, "payload": payload}
+        path = self.path(kind, key)
+        envelope = {
+            "version": ARTIFACT_VERSION,
+            "generator": GENERATOR_VERSION,
+            "key": key,
+            "payload": payload,
+        }
         data = json.dumps(envelope, sort_keys=True, separators=(",", ":"))
         self._write_atomic(path, data.encode("utf-8") + b"\n")
         return path
-
-    # -- pickled artifacts (the BusSyn store protocol) -------------------
-    def get_object(self, kind: str, key: str) -> Optional[Any]:
-        try:
-            with open(self.path(kind, key, ".pkl"), "rb") as handle:
-                envelope = pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError, ValueError):
-            self.misses += 1
-            return None
-        if not isinstance(envelope, dict) or envelope.get("version") != ARTIFACT_VERSION:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return envelope.get("payload")
-
-    def put_object(self, kind: str, key: str, payload: Any) -> str:
-        path = self.path(kind, key, ".pkl")
-        envelope = {"version": ARTIFACT_VERSION, "key": key, "payload": payload}
-        self._write_atomic(path, pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL))
-        return path
-
-    # -- bookkeeping -----------------------------------------------------
-    def stats(self) -> Dict[str, Any]:
-        lookups = self.hits + self.misses
-        return {
-            "root": self.root,
-            "hits": self.hits,
-            "misses": self.misses,
-            "puts": self.puts,
-            "hit_ratio": (self.hits / lookups) if lookups else 0.0,
-        }
-
-    def artifact_count(self) -> int:
-        """Artifacts currently on disk (walks the object tree)."""
-        objects = os.path.join(self.root, "objects")
-        count = 0
-        for _dirpath, _dirnames, filenames in os.walk(objects):
-            count += sum(1 for name in filenames if not name.endswith(".tmp"))
-        return count

@@ -10,12 +10,13 @@ experiment tables use.  Each shard worker opens the shared
 1. looks up the ``result`` artifact by config hash -- a hit skips both
    generation and simulation entirely (a warm re-run of a sweep, or the
    overlap of two sweeps, is mostly this path);
-2. on a miss, generates the bus system through a :class:`BusSyn` whose
-   memo is backed by the same store (so even a *cold* config reuses any
-   previously generated identical spec -- e.g. the PPA and FPA styles of
-   one architecture share one generation), simulates the configured
+2. on a miss, generates the bus system, simulates the configured
    workload, optionally scores resilience (seeded chaos plan) and
    protocol verification (monitors), and writes the result artifact.
+
+The missed configs that share a spec -- e.g. the PPA and FPA styles of one
+architecture -- run back to back on one generation, so a shard generates
+each distinct spec once and holds one design at a time.
 
 Everything nondeterministic in a result row lives under ledger-scrubbed
 keys (``seconds``, ``generation_time_ms``, ``cached``), so cold and warm
@@ -25,9 +26,10 @@ hashed summaries, frontiers and ledger record hashes.
 
 from __future__ import annotations
 
+import gc
 import os
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.busyn import BusSyn
 from ..experiments.runner import run_cases
@@ -42,7 +44,6 @@ __all__ = [
     "simulate_config",
     "run_dse_shard",
     "run_sweep",
-    "busyn_store_probe",
     "format_sweep_lines",
 ]
 
@@ -136,18 +137,17 @@ def _score_verify(config: DseConfig, generated, kernel: str) -> Dict[str, Any]:
     return {"findings": len(findings), "ok": not findings}
 
 
-def _run_config(config: DseConfig, tool: BusSyn, kernel: str) -> Dict[str, Any]:
-    """Generate + simulate one config; returns its (deterministic) row."""
+def _run_config(config: DseConfig, generated, kernel: str) -> Dict[str, Any]:
+    """Simulate one config on ``generated``, its spec's system; returns its
+    (deterministic) row."""
     start = time.perf_counter()
-    spec = build_config_spec(config)
-    generated = tool.generate(spec)
     machine = generated.build_machine(kernel=kernel)
     metric = simulate_config(config, machine)
     row: Dict[str, Any] = {
         "key": config.key(),
         "options": config.options(),
         "label": config.label(),
-        "subsystem_count": len(spec.subsystems),
+        "subsystem_count": len(generated.spec.subsystems),
         "gate_count": generated.report.gate_count,
         "throughput": metric["value"],
         "cycles": metric["cycles"],
@@ -168,6 +168,21 @@ def _run_config(config: DseConfig, tool: BusSyn, kernel: str) -> Dict[str, Any]:
         row["verify"] = _score_verify(config, generated, kernel)
     row["seconds"] = time.perf_counter() - start
     return row
+
+
+def _run_spec(configs: List[DseConfig], tool: BusSyn, kernel: str) -> List[Dict[str, Any]]:
+    """Generate the spec ``configs`` share once and run each of them on it;
+    the design is garbage when this returns."""
+    generated = None
+    rows = []
+    for config in configs:
+        try:
+            if generated is None:
+                generated = tool.generate(build_config_spec(config))
+            rows.append(_run_config(config, generated, kernel))
+        except (ValueError, KeyError, RuntimeError) as error:
+            rows.append(_error_row(config, error))
+    return rows
 
 
 def _error_row(config: DseConfig, error: BaseException) -> Dict[str, Any]:
@@ -199,58 +214,47 @@ def run_dse_shard(
     """Run one shard of configs (module-level: pool-worker addressable).
 
     ``shard`` is ``(shard_index, [canonical options dict, ...])``.  The
-    result carries the shard's rows plus its cache economics.
+    result carries the shard's rows, in ``shard`` order, plus its cache
+    economics.
     """
     shard_index, option_dicts = shard
     kernel = resolve_kernel(kernel)
     cache = ArtifactCache(cache_dir) if cache_dir else None
-    tool = BusSyn(store=cache)
-    rows: List[Dict[str, Any]] = []
+    configs = [DseConfig.from_options(options) for options in option_dicts]
+    rows: List[Optional[Dict[str, Any]]] = [None] * len(configs)
+    # Missed configs by spec, in first appearance order: one generation
+    # serves every config of a spec.
+    by_spec: Dict[Tuple, List[int]] = {}
     hits = 0
     start = time.perf_counter()
-    for options in option_dicts:
-        config = DseConfig.from_options(options)
-        key = config.key()
+    for index, config in enumerate(configs):
         if cache is not None and use_cache:
-            stored = cache.get_json("result", key)
+            stored = cache.get_json("result", config.key())
             if stored is not None:
                 stored["cached"] = True
-                rows.append(stored)
+                rows[index] = stored
                 hits += 1
                 continue
-        try:
-            row = _run_config(config, tool, kernel)
-        except (ValueError, KeyError, RuntimeError) as error:
-            row = _error_row(config, error)
-        if cache is not None:
-            cache.put_json("result", key, row)
-        rows.append(row)
+        by_spec.setdefault(config.spec_fields(), []).append(index)
+    tool = BusSyn() if by_spec else None
+    for indices in by_spec.values():
+        spec_rows = _run_spec([configs[index] for index in indices], tool, kernel)
+        # The spec's machines are cyclic garbage now: collect them while
+        # they are young, so a shard holds one design's worth of memory
+        # rather than what the collector's thresholds let pile up (a full
+        # collection would walk the whole heap once per spec).
+        gc.collect(1)
+        for index, row in zip(indices, spec_rows):
+            if cache is not None:
+                cache.put_json("result", row["key"], row)
+            rows[index] = row
     return {
         "shard": shard_index,
         "configs": len(option_dicts),
         "hits": hits,
         "misses": len(option_dicts) - hits,
-        "busyn_store_hits": tool.store_hits,
         "seconds": time.perf_counter() - start,
         "rows": rows,
-    }
-
-
-def busyn_store_probe(
-    _case: Any, cache_dir: str = "", preset: str = "GBAVIII", pes: int = 4
-) -> Dict[str, Any]:
-    """Generate one preset through a store-backed BusSyn; returns the hit
-    counters.  A module-level worker for the cross-process cache-hit test
-    (``tests/test_dse.py``) -- run it twice in different processes and the
-    second run must report a store hit instead of a fresh generation."""
-    from ..options import presets
-
-    tool = BusSyn(store=ArtifactCache(cache_dir))
-    generated = tool.generate(presets.preset(preset, pes))
-    return {
-        "gate_count": generated.report.gate_count,
-        "store_hits": tool.store_hits,
-        "generations": tool.generations,
     }
 
 
@@ -327,7 +331,6 @@ def run_sweep(
                 "configs": shard["configs"],
                 "hits": shard["hits"],
                 "misses": shard["misses"],
-                "busyn_store_hits": shard["busyn_store_hits"],
                 "seconds": shard["seconds"],
                 "events_processed": entry.events_processed,
             }

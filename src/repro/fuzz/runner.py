@@ -70,12 +70,9 @@ def _frozen_heap() -> Iterator[None]:
 
 
 def _cached_evaluator(
-    cache: Optional[ArtifactCache],
-    kernel: str,
-    tool: Optional[BusSyn] = None,
-    use_cache: bool = True,
+    cache: Optional[ArtifactCache], kernel: str, use_cache: bool = True
 ) -> Callable[[Dict[str, Any]], Dict[str, Any]]:
-    tool = tool or BusSyn(store=cache)
+    tool = BusSyn()
 
     def evaluate(case: Dict[str, Any]) -> Dict[str, Any]:
         key = oracle_cache_key(case)
@@ -100,23 +97,11 @@ def run_fuzz_shard(
     """Judge one shard of cases (module-level: pool-worker addressable)."""
     shard_index, cases = shard
     cache = ArtifactCache(cache_dir) if cache_dir else None
-    tool = BusSyn(store=cache)
-    verdicts: List[Dict[str, Any]] = []
-    hits = 0
+    evaluate = _cached_evaluator(cache, kernel, use_cache=use_cache)
     start = time.perf_counter()
     with _frozen_heap():
-        for case in cases:
-            key = oracle_cache_key(case)
-            if cache is not None and use_cache:
-                stored = cache.get_json("fuzz", key)
-                if stored is not None:
-                    verdicts.append(stored)
-                    hits += 1
-                    continue
-            verdict = evaluate_case(case, kernel=kernel, tool=tool)
-            if cache is not None:
-                cache.put_json("fuzz", key, verdict)
-            verdicts.append(verdict)
+        verdicts = [evaluate(case) for case in cases]
+    hits = cache.hits if cache is not None else 0
     return {
         "shard": shard_index,
         "cases": len(cases),
@@ -152,14 +137,13 @@ def replay_corpus(
     corpus_dir: str,
     kernel: str = "heap",
     cache: Optional[ArtifactCache] = None,
-    tool: Optional[BusSyn] = None,
 ) -> Dict[str, Any]:
     """Re-judge every corpus entry against the current tree.
 
     Cache reads are bypassed (fresh verdicts only -- see module
     docstring); fresh verdicts are still *written* so the sweep benefits.
     """
-    evaluate = _cached_evaluator(cache, kernel, tool=tool, use_cache=False)
+    evaluate = _cached_evaluator(cache, kernel, use_cache=False)
     rows: List[Dict[str, Any]] = []
     regressions = 0
     fixed = 0

@@ -16,10 +16,11 @@ Records are split into two parts:
   (:func:`scrub_timings`).  The record's identity is the SHA-256 of this
   body's canonical JSON: the same options + seed + backend + revision
   produce the same hash on every machine, every time of day.
-* a **non-hashed envelope** -- timestamp, host, pid, wall seconds, and the
-  scrubbed-out measurements.  Everything nondeterministic lives here, so
-  determinism is testable (``tests/test_ledger.py``) and a re-run that
-  changes the hash is a *behaviour* change, never a timing wobble.
+* a **non-hashed envelope** -- timestamp, host, pid, wall seconds, peak
+  resident memory, the Python version, the CPUs the process may run on,
+  and the scrubbed-out measurements.  Everything nondeterministic lives
+  here, so determinism is testable (``tests/test_ledger.py``) and a re-run
+  that changes the hash is a *behaviour* change, never a timing wobble.
 
 On disk a ledger directory holds ``records.jsonl`` (one record per line,
 append-only) and ``index.jsonl`` (one ``{hash, verb, offset}`` line per
@@ -32,6 +33,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import platform
+import resource
 import socket
 import subprocess
 import time
@@ -174,6 +177,13 @@ def git_revision(cwd: Optional[str] = None) -> str:
     return rev
 
 
+def _peak_rss_mb() -> float:
+    """Peak resident MB of this process or its largest reaped child (the
+    ``--jobs`` workers); ``ru_maxrss`` counts KB on Linux."""
+    who = (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
+    return max(resource.getrusage(w).ru_maxrss for w in who) / 1024.0
+
+
 def build_record(
     verb: str,
     options: Any = None,
@@ -214,6 +224,9 @@ def build_record(
             "host": socket.gethostname(),
             "pid": os.getpid(),
             "wall_seconds": wall_seconds,
+            "peak_rss_mb": _peak_rss_mb(),
+            "python": platform.python_version(),
+            "cpus": len(os.sched_getaffinity(0)),
             "measurements": _timing_residue(summary_payload),
         },
     }

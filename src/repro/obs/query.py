@@ -32,6 +32,7 @@ __all__ = [
     "aggregate_records",
     "coverage_rows",
     "diff_bodies",
+    "envelope_pairs",
     "check_regressions",
     "load_baselines",
 ]
@@ -207,6 +208,15 @@ def diff_bodies(
     diffs: List[Tuple[str, Any, Any]] = []
     _walk_diff(a.get("body", {}), b.get("body", {}), "", diffs)
     return diffs
+
+
+def envelope_pairs(a: Dict[str, Any], b: Dict[str, Any]) -> List[Tuple[str, Any, Any]]:
+    """``(field, value_a, value_b)`` for what the two runs cost, which their
+    hashes leave out: ``wall_seconds`` and ``peak_rss_mb`` (None if absent)."""
+    return [
+        (field, a.get("envelope", {}).get(field), b.get("envelope", {}).get(field))
+        for field in ("wall_seconds", "peak_rss_mb")
+    ]
 
 
 def _walk_diff(a: Any, b: Any, path: str, out: List[Tuple[str, Any, Any]]) -> None:

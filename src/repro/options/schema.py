@@ -116,6 +116,12 @@ class BANSpec:
             )
         if self.is_global_resource and not self.memories:
             raise OptionError("%s: a global-resource BAN must carry a memory" % where)
+        if len(self.memories) > 1:
+            # The generated BAN has one memory port (its instance u_mem0).
+            raise OptionError(
+                "%s: a BAN holds at most one memory, %d requested"
+                % (where, len(self.memories))
+            )
         if self.ip_attach is not None and self.non_cpu_type == "NONE":
             raise OptionError(
                 "%s: ip_attach is only meaningful for hardware-IP BANs" % where

@@ -148,6 +148,7 @@ class CompiledSimulator(Simulator):
         "_poll_loops",
         "_polls_busy",
         "_poll_model",
+        "_poll_models",
         "_poll_seen",
         "_poll_stretch",
         "_events_skipped",
@@ -162,11 +163,13 @@ class CompiledSimulator(Simulator):
         self._next: list = []
         # Poll fast-forward (see _skip_periods): the running poll loops by
         # generator, how many of them are not parked, the model state of the
-        # last set of loops seen, the states recorded since the last jump,
-        # and the stretch (its ``t_next``) they were recorded in.
+        # last set of loops seen, the models of every set seen by the loops'
+        # routes, the states recorded since the last jump, and the stretch
+        # (its ``t_next``) they were recorded in.
         self._poll_loops: dict = {}
         self._polls_busy = 0
         self._poll_model: Optional[_PollModel] = None
+        self._poll_models: dict = {}
         self._poll_seen: dict = {}
         self._poll_stretch: Optional[int] = None
         self._events_skipped = 0
@@ -412,7 +415,17 @@ class CompiledSimulator(Simulator):
         model = self._poll_model
         if model is None or model.loops != running:
             # New loops or new hooks: no state recorded before can recur.
-            model = self._poll_model = _PollModel(running)
+            # A set of loops on the routes of one seen before reuses its
+            # model, which depends on nothing else.
+            routes = tuple([
+                (loop.pe, tuple(loop.segments), tuple(loop.bridges), loop.memory, loop.interval)
+                for loop in running
+            ])
+            model = self._poll_models.get(routes)
+            if model is None:
+                model = self._poll_models[routes] = _PollModel(running)
+            model.loops = running
+            self._poll_model = model
             seen.clear()
         # A period spans at least one back-off of every loop, and each
         # loop's entry is due within its back-off; so when more entries

@@ -214,10 +214,11 @@ class Machine:
 
         Polls started from here on register and park only while every
         probe declares its counters, and the compiled run loop rebuilds
-        its model of the parked loops, which reads the hooks' counters."""
+        its models of the parked loops, which read the hooks' counters."""
         self._polls_park = all(probe.counters() is not None for probe in self._probes)
         if self.sim.kernel_name == "compiled":
             self.sim._poll_model = None
+            self.sim._poll_models.clear()
 
     def attach_observability(self, obs) -> None:
         """Attach an :class:`repro.obs.Observability` as a probe.
@@ -1317,8 +1318,7 @@ class MachineBuilder:
 
         generated = self.system
         if not isinstance(generated, GeneratedBusSystem):
-            # A tool without a memo, so a table run keeps no design alive.
-            generated = BusSyn(cache=False).generate(generated)
+            generated = BusSyn().generate(generated)
         spec = generated.spec
         graph = graph_from_design(generated.design())
         del generated  # a generated spec's design is garbage from here on

@@ -136,7 +136,11 @@ class HardwareFifo:
                 "%s: pop of %d words with only %d present"
                 % (self.name, count, len(self._data))
             )
-        out = [self._data.popleft() for _ in range(count)]
+        if count == len(self._data):
+            out = list(self._data)
+            self._data.clear()
+        else:
+            out = [self._data.popleft() for _ in range(count)]
         self.pops += count
         if self.probe is not None:
             self.probe.on_fifo_pop(self, count)

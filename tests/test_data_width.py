@@ -46,14 +46,14 @@ class TestWidthSweep:
     @pytest.mark.parametrize("arch", SWEEP_ARCHS)
     @pytest.mark.parametrize("width", WIDTHS)
     def test_lint_clean(self, arch, width):
-        generated = BusSyn(cache=False).generate(_spec(arch, width))
+        generated = BusSyn().generate(_spec(arch, width))
         errors = [m for m in lint_design(generated.design()) if m.severity == "error"]
         assert errors == [], "\n".join(str(m) for m in errors)
 
     @pytest.mark.parametrize("arch", SWEEP_ARCHS)
     @pytest.mark.parametrize("width", WIDTHS)
     def test_structural_equivalence(self, arch, width):
-        generated = BusSyn(cache=False).generate(_spec(arch, width))
+        generated = BusSyn().generate(_spec(arch, width))
         findings = graph_from_design(generated.design()).findings
         assert findings == [], "\n".join(str(f) for f in findings)
         machine = generated.build_machine()
@@ -63,7 +63,7 @@ class TestWidthSweep:
     def test_segment_width_tracks_option(self, arch):
         for width in WIDTHS:
             spec = _spec(arch, width)
-            graph = graph_from_design(BusSyn(cache=False).generate(spec).design())
+            graph = graph_from_design(BusSyn().generate(spec).design())
             seg_widths = {
                 node.data_width
                 for subsystem in graph.subsystems
@@ -86,7 +86,7 @@ class TestDefaultWidthBitIdentity:
     def test_netlist_unchanged(self, key):
         arch, pe_count = key.rsplit("_pes", 1)
         spec = presets.preset(arch, int(pe_count))
-        text = BusSyn(cache=False).generate(spec).verilog()
+        text = BusSyn().generate(spec).verilog()
         golden = self.GOLDEN[key]
         assert len(text.encode()) == golden["bytes"], "%s: size changed" % key
         assert hashlib.sha256(text.encode()).hexdigest() == golden["sha256"], (
@@ -98,7 +98,7 @@ class TestGateCountsScaleWithWidth:
     @pytest.mark.parametrize("arch", SWEEP_ARCHS)
     def test_table2_counts_differ_between_32_and_128(self, arch):
         counts = {
-            width: BusSyn(cache=False).generate(_spec(arch, width)).report.gate_count
+            width: BusSyn().generate(_spec(arch, width)).report.gate_count
             for width in WIDTHS
         }
         assert counts[32] < counts[64] < counts[128], counts

@@ -5,24 +5,28 @@ Pins the production-sweep contracts of ``repro.dse`` (docs/dse.md):
 * **expansion** -- a declarative spec expands into a deduplicated,
   deterministically ordered queue; illegal combinations are skipped with
   counted reasons, inapplicable axes normalize away before hashing;
-* **cache** -- the on-disk content-addressed store round-trips JSON and
-  pickled artifacts, treats corruption and stale versions as misses, and
-  backs the BusSyn generation memo across tool instances and processes;
+* **cache** -- the on-disk content-addressed store round-trips JSON
+  artifacts, treats corruption and a stale artifact schema or generator
+  version as misses, and holds no generated design;
+* **shards** -- a shard generates each distinct spec once and holds one
+  generated design at a time;
 * **determinism** -- the same spec yields a bit-identical frontier cold
   vs warm, at any ``--jobs`` value, and on every scheduler backend;
 * **gates** -- the bench ``dse_sweep`` section regression-gates warm
   speedup, warm hit ratio, and frontier identity via ``repro report``.
 """
 
+import gc
 import json
 import os
+import weakref
 
 import pytest
 
-from repro.core.busyn import BusSyn
+from repro.core.busyn import GENERATOR_VERSION, BusSyn, GeneratedBusSystem
 from repro.dse.cache import ARTIFACT_VERSION, ArtifactCache
 from repro.dse.engine import (
-    busyn_store_probe,
+    run_dse_shard,
     run_sweep,
     shard_of,
     sweep_fingerprint,
@@ -31,14 +35,13 @@ from repro.dse.pareto import axes_for, dominates, pareto_frontier, rank_rows
 from repro.dse.spec import (
     DseConfig,
     SweepSpec,
+    bench_spec,
     build_config_spec,
     example_spec,
     smoke_spec,
 )
-from repro.experiments.runner import run_cases
-from repro.obs.ledger import build_record, scrub_timings
+from repro.obs.ledger import build_record
 from repro.obs.query import check_regressions
-from repro.options import presets
 from repro.options.schema import OptionError
 from repro.sim.kernel import KERNEL_BACKENDS
 
@@ -52,6 +55,21 @@ def tiny_spec():
                 "bus": ["GBAVIII", "GGBA"],
                 "pes": [2, 4],
                 "style": ["FPA"],
+                "packets": [1],
+            },
+        }
+    )
+
+
+def shared_spec():
+    """Four configs on two specs: the PPA and FPA styles of two buses."""
+    return SweepSpec.from_dict(
+        {
+            "name": "shared",
+            "axes": {
+                "bus": ["GBAVIII", "GGBA"],
+                "pes": [4],
+                "style": ["PPA", "FPA"],
                 "packets": [1],
             },
         }
@@ -171,20 +189,12 @@ class TestArtifactCache:
         assert os.path.exists(path)
         assert cache.get_json("result", key) == {"x": 1}
         assert (cache.hits, cache.misses, cache.puts) == (1, 1, 1)
-        assert cache.stats()["hit_ratio"] == 0.5
-        assert cache.artifact_count() == 1
-
-    def test_object_round_trip(self, tmp_path):
-        cache = ArtifactCache(str(tmp_path))
-        key = "cd" * 32
-        cache.put_object("busyn", key, {"payload": [1, 2, 3]})
-        assert cache.get_object("busyn", key) == {"payload": [1, 2, 3]}
 
     def test_corrupt_artifact_reads_as_miss(self, tmp_path):
         cache = ArtifactCache(str(tmp_path))
         key = "ef" * 32
         cache.put_json("result", key, {"x": 1})
-        with open(cache.path("result", key, ".json"), "w") as handle:
+        with open(cache.path("result", key), "w") as handle:
             handle.write("{ truncated")
         assert cache.get_json("result", key) is None
 
@@ -192,7 +202,7 @@ class TestArtifactCache:
         cache = ArtifactCache(str(tmp_path))
         key = "01" * 32
         cache.put_json("result", key, {"x": 1})
-        path = cache.path("result", key, ".json")
+        path = cache.path("result", key)
         with open(path) as handle:
             envelope = json.load(handle)
         envelope["version"] = ARTIFACT_VERSION + 1
@@ -200,51 +210,110 @@ class TestArtifactCache:
             json.dump(envelope, handle)
         assert cache.get_json("result", key) is None
 
+    def test_older_generator_reads_as_miss(self, tmp_path):
+        # A row holds its generator's gate count and structural findings:
+        # one written before a generator change must not be served after.
+        cache = ArtifactCache(str(tmp_path))
+        key = "23" * 32
+        cache.put_json("result", key, {"gate_count": 1})
+        path = cache.path("result", key)
+        with open(path) as handle:
+            envelope = json.load(handle)
+        assert envelope["generator"] == GENERATOR_VERSION
+        envelope["generator"] = GENERATOR_VERSION - 1
+        with open(path, "w") as handle:
+            json.dump(envelope, handle)
+        assert cache.get_json("result", key) is None
+        assert (cache.hits, cache.misses) == (0, 1)
+
     def test_non_hash_keys_rejected(self, tmp_path):
         cache = ArtifactCache(str(tmp_path))
         with pytest.raises(ValueError):
-            cache.path("result", "../escape", ".json")
+            cache.path("result", "../escape")
 
 
-class TestBusSynStore:
-    def test_store_shared_across_tool_instances(self, tmp_path):
-        store = ArtifactCache(str(tmp_path))
-        spec = presets.preset("GBAVIII", 4)
-        first = BusSyn(store=store)
-        generated = first.generate(spec)
-        assert (first.generations, first.store_hits) == (1, 0)
-        second = BusSyn(store=store)
-        again = second.generate(spec)
-        assert (second.generations, second.store_hits) == (0, 1)
-        assert again.report.gate_count == generated.report.gate_count
-        assert again.verilog() == generated.verilog()
-        # The in-process memo serves repeats without another disk read.
-        second.generate(spec)
-        assert second.memo_hits == 1
+class TestShard:
+    """A shard runs the configs of one spec back to back on one generation."""
 
-    def test_cache_false_bypasses_memo_and_store(self, tmp_path):
-        store = ArtifactCache(str(tmp_path))
-        tool = BusSyn(cache=False, store=store)
-        spec = presets.preset("GGBA", 4)
-        tool.generate(spec)
-        tool.generate(spec)
-        assert tool.generations == 2
-        assert store.puts == 0
-        assert store.artifact_count() == 0
+    def _generations(self, monkeypatch):
+        """Patch BusSyn.generate to record each generated system (weakly)
+        and how many earlier ones were still alive, after a full
+        collection, when it was called."""
+        made = []
+        alive_at_call = []
+        generate = BusSyn.generate
 
-    def test_store_hit_across_processes(self, tmp_path):
-        results, _ = run_cases(
-            busyn_store_probe, [0], jobs=2, kwargs={"cache_dir": str(tmp_path)}
-        )
-        assert results[0]["generations"] == 1
-        results, _ = run_cases(
-            busyn_store_probe, [0], jobs=2, kwargs={"cache_dir": str(tmp_path)}
-        )
-        assert results[0] == {
-            "gate_count": results[0]["gate_count"],
-            "store_hits": 1,
-            "generations": 0,
-        }
+        def recording(tool, spec):
+            gc.collect()
+            alive_at_call.append(sum(1 for ref in made if ref() is not None))
+            generated = generate(tool, spec)
+            made.append(weakref.ref(generated))
+            return generated
+
+        monkeypatch.setattr(BusSyn, "generate", recording)
+        return made, alive_at_call
+
+    def test_one_generation_per_distinct_spec(self, monkeypatch):
+        configs, _, _ = shared_spec().expand()
+        made, _ = self._generations(monkeypatch)
+        result = run_dse_shard((0, [config.options() for config in configs]))
+        distinct = {repr(build_config_spec(config)) for config in configs}
+        assert len(configs) > len(distinct) > 1
+        assert len(made) == len(distinct)
+        assert [row["key"] for row in result["rows"]] == [c.key() for c in configs]
+        assert all(row["error"] is None for row in result["rows"])
+
+    def test_spec_fields_name_the_spec(self):
+        # Equal fields build one spec and distinct fields distinct specs, so
+        # one generation per key is one per distinct spec.
+        configs = [
+            config
+            for sweep in (smoke_spec(), example_spec(), bench_spec())
+            for config in sweep.expand()[0]
+        ]
+        specs = {}
+        for config in configs:
+            specs.setdefault(config.spec_fields(), set()).add(repr(build_config_spec(config)))
+        assert len(configs) > len(specs)
+        assert all(len(reprs) == 1 for reprs in specs.values())
+        assert len(set.union(*specs.values())) == len(specs)
+
+    def test_never_holds_two_designs(self, monkeypatch):
+        configs, _, _ = shared_spec().expand()
+        made, alive_at_call = self._generations(monkeypatch)
+        result = run_dse_shard((0, [config.options() for config in configs]))
+        assert alive_at_call == [0] * len(made)
+        gc.collect()
+        assert [ref() for ref in made] == [None] * len(made)
+        assert len(result["rows"]) == len(configs)
+
+    def test_collects_each_spec_machines(self, monkeypatch):
+        # Machines are cyclic garbage once run; with the collector's own
+        # passes off, the shard's collection after each spec frees them.
+        configs, _, _ = shared_spec().expand()
+        machines = []
+        build_machine = GeneratedBusSystem.build_machine
+
+        def recording(generated, **kwargs):
+            machine = build_machine(generated, **kwargs)
+            machines.append(weakref.ref(machine))
+            return machine
+
+        monkeypatch.setattr(GeneratedBusSystem, "build_machine", recording)
+        gc.disable()
+        try:
+            run_dse_shard((0, [config.options() for config in configs]))
+            alive = [ref() is not None for ref in machines]
+        finally:
+            gc.enable()
+        assert alive == [False] * len(configs)
+
+    def test_cold_cache_holds_no_design(self, tmp_path):
+        summary = run_sweep(shared_spec(), jobs=1, cache_dir=str(tmp_path))
+        files = [name for _dir, _dirs, names in os.walk(str(tmp_path)) for name in names]
+        assert len(files) == summary["configs"]
+        assert all(name.endswith(".json") for name in files)
+        assert os.listdir(os.path.join(str(tmp_path), "objects")) == ["result"]
 
 
 class TestSweepDeterminism:
@@ -256,6 +325,17 @@ class TestSweepDeterminism:
         assert warm["cache_stats"]["hit_ratio"] >= 0.95
         assert sweep_fingerprint(cold) == sweep_fingerprint(warm)
         assert all(row["cached"] for row in warm["results"])
+
+    def test_cold_warm_and_jobs_keep_one_fingerprint(self, tmp_path):
+        fingerprints = set()
+        for jobs in (1, 2):
+            cache_dir = str(tmp_path / str(jobs))
+            cold = run_sweep(shared_spec(), jobs=jobs, cache_dir=cache_dir)
+            warm = run_sweep(shared_spec(), jobs=jobs, cache_dir=cache_dir)
+            assert cold["cache_stats"]["hits"] == 0
+            assert warm["cache_stats"]["hit_ratio"] == 1.0
+            fingerprints |= {sweep_fingerprint(cold), sweep_fingerprint(warm)}
+        assert len(fingerprints) == 1
 
     def test_jobs_do_not_change_the_frontier(self, tmp_path):
         serial = run_sweep(tiny_spec(), jobs=1, cache_dir=str(tmp_path / "a"))

@@ -13,7 +13,8 @@ from repro.core.bangen import ban_kind
 from repro.core.netlist import NetlistBuilder, NetlistError
 from repro.experiments.runner import CaseExecutionError, run_cases
 from repro.hdl.ast import Module, Port, Range
-from repro.options.inputfile import parse_option_file, parse_option_text
+from repro.options import presets
+from repro.options.inputfile import parse_option_file, parse_option_text, render_option_text
 from repro.options.schema import BANSpec, BusSpec, BusSubsystemSpec, OptionError
 
 VALID_HEADER = """
@@ -167,6 +168,21 @@ class TestCliExits:
         assert "repro: option error" in captured.err
         assert "line 3" in captured.err
         assert "'four'" in captured.err
+
+    def test_ban_with_two_memories_exits_2(self, tmp_path, capsys):
+        # The generator emits one memory per BAN; a second one must be
+        # refused, not silently dropped from the netlist and the machine.
+        text = render_option_text(presets.preset("GBAVIII", 4))
+        options = tmp_path / "two_memories.txt"
+        options.write_text(text.replace("  ban B\n", "    memory SRAM 18 64\n  ban B\n", 1))
+        argv = ["simulate", "--options", str(options), "--app", "ofdm", "--style", "FPA"]
+        code = main(argv + ["--no-ledger"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro: option error:")
+        assert captured.err.count("\n") == 1
+        assert "BAN A: a BAN holds at most one memory, 2 requested" in captured.err
 
     def test_missing_options_file_exits_2(self, tmp_path, capsys):
         code = main(

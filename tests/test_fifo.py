@@ -18,6 +18,15 @@ class TestHardwareFifo:
         fifo.push([1, 2, 3])
         assert fifo.pop(3) == [1, 2, 3]
 
+    def test_whole_and_partial_pops_keep_order(self, sim):
+        fifo = HardwareFifo(sim, "f", 8)
+        fifo.push([1, 2, 3, 4])
+        assert fifo.pop(1) == [1]
+        assert fifo.pop(3) == [2, 3, 4]  # the whole content at once
+        assert fifo.is_empty and fifo.pops == 4
+        fifo.push([5, 6])
+        assert fifo.pop(2) == [5, 6]
+
     def test_counts(self, sim):
         fifo = HardwareFifo(sim, "f", 16)
         fifo.push([1, 2])

@@ -16,6 +16,7 @@ Pins the fleet-telemetry contracts of ``repro.obs.ledger`` and
 
 import json
 import os
+import platform
 
 import pytest
 
@@ -34,6 +35,7 @@ from repro.obs.query import (
     aggregate_records,
     check_regressions,
     diff_bodies,
+    envelope_pairs,
     filter_records,
 )
 from repro.obs.validate import main as validate_main
@@ -105,6 +107,17 @@ class TestRecordDeterminism:
         assert envelope["measurements"]["nested.seconds"] == 1.5
         # ... and none of them are in the hashed body.
         assert "wall_seconds" not in canonical_json(record["body"])
+
+    def test_envelope_records_memory_and_environment(self):
+        record = self.build()
+        envelope = record["envelope"]
+        assert envelope["peak_rss_mb"] > 1.0
+        assert envelope["python"] == platform.python_version()
+        assert envelope["cpus"] == len(os.sched_getaffinity(0)) >= 1
+        # Outside the hashed body: the record's identity does not move.
+        assert record["hash"] == self.build(wall_seconds=3.0)["hash"]
+        for key in ("peak_rss_mb", "python", "cpus"):
+            assert key not in record["body"]
 
     def test_different_inputs_different_hash(self):
         base = self.build()
@@ -234,6 +247,14 @@ class TestQuery:
         assert "options.backend" in diffs
         assert "options_hash" in diffs
         assert diff_bodies(a, a) == []
+
+    def test_envelope_pairs_tolerate_older_records(self):
+        new = {"envelope": {"wall_seconds": 1.5, "peak_rss_mb": 40.0}}
+        old = {"envelope": {"wall_seconds": 2.0}}
+        assert envelope_pairs(old, new) == [
+            ("wall_seconds", 2.0, 1.5),
+            ("peak_rss_mb", None, 40.0),
+        ]
 
 
 class TestRegressionGates:
@@ -408,6 +429,16 @@ class TestCliRoundTrip:
         assert main(["report", "--ledger", ledger_dir, "--diff", a[:12], b[:12]]) == 0
         out = capsys.readouterr().out
         assert "verb" in out
+        # Under the body diff: what each run cost, from the envelopes.
+        lines = out.splitlines()
+        assert lines[-2].split()[0] == "envelope.wall_seconds"
+        assert lines[-1].split()[0] == "envelope.peak_rss_mb"
+        assert main(
+            ["report", "--ledger", ledger_dir, "--diff", a[:12], b[:12], "--json"]
+        ) == 0
+        costs = json.loads(capsys.readouterr().out)["envelope"]
+        assert sorted(costs) == ["peak_rss_mb", "wall_seconds"]
+        assert costs["peak_rss_mb"]["left"] > 1.0 and costs["peak_rss_mb"]["right"] > 1.0
 
     def test_report_without_ledger_exits_2(self, tmp_path, capsys):
         assert main(["report", "--ledger", str(tmp_path / "absent")]) == 2

@@ -185,7 +185,7 @@ class TestBuiltFromNetlist:
     def test_ccba_flattening_rule(self):
         """CCBA's netlist gives each BAN a local bus; its machine puts every
         memory and PE on the one PLB with the 5-cycle read grant."""
-        generated = BusSyn(cache=False).generate(presets.preset("CCBA", 4))
+        generated = BusSyn().generate(presets.preset("CCBA", 4))
         graph = graph_from_design(generated.design())
         local = [ban.segment for ban in graph.subsystems[0].bans if ban.cpu is not None]
         assert [node.masters for node in local] == [["A"], ["B"], ["C"], ["D"]]
@@ -198,7 +198,7 @@ class TestBuiltFromNetlist:
             assert machine.direct_segments[name] == {plb}
 
     def test_generated_system_builds_without_generating_again(self, monkeypatch):
-        generated = BusSyn(cache=False).generate(_spec())
+        generated = BusSyn().generate(_spec())
 
         def generate(*_args):
             raise AssertionError("the design was generated again")

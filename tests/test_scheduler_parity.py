@@ -1071,6 +1071,31 @@ class TestTable2PollTraffic:
         if style == "PPA":
             assert skipped > 0
 
+    def test_a_loop_set_that_comes_back_reuses_its_model(self, monkeypatch):
+        """BFBA/PPA's sets of parked loops come back with every FIFO
+        handoff: the run loop builds one model per set of loop routes,
+        and the reused models jump as fresh ones would."""
+        from repro.sim.compiled import kernel as compiled_kernel
+
+        built = []
+
+        class Counted(compiled_kernel._PollModel):
+            __slots__ = ()
+
+            def __init__(self, loops):
+                built.append(
+                    tuple(
+                        (loop.pe, tuple(loop.segments), tuple(loop.bridges), loop.memory,
+                         loop.interval)
+                        for loop in loops
+                    )
+                )
+                super().__init__(loops)
+
+        monkeypatch.setattr(compiled_kernel, "_PollModel", Counted)
+        assert _assert_ofdm_parity(_poll_spec("BFBA"), "PPA", packets=2) > 0
+        assert len(built) == len(set(built)) > 1
+
 
 class TestPollFastForward:
     """The compiled backend jumps parked poll loops over whole
@@ -1582,7 +1607,7 @@ class TestHookedFastForward:
             before = sim.events_skipped
             monitor = machine.attach_monitors(fail_fast=False)
             if kernel == "compiled":
-                assert before > 0 and sim._poll_model is None
+                assert before > 0 and sim._poll_model is None and not sim._poll_models
             sim.run()
             states[kernel] = (_machine_state(machine), _hook_state(monitor, None))
         assert states["compiled"] == states["heap"]

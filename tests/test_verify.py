@@ -26,7 +26,7 @@ from repro.verify.runner import VERIFY_ARCHITECTURES, run_verify, run_verify_cas
 
 def _generated(arch, pe_count=4):
     """A private copy of a generated system, free to corrupt."""
-    return copy.deepcopy(BusSyn(cache=False).generate(presets.preset(arch, pe_count)))
+    return copy.deepcopy(BusSyn().generate(presets.preset(arch, pe_count)))
 
 
 def _instance(generated, module_prefix, name):
