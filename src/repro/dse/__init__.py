@@ -24,8 +24,7 @@ This package lifts that loop to production scale:
   JSON / markdown report.
 
 The CLI face is ``repro dse`` (``--spec/--jobs/--kernel/--budget/
---no-cache/-o``); ``repro bench`` measures cold-vs-warm configs/sec in
-its ``dse_sweep`` section and CI gates the cache win.
+--no-cache/-o``); CI's DSE smoke step gates the warm cache-hit ratio.
 """
 
 from .cache import ArtifactCache, DEFAULT_CACHE_DIR

@@ -54,7 +54,6 @@ __all__ = [
     "normalize_options",
     "build_config_spec",
     "smoke_spec",
-    "bench_spec",
     "example_spec",
 ]
 
@@ -440,28 +439,6 @@ def smoke_spec() -> SweepSpec:
                 "bus": ["GBAVIII", "BFBA", "SPLITBA", "GGBA"],
                 "pes": [2, 4],
                 "style": ["PPA", "FPA"],
-                "packets": [1],
-            },
-        }
-    )
-
-
-def bench_spec(smoke: bool = False) -> SweepSpec:
-    """The ``repro bench`` ``dse_sweep`` workload (cold vs warm timing)."""
-    if smoke:
-        return smoke_spec()
-    # 432 raw combinations, 234 legal configs after the PPA/FPA holes --
-    # production scale for the cold-vs-warm timing (and the >=200-config
-    # acceptance sweep in docs/dse.md).
-    return SweepSpec.from_dict(
-        {
-            "name": "bench",
-            "axes": {
-                "bus": ["GBAVIII", "BFBA", "SPLITBA", "HYBRID", "GGBA", "CCBA"],
-                "pes": [2, 4, 6, 8],
-                "style": ["PPA", "FPA"],
-                "data_width": [32, 64, 128],
-                "arbiter_policy": ["fcfs", "round_robin", "priority"],
                 "packets": [1],
             },
         }

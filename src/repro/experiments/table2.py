@@ -128,7 +128,6 @@ def run_table2(
     pe_count: int = 4,
     cases: Optional[List[Tuple[int, str, str]]] = None,
     jobs: int = 1,
-    telemetry: bool = False,
     kernel: Optional[str] = None,
 ) -> List[Table2Row]:
     """Simulate every Table II case; returns rows in case order.
@@ -143,7 +142,7 @@ def run_table2(
         pe_count=pe_count,
         cases=cases,
         jobs=jobs,
-        telemetry=telemetry,
+        telemetry=False,
         kernel=kernel,
     )
     return rows

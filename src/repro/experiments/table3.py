@@ -125,7 +125,6 @@ def run_table3(
     pe_count: int = 4,
     cases: Optional[List[str]] = None,
     jobs: int = 1,
-    telemetry: bool = False,
     kernel: Optional[str] = None,
 ) -> List[Table3Row]:
     """Simulate the Table III cases, verifying decoded frames bit-exactly
@@ -135,7 +134,7 @@ def run_table3(
         pe_count=pe_count,
         cases=cases,
         jobs=jobs,
-        telemetry=telemetry,
+        telemetry=False,
         kernel=kernel,
     )
     return rows

@@ -92,7 +92,6 @@ def run_table4(
     pe_count: int = 4,
     cases: Optional[List[str]] = None,
     jobs: int = 1,
-    telemetry: bool = False,
     kernel: Optional[str] = None,
 ) -> List[Table4Row]:
     rows, _telemetry = run_table4_telemetry(
@@ -100,7 +99,7 @@ def run_table4(
         pe_count=pe_count,
         cases=cases,
         jobs=jobs,
-        telemetry=telemetry,
+        telemetry=False,
         kernel=kernel,
     )
     return rows

@@ -111,11 +111,10 @@ def run_table5(
     buses: Optional[List[str]] = None,
     pe_counts: Optional[List[int]] = None,
     jobs: int = 1,
-    telemetry: bool = False,
     kernel: Optional[str] = None,
 ) -> List[Table5Row]:
     rows, _telemetry = run_table5_telemetry(
-        buses=buses, pe_counts=pe_counts, jobs=jobs, telemetry=telemetry,
+        buses=buses, pe_counts=pe_counts, jobs=jobs, telemetry=False,
         kernel=kernel,
     )
     return rows

@@ -17,8 +17,9 @@ Records are split into two parts:
   body's canonical JSON: the same options + seed + backend + revision
   produce the same hash on every machine, every time of day.
 * a **non-hashed envelope** -- timestamp, host, pid, wall seconds, peak
-  resident memory, the Python version, the CPUs the process may run on,
-  and the scrubbed-out measurements.  Everything nondeterministic lives
+  resident memory, the :func:`environment` (Python and NumPy versions,
+  the CPUs the process may run on, whether bytecode is written), and the
+  scrubbed-out measurements.  Everything nondeterministic lives
   here, so determinism is testable (``tests/test_ledger.py``) and a re-run
   that changes the hash is a *behaviour* change, never a timing wobble.
 
@@ -37,6 +38,7 @@ import platform
 import resource
 import socket
 import subprocess
+import sys
 import time
 from typing import Any, Dict, Iterator, List, Optional
 
@@ -49,6 +51,7 @@ __all__ = [
     "content_hash",
     "options_hash",
     "git_revision",
+    "environment",
     "build_record",
     "Ledger",
 ]
@@ -73,14 +76,9 @@ TIMING_KEYS = frozenset(
         "parallel_seconds",
         "sequential_all",
         "parallel_all",
-        "speedup",
-        "overhead_fraction",
         "events_per_sec",
         "measured_events_per_sec",
-        "seconds_on",
-        "seconds_off",
-        # Whole bench sections of wall-clock ratios (see bench/harness.py).
-        "vs_seed",
+        # The bench section of wall-clock ratios (see bench/harness.py).
         "ab",
         # DSE sweep nondeterminism: cache state and scheduling are host
         # facts, not design facts (see dse/engine.py).
@@ -88,8 +86,6 @@ TIMING_KEYS = frozenset(
         "cache_stats",
         "shard_stats",
         "configs_per_sec",
-        "cold_seconds",
-        "warm_seconds",
     ]
 )
 
@@ -177,6 +173,25 @@ def git_revision(cwd: Optional[str] = None) -> str:
     return rev
 
 
+def environment() -> Dict[str, Any]:
+    """What a wall-clock number depends on besides the code: the Python and
+    NumPy versions, the CPUs this process may run on (its affinity), and
+    whether imports may write bytecode -- without it, every fresh process
+    compiles ``src/`` again."""
+    from importlib import metadata
+
+    try:
+        numpy_version: Optional[str] = metadata.version("numpy")
+    except metadata.PackageNotFoundError:
+        numpy_version = None
+    return {
+        "python": platform.python_version(),
+        "numpy": numpy_version,
+        "cpus": len(os.sched_getaffinity(0)),
+        "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
+    }
+
+
 def _peak_rss_mb() -> float:
     """Peak resident MB of this process or its largest reaped child (the
     ``--jobs`` workers); ``ru_maxrss`` counts KB on Linux."""
@@ -225,8 +240,7 @@ def build_record(
             "pid": os.getpid(),
             "wall_seconds": wall_seconds,
             "peak_rss_mb": _peak_rss_mb(),
-            "python": platform.python_version(),
-            "cpus": len(os.sched_getaffinity(0)),
+            **environment(),
             "measurements": _timing_residue(summary_payload),
         },
     }

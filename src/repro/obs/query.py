@@ -12,17 +12,14 @@ Three capabilities over :mod:`repro.obs.ledger` records:
   construction, so a diff is always a behaviour difference;
 * **check** -- regression gates for CI: chaos/verify records must report
   ``ok``, fuzz records must have a stable corpus replay and no untriaged
-  findings, bench throughput measurements must clear the per-backend
-  ``ci_floor`` entries of ``benchmarks/baselines.json`` (with the file's
-  ``ci_regression_tolerance`` margin), and counter overhead must stay
-  within ``gates.counters_overhead_max``.  :func:`check_regressions`
-  returns machine-readable findings; the CLI exits non-zero when any
-  exist.
+  findings, and bench records must carry no harness ``failures`` (the
+  harness applies its own gates; the record keeps their verdict).
+  :func:`check_regressions` returns machine-readable findings; the CLI
+  exits non-zero when any exist.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List, Optional, Tuple
 
 from .ledger import Ledger
@@ -34,13 +31,7 @@ __all__ = [
     "diff_bodies",
     "envelope_pairs",
     "check_regressions",
-    "load_baselines",
 ]
-
-
-def load_baselines(path: str) -> Dict[str, Any]:
-    with open(path) as handle:
-        return json.load(handle)
 
 
 # ----------------------------------------------------------------------
@@ -241,31 +232,15 @@ def _walk_diff(a: Any, b: Any, path: str, out: List[Tuple[str, Any, Any]]) -> No
 # ----------------------------------------------------------------------
 
 
-#: Full-size int_yield process count: smoke-scale microbenches are too
-#: noisy to gate on, so the floor check only fires at (or above) this
-#: workload size (mirrors bench/harness.py's --enforce-floor policy).
-FULL_INT_YIELD_PROCS = 64
-
-
-def check_regressions(
-    records: List[Dict[str, Any]],
-    baselines: Dict[str, Any],
-) -> List[Dict[str, Any]]:
+def check_regressions(records: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
     """CI regression findings over a ledger; empty means gates pass.
 
     Per record: chaos/verify summaries must report ``ok``; fuzz records
     must have a stable corpus replay and zero new findings; bench records
-    must have no harness failures, full-size ``int_yield`` throughput
-    (a wall-clock number, read back from the envelope's measurements)
-    must clear the per-backend ``ci_floor`` less
-    ``ci_regression_tolerance``, counter runs must stay bit-identical,
-    and non-smoke counter overhead must stay within
-    ``gates.counters_overhead_max``.
+    must have an empty ``failures`` list -- the bench harness's gates
+    (``repro.bench.harness``) are the only ones, and are not re-derived
+    here.
     """
-    gates = baselines.get("gates", {})
-    tolerance = float(gates.get("ci_regression_tolerance", 0.2))
-    floors = baselines.get("ci_floor", {})
-    overhead_max = gates.get("counters_overhead_max")
     findings: List[Dict[str, Any]] = []
 
     def flag(record, field, message, value=None, threshold=None):
@@ -297,9 +272,13 @@ def check_regressions(
             )
         if verb == "fuzz":
             _check_fuzz(record, summary, flag)
-        if verb == "bench":
-            _check_bench(
-                record, summary, floors, tolerance, overhead_max, flag, gates
+        if verb == "bench" and summary.get("failures"):
+            flag(
+                record,
+                "summary.failures",
+                "bench harness failures: %s" % _scalar(summary["failures"]),
+                value=summary["failures"],
+                threshold=[],
             )
     return findings
 
@@ -341,106 +320,6 @@ def _check_fuzz(record, summary, flag):
             value=new_findings,
             threshold=0,
         )
-
-
-def _check_bench(record, summary, floors, tolerance, overhead_max, flag, gates=None):
-    measurements = record.get("envelope", {}).get("measurements", {})
-    harness_failures = summary.get("failures")
-    if harness_failures:
-        flag(
-            record,
-            "summary.failures",
-            "bench harness failures: %s" % _scalar(harness_failures),
-            value=harness_failures,
-            threshold=[],
-        )
-    for backend, sections in sorted((summary.get("kernel") or {}).items()):
-        int_yield = (sections or {}).get("int_yield") or {}
-        if int_yield.get("procs", 0) < FULL_INT_YIELD_PROCS:
-            continue  # smoke-scale sample: informational only
-        value = measurements.get("kernel.%s.int_yield.events_per_sec" % backend)
-        floor = (floors.get(backend) or {}).get("int_yield_events_per_sec")
-        if value is None or floor is None:
-            continue
-        threshold = float(floor) * (1.0 - tolerance)
-        if float(value) < threshold:
-            flag(
-                record,
-                "kernel.%s.int_yield.events_per_sec" % backend,
-                "bench %s int_yield %.0f ev/s below floor %.0f "
-                "(ci_floor %.0f - %d%% tolerance)"
-                % (backend, value, threshold, floor, tolerance * 100),
-                value=value,
-                threshold=threshold,
-            )
-    counters = summary.get("counters")
-    if isinstance(counters, dict):
-        if counters.get("bit_identical") is False:
-            flag(
-                record,
-                "counters.bit_identical",
-                "counter plane changed simulated cycles on the %s backend"
-                % counters.get("kernel"),
-                value=False,
-                threshold=True,
-            )
-        overhead = measurements.get("counters.overhead_fraction")
-        if (
-            overhead_max is not None
-            and overhead is not None
-            and not summary.get("smoke", False)
-            and float(overhead) > float(overhead_max)
-        ):
-            flag(
-                record,
-                "counters.overhead_fraction",
-                "counter overhead %.3f above budget %.3f"
-                % (overhead, float(overhead_max)),
-                value=overhead,
-                threshold=overhead_max,
-            )
-    dse = summary.get("dse_sweep")
-    if isinstance(dse, dict):
-        gates = gates or {}
-        if dse.get("frontier_identical") is False:
-            flag(
-                record,
-                "dse_sweep.frontier_identical",
-                "dse warm frontier differs from cold frontier",
-                value=False,
-                threshold=True,
-            )
-        hit_floor = gates.get("dse_warm_hit_ratio_min")
-        cache_stats = measurements.get("dse_sweep.cache_stats") or {}
-        hit_ratio = cache_stats.get("warm_hit_ratio")
-        if hit_floor is not None and hit_ratio is not None:
-            if float(hit_ratio) < float(hit_floor):
-                flag(
-                    record,
-                    "dse_sweep.cache_stats.warm_hit_ratio",
-                    "dse warm hit ratio %.2f below the %.2f floor"
-                    % (hit_ratio, float(hit_floor)),
-                    value=hit_ratio,
-                    threshold=hit_floor,
-                )
-        speedup_floor = gates.get("dse_warm_vs_cold")
-        speedup = measurements.get("dse_sweep.speedup")
-        # Smoke-scale sweeps are too small to gate the speedup on; hit
-        # ratio and frontier identity gate regardless (determinism facts).
-        if (
-            speedup_floor is not None
-            and speedup is not None
-            and not dse.get("smoke", False)
-            and float(speedup) < float(speedup_floor)
-        ):
-            flag(
-                record,
-                "dse_sweep.speedup",
-                "dse warm sweep only %.1fx cold, below the %.1fx floor"
-                % (speedup, float(speedup_floor)),
-                value=speedup,
-                threshold=speedup_floor,
-            )
 
 
 def find_record(ledger: Ledger, hash_prefix: str) -> Dict[str, Any]:

@@ -114,6 +114,57 @@ class TestCli:
         assert code == 0
         assert "41 tasks" in capsys.readouterr().out
 
+    def test_parser_loads_no_simulation_package(self):
+        # ``repro list`` and ``--help`` do not pay for importing the apps,
+        # the paper tables, the DSE engine or the bench harness.
+        import subprocess
+        import sys
+
+        code = (
+            "import sys\n"
+            "from repro.cli import build_parser\n"
+            "build_parser()\n"
+            "print(*sys.modules)\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        heavy = ("repro.apps", "repro.experiments", "repro.dse", "repro.bench")
+        assert [name for name in out.stdout.split() if name.startswith(heavy)] == []
+
+    @pytest.mark.parametrize(
+        "verb,option,default",
+        [
+            ("bench", "--baselines", "benchmarks/baselines.json"),
+            ("bench", "--out", "repo-root BENCH_kernel.json"),
+            ("dse", "--cache-dir", ".repro/dse"),
+            ("fuzz", "--cache-dir", ".repro/dse"),
+        ],
+    )
+    def test_help_names_the_defaults_the_verbs_use(self, verb, option, default, capsys):
+        # The parser leaves these paths unset, so that building it imports
+        # neither the harness nor the DSE engine; its help must still name
+        # the paths the verbs fall back to.
+        from repro.bench.harness import DEFAULT_BASELINES, DEFAULT_OUT
+        from repro.dse.cache import DEFAULT_CACHE_DIR
+
+        repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        actual = {
+            "--baselines": os.path.relpath(DEFAULT_BASELINES, repo),
+            "--out": "repo-root " + os.path.relpath(DEFAULT_OUT, repo),
+            "--cache-dir": DEFAULT_CACHE_DIR,
+        }[option]
+        assert actual == default.replace("/", os.sep)
+        with pytest.raises(SystemExit):
+            main([verb, "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "(default: %s)" % default in help_text
+
     def test_list(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out

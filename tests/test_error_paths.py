@@ -3,8 +3,12 @@
 Covers the option-file parser's line-numbered diagnostics, schema
 validation of out-of-range values, the netlist builder's candidate-listing
 errors, BAN classification failures, the runner's case-failure wrapper,
-and the CLI's non-zero exits on bad input.
+and the CLI's non-zero exits on bad input (and on a closed stdout).
 """
+
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -190,6 +194,32 @@ class TestCliExits:
         )
         assert code == 2
         assert "nope.txt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["list"], ["profile", "5", "--top", "200"]],
+        ids=["fits-the-buffer", "overflows-the-buffer"],
+    )
+    def test_closed_stdout_exits_141_quietly(self, argv, tmp_path):
+        # ``repro ... | head``: the reader is gone before the first write.
+        # With stdout block-buffered, ``list`` fails on the last flush and
+        # ``profile`` in mid-verb; a closed pipe is not an input error.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro"] + argv,
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                cwd=str(tmp_path),
+                env=dict(env, PYTHONPATH=src),
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr.decode()) == (141, "")
 
     @pytest.mark.parametrize("name", ["wheel", "compild"])
     @pytest.mark.parametrize(

@@ -461,10 +461,10 @@ class TestReportCoverage:
         assert coverage_rows([{"body": {"verb": "chaos", "summary": {}}}]) == []
 
     def test_check_regressions_gates_fuzz_records(self):
-        clean = check_regressions([self._fuzz_record()], {})
+        clean = check_regressions([self._fuzz_record()])
         assert clean == []
         dirty = check_regressions(
-            [self._fuzz_record(new_findings=2, regressions=1, now_fixed=1)], {}
+            [self._fuzz_record(new_findings=2, regressions=1, now_fixed=1)]
         )
         fields = {finding["field"] for finding in dirty}
         assert fields == {"replay.regressions", "replay.now_fixed", "new_findings"}
