@@ -30,8 +30,10 @@ measure.  Sections written to ``BENCH_kernel.json`` (``--out``):
 * ``ci_floor`` -- the floor gate below, per backend.
 * ``provenance`` -- revision, backends, options hash and the environment
   (:func:`repro.obs.ledger.environment`) the numbers were measured in.
-* ``failures`` -- every gate that failed; the CLI exits 1 on any, and
-  ``repro report --check`` flags the run's ledger record.
+* ``failures`` -- every gate that failed, named with its floor and
+  reference but not the measured value (that stays in the timing keys),
+  so two runs that miss the same gate share a ledger hash; the CLI exits
+  1 on any, and ``repro report --check`` flags the run's ledger record.
 
 Microbenches (``int_yield``/``mixed``) are best-of-``--rounds`` and run
 for *every* backend before any table timing, so the recorded A/B ratio
@@ -336,12 +338,12 @@ def run_harness(
             key = "int_yield_events_per_sec_%s_vs_heap" % challenger
             if key not in ab:
                 continue
-            ratio = ab[key]
-            floor = gates["%s_vs_heap_int_yield" % challenger]
-            if ratio < floor:
+            gate = "%s_vs_heap_int_yield" % challenger
+            floor = gates[gate]
+            if ab[key] < floor:
                 failures.append(
-                    "%s int_yield only %.2fx heap, below the %.2fx floor"
-                    % (challenger, ratio, floor)
+                    "ab: %s int_yield is below the %.2fx-heap floor "
+                    "(gates.%s in baselines.json)" % (challenger, floor, gate)
                 )
 
     ci_floor = None
@@ -360,9 +362,9 @@ def run_harness(
             }
             if measured < floor:
                 failures.append(
-                    "ci floor: %s int_yield %.0f ev/s is >%.0f%% below the %.0f "
-                    "reference in baselines.json"
-                    % (kernel, measured, tolerance * 100, reference)
+                    "ci floor: %s int_yield is below %.0f ev/s, %.0f%% under "
+                    "the %.0f reference in baselines.json"
+                    % (kernel, floor, tolerance * 100, reference)
                 )
 
     report = {

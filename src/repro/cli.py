@@ -530,7 +530,7 @@ def _cmd_report(args) -> int:
         diff_bodies,
         envelope_pairs,
         filter_records,
-        find_record,
+        find_pair,
     )
 
     root = args.ledger or os.environ.get("REPRO_LEDGER") or DEFAULT_LEDGER_DIR
@@ -540,8 +540,11 @@ def _cmd_report(args) -> int:
         return 2
 
     if args.diff:
-        left = find_record(ledger, args.diff[0])
-        right = find_record(ledger, args.diff[1])
+        try:
+            left, right = find_pair(ledger, *args.diff)
+        except LookupError as error:
+            print("repro: %s" % error, file=sys.stderr)
+            return 2
         diffs = diff_bodies(left, right)
         costs = envelope_pairs(left, right)
         if args.json:
@@ -1050,7 +1053,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--diff",
         nargs=2,
         metavar=("HASH_A", "HASH_B"),
-        help="field-by-field diff of two records (content-hash prefixes)",
+        help="field-by-field diff of two records (content-hash prefixes; "
+        "the same hash twice compares its last two runs)",
     )
     report.add_argument(
         "--check",

@@ -7,7 +7,9 @@ memories, bridges, PEs) gets a reference to one shared
 The hooks are free when off -- a model whose ``faults`` attribute is
 ``None`` pays one attribute load and a branch, and
 an installed-but-empty plan schedules no events, so the run stays
-bit-identical to an uninstrumented one (tests/test_faults.py).
+bit-identical to an uninstrumented one (tests/test_faults.py).  The
+injector reports each episode to the machine's probe
+(:meth:`repro.obs.Probe.on_fault`), so every observer sees the faults.
 
 Recovery taxonomy (the ``ResilienceReport`` invariant is
 ``injected == recovered + residual + accounted``):
@@ -191,15 +193,9 @@ class FaultInjector:
         self.injected += 1
         self.detected += 1
         self._fired_keys.add(spec.key())
-        obs = self.machine._obs
-        if obs is not None:
-            tracer = obs.tracer
-            if tracer.enabled:
-                tracer.fault(now, spec.site, spec.kind, "inject")
-            registry = obs.registry
-            if registry is not None:
-                registry.counter("faults.injected").inc()
-                registry.counter("faults.injected.%s" % spec.kind).inc()
+        probe = self.machine.probe
+        if probe is not None:
+            probe.on_fault(now, spec.site, spec.kind, "inject", None)
         return episode
 
     def _resolve(self, episode: dict, outcome: str) -> None:
@@ -215,16 +211,9 @@ class FaultInjector:
             self.residual += 1
         else:
             self.accounted += 1
-        obs = self.machine._obs
-        if obs is not None:
-            tracer = obs.tracer
-            if tracer.enabled:
-                tracer.fault(now, episode["site"], episode["kind"], outcome)
-            registry = obs.registry
-            if registry is not None:
-                registry.counter("faults.%s" % outcome).inc()
-                if outcome == "recovered":
-                    registry.histogram("faults.recovery_latency").observe(latency)
+        probe = self.machine.probe
+        if probe is not None:
+            probe.on_fault(now, episode["site"], episode["kind"], outcome, latency)
 
     def counters(self):
         """Poll fast-forward's view of the injector, in the shape of
@@ -432,9 +421,9 @@ class FaultInjector:
             if grant.triggered:
                 return
             self.timeouts += 1
-            obs = self.machine._obs
-            if obs is not None and obs.tracer.enabled:
-                obs.tracer.fault(sim.now, segment.name, "bus_timeout", "detect")
+            probe = self.machine.probe
+            if probe is not None:
+                probe.on_fault(sim.now, segment.name, "bus_timeout", "detect", None)
             wait <<= 1
         arbiter.cancel(master, grant)
         raise BusTimeoutError(

@@ -19,7 +19,7 @@ into one verdict:
   needed" direction);
 * ``parity`` -- run the bare workload on the heap and compiled kernels
   and require identical run fingerprints (cycles, throughput,
-  per-segment counter-plane totals).
+  per-segment bus totals).
 
 Every check is exception-safe: a raised :class:`BusTimeoutError` (or any
 other error) becomes a deterministic ``exception:`` finding rather than a
@@ -39,6 +39,7 @@ from ..dse.engine import simulate_config
 from ..dse.spec import DseConfig, build_config_spec
 from ..obs.ledger import content_hash
 from ..sim.kernel import KERNEL_BACKENDS
+from ..sim.stats import segment_totals
 
 __all__ = [
     "ORACLE_VERSION",
@@ -83,11 +84,10 @@ def run_fingerprint(config: DseConfig, machine, metric: Dict[str, Any]) -> str:
     """Deterministic fingerprint of one finished run.
 
     Hashes the simulated-cycle count, the workload metric, per-PE finish
-    cycles and the counter-plane totals -- everything the backend-parity
+    cycles and the per-segment bus totals -- everything the backend-parity
     suite guarantees bit-identical across heap and compiled, and nothing
     wall-clock.
     """
-    plane = machine.counters
     return content_hash(
         {
             "cycles": metric["cycles"],
@@ -97,7 +97,7 @@ def run_fingerprint(config: DseConfig, machine, metric: Dict[str, Any]) -> str:
             "pe_finish": {
                 name: pe.finished_at for name, pe in sorted(machine.pes.items())
             },
-            "counters": plane.totals() if plane is not None else None,
+            "counters": segment_totals(machine.segments),
         }
     )
 
@@ -125,8 +125,8 @@ def _check_protocol(
 ) -> List[str]:
     if baseline_cycles is None:
         # Normally the parity check's run for this kernel is the baseline
-        # (monitors are free-when-off, counters never change cycles); only
-        # a parity-stage error forces a dedicated bare run here.
+        # (monitors are free-when-off); only a parity-stage error forces a
+        # dedicated bare run here.
         bare = generated.build_machine(kernel=kernel)
         baseline_cycles = simulate_config(config, bare)["cycles"]
 
@@ -170,7 +170,6 @@ def _check_parity(config: DseConfig, generated) -> Dict[str, Any]:
     for backend in PARITY_BACKENDS:
         try:
             machine = generated.build_machine(kernel=backend)
-            machine.attach_counters()
             metric = simulate_config(config, machine)
             fingerprints[backend] = run_fingerprint(config, machine, metric)
             cycles[backend] = metric["cycles"]

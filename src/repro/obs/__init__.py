@@ -7,17 +7,20 @@ Three pillars (see docs/observability.md for the user-facing guide):
   -> completion, plus bridge hops and FIFO fill levels), with exporters to
   Chrome ``trace_event`` JSON (Perfetto / ``chrome://tracing``) and JSONL.
 * :mod:`repro.obs.metrics` -- a metrics registry of counters, gauges,
-  fixed-bucket cycle histograms and occupancy time series that backs the
-  per-segment :class:`repro.sim.stats.BusStats` detail.
+  fixed-bucket cycle histograms and occupancy time series, which holds
+  each segment's arbitration-wait distribution and occupancy over time.
 * :mod:`repro.obs.report` -- structured :class:`RunReport` telemetry for
   every experiment case and benchmark run, with deterministic aggregation
   across parallel workers.
 
 Every consumer reaches the fabric through one interface, :class:`Probe`:
-``machine.attach_probe(probe)`` points the ``probe`` slot of every
-arbiter, bus segment, bridge and FIFO at it.  :class:`Observability` is
-one such probe; the protocol monitors (:mod:`repro.verify.monitors`) and
-the VCD grant trace (:mod:`repro.sim.vcd`) are others.
+``machine.attach_probe(probe)`` points the ``probe`` slot of the machine
+and of every arbiter, bus segment, bridge and FIFO at it, and the fault
+injector reports its episodes on the machine's slot.
+:class:`Observability` is one such probe; the protocol monitors
+(:mod:`repro.verify.monitors`) and the VCD grant trace
+(:mod:`repro.sim.vcd`) are others.  The per-segment totals every tenure
+adds to its :class:`~repro.sim.stats.BusStats` need no probe.
 
 The cost contract: observability is **free when off**.  A model whose
 ``probe`` slot is ``None`` fires nothing; the hot paths pay one ``is
@@ -28,9 +31,8 @@ records spans and histogram samples through the same hooks.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
-from .counters import COUNTER_KINDS, CounterPlane
 from .metrics import (
     DEFAULT_CYCLE_BUCKETS,
     Counter,
@@ -47,7 +49,6 @@ from .report import (
     record_run,
 )
 from .tracer import (
-    NULL_TRACER,
     Tracer,
     chrome_trace_events,
     validate_chrome_trace,
@@ -59,10 +60,7 @@ __all__ = [
     "Probe",
     "FanoutProbe",
     "Observability",
-    "CounterPlane",
-    "COUNTER_KINDS",
     "Tracer",
-    "NULL_TRACER",
     "chrome_trace_events",
     "validate_chrome_trace",
     "write_chrome_trace",
@@ -158,6 +156,18 @@ class Probe:
         """``register`` of the handshake register ``block`` changed to
         ``value``."""
 
+    def on_fault(
+        self, cycle: int, site: str, kind: str, event: str, latency: Optional[int]
+    ) -> None:
+        """A fault episode of ``kind`` at ``site`` moved on at ``cycle``.
+
+        ``event`` is ``inject`` when the fault fires, then the episode's
+        outcome (``recovered``, ``residual`` or ``accounted``) with its
+        ``latency`` in cycles; ``latency`` is None but on an outcome.  A
+        guarded arbitration that times out reports kind ``bus_timeout``,
+        event ``detect``, with the segment as its site.
+        """
+
 
 class FanoutProbe(Probe):
     """Forwards every hook to several probes, in attach order."""
@@ -182,24 +192,30 @@ for _hook in [name for name in vars(Probe) if name.startswith("on_")]:
 class Observability(Probe):
     """A tracer plus a metrics registry, attached to a machine as one unit.
 
-    ``tracing=False`` keeps the metrics registry but records no spans
-    (``NULL_TRACER``); ``metrics=False`` keeps spans but attaches no
-    histograms.  ``occupancy_window`` is the bucket width (in bus cycles)
-    of the per-segment occupancy-over-time series.
+    Besides the spans, it keeps each watched segment's arbitration-wait
+    histogram (``bus.<segment>.arb_wait_cycles``) and occupancy series
+    (``bus.<segment>.occupancy``, 1,024-cycle windows) in the registry,
+    and the fault episodes' ``faults.*`` counters and recovery latencies.
     """
 
-    def __init__(
-        self,
-        tracing: bool = True,
-        metrics: bool = True,
-        occupancy_window: int = 1024,
-    ):
-        self.tracer = Tracer() if tracing else NULL_TRACER
-        self.registry = MetricsRegistry() if metrics else None
-        self.occupancy_window = occupancy_window
+    def __init__(self):
+        self.tracer = Tracer()
+        self.registry = MetricsRegistry()
+        # segment name -> (arbitration-wait histogram, occupancy series)
+        self.segment_detail: Dict[str, Tuple[Histogram, TimeSeries]] = {}
+
+    def watch(self, segment_names) -> None:
+        """Create the named segments' histogram and occupancy series, so a
+        segment that never moves a word reports them too."""
+        registry = self.registry
+        for name in segment_names:
+            self.segment_detail[name] = (
+                registry.histogram("bus.%s.arb_wait_cycles" % name),
+                registry.time_series("bus.%s.occupancy" % name),
+            )
 
     def on_grant(self, arbiter, master: str, waited: Optional[int]) -> None:
-        if waited is not None and self.tracer.enabled:
+        if waited is not None:
             # Queued grants only -- an immediate grant waits zero cycles and
             # already appears as the transaction span's arbitration phase.
             self.tracer.instant(
@@ -226,25 +242,33 @@ class Observability(Probe):
         added to :class:`~repro.sim.stats.BusStats`, so span sums and the
         counters agree cycle-for-cycle (tested in test_observability.py).
         """
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.transaction(
-                segment.name, master, start, acquired, end, words, write, memory_cycles
-            )
-        stats = segment.stats
-        hist = stats._arb_hist
-        if hist is not None:
-            hist.observe(acquired - start)
-            stats._occupancy.add(acquired, end)
+        self.tracer.transaction(
+            segment.name, master, start, acquired, end, words, write, memory_cycles
+        )
+        detail = self.segment_detail.get(segment.name)
+        if detail is not None:
+            histogram, occupancy = detail
+            histogram.observe(acquired - start)
+            occupancy.add(acquired, end)
 
     def on_bridge_cross(self, bridge, master: str) -> None:
-        if self.tracer.enabled:
-            self.tracer.hop(bridge.sim.now, bridge.name)
+        self.tracer.hop(bridge.sim.now, bridge.name)
 
     def on_fifo_push(self, fifo, count: int) -> None:
-        if self.tracer.enabled:
-            self.tracer.fifo(fifo.sim.now, fifo.name, "push", count, fifo.count)
+        self.tracer.fifo(fifo.sim.now, fifo.name, "push", count, fifo.count)
 
     def on_fifo_pop(self, fifo, count: int) -> None:
-        if self.tracer.enabled:
-            self.tracer.fifo(fifo.sim.now, fifo.name, "pop", count, fifo.count)
+        self.tracer.fifo(fifo.sim.now, fifo.name, "pop", count, fifo.count)
+
+    def on_fault(
+        self, cycle: int, site: str, kind: str, event: str, latency: Optional[int]
+    ) -> None:
+        self.tracer.fault(cycle, site, kind, event)
+        registry = self.registry
+        if event == "inject":
+            registry.counter("faults.injected").inc()
+            registry.counter("faults.injected.%s" % kind).inc()
+        elif latency is not None:
+            registry.counter("faults.%s" % event).inc()
+            if event == "recovered":
+                registry.histogram("faults.recovery_latency").observe(latency)

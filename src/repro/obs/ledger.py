@@ -334,25 +334,26 @@ class Ledger:
                     entries.append(json.loads(line))
         return entries
 
-    def find(self, hash_prefix: str) -> Optional[Dict[str, Any]]:
-        """Look up one record by (a prefix of) its content hash.
+    def find_all(self, hash_prefix: str) -> List[Dict[str, Any]]:
+        """Every record of the one hash ``hash_prefix`` starts, oldest first.
 
-        Uses the index to seek directly into ``records.jsonl``.  Raises
+        An identical re-run appends the same hash again, so a hash can have
+        several records.  Uses the index to seek directly into
+        ``records.jsonl``.  Empty when no hash matches; raises
         ``LookupError`` when the prefix is ambiguous.
         """
         matches = [
             entry for entry in self.index() if entry["hash"].startswith(hash_prefix)
         ]
         hashes = {entry["hash"] for entry in matches}
-        if not matches:
-            return None
         if len(hashes) > 1:
             raise LookupError(
-                "hash prefix %r is ambiguous (%d records)"
+                "hash prefix %r is ambiguous (%d hashes)"
                 % (hash_prefix, len(hashes))
             )
-        # Last write wins for identical re-runs (same hash appended twice).
-        entry = matches[-1]
+        records = []
         with open(self.records_path) as handle:
-            handle.seek(entry["offset"])
-            return json.loads(handle.readline())
+            for entry in matches:
+                handle.seek(entry["offset"])
+                records.append(json.loads(handle.readline()))
+        return records

@@ -9,7 +9,8 @@ Three capabilities over :mod:`repro.obs.ledger` records:
   map plus artifact-cache hit/miss totals;
 * **diff** -- field-by-field comparison of two records' hashed bodies,
   addressed by content-hash prefix; identical hashes are identical runs by
-  construction, so a diff is always a behaviour difference;
+  construction, so a diff is always a behaviour difference, and two runs
+  of one hash (:func:`find_pair`) differ only in their envelopes;
 * **check** -- regression gates for CI: chaos/verify records must report
   ``ok``, fuzz records must have a stable corpus replay and no untriaged
   findings, and bench records must carry no harness ``failures`` (the
@@ -30,6 +31,7 @@ __all__ = [
     "coverage_rows",
     "diff_bodies",
     "envelope_pairs",
+    "find_pair",
     "check_regressions",
 ]
 
@@ -322,9 +324,29 @@ def _check_fuzz(record, summary, flag):
         )
 
 
-def find_record(ledger: Ledger, hash_prefix: str) -> Dict[str, Any]:
-    """``Ledger.find`` that raises ``LookupError`` instead of returning None."""
-    record = ledger.find(hash_prefix)
-    if record is None:
-        raise LookupError("no ledger record matches hash prefix %r" % hash_prefix)
-    return record
+def find_pair(
+    ledger: Ledger, left_prefix: str, right_prefix: str
+) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+    """The two records ``repro report --diff LEFT RIGHT`` compares.
+
+    Each prefix names its hash's latest record.  When both name the same
+    hash, the pair is that hash's previous record and its latest, so two
+    runs of one identity show their envelopes side by side.  Raises
+    ``LookupError`` for a prefix that matches no hash or several, and for
+    one hash with a single record.
+    """
+    sides = []
+    for prefix in (left_prefix, right_prefix):
+        records = ledger.find_all(prefix)
+        if not records:
+            raise LookupError("no ledger record matches hash prefix %r" % prefix)
+        sides.append(records)
+    left, right = sides
+    if left[-1]["hash"] != right[-1]["hash"]:
+        return left[-1], right[-1]
+    if len(left) < 2:
+        raise LookupError(
+            "hash %s has only one record: nothing to compare"
+            % left[-1]["hash"][:12]
+        )
+    return left[-2], left[-1]

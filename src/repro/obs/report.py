@@ -94,7 +94,7 @@ class RunReport:
         return lines
 
 
-def _segment_entry(segment, elapsed_cycles: int) -> Dict[str, Any]:
+def _segment_entry(segment, elapsed_cycles: int, detail) -> Dict[str, Any]:
     stats = segment.stats
     held = stats.held_cycles
     entry: Dict[str, Any] = {
@@ -114,12 +114,12 @@ def _segment_entry(segment, elapsed_cycles: int) -> Dict[str, Any]:
         "arbiter_grants": segment.arbiter.grants,
         "attached_interfaces": segment.attached_interfaces,
     }
-    hist = stats._arb_hist
-    if hist is not None:
-        entry["arb_wait_p50"] = hist.percentile(50)
-        entry["arb_wait_p90"] = hist.percentile(90)
-        entry["arb_wait_p99"] = hist.percentile(99)
-        entry["occupancy_peak_fraction"] = stats._occupancy.peak()
+    if detail is not None:
+        histogram, occupancy = detail
+        entry["arb_wait_p50"] = histogram.percentile(50)
+        entry["arb_wait_p90"] = histogram.percentile(90)
+        entry["arb_wait_p99"] = histogram.percentile(99)
+        entry["occupancy_peak_fraction"] = occupancy.peak()
     return entry
 
 
@@ -129,7 +129,8 @@ def build_run_report(
     """Snapshot a machine (post-run) into a :class:`RunReport`.
 
     Works on any machine -- observability attached or not; the percentile
-    fields simply appear only when the segment histograms exist.
+    and occupancy fields appear only for the segments that the machine's
+    :class:`~repro.obs.Observability` watches.
     """
     sim = machine.sim
     elapsed = sim.now
@@ -140,9 +141,15 @@ def build_run_report(
         events_processed=sim.events_processed,
         peak_queue_depth=getattr(sim, "peak_queue_depth", 0),
     )
+    obs = machine.obs
+    segment_detail = obs.segment_detail if obs is not None else {}
     for segment_name in sorted(machine.segments):
         report.segments.append(
-            _segment_entry(machine.segments[segment_name], elapsed)
+            _segment_entry(
+                machine.segments[segment_name],
+                elapsed,
+                segment_detail.get(segment_name),
+            )
         )
     for pe_name in sorted(machine.pes):
         report.pes.append(machine.pes[pe_name].stats.as_dict())
@@ -171,9 +178,6 @@ def build_run_report(
     faults = getattr(machine, "_faults", None)
     if faults is not None:
         report.extras["resilience"] = faults.resilience_report().as_dict()
-    plane = getattr(machine, "_counters", None)
-    if plane is not None and plane.bound:
-        report.extras["counters"] = plane.as_dict()
     return report
 
 

@@ -7,11 +7,9 @@ and FIFO fill levels.  That is the level the paper reasons at (where do
 the cycles of Tables II-V go?) and what LiteX-style simulation tooling
 exports for humans.
 
-Storage is deliberately primitive -- flat lists of tuples, appended on the
-hot path only behind an ``if tracer.enabled:`` guard -- so an enabled trace
-costs one tuple per tenure and a disabled one costs a single attribute
-load (the :data:`NULL_TRACER` singleton's ``enabled`` is ``False`` and its
-record methods are no-ops).
+Storage is deliberately primitive -- flat lists of tuples -- so a trace
+costs one tuple per tenure.  A machine without a tracer pays nothing: its
+models' ``probe`` slots are ``None`` (see :mod:`repro.obs`).
 
 Exporters:
 
@@ -36,8 +34,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = [
     "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
     "chrome_trace_events",
     "to_chrome_trace",
     "write_chrome_trace",
@@ -53,8 +49,6 @@ TransactionTuple = Tuple[str, str, int, int, int, int, bool, int]
 
 class Tracer:
     """Records transaction spans and instantaneous marks in bus cycles."""
-
-    enabled = True
 
     def __init__(self):
         self.transactions: List[TransactionTuple] = []
@@ -132,32 +126,6 @@ class Tracer:
             entry["busy"] += end - start
             entry["transactions"] += 1
         return sums
-
-
-class NullTracer(Tracer):
-    """The disabled tracer: records nothing, costs one attribute load."""
-
-    enabled = False
-
-    def transaction(self, *args, **kwargs) -> None:
-        pass
-
-    def hop(self, *args, **kwargs) -> None:
-        pass
-
-    def fifo(self, *args, **kwargs) -> None:
-        pass
-
-    def instant(self, *args, **kwargs) -> None:
-        pass
-
-    def fault(self, *args, **kwargs) -> None:
-        pass
-
-
-#: Shared no-op tracer; simulation models default to this singleton so the
-#: disabled path never allocates.
-NULL_TRACER = NullTracer()
 
 
 # ----------------------------------------------------------------------

@@ -8,9 +8,8 @@
   non-negative samples);
 * a ledger ``records.jsonl`` file, or a ledger *directory* containing one
   -- RunRecord contract via :func:`validate_ledger_records` (schema
-  version, content-hash integrity, monotonic envelope timestamps,
-  counter non-negativity), with each failure naming the offending
-  record and field.
+  version, content-hash integrity, monotonic envelope timestamps), with
+  each failure naming the offending record and field.
 
 Exit status 0 when every check passes; 1 otherwise, printing each
 failure.  CI runs this against the captured trace and the accumulated
@@ -35,10 +34,9 @@ def validate_ledger_records(records: List[Dict[str, Any]]) -> List[str]:
 
     Each failure names the record (index + hash prefix) and the field:
     unknown schema version, missing sections, a content hash that does
-    not match the hashed body (tampering or a serializer drift), an
+    not match the hashed body (tampering or a serializer drift), and an
     envelope timestamp running backwards relative to the previous
-    record (the ledger is append-only), and negative counter totals in
-    a RunReport's counter-plane snapshot.
+    record (the ledger is append-only).
     """
     failures: List[str] = []
     last_timestamp: Optional[str] = None
@@ -83,40 +81,6 @@ def validate_ledger_records(records: List[Dict[str, Any]]) -> List[str]:
             )
         if isinstance(timestamp, str):
             last_timestamp = timestamp
-        failures.extend(_check_counters(label, body))
-    return failures
-
-
-def _check_counters(label: str, body: Dict[str, Any]) -> List[str]:
-    """Counter-plane snapshots (summary.counters / extras.counters) must
-    hold non-negative integer totals."""
-    failures: List[str] = []
-
-    def check_snapshot(where: str, snapshot: Any) -> None:
-        if not isinstance(snapshot, dict):
-            return
-        segments = snapshot.get("segments")
-        if not isinstance(segments, dict):
-            return
-        for segment, kinds in segments.items():
-            if not isinstance(kinds, dict):
-                failures.append(
-                    "%s: %s.segments.%s: not an object" % (label, where, segment)
-                )
-                continue
-            for kind, value in kinds.items():
-                if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                    failures.append(
-                        "%s: %s.segments.%s.%s: non-negative integer "
-                        "expected, got %r" % (label, where, segment, kind, value)
-                    )
-
-    summary = body.get("summary")
-    if isinstance(summary, dict):
-        check_snapshot("summary.counters", summary.get("counters"))
-        extras = summary.get("extras")
-        if isinstance(extras, dict):
-            check_snapshot("summary.extras.counters", extras.get("counters"))
     return failures
 
 

@@ -129,7 +129,7 @@ class BusSegment:
         (``Machine._occupy_path`` and the inline ones in
         ``Machine.miss_traffic`` and ``Machine.poll``) charge
         ``acquired - start``.  So on BFBA and Hybrid segments the
-        arbitration totals, the counter plane's ``wait_cycles`` and the
+        arbitration totals (``wait_cycles`` of ``segment_totals``) and the
         arbitration-wait histogram count grant latency as arbitration for
         FIFO tenures only.  Backend-parity fingerprints of the pinned fuzz
         campaign hash these totals, so aligning the two moves a pin

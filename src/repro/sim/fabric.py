@@ -155,17 +155,16 @@ class Machine:
         self.bus_clock_hz = 100_000_000  # SYSCLK cap of the MPC755 (sec. VI.B)
         # Observers (repro.obs.Probe) in attach order; see attach_probe.
         self._probes: List = []
+        # The probe the fault injector reports episodes to (Probe.on_fault),
+        # set by attach_probe like the models' slots; None when unprobed.
+        self.probe = None
         # Observability layer (repro.obs.Observability), one of the probes;
-        # the fault injector marks its fault spans on its tracer.
+        # build_run_report reads its per-segment detail.
         self._obs = None
         # Fault injector (repro.faults.FaultInjector); None keeps the
         # transaction path free of retry/recovery logic.  Set by
         # repro.faults.install_faults.
         self._faults = None
-        # Counter plane (repro.obs.counters.CounterPlane): a view of the
-        # segments' BusStats, so it hooks nothing and keeps the inline
-        # tenures and poll fast-forward.
-        self._counters = None
         # Whether this machine's polls park for poll fast-forward: False
         # once a probe needing every hook call is attached (see _hooked).
         self._polls_park = True
@@ -180,8 +179,9 @@ class Machine:
     def attach_probe(self, probe) -> None:
         """Make ``probe`` (a :class:`repro.obs.Probe`) observe every model.
 
-        The one setter of the ``probe`` slots: every segment, arbiter,
-        bridge, FIFO and handshake register block gets the probe, or a
+        The one setter of the ``probe`` slots: the machine (whose fault
+        injector reports to it) and every segment, arbiter, bridge, FIFO
+        and handshake register block get the probe, or a
         :class:`repro.obs.FanoutProbe` over all attached probes once there
         are several.  A probed machine's tenures all run through
         :meth:`_occupy_path`, which reports them, from the next one on.
@@ -197,6 +197,7 @@ class Machine:
         self._hooked()
         if len(self._probes) > 1:
             probe = FanoutProbe(self._probes)
+        self.probe = probe
         for segment in self.segments.values():
             segment.probe = probe
             segment.arbiter.probe = probe
@@ -224,22 +225,14 @@ class Machine:
         """Attach an :class:`repro.obs.Observability` as a probe.
 
         Its hooks record tenure spans, arbitration-wait histograms and
-        occupancy series, bridge hops, FIFO fill levels and queued grants;
-        the kernel also tracks peak event-queue depth.  Attaching never
-        changes simulation behaviour -- a traced run is bit-identical to an
-        untraced one, just observable.
+        occupancy series, bridge hops, FIFO fill levels, queued grants and
+        fault episodes; the kernel also tracks peak event-queue depth.
+        Attaching never changes simulation behaviour -- a traced run is
+        bit-identical to an untraced one, just observable.
         """
         self._obs = obs
         self.sim.monitor_depth = True
-        registry = obs.registry
-        if registry is not None:
-            for name, segment in self.segments.items():
-                segment.stats.attach_detail(
-                    registry.histogram("bus.%s.arb_wait_cycles" % name),
-                    registry.time_series(
-                        "bus.%s.occupancy" % name, obs.occupancy_window
-                    ),
-                )
+        obs.watch(self.segments)
         self.attach_probe(obs)
 
     def attach_monitors(self, fail_fast: bool = True):
@@ -253,25 +246,6 @@ class Machine:
         from ..verify.monitors import attach_monitors
 
         return attach_monitors(self, fail_fast=fail_fast)
-
-    @property
-    def counters(self):
-        return self._counters
-
-    def attach_counters(self, plane=None):
-        """Bind a :class:`repro.obs.counters.CounterPlane`; returns it.
-
-        The plane reads the segments' :class:`BusStats`, so it hooks no
-        model: a counted machine keeps its inline tenures and poll
-        fast-forward.
-        """
-        from ..obs.counters import CounterPlane
-
-        if plane is None:
-            plane = CounterPlane()
-        plane.bind(self)
-        self._counters = plane
-        return plane
 
     def run_report(self, wall_seconds: float = 0.0, name: Optional[str] = None):
         """Snapshot this machine into a :class:`repro.obs.report.RunReport`."""
@@ -1266,14 +1240,14 @@ class MachineBuilder:
     the builder: the CPI and the arbiter-policy override.  The builder
     also picks the simulator (an existing one or a backend by name).
 
-    Observers, counter planes and fault injectors attach to the built
-    machine: :meth:`Machine.attach_observability`,
-    :meth:`Machine.attach_monitors`, :meth:`Machine.attach_counters`,
+    Observers and fault injectors attach to the built machine:
+    :meth:`Machine.attach_observability`, :meth:`Machine.attach_monitors`,
     :meth:`Machine.attach_probe` and :func:`repro.faults.install_faults`.
     A probe or a fault injector routes every later tenure through the
     hooked path, and keeps poll fast-forward on only if it declares the
     counters it keeps (:meth:`repro.obs.Probe.counters`; the protocol
-    monitor and the fault injector do); a counter plane hooks nothing.
+    monitor and the fault injector do).  The per-segment totals
+    (:func:`repro.sim.stats.segment_totals`) need no observer.
 
     Example::
 

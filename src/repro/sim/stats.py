@@ -8,23 +8,20 @@ observations (A)-(D) under Table II.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..obs.metrics import Histogram, TimeSeries
     from .bus import TransferTiming
 
-__all__ = ["BusStats", "PeStats"]
+__all__ = ["BusStats", "PeStats", "segment_totals"]
 
 
 class BusStats:
     """Aggregate counters for one bus segment.
 
-    When an observability layer is attached to the machine
-    (:meth:`attach_detail`), the segment additionally records a
-    per-transaction arbitration-wait histogram and an occupancy-over-time
-    series in the shared metrics registry; the counters and ``as_dict()``
-    surface are unchanged either way, so experiments never notice.
+    Every tenure adds to them, on every fabric path and backend, whether or
+    not an observer is attached (an :class:`repro.obs.Observability` keeps
+    the arbitration-wait distribution and occupancy over time itself).
     """
 
     def __init__(self, name: str):
@@ -37,16 +34,6 @@ class BusStats:
         self.arbitration_cycles = 0
         self.memory_cycles = 0
         self.per_master: Dict[str, int] = {}
-        # Detail metrics, populated only through Observability.on_tenure
-        # (never by record(): the hot path in fabric._occupy_path bypasses
-        # record() and must stay in lockstep with the non-inlined path).
-        self._arb_hist: Optional["Histogram"] = None
-        self._occupancy: Optional["TimeSeries"] = None
-
-    def attach_detail(self, histogram: "Histogram", occupancy: "TimeSeries") -> None:
-        """Back this segment's detail with registry-owned metrics."""
-        self._arb_hist = histogram
-        self._occupancy = occupancy
 
     def record(self, master: str, words: int, write: bool, timing: "TransferTiming") -> None:
         self.transactions += 1
@@ -105,6 +92,28 @@ class BusStats:
             "arbitration_cycles": self.arbitration_cycles,
             "memory_cycles": self.memory_cycles,
         }
+
+
+def segment_totals(segments: Mapping[str, Any]) -> Dict[str, Dict[str, int]]:
+    """``{segment: {"transactions", "grants", "wait_cycles"}}``, name-sorted.
+
+    The per-segment totals that chaos, verify and the fuzz parity check
+    compare across backends, read from each segment's :class:`BusStats`:
+    tenures completed, the grants they retired (one per tenure, so the
+    same number; the pinned fuzz fingerprints hash both) and their summed
+    request->grant arbitration wait.  In a fault-free run ``grants``
+    equals the segment arbiter's ``grants``; a watchdog redelivery under
+    fault injection can grant again.
+    """
+    totals: Dict[str, Dict[str, int]] = {}
+    for name in sorted(segments):
+        stats = segments[name].stats
+        totals[name] = {
+            "transactions": stats.transactions,
+            "grants": stats.transactions,
+            "wait_cycles": stats.arbitration_cycles,
+        }
+    return totals
 
 
 class PeStats:

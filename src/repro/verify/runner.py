@@ -13,12 +13,12 @@ For every architecture under test this runs, per scheduler backend:
    perturbing (the free-when-off contract);
 
 then asserts backend parity on cycle counts and on the per-segment
-counter-plane totals carried by every case row (the bare run is counted
-via :class:`~repro.obs.counters.CounterPlane`, which must also agree
-with ``BusStats`` and the arbiters' grant counts in these fault-free
-sweeps).  Cases fan out over the
-parallel experiment runner, so ``repro verify --jobs N`` sweeps
-architectures concurrently with deterministic results.
+totals of the bare run's :class:`~repro.sim.stats.BusStats` carried by
+every case row (:func:`~repro.sim.stats.segment_totals`), whose
+transactions must also equal the arbiters' grant counts in these
+fault-free sweeps.  Cases fan out over the parallel experiment runner, so
+``repro verify --jobs N`` sweeps architectures concurrently with
+deterministic results.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from ..core.busyn import BusSyn
 from ..faults.chaos import CHAOS_STYLES, case_spec
 from ..options import presets
 from ..sim.kernel import KERNEL_BACKENDS
+from ..sim.stats import segment_totals
 from .graph import graph_from_design
 
 __all__ = [
@@ -71,18 +72,14 @@ def run_verify_case(
     structural = [str(finding) for finding in graph_from_design(generated.design()).findings]
 
     bare_machine = generated.build_machine(kernel=backend)
-    plane = bare_machine.attach_counters()
     baseline = run_ofdm(bare_machine, style, OfdmParameters(packets=packets))
-    counter_findings = plane.check_against_stats(bare_machine)
     # Fault-free sweep: every retired tenure is exactly one arbiter grant.
-    for name in plane.segment_order:
-        granted = bare_machine.segments[name].arbiter.grants
-        counted = plane.value(name, "grants")
-        if counted != granted:
-            counter_findings.append(
-                "%s: counter grants %d != arbiter grants %d"
-                % (name, counted, granted)
-            )
+    grant_findings = [
+        "%s: BusStats transactions %d != arbiter grants %d"
+        % (name, segment.stats.transactions, segment.arbiter.grants)
+        for name, segment in sorted(bare_machine.segments.items())
+        if segment.stats.transactions != segment.arbiter.grants
+    ]
 
     monitored_machine = generated.build_machine(kernel=backend)
     monitor = monitored_machine.attach_monitors(fail_fast=False)
@@ -103,9 +100,9 @@ def run_verify_case(
         "throughput_mbps": baseline.throughput_mbps,
         "grants": monitor.grants_observed,
         "transfers": monitor.transfers_opened,
-        "counters": plane.totals(),
+        "counters": segment_totals(bare_machine.segments),
         "structural_findings": structural,
-        "runtime_findings": runtime + counter_findings,
+        "runtime_findings": runtime + grant_findings,
     }
 
 

@@ -29,10 +29,11 @@ def test_smoke_run_gates_the_full_size_int_yield_of_each_backend(tmp_path):
     )
 
     assert not {"run_report", "counters", "dse_sweep", "vs_seed"} & set(report)
+    # The lines name the gate, its floor and its reference, never the
+    # host's measurement, so two runs missing the same floor hash alike.
     assert report["failures"] == failures == [
-        "ci floor: %s int_yield %.0f ev/s is >20%% below the %.0f reference "
-        "in baselines.json"
-        % (kernel, report["kernel"][kernel]["int_yield"]["events_per_sec"], 1e15)
+        "ci floor: %s int_yield is below %.0f ev/s, 20%% under the %.0f "
+        "reference in baselines.json" % (kernel, 0.8 * 1e15, 1e15)
         for kernel in KERNEL_BACKENDS
     ]
     assert all(

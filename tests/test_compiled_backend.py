@@ -220,7 +220,6 @@ def _parity_machine(preset, kernel, hooked, policy=None):
     )
     if hooked:
         machine.attach_probe(Probe())
-    machine.attach_counters()
     return machine
 
 
@@ -262,8 +261,6 @@ class TestSpecializedParity:
         def run(kernel, hooked):
             machine = _parity_machine(preset, kernel, hooked, policy)
             result = run_ofdm(machine, "PPA", OfdmParameters(packets=1))
-            plane = machine.counters
-            assert plane.check_against_stats(machine) == []
             waited = sum(
                 segment.arbiter.wait_cycles for segment in machine.segments.values()
             )
@@ -271,24 +268,20 @@ class TestSpecializedParity:
                 result.cycles,
                 result.throughput_mbps,
                 vars(machine.run_report(name="parity")),
-                plane.totals(),
                 waited,
             )
 
         assert _on_every_path(run)[-1] > 0, "the case must contend for a bus"
 
 
-def _counted_snapshot(machine):
-    """Everything a counted run leaves behind that an inline poll could get
+def _run_snapshot(machine):
+    """Everything a run leaves behind that an inline poll could get
     wrong."""
-    plane = machine.counters
-    assert plane.check_against_stats(machine) == []
     return {
         "report": vars(machine.run_report(name="parity")),
         "pes": {name: vars(pe.stats) for name, pe in machine.pes.items()},
         "finished": {name: pe.finished_at for name, pe in machine.pes.items()},
         "segments": {name: vars(seg.stats) for name, seg in machine.segments.items()},
-        "counters": plane.totals(),
         # Where each shared control variable landed: slots are allocated
         # at a variable's first read or write.
         "slots": {name: dict(shared._slots) for name, shared in machine.shared_vars.items()},
@@ -310,7 +303,7 @@ class TestPollParity:
             machine = _parity_machine(preset, kernel, hooked)
             result = run_ofdm(machine, style, OfdmParameters(packets=1))
             skipped[kernel, hooked] = machine.sim.events_skipped
-            snapshot = _counted_snapshot(machine)
+            snapshot = _run_snapshot(machine)
             snapshot["cycles"] = result.cycles
             return snapshot
 
@@ -358,6 +351,6 @@ class TestPollParity:
             if kind == "var":
                 slots = machine.shared_vars[machine.global_memory]._slots
                 assert list(slots) == ["OTHER", "GO"]
-            return _counted_snapshot(machine)
+            return _run_snapshot(machine)
 
         _on_every_path(run)

@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from repro.apps.ofdm import OfdmParameters, run_ofdm
 from repro.cli import main
 from repro.faults import (
     BusTimeoutError,
@@ -23,6 +24,7 @@ from repro.faults import (
     install_faults,
 )
 from repro.faults.chaos import run_chaos, run_chaos_case
+from repro.obs import Observability, Probe
 from repro.options import presets
 from repro.sim.fabric import build_machine
 
@@ -91,6 +93,35 @@ class TestFaultPlan:
 # ---------------------------------------------------------------------------
 # Per-kind recovery behaviour
 # ---------------------------------------------------------------------------
+
+
+def _run_wedged_victim(machine):
+    """Wedge the machine's first segment with a hog that never releases,
+    guard it, and run a victim's guarded acquisition (2, 4 and 8-cycle
+    timeouts) to exhaustion; returns the segment, the injector and the
+    victim's outcome."""
+    segment = machine.segments[sorted(machine.segments)[0]]
+    arbiter = segment.arbiter
+    # Guard the segment via a stuck-grant fault that never fires.
+    plan = FaultPlan(
+        [FaultSpec(FaultKind.GRANT_STUCK, arbiter.name, at=10**9, param=1)]
+    )
+    policy = RecoveryPolicy(timeout_cycles=2, max_escalations=3)
+    injector = install_faults(machine, plan, policy)
+    outcome = []
+
+    def victim():
+        try:
+            yield from injector.acquire(segment, "victim")
+        except BusTimeoutError:
+            outcome.append("timeout")
+        else:  # pragma: no cover - the hog never releases
+            outcome.append("granted")
+
+    assert arbiter.try_claim("hog")  # wedge the bus forever
+    machine.sim.process(victim(), "victim")
+    machine.sim.run(until=1000)
+    return segment, injector, outcome
 
 
 class TestInjectorUnits:
@@ -183,34 +214,13 @@ class TestInjectorUnits:
 
     def test_timeout_exhaustion_withdraws_the_request(self):
         machine = _machine()
-        segment = machine.segments[sorted(machine.segments)[0]]
-        arbiter = segment.arbiter
-        # Guard the segment via a stuck-grant fault that never fires.
-        plan = FaultPlan(
-            [FaultSpec(FaultKind.GRANT_STUCK, arbiter.name, at=10**9, param=1)]
-        )
-        policy = RecoveryPolicy(timeout_cycles=2, max_escalations=3)
-        injector = install_faults(machine, plan, policy)
+        segment, injector, outcome = _run_wedged_victim(machine)
         assert segment.name in injector.guarded_segments
-        sim = machine.sim
-        outcome = []
-
-        def victim():
-            try:
-                yield from injector.acquire(segment, "victim")
-            except BusTimeoutError:
-                outcome.append("timeout")
-            else:  # pragma: no cover - the hog never releases
-                outcome.append("granted")
-
-        assert arbiter.try_claim("hog")  # wedge the bus forever
-        sim.process(victim(), "victim")
-        sim.run(until=1000)
         assert outcome == ["timeout"]
-        assert injector.timeouts == policy.max_escalations
+        assert injector.timeouts == injector.policy.max_escalations
         # The withdrawn request must not linger: a posthumous dispatch to a
         # dead master would wedge the segment for every later requester.
-        assert arbiter.pending_count == 0
+        assert segment.arbiter.pending_count == 0
 
     def test_pe_crash_restart_flushes_caches(self):
         machine = _machine()
@@ -219,6 +229,127 @@ class TestInjectorUnits:
         injector = install_faults(machine, plan)
         assert injector.crash_due(pe_name)
         assert not injector.crash_due(pe_name)  # one-shot window
+
+
+# ---------------------------------------------------------------------------
+# Fault episodes reach observers through Probe.on_fault
+# ---------------------------------------------------------------------------
+
+
+class _FaultLog(Probe):
+    """Records every ``on_fault`` call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def on_fault(self, *args):
+        self.calls.append(args)
+
+
+def _faulted_run(kernel, *probes, attach_first=True):
+    """GBAVIII/FPA at two packets under the heavy scenario (stuck grants
+    and PE crashes: recovered and accounted episodes), observed by
+    ``probes`` attached before or after the faults are installed; returns
+    the injector."""
+    machine = _machine("GBAVIII", 4, kernel)
+
+    def attach():
+        for probe in probes:
+            if isinstance(probe, Observability):
+                machine.attach_observability(probe)
+            else:
+                machine.attach_probe(probe)
+
+    if attach_first:
+        attach()
+    injector = install_faults(
+        machine, compile_plan(machine, SCENARIOS["heavy"], 5), RecoveryPolicy()
+    )
+    if not attach_first:
+        attach()
+    run_ofdm(machine, "FPA", OfdmParameters(packets=2))
+    assert injector.injected and injector.recovered and injector.accounted
+    assert all(episode["outcome"] for episode in injector.outcomes)
+    return injector
+
+
+class TestFaultObservation:
+    @pytest.mark.parametrize("attach_first", [True, False], ids=["before", "after"])
+    @pytest.mark.parametrize("kernel", ["heap", "compiled"])
+    def test_plain_probe_receives_on_fault(self, kernel, attach_first):
+        # The injector reads the machine's probe slot at each episode, so
+        # a probe attached after install_faults sees every fault too.
+        log = _FaultLog()
+        injector = _faulted_run(kernel, log, attach_first=attach_first)
+        episodes = injector.outcomes
+        # Injections arrive in firing order, each outcome with its latency.
+        assert [call for call in log.calls if call[3] == "inject"] == [
+            (episode["cycle"], episode["site"], episode["kind"], "inject", None)
+            for episode in episodes
+        ]
+        assert sorted(call for call in log.calls if call[3] != "inject") == sorted(
+            (
+                episode["resolved"],
+                episode["site"],
+                episode["kind"],
+                episode["outcome"],
+                episode["latency"],
+            )
+            for episode in episodes
+        )
+
+    @pytest.mark.parametrize("kernel", ["heap", "compiled"])
+    def test_traced_run_records_fault_marks_and_metrics(self, kernel):
+        obs = Observability()
+        log = _FaultLog()
+        injector = _faulted_run(kernel, obs, log)
+        episodes = injector.outcomes
+        marks = [
+            (cycle, name, args["site"])
+            for cycle, lane, name, args in obs.tracer.instants
+            if lane == "faults"
+        ]
+        expected = [
+            (episode["cycle"], "%s inject" % episode["kind"], episode["site"])
+            for episode in episodes
+        ] + [
+            (
+                episode["resolved"],
+                "%s %s" % (episode["kind"], episode["outcome"]),
+                episode["site"],
+            )
+            for episode in episodes
+        ]
+        assert sorted(marks) == sorted(expected)
+        # The fan-out hands the same episodes to every probe.
+        assert len(log.calls) == len(marks)
+
+        registry = obs.registry
+        assert registry.get("faults.injected").value == injector.injected
+        for kind in {episode["kind"] for episode in episodes}:
+            assert registry.get("faults.injected.%s" % kind).value == sum(
+                episode["kind"] == kind for episode in episodes
+            )
+        assert registry.get("faults.recovered").value == injector.recovered
+        assert registry.get("faults.accounted").value == injector.accounted
+        assert registry.get("faults.residual") is None  # created on first use
+        latency = registry.get("faults.recovery_latency")
+        assert latency.count == len(injector.recovery_latencies)
+        assert latency.total == sum(injector.recovery_latencies)
+
+    @pytest.mark.parametrize("kernel", ["heap", "compiled"])
+    def test_bus_timeouts_are_marked_detect(self, kernel):
+        machine = _machine(kernel=kernel)
+        obs = Observability()
+        machine.attach_observability(obs)
+        segment, injector, outcome = _run_wedged_victim(machine)
+        assert outcome == ["timeout"]
+        assert obs.tracer.instants == [
+            (cycle, "faults", "bus_timeout detect", {"site": segment.name})
+            for cycle in (2, 6, 14)
+        ]
+        # A detection opens no episode, so it counts nothing.
+        assert not [name for name in obs.registry.names() if name.startswith("faults")]
 
 
 # ---------------------------------------------------------------------------

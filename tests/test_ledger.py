@@ -162,25 +162,32 @@ class TestLedgerStorage:
         assert ledger.exists
         assert len(ledger.records()) == 3
         assert [e["verb"] for e in ledger.index()] == ["simulate"] * 3
-        found = ledger.find(hashes[1][:12])
+        [found] = ledger.find_all(hashes[1][:12])
         assert found["hash"] == hashes[1]
         assert found["body"]["options"] == {"pes": 4}
-        assert ledger.find("0" * 64) is None
+        assert ledger.find_all("0" * 64) == []
 
     def test_ambiguous_prefix_raises(self, tmp_path):
         ledger = Ledger(str(tmp_path / "led"))
         ledger.write("simulate", options={"pes": 2})
         ledger.write("simulate", options={"pes": 4})
         with pytest.raises(LookupError, match="ambiguous"):
-            ledger.find("")
+            ledger.find_all("")
 
-    def test_identical_rerun_same_hash_last_write_wins(self, tmp_path):
+    def test_identical_rerun_same_hash_every_run_kept(self, tmp_path):
         ledger = Ledger(str(tmp_path / "led"))
-        first = ledger.write("simulate", options={"pes": 4}, rev="abc1234")
-        second = ledger.write("simulate", options={"pes": 4}, rev="abc1234")
+        first, _other, second = [
+            ledger.write(
+                "simulate", options={"pes": pes}, rev="abc1234", wall_seconds=seconds
+            )
+            for pes, seconds in ((4, 0.3), (8, 0.1), (4, 0.2))
+        ]
         assert first == second
-        assert len(ledger.records()) == 2
-        assert ledger.find(first[:12])["hash"] == first
+        assert len(ledger.records()) == 3
+        # Oldest first, each run with its own envelope.
+        found = ledger.find_all(first[:12])
+        assert [record["hash"] for record in found] == [first, first]
+        assert [record["envelope"]["wall_seconds"] for record in found] == [0.3, 0.2]
 
     def test_validate_accepts_ledger_and_rejects_tampering(self, tmp_path):
         ledger = Ledger(str(tmp_path / "led"))
@@ -378,6 +385,59 @@ class TestReportCheckCli:
             main(["report", "--ledger", str(tmp_path), "--check", "--baselines", "b.json"])
         assert exit_info.value.code == 2
         assert "--baselines" in capsys.readouterr().err
+
+
+class TestReportDiffCli:
+    """``repro report --diff`` resolves both prefixes, or exits 2 with one
+    ``repro:`` line -- never 1, which ``--check`` uses for a difference."""
+
+    def test_one_hash_twice_compares_its_last_two_runs(self, tmp_path, capsys):
+        root = str(tmp_path / "led")
+        ledger = Ledger(root)
+        rerun = [
+            ledger.write("simulate", options={"pes": pes}, wall_seconds=seconds)
+            for pes, seconds in ((4, 0.237), (8, 1.0), (4, 0.206))
+        ][0]
+        assert main(["report", "--ledger", root, "--diff", rerun[:12], rerun[:8]]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "  identical hashed bodies"
+        assert lines[2].split() == ["envelope.wall_seconds", "0.237", "->", "0.206"]
+        ledger.write("simulate", options={"pes": 4}, wall_seconds=0.5)
+        argv = ["report", "--ledger", root, "--diff", rerun, rerun, "--json"]
+        assert main(argv + ["--check"]) == 0
+        diff = json.loads(capsys.readouterr().out)
+        assert diff["left"] == diff["right"] == rerun and diff["diffs"] == []
+        assert diff["envelope"]["wall_seconds"] == {"left": 0.206, "right": 0.5}
+
+    def test_a_hash_with_one_record_exits_2(self, tmp_path, capsys):
+        root = str(tmp_path / "led")
+        only = Ledger(root).write("simulate", options={"pes": 4})
+        assert main(["report", "--ledger", root, "--diff", only[:12], only]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "repro: hash %s has only one record: nothing to compare\n" % only[:12]
+        )
+
+    @pytest.mark.parametrize(
+        "prefix,message",
+        [
+            ("deadbeef", "no ledger record matches hash prefix 'deadbeef'"),
+            ("", "hash prefix '' is ambiguous (2 hashes)"),
+        ],
+        ids=["unknown", "ambiguous"],
+    )
+    def test_a_bad_prefix_exits_2(self, prefix, message, tmp_path, capsys):
+        root = str(tmp_path / "led")
+        ledger = Ledger(root)
+        known = ledger.write("simulate", options={"pes": 4})
+        ledger.write("simulate", options={"pes": 8})
+        argv = ["report", "--ledger", root, "--check", "--diff"]
+        for pair in ([prefix, known], [known, prefix]):
+            assert main(argv + pair) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "repro: %s\n" % message
 
 
 class TestCliRoundTrip:

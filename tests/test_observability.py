@@ -31,7 +31,6 @@ from repro.obs.report import (
     record_run,
 )
 from repro.obs.tracer import (
-    NULL_TRACER,
     Tracer,
     chrome_trace_events,
     iter_jsonl_records,
@@ -130,14 +129,6 @@ class TestFreeWhenOff:
             results.append((machine.sim.now, machine.sim.events_processed))
         assert results[0] == results[1]
 
-    def test_null_tracer_is_inert(self):
-        assert NULL_TRACER.enabled is False
-        NULL_TRACER.transaction("s", "m", 0, 1, 2, 4, True)
-        NULL_TRACER.hop(0, "b")
-        NULL_TRACER.fifo(0, "f", "push", 1, 1)
-        NULL_TRACER.instant(0, "l", "n")
-        assert len(NULL_TRACER) == 0
-
     def test_detached_machine_has_no_obs_hooks(self):
         machine = build_machine(presets.preset("GBAVIII", 4))
         assert machine.obs is None
@@ -148,10 +139,8 @@ class TestFreeWhenOff:
             models += [block.up, block.down]
         assert all(model.probe is None for model in models)
         run_ofdm(machine, "FPA", OfdmParameters(packets=1))
-        # Nothing was observed: no queue depth, no histogram samples.
+        # Nothing was observed: no queue depth.
         assert machine.sim.peak_queue_depth == 0
-        for segment in machine.segments.values():
-            assert segment.stats._arb_hist is None
 
 
 def _probed_run(arch, kernel, consumers=()):
@@ -466,6 +455,21 @@ class TestRunReport:
         with open(path) as handle:
             loaded = json.load(handle)
         assert loaded["simulated_cycles"] == report.simulated_cycles
+
+    def test_segment_detail_exists_from_attach(self):
+        # Created when the machine attaches obs, so a segment that never
+        # moves a word still reports its (empty) distribution.
+        machine = build_machine(presets.preset("GBAVIII", 4))
+        obs = Observability()
+        machine.attach_observability(obs)
+        assert obs.registry.names() == sorted(
+            "bus.%s.%s" % (name, metric)
+            for name in machine.segments
+            for metric in ("arb_wait_cycles", "occupancy")
+        )
+        for row in machine.run_report(name="idle").segments:
+            assert row["transactions"] == 0
+            assert row["arb_wait_p99"] == 0 and row["occupancy_peak_fraction"] == 0.0
 
     def test_report_without_observability_still_works(self):
         machine = build_machine(presets.preset("GBAVIII", 4))
