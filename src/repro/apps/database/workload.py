@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Tuple
 
+from ...options.schema import OptionError
 from ...sim.fabric import Machine
 from ...soc.api import SocAPI
 from ...soc.rtos import Rtos, Syscall
@@ -60,7 +61,7 @@ def run_database(
 ) -> DatabaseResult:
     """Run the database example; returns total execution time."""
     if machine.global_memory is None:
-        raise ValueError(
+        raise OptionError(
             "the database example requires a shared memory (section VI.C: "
             "GBAVI/BFBA are not simulated with this application)"
         )

@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ...options.schema import OptionError
 from ...sim.fabric import Machine
 from ...soc import pack
 from ...soc.api import SocAPI
@@ -212,7 +213,7 @@ def run_ppa(
     params = params or OfdmParameters()
     params.validate()
     if len(machine.pe_order) < 4:
-        raise ValueError("PPA needs four BANs (Table I assigns groups E-H)")
+        raise OptionError("PPA needs four BANs (Table I assigns groups E-H)")
     bans = machine.pe_order[:4]
     apis = {ban: SocAPI(machine, ban) for ban in bans}
     words_per_hop = 2 * params.data_samples
@@ -295,7 +296,7 @@ def run_fpa(machine: Machine, params: Optional[OfdmParameters] = None) -> OfdmRe
     params = params or OfdmParameters()
     params.validate()
     if machine.global_memory is None:
-        raise ValueError(
+        raise OptionError(
             "FPA needs a shared memory (GBAVIII/Hybrid/SplitBA/GGBA/CCBA); "
             "%s has none" % machine.name
         )

@@ -6,7 +6,7 @@ Three pillars (see docs/observability.md for the user-facing guide):
   bus transaction's lifecycle (request -> arbitration grant -> data tenure
   -> completion, plus bridge hops and FIFO fill levels), with exporters to
   Chrome ``trace_event`` JSON (Perfetto / ``chrome://tracing``) and JSONL.
-* :mod:`repro.obs.metrics` -- a metrics registry of counters, gauges,
+* :mod:`repro.obs.metrics` -- a metrics registry of counters,
   fixed-bucket cycle histograms and occupancy time series, which holds
   each segment's arbitration-wait distribution and occupancy over time.
 * :mod:`repro.obs.report` -- structured :class:`RunReport` telemetry for
@@ -36,7 +36,6 @@ from typing import Dict, Optional, Tuple
 from .metrics import (
     DEFAULT_CYCLE_BUCKETS,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     TimeSeries,
@@ -66,7 +65,6 @@ __all__ = [
     "write_chrome_trace",
     "write_jsonl",
     "Counter",
-    "Gauge",
     "Histogram",
     "TimeSeries",
     "MetricsRegistry",

@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges, cycle histograms, time series.
+"""Metrics registry: counters, cycle histograms, time series.
 
 The registry is the quantitative half of the observability layer: where
 the tracer answers "what happened when", the registry answers "how much
@@ -19,7 +19,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 __all__ = [
     "DEFAULT_CYCLE_BUCKETS",
     "Counter",
-    "Gauge",
     "Histogram",
     "TimeSeries",
     "MetricsRegistry",
@@ -53,31 +52,6 @@ class Counter:
 
     def merge(self, other: "Counter") -> None:
         self.value += other.value
-
-
-class Gauge:
-    """A point-in-time value; tracks the maximum it has ever held."""
-
-    __slots__ = ("name", "value", "max_value")
-
-    kind = "gauge"
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0
-        self.max_value = 0
-
-    def set(self, value) -> None:
-        self.value = value
-        if value > self.max_value:
-            self.max_value = value
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "value": self.value, "max": self.max_value}
-
-    def merge(self, other: "Gauge") -> None:
-        self.value = max(self.value, other.value)
-        self.max_value = max(self.max_value, other.max_value)
 
 
 class Histogram:
@@ -262,12 +236,6 @@ class MetricsRegistry:
         metric = self._get_or_create(name, lambda: Counter(name))
         if not isinstance(metric, Counter):
             raise TypeError("%r is a %s, not a counter" % (name, metric.kind))
-        return metric
-
-    def gauge(self, name: str) -> Gauge:
-        metric = self._get_or_create(name, lambda: Gauge(name))
-        if not isinstance(metric, Gauge):
-            raise TypeError("%r is a %s, not a gauge" % (name, metric.kind))
         return metric
 
     def histogram(

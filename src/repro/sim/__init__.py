@@ -25,7 +25,7 @@ from .arbiter import (
     RoundRobinArbiter,
     make_arbiter,
 )
-from .bus import BusBridge, BusSegment, TransferTiming, find_route
+from .bus import BusBridge, BusSegment, find_route
 from .cache import Cache, CacheStats, mpc755_dcache, mpc755_icache
 from .dma import DmaEngine
 from .fabric import Device, Machine, build_machine
@@ -54,7 +54,6 @@ __all__ = [
     "make_arbiter",
     "BusBridge",
     "BusSegment",
-    "TransferTiming",
     "find_route",
     "Cache",
     "CacheStats",

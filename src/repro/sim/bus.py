@@ -10,9 +10,9 @@ generated buses), then stream data at one beat per cycle with
 
 A *Bus Bridge* (BB, definition B) is an on-off connection point between two
 segments.  When enabled, it is a pass gate, not a store-and-forward
-buffer: a bridged transaction (``Machine._occupy_path``) wins every segment
-on its route and holds them all for the whole transfer, paying each
-bridge's hop latency on the way.  Segments are acquired in name-sorted
+buffer: a bridged transaction (``Machine._occupy_bridged``) wins every
+segment on its route and holds them all for the whole transfer, paying
+each bridge's hop latency on the way.  Segments are acquired in name-sorted
 order, so two transactions crossing in opposite directions cannot each
 hold what the other waits for, and crossing traffic stays deadlock-free.
 """
@@ -26,24 +26,7 @@ from .arbiter import Arbiter, FCFSArbiter
 from .kernel import Simulator
 from .stats import BusStats
 
-__all__ = ["BusSegment", "BusBridge", "TransferTiming"]
-
-
-class TransferTiming:
-    """Cycle breakdown of a completed bus transfer (for stats/debugging)."""
-
-    __slots__ = ("start", "end", "arbitration", "transfer", "memory")
-
-    def __init__(self, start: int, end: int, arbitration: int, transfer: int, memory: int):
-        self.start = start
-        self.end = end
-        self.arbitration = arbitration
-        self.transfer = transfer
-        self.memory = memory
-
-    @property
-    def total(self) -> int:
-        return self.end - self.start
+__all__ = ["BusSegment", "BusBridge"]
 
 
 class BusSegment:
@@ -104,40 +87,29 @@ class BusSegment:
     def words_per_beat(self) -> int:
         return self.data_width // 32
 
-    def beats_for(self, words: int) -> int:
-        wpb = self.words_per_beat
-        return (max(words, 1) + wpb - 1) // wpb
-
     def occupy(
         self,
         master: str,
         words: int,
         write: bool,
         extra_cycles: int = 0,
+        items: int = 1,
     ) -> Generator:
         """Own the segment for one burst; yields inside the process.
 
-        ``extra_cycles`` lets a slave (memory) add its burst latency while
-        the bus is held, matching a non-split-transaction bus.  Returns a
-        :class:`TransferTiming`.
-
-        Serves FIFO pushes and pops and fault retransmissions.  Its
-        arbitration accounting differs from every other tenure's: it
-        charges ``acquired + grant - start`` to
-        ``BusStats.arbitration_cycles`` and reports ``acquired + grant`` to
-        ``probe.on_tenure``, while the fabric's tenures
-        (``Machine._occupy_path`` and the inline ones in
-        ``Machine.miss_traffic`` and ``Machine.poll``) charge
-        ``acquired - start``.  So on BFBA and Hybrid segments the
-        arbitration totals (``wait_cycles`` of ``segment_totals``) and the
-        arbitration-wait histogram count grant latency as arbitration for
-        FIFO tenures only.  Backend-parity fingerprints of the pinned fuzz
-        campaign hash these totals, so aligning the two moves a pin
-        (ROADMAP, open items).
+        The one generator that runs a one-segment tenure: FIFO pushes and
+        pops, fault retransmissions and every fabric transfer that stays on
+        one segment (``Machine._occupy_path``).  It claims the segment and
+        charges the grant latency, once per item, the data beats and
+        ``extra_cycles`` -- a slave's (memory's) burst latency, held on the
+        bus as on a non-split-transaction bus -- as one kernel event.
+        ``items`` is the number of cache misses a grouped refill carries:
+        each re-arbitrates, so each pays a grant.  Arbitration ends at the
+        cycle the master claims the segment; :meth:`end_tenure` counts the
+        tenure.
 
         An interrupted burst ends at the interruption: it releases the
-        segment and is counted like a completed one, with its grant
-        boundary no later than the interruption cycle.
+        segment and is counted like a completed one.
         """
         sim = self.sim
         start = sim.now
@@ -148,23 +120,24 @@ class BusSegment:
             yield from faults.acquire(self, master)
         elif not self.arbiter.try_claim(master):
             yield self.arbiter.request(master)
+        acquired = sim.now
         probe = self.probe
         if probe is not None:
             probe.on_transfer_open(self, master)
         grant = self.write_grant_cycles if write else self.grant_cycles
-        # Grant latency and data beats are one uninterrupted tenure with no
-        # observable state change in between: charge them as a single kernel
-        # event and derive the arbitration boundary arithmetically.
-        arbitration_done = sim.now + grant
+        words_per_beat = self.data_width // 32
         try:
-            yield grant + self.beats_for(words) * self.beat_cycles + extra_cycles
+            yield (
+                grant * items
+                + (max(words, 1) + words_per_beat - 1) // words_per_beat * self.beat_cycles
+                + extra_cycles
+            )
         except GeneratorExit:
             raise  # closed with a discarded machine: releases and counts nothing
         except BaseException:
-            arbitration_done = min(arbitration_done, sim.now)
-            self.end_tenure(master, start, arbitration_done, words, write, extra_cycles, probe)
+            self.end_tenure(master, start, acquired, words, write, extra_cycles, probe)
             raise
-        return self.end_tenure(master, start, arbitration_done, words, write, extra_cycles, probe)
+        self.end_tenure(master, start, acquired, words, write, extra_cycles, probe)
 
     def end_tenure(
         self,
@@ -175,32 +148,34 @@ class BusSegment:
         write: bool,
         memory_cycles: int,
         probe,
-    ) -> TransferTiming:
+    ) -> None:
         """End ``master``'s tenure now: release the segment and count it.
 
+        The one place a tenure ends, completed or interrupted, on every
+        path: it releases the arbiter and adds to :class:`BusStats`.
         ``start`` is the cycle the master asked for the segment and
-        ``acquired`` where arbitration ends.  ``probe`` is the observer
-        the tenure opened with (None when it opened unobserved); it sees
-        the close and the tenure.  A completed or interrupted tenure ends
-        here, except the fabric's unobserved ones, which count inline.
+        ``acquired`` where arbitration ends; the tenure is held from there
+        to release.  ``probe`` is the observer the tenure opened with (None
+        when it opened unobserved); it sees the close and the tenure.
         """
         end = self.sim.now
         self.arbiter.release(master)
         if probe is not None:
             probe.on_transfer_close(self, master)
-        timing = TransferTiming(
-            start=start,
-            end=end,
-            arbitration=acquired - start,
-            transfer=end - acquired - memory_cycles,
-            memory=memory_cycles,
-        )
-        self.stats.record(master, words, write, timing)
+        stats = self.stats
+        stats.transactions += 1
+        if write:
+            stats.write_transactions += 1
+        else:
+            stats.read_transactions += 1
+        stats.words_moved += words
+        stats.busy_cycles += end - start
+        stats.arbitration_cycles += acquired - start
+        stats.memory_cycles += memory_cycles
+        per_master = stats.per_master
+        per_master[master] = per_master.get(master, 0) + 1
         if probe is not None:
-            # Span boundaries mirror the stats: arbitration runs to
-            # ``acquired``, tenure from there to release.
             probe.on_tenure(self, master, start, acquired, end, words, write, memory_cycles)
-        return timing
 
 
 class BusBridge:

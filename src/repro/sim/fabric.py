@@ -39,7 +39,7 @@ from ..obs import FanoutProbe
 from ..core.busyn import BusSyn, GeneratedBusSystem
 from ..options.schema import BusSpec, BusSubsystemSpec, BusSystemSpec, OptionError
 from .arbiter import make_arbiter
-from .bus import BusBridge, BusSegment, TransferTiming, find_route
+from .bus import BusBridge, BusSegment, find_route
 from .cache import CacheStats
 from .fifo import BiFifo, HardwareFifo
 from .hsregs import HandshakeRegisters, SharedVariables
@@ -117,7 +117,7 @@ class _PreparedPlan:
     def __init__(self, plan: List[Tuple[BusSegment, Optional["BusBridge"]]]):
         self.plan = plan
         unique = {segment.name: segment for segment, _bridge in plan}
-        # Canonical (name-sorted) acquisition order; see _occupy_path.
+        # Canonical (name-sorted) acquisition order; see _occupy_bridged.
         self.segments = [unique[name] for name in sorted(unique)]
         self.single = self.segments[0] if len(self.segments) == 1 else None
         self.beat_cycles = max(segment.beat_cycles for segment, _bridge in plan)
@@ -444,7 +444,32 @@ class Machine:
         device_latency: int,
         items: int = 1,
     ) -> Generator:
-        """Hold every segment on the path for one transfer.
+        """The generator that holds every segment on ``plan`` for one transfer.
+
+        A one-segment plan -- the common case on every topology; bridged
+        routes only occur for GBAVI neighbour and SplitBA cross-subsystem
+        traffic -- is one :meth:`BusSegment.occupy` tenure, returned itself
+        so that the caller drives it with no generator in between.
+
+        ``items`` charges the grant and the device latency per item (used
+        for grouped cache-miss bursts: each miss re-arbitrates).
+        """
+        memory_cycles = device_latency * items
+        segment = plan.single
+        if segment is not None:
+            return segment.occupy(pe.name, words, write, memory_cycles, items)
+        return self._occupy_bridged(pe.name, plan, words, write, memory_cycles, items)
+
+    def _occupy_bridged(
+        self,
+        master: str,
+        plan: _PreparedPlan,
+        words: int,
+        write: bool,
+        memory_cycles: int,
+        items: int,
+    ) -> Generator:
+        """Hold every segment of a bridged ``plan`` for one transfer.
 
         Bridged transactions (GBAVI neighbour reads, SplitBA cross-subsystem
         accesses) win *all* segments on the route before data moves -- the
@@ -452,73 +477,15 @@ class Machine:
         buffer, so the whole path behaves as one electrically-joined bus for
         the duration.  Holding the source segment while waiting for the
         next hop's grant produces the convoying contention that penalizes
-        bridge-heavy topologies.
-
-        ``items`` charges arbitration and device latency per item (used for
-        grouped cache-miss bursts: each miss re-arbitrates).
+        bridge-heavy topologies.  Each segment's arbitration counts from
+        the transaction's entry to its claim.  A segment is held from its
+        claim, and its tenure ends through :meth:`BusSegment.end_tenure`,
+        with the probe it opened with, in reverse acquisition order, also
+        when the transfer is interrupted before it holds the whole route.
         """
         sim = self.sim
-        master = pe.name
-        memory_cycles = device_latency * items
-        segment = plan.single
-        if segment is not None:
-            # Fast path: the transfer stays on one segment (the common case
-            # on every topology -- bridged routes only occur for GBAVI
-            # neighbour and SplitBA cross-subsystem traffic).
-            entry = sim.now
-            faults = self._faults
-            if faults is not None and segment.name in faults.guarded_segments:
-                yield from faults.acquire(segment, master)
-            elif not segment.arbiter.try_claim(master):
-                yield segment.arbiter.request(master)
-            acquired = sim.now
-            probe = segment.probe
-            if probe is not None:
-                probe.on_transfer_open(segment, master)
-            grant = segment.write_grant_cycles if write else segment.grant_cycles
-            words_per_beat = segment.words_per_beat
-            beats = (
-                (max(words, 1) + words_per_beat - 1)
-                // words_per_beat
-                * segment.beat_cycles
-            )
-            try:
-                # Grant latency and the data beats are one uninterrupted
-                # tenure with no observable state change in between, so they
-                # are charged as a single kernel event.
-                yield grant * items + beats + memory_cycles
-            except GeneratorExit:
-                raise  # closed with a discarded machine: counts nothing
-            except BaseException:
-                segment.end_tenure(master, entry, acquired, words, write, memory_cycles, probe)
-                raise
-            end = sim.now
-            segment.arbiter.release(master)
-            if probe is not None:
-                probe.on_transfer_close(segment, master)
-            # Inlined BusStats.record (hot path: one call per bus tenure)
-            # without materializing a TransferTiming.
-            stats = segment.stats
-            stats.transactions += 1
-            if write:
-                stats.write_transactions += 1
-            else:
-                stats.read_transactions += 1
-            stats.words_moved += words
-            stats.busy_cycles += end - entry
-            stats.arbitration_cycles += acquired - entry
-            stats.memory_cycles += memory_cycles
-            per_master = stats.per_master
-            per_master[master] = per_master.get(master, 0) + 1
-            if probe is not None:
-                probe.on_tenure(
-                    segment, master, entry, acquired, end,
-                    words, write, memory_cycles,
-                )
-            return
-        held_segments: List[BusSegment] = []
         entry = sim.now
-        acquired_at: List[int] = []
+        held = []  # (segment, claim cycle, the probe its tenure opened with)
         # Acquire in a canonical (name-sorted) order so that two crossing
         # transactions travelling in opposite directions cannot hold-and-
         # wait on each other's segments -- the bridge controller only joins
@@ -530,12 +497,11 @@ class Machine:
                     yield from faults.acquire(segment, master)
                 elif not segment.arbiter.try_claim(master):
                     yield segment.arbiter.request(master)
-                acquired_at.append(sim.now)
-                grant = segment.write_grant_cycles if write else segment.grant_cycles
-                yield grant * items
-                held_segments.append(segment)
-                if segment.probe is not None:
-                    segment.probe.on_transfer_open(segment, master)
+                probe = segment.probe
+                if probe is not None:
+                    probe.on_transfer_open(segment, master)
+                held.append((segment, sim.now, probe))
+                yield (segment.write_grant_cycles if write else segment.grant_cycles) * items
             words_per_beat = plan.words_per_beat
             beats = (max(words, 1) + words_per_beat - 1) // words_per_beat * plan.beat_cycles
             hops = 0
@@ -543,28 +509,11 @@ class Machine:
                 hops += bridge.cross(master)
             yield beats + hops + memory_cycles
         except GeneratorExit:
-            held_segments.clear()  # closed with a discarded machine: counts nothing
+            held.clear()  # closed with a discarded machine: counts nothing
             raise
         finally:
-            end = sim.now
-            for segment in reversed(held_segments):
-                segment.arbiter.release(master)
-                if segment.probe is not None:
-                    segment.probe.on_transfer_close(segment, master)
-            for index, segment in enumerate(held_segments):
-                timing = TransferTiming(
-                    start=entry,
-                    end=end,
-                    arbitration=acquired_at[index] - entry,
-                    transfer=end - acquired_at[index] - memory_cycles,
-                    memory=memory_cycles,
-                )
-                segment.stats.record(master, words, write, timing)
-                if segment.probe is not None:
-                    segment.probe.on_tenure(
-                        segment, master, entry, acquired_at[index], end,
-                        words, write, memory_cycles,
-                    )
+            for segment, acquired, probe in reversed(held):
+                segment.end_tenure(master, entry, acquired, words, write, memory_cycles, probe)
 
     def transaction(
         self,
@@ -681,8 +630,9 @@ class Machine:
         simulator's event count stays proportional to groups.
 
         A group bound for a memory over one segment of an unhooked machine
-        (no probe, no fault injector) runs its tenure inline: what
-        :meth:`_occupy_path` does, without a generator per group.
+        (no probe, no fault injector) claims and yields its tenure inline
+        and ends it through :meth:`BusSegment.end_tenure`: what
+        :meth:`BusSegment.occupy` does, without a generator per group.
         """
         device = self.devices[device_name]
         plan = self._plan_for(pe, device)
@@ -723,20 +673,7 @@ class Machine:
                 except BaseException:
                     segment.end_tenure(master, entry, acquired, words, write, memory_cycles, None)
                     raise
-                end = sim.now
-                arbiter.release(master)
-                stats = segment.stats
-                stats.transactions += 1
-                if write:
-                    stats.write_transactions += 1
-                else:
-                    stats.read_transactions += 1
-                stats.words_moved += words
-                stats.busy_cycles += end - entry
-                stats.arbitration_cycles += acquired - entry
-                stats.memory_cycles += memory_cycles
-                per_master = stats.per_master
-                per_master[master] = per_master.get(master, 0) + 1
+                segment.end_tenure(master, entry, acquired, words, write, memory_cycles, None)
             if memory is not None:
                 # Account traffic volume without disturbing program data:
                 # refills read, writebacks write, against a scratch region.
@@ -825,9 +762,10 @@ class Machine:
         ``LookupError`` at the first read.
 
         On an unhooked machine (no probe, no fault injector) the loop runs
-        its probe and, over a one-segment route, its read's tenure inline:
-        what ``pe.compute`` and :meth:`transaction` (or ``pe.bus_read``)
-        would do, without a generator per step.  It tests for hooks on
+        its probe and, over a one-segment route, its read's tenure inline,
+        ending it through :meth:`BusSegment.end_tenure`: what
+        ``pe.compute`` and :meth:`transaction` (or ``pe.bus_read``) would
+        do, without a generator per step.  It tests for hooks on
         every iteration, so a probe attached mid-wait sees the next read.
         On the compiled backend the loops register a :class:`_PollLoop` and
         park at ``interval_max`` -- unless a probe that needs every hook
@@ -922,22 +860,12 @@ class Machine:
                     except BaseException:
                         segment.end_tenure(master, entry, acquired, 1, False, latency, None)
                         raise
-                    end = sim.now
-                    arbiter.release(master)
-                    bus = segment.stats
-                    bus.transactions += 1
-                    bus.read_transactions += 1
-                    bus.words_moved += 1
-                    bus.busy_cycles += end - entry
-                    bus.arbitration_cycles += acquired - entry
-                    bus.memory_cycles += latency
-                    per_master = bus.per_master
-                    per_master[master] = per_master.get(master, 0) + 1
+                    segment.end_tenure(master, entry, acquired, 1, False, latency, None)
                     if registers:
                         observed = block.read(key)
                     else:
                         observed = memory.read(address, 1)[0]
-                        stats.bus_cycles += end - entry
+                        stats.bus_cycles += sim.now - entry
                         stats.words_read += 1
                 stats.handshake_polls += 1
                 if observed == value:
@@ -1237,8 +1165,8 @@ class MachineBuilder:
     segments, memories, PEs, bridges and FIFO/handshake links the graph
     holds.  What the RTL does not encode comes from the spec -- memory
     types and names, bus address widths, write-grant cycles -- or from
-    the builder: the CPI and the arbiter-policy override.  The builder
-    also picks the simulator (an existing one or a backend by name).
+    the builder: the arbiter-policy override and the scheduler backend.
+    Every PE runs at :class:`ProcessingElement`'s CPI of 0.4.
 
     Observers and fault injectors attach to the built machine:
     :meth:`Machine.attach_observability`, :meth:`Machine.attach_monitors`,
@@ -1260,25 +1188,12 @@ class MachineBuilder:
     def __init__(self, system):
         # A BusSystemSpec, or the GeneratedBusSystem BusSyn made from one.
         self.system = system
-        self._sim: Optional[Simulator] = None
         self._kernel: Optional[str] = None
-        self._cpi = 0.4
         self._arbiter_policy: Optional[str] = None
-
-    # -- simulator selection ------------------------------------------------
-    def with_sim(self, sim: Simulator) -> "MachineBuilder":
-        """Use an existing simulator (mutually exclusive with with_kernel)."""
-        self._sim = sim
-        return self
 
     def with_kernel(self, kernel: Optional[str]) -> "MachineBuilder":
         """Pick the scheduler backend (``heap``/``compiled``)."""
         self._kernel = kernel
-        return self
-
-    # -- elaboration options ------------------------------------------------
-    def with_cycles_per_instruction(self, cpi: float) -> "MachineBuilder":
-        self._cpi = cpi
         return self
 
     def with_arbiter_policy(self, policy: Optional[str]) -> "MachineBuilder":
@@ -1286,7 +1201,6 @@ class MachineBuilder:
         self._arbiter_policy = policy
         return self
 
-    # -- build ----------------------------------------------------------------
     def build(self) -> Machine:
         from ..verify.graph import graph_from_design
 
@@ -1296,16 +1210,13 @@ class MachineBuilder:
         spec = generated.spec
         graph = graph_from_design(generated.design())
         del generated  # a generated spec's design is garbage from here on
-        sim = self._sim if self._sim is not None else Simulator(kernel=self._kernel)
-        machine = Machine(sim, spec)
-        _Builder(machine, graph, self._cpi, self._arbiter_policy).build()
+        machine = Machine(Simulator(kernel=self._kernel), spec)
+        _Builder(machine, graph, self._arbiter_policy).build()
         return machine
 
 
 def build_machine(
     system,
-    sim: Optional[Simulator] = None,
-    cycles_per_instruction: float = 0.4,
     arbiter_policy: Optional[str] = None,
     kernel: Optional[str] = None,
 ) -> Machine:
@@ -1317,14 +1228,11 @@ def build_machine(
     overrides every bus's arbiter policy (for the arbitration-policy
     ablation); ``kernel`` picks the scheduler backend
     (``"heap"``/``"compiled"``, default
-    :func:`repro.sim.kernel.default_kernel`) when no ``sim`` is supplied.
+    :func:`repro.sim.kernel.default_kernel`).
     """
-    builder = MachineBuilder(system)
-    if sim is not None:
-        builder.with_sim(sim)
     return (
-        builder.with_kernel(kernel)
-        .with_cycles_per_instruction(cycles_per_instruction)
+        MachineBuilder(system)
+        .with_kernel(kernel)
         .with_arbiter_policy(arbiter_policy)
         .build()
     )
@@ -1341,17 +1249,10 @@ class _Builder:
     system bridges come last.
     """
 
-    def __init__(
-        self,
-        machine: Machine,
-        graph: FabricGraph,
-        cycles_per_instruction: float,
-        arbiter_policy: Optional[str],
-    ):
+    def __init__(self, machine: Machine, graph: FabricGraph, arbiter_policy: Optional[str]):
         self.machine = machine
         self.sim = machine.sim
         self.graph = graph
-        self.cpi = cycles_per_instruction
         self.arbiter_policy = arbiter_policy
         # Graph BAN name -> its spec (names, memory types).
         self.bans = {ban.name.upper(): ban for ban in machine.spec.all_bans}
@@ -1463,7 +1364,6 @@ class _Builder:
             self.sim,
             name,
             machine,
-            cycles_per_instruction=self.cpi,
             program_device=program,
             program_base=0,
             code_footprint_words=CODE_FOOTPRINT_WORDS,

@@ -8,10 +8,7 @@ observations (A)-(D) under Table II.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Mapping
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .bus import TransferTiming
+from typing import Any, Dict, Mapping
 
 __all__ = ["BusStats", "PeStats", "segment_totals"]
 
@@ -19,9 +16,13 @@ __all__ = ["BusStats", "PeStats", "segment_totals"]
 class BusStats:
     """Aggregate counters for one bus segment.
 
-    Every tenure adds to them, on every fabric path and backend, whether or
-    not an observer is attached (an :class:`repro.obs.Observability` keeps
-    the arbitration-wait distribution and occupancy over time itself).
+    Every tenure adds to them when it ends, in
+    :meth:`repro.sim.bus.BusSegment.end_tenure`, on every fabric path and
+    backend, whether or not an observer is attached (an
+    :class:`repro.obs.Observability` keeps the arbitration-wait
+    distribution and occupancy over time itself).  A tenure's arbitration
+    runs from its request (a bridged transfer's entry) to the cycle its
+    master claims the segment.
     """
 
     def __init__(self, name: str):
@@ -35,18 +36,6 @@ class BusStats:
         self.memory_cycles = 0
         self.per_master: Dict[str, int] = {}
 
-    def record(self, master: str, words: int, write: bool, timing: "TransferTiming") -> None:
-        self.transactions += 1
-        if write:
-            self.write_transactions += 1
-        else:
-            self.read_transactions += 1
-        self.words_moved += words
-        self.busy_cycles += timing.total
-        self.arbitration_cycles += timing.arbitration
-        self.memory_cycles += timing.memory
-        self.per_master[master] = self.per_master.get(master, 0) + 1
-
     @property
     def held_cycles(self) -> int:
         """Cycles a master actually owned the segment (tenure only).
@@ -54,7 +43,8 @@ class BusStats:
         ``busy_cycles`` spans request to completion and therefore counts
         overlapping arbitration *waits* from multiple queued masters more
         than once; ownership is exclusive, so tenure can never exceed
-        elapsed time.
+        elapsed time.  In a fault-free run it equals the arbiter's
+        ``busy_cycles``, which runs from grant to release.
         """
         return self.busy_cycles - self.arbitration_cycles
 

@@ -14,11 +14,11 @@ For every architecture under test this runs, per scheduler backend:
 
 then asserts backend parity on cycle counts and on the per-segment
 totals of the bare run's :class:`~repro.sim.stats.BusStats` carried by
-every case row (:func:`~repro.sim.stats.segment_totals`), whose
-transactions must also equal the arbiters' grant counts in these
-fault-free sweeps.  Cases fan out over the parallel experiment runner, so
-``repro verify --jobs N`` sweeps architectures concurrently with
-deterministic results.
+every case row (:func:`~repro.sim.stats.segment_totals`).  In these
+fault-free sweeps each segment's transactions must also equal its
+arbiter's grants, and its held cycles the arbiter's busy cycles.  Cases
+fan out over the parallel experiment runner, so ``repro verify --jobs N``
+sweeps architectures concurrently with deterministic results.
 """
 
 from __future__ import annotations
@@ -73,13 +73,21 @@ def run_verify_case(
 
     bare_machine = generated.build_machine(kernel=backend)
     baseline = run_ofdm(bare_machine, style, OfdmParameters(packets=packets))
-    # Fault-free sweep: every retired tenure is exactly one arbiter grant.
-    grant_findings = [
-        "%s: BusStats transactions %d != arbiter grants %d"
-        % (name, segment.stats.transactions, segment.arbiter.grants)
-        for name, segment in sorted(bare_machine.segments.items())
-        if segment.stats.transactions != segment.arbiter.grants
-    ]
+    # Fault-free sweep: every retired tenure is exactly one arbiter grant,
+    # and a segment is held exactly while its arbiter is busy.
+    tenure_findings = []
+    for name, segment in sorted(bare_machine.segments.items()):
+        stats, arbiter = segment.stats, segment.arbiter
+        if stats.transactions != arbiter.grants:
+            tenure_findings.append(
+                "%s: BusStats transactions %d != arbiter grants %d"
+                % (name, stats.transactions, arbiter.grants)
+            )
+        if stats.held_cycles != arbiter.busy_cycles:
+            tenure_findings.append(
+                "%s: BusStats held cycles %d != arbiter busy cycles %d"
+                % (name, stats.held_cycles, arbiter.busy_cycles)
+            )
 
     monitored_machine = generated.build_machine(kernel=backend)
     monitor = monitored_machine.attach_monitors(fail_fast=False)
@@ -102,7 +110,7 @@ def run_verify_case(
         "transfers": monitor.transfers_opened,
         "counters": segment_totals(bare_machine.segments),
         "structural_findings": structural,
-        "runtime_findings": runtime + grant_findings,
+        "runtime_findings": runtime + tenure_findings,
     }
 
 

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.obs import Probe
+from repro.options import presets
 from repro.sim.bus import BusBridge, BusSegment, find_route
+from repro.sim.fabric import build_machine
 from repro.sim.kernel import KERNEL_BACKENDS, Interrupt, Simulator
 
 
@@ -12,54 +14,83 @@ def sim():
     return Simulator()
 
 
-def occupy(sim, segment, master, words, write=False, extra=0, start=0):
-    timings = []
+class Tenures(Probe):
+    """Records each tenure as ``(master, start, acquired, end, words, memory)``."""
 
-    def body():
-        yield sim.timeout(start)
-        timing = yield from segment.occupy(master, words, write, extra_cycles=extra)
-        timings.append(timing)
+    def __init__(self):
+        self.seen = []
 
-    sim.process(body())
-    return timings
+    def on_tenure(self, segment, master, start, acquired, end, words, write, memory):
+        self.seen.append((master, start, acquired, end, words, memory))
+
+
+def observe(segment):
+    """The tenures ``segment`` ends from here on."""
+    probe = Tenures()
+    segment.probe = probe
+    return probe.seen
+
+
+def occupy(sim, segment, master, words, write=False, extra=0):
+    return sim.process(segment.occupy(master, words, write, extra_cycles=extra))
+
+
+def cycles(segment):
+    stats = segment.stats
+    return stats.busy_cycles, stats.arbitration_cycles, stats.held_cycles
 
 
 class TestBusSegment:
     def test_read_timing(self, sim):
         segment = BusSegment(sim, "bus", grant_cycles=3)
-        timings = occupy(sim, segment, "m0", 64)
+        tenures = observe(segment)
+        occupy(sim, segment, "m0", 64)
         sim.run()
-        timing = timings[0]
-        # 3 grant + 32 beats (64-bit bus = 2 words/beat).
-        assert timing.arbitration == 3
-        assert timing.transfer == 32
-        assert timing.total == 35
+        # Claimed at once: 3 grant + 32 beats (64-bit bus = 2 words/beat),
+        # all of it held.
+        assert sim.now == 35
+        assert tenures == [("m0", 0, 0, 35, 64, 0)]
+        assert cycles(segment) == (35, 0, 35)
 
     def test_write_grant_override(self, sim):
         segment = BusSegment(sim, "bus", grant_cycles=5, write_grant_cycles=3)
-        reads = occupy(sim, segment, "r", 2, write=False)
+        tenures = observe(segment)
+        occupy(sim, segment, "r", 2, write=False)
         sim.run()
-        assert reads[0].arbitration == 5
-        writes = occupy(sim, segment, "w", 2, write=True)
+        occupy(sim, segment, "w", 2, write=True)
         sim.run()
-        assert writes[0].arbitration == 3
+        assert tenures == [("r", 0, 0, 6, 2, 0), ("w", 6, 6, 10, 2, 0)]
+        stats = segment.stats
+        assert (stats.read_transactions, stats.write_transactions) == (1, 1)
 
     def test_beat_cycles_scale_transfer(self, sim):
         segment = BusSegment(sim, "bus", beat_cycles=2)
-        timings = occupy(sim, segment, "m", 64)
+        occupy(sim, segment, "m", 64)
         sim.run()
-        assert timings[0].transfer == 64  # 32 beats x 2 cycles
+        assert sim.now == 3 + 64  # 32 beats x 2 cycles
+        assert cycles(segment) == (67, 0, 67)
 
     def test_memory_latency_held_on_bus(self, sim):
         segment = BusSegment(sim, "bus")
-        timings = occupy(sim, segment, "m", 2, extra=7)
+        tenures = observe(segment)
+        occupy(sim, segment, "m", 2, extra=7)
         sim.run()
-        assert timings[0].memory == 7
-        assert timings[0].total == 3 + 1 + 7
+        assert tenures == [("m", 0, 0, 3 + 1 + 7, 2, 7)]
+        assert segment.stats.memory_cycles == 7
+        assert cycles(segment) == (11, 0, 11)
+
+    def test_items_pay_one_grant_each(self, sim):
+        segment = BusSegment(sim, "bus", grant_cycles=3)
+        sim.process(segment.occupy("m", 8, False, extra_cycles=4, items=4))
+        sim.run()
+        assert sim.now == 4 * 3 + 4 + 4
+        assert cycles(segment) == (20, 0, 20)
 
     def test_zero_words_still_one_beat(self, sim):
         segment = BusSegment(sim, "bus")
-        assert segment.beats_for(0) == 1
+        occupy(sim, segment, "m", 0)
+        sim.run()
+        assert sim.now == 3 + 1
 
     def test_data_width_must_be_word_multiple(self, sim):
         with pytest.raises(ValueError):
@@ -67,12 +98,16 @@ class TestBusSegment:
 
     def test_contention_serializes(self, sim):
         segment = BusSegment(sim, "bus")
-        first = occupy(sim, segment, "a", 64)
-        second = occupy(sim, segment, "b", 64)
+        tenures = observe(segment)
+        occupy(sim, segment, "a", 64)
+        occupy(sim, segment, "b", 64)
         sim.run()
-        assert second[0].start == 0
-        assert second[0].end > first[0].end
+        # b asks at 0 and claims the segment when a releases it.
+        assert tenures == [("a", 0, 0, 35, 64, 0), ("b", 0, 35, 70, 64, 0)]
         assert segment.stats.transactions == 2
+        assert cycles(segment) == (105, 35, 70)
+        arbiter = segment.arbiter
+        assert (arbiter.busy_cycles, arbiter.wait_cycles) == (70, 35)
 
     def test_closed_tenure_releases_nothing(self, sim):
         """A FIFO tenure whose generator is closed mid-burst (collected
@@ -89,21 +124,16 @@ class TestBusSegment:
         assert before == (1, 0, 0, "a")
         assert segment.stats.transactions == 0
 
-    @pytest.mark.parametrize("at, arbitration", [(10, 3), (2, 2)])
+    @pytest.mark.parametrize("at", [10, 2])
     @pytest.mark.parametrize("kernel", KERNEL_BACKENDS)
-    def test_interrupted_tenure_is_counted(self, kernel, at, arbitration):
-        """A burst interrupted mid-tenure releases the segment and counts
-        as one transaction ending at the interruption, its grant boundary
-        no later than that, where the arbiter counts the grant."""
+    def test_interrupted_tenure_is_counted(self, kernel, at):
+        """A burst interrupted mid-tenure -- in its data beats at 10, in
+        its grant latency at 2 -- releases the segment and counts as one
+        transaction ending at the interruption.  Its arbitration ended at
+        the claim, where the arbiter counts the grant."""
         sim = Simulator(kernel=kernel)
         segment = BusSegment(sim, "bus", grant_cycles=3)
-        tenures = []
-
-        class Tenures(Probe):
-            def on_tenure(self, segment, master, start, acquired, end, words, write, memory):
-                tenures.append((master, start, acquired, end, words))
-
-        segment.probe = Tenures()
+        tenures = observe(segment)
 
         def burst():
             with pytest.raises(Interrupt):
@@ -118,15 +148,43 @@ class TestBusSegment:
         sim.process(reset())
         sim.run()
         arbiter = segment.arbiter
-        assert (arbiter.grants, arbiter.busy_cycles, arbiter.owner) == (1, at, None)
-        stats = segment.stats
-        assert (stats.transactions, stats.busy_cycles, stats.arbitration_cycles) == (
+        assert (arbiter.grants, arbiter.busy_cycles, arbiter.wait_cycles, arbiter.owner) == (
             1,
             at,
-            arbitration,
+            0,
+            None,
         )
+        stats = segment.stats
+        assert (stats.transactions, stats.busy_cycles, stats.arbitration_cycles) == (1, at, 0)
         assert stats.per_master == {"m": 1}
-        assert tenures == [("m", 0, arbitration, at, 64)]
+        assert tenures == [("m", 0, 0, at, 64, 0)]
+
+    @pytest.mark.parametrize("kernel", KERNEL_BACKENDS)
+    def test_fifo_push_counts_like_a_fabric_write(self, kernel):
+        """A FIFO push and a fabric write of the same words on one segment
+        add the same arbitration, busy and held cycles: both claim the
+        segment at once and hold it through the grant latency."""
+        machine = build_machine(presets.preset("BFBA", 4), kernel=kernel)
+        pe = machine.pe("A")
+        device, fifo = machine.fifo_for("A", "B")
+        registers = machine.hsregs_for("A", "B")
+        segment = machine.home_segment[pe.name]
+        added = []
+
+        def program():
+            before = cycles(segment)
+            yield from machine.fifo_push(pe, device, fifo, [7])
+            middle = cycles(segment)
+            yield from machine.reg_write(pe, registers.name, "DONE_OP", 1)
+            after = cycles(segment)
+            for old, new in ((before, middle), (middle, after)):
+                added.append(tuple(b - a for a, b in zip(old, new)))
+
+        pe.run(program())
+        machine.sim.run()
+        # busy, arbitration, held: 3 grant cycles and one beat.
+        assert added == [(4, 0, 4), (4, 0, 4)]
+        assert segment.stats.held_cycles == segment.arbiter.busy_cycles
 
     def test_stats_utilization(self, sim):
         segment = BusSegment(sim, "bus")

@@ -245,3 +245,31 @@ class TestCliExits:
         assert len(lines) == 1
         assert lines[0].startswith("repro: unknown scheduler backend %r" % name)
         assert lines[0].endswith("(expected heap or compiled)")
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["simulate", "--preset", "BFBA", "--app", "ofdm", "--no-ledger"],
+             "FPA needs a shared memory"),
+            (["simulate", "--preset", "BFBA", "--app", "database", "--no-ledger"],
+             "the database example requires a shared memory"),
+            (["simulate", "--preset", "GBAVI", "--app", "ofdm", "--style", "PPA",
+              "--pes", "2", "--no-ledger"],
+             "PPA needs four BANs"),
+            (["trace", "--preset", "BFBA", "--app", "database"],
+             "the database example requires a shared memory"),
+        ],
+        ids=["ofdm-default-fpa", "database", "ppa-two-pes", "trace-database"],
+    )
+    def test_app_the_machine_cannot_run_exits_2(self, argv, message, tmp_path, capsys):
+        # A preset, app and style that cannot run together is an option
+        # error: one ``repro: option error:`` line, no traceback, no trace.
+        out = tmp_path / "trace.json"
+        if argv[0] == "trace":
+            argv = argv + ["-o", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro: option error: " + message)
+        assert captured.err.count("\n") == 1
+        assert not out.exists()

@@ -5,6 +5,7 @@ import pytest
 from repro.options import presets
 from repro.options.schema import OptionError
 from repro.sim.fabric import CODE_FOOTPRINT_WORDS, build_machine
+from repro.sim.kernel import Interrupt
 from repro.sim.pe import ProgramError
 from repro.soc.api import SocAPI
 
@@ -123,6 +124,34 @@ class TestTransactions:
         machine.sim.run()
         assert process.value == [42]
         assert machine.bridges[0].crossings == 2
+
+    @pytest.mark.parametrize("at", [1, 7])
+    def test_interrupted_bridged_transfer_releases_what_it_holds(self, at):
+        """A bridged read interrupted in its first segment's grant latency
+        (at 1) or in its data beats (at 7) releases and counts every
+        segment it claimed, and leaves no arbiter owned."""
+        machine = build_machine(presets.preset("GBAVI", 4))
+        pe = machine.pe("A")
+        route = machine._plan_for(pe, machine.devices["SRAM_B"]).segments
+        assert [segment.name for segment in route] == ["CPU_BUS_A", "CPU_BUS_B"]
+
+        def program():
+            with pytest.raises(Interrupt):
+                yield from machine.transaction(pe, "SRAM_B", 0, 8, False)
+
+        process = machine.sim.process(program())
+
+        def reset():
+            yield at
+            process.interrupt("reset")
+
+        machine.sim.process(reset())
+        machine.sim.run()
+        claimed = [1, 0] if at == 1 else [1, 1]
+        assert [segment.arbiter.owner for segment in route] == [None, None]
+        assert [segment.arbiter.grants for segment in route] == claimed
+        assert [segment.stats.transactions for segment in route] == claimed
+        assert route[0].stats.busy_cycles == at
 
     def test_opposing_bridge_crossings_no_deadlock(self):
         """Simultaneous A->far and C->near crossings must not deadlock."""

@@ -1,5 +1,5 @@
-"""MachineBuilder: one composition point for kernels, CPI and arbiter
-policy, building the machine from the generated netlist.
+"""MachineBuilder: one composition point for kernels and arbiter policy,
+building the machine from the generated netlist.
 
 ``build_machine`` stays a thin keyword wrapper over the builder and is
 tested as such.  The layout of every preset's machine is pinned by
@@ -21,7 +21,7 @@ from repro.core.busyn import BusSyn
 from repro.obs import Observability
 from repro.options import presets
 from repro.sim.fabric import Machine, MachineBuilder, build_machine
-from repro.sim.kernel import KERNEL_BACKENDS, KERNEL_ENV, Simulator
+from repro.sim.kernel import KERNEL_BACKENDS, KERNEL_ENV
 from repro.verify import graph_from_design
 
 BACKENDS = list(KERNEL_BACKENDS)
@@ -133,15 +133,9 @@ def _smoke_plan():
 
 
 class TestBuilderComposition:
-    def test_with_sim_uses_given_simulator(self):
-        sim = Simulator(kernel="compiled")
-        machine = MachineBuilder(_spec()).with_sim(sim).build()
-        assert machine.sim is sim
-
     def test_fluent_calls_return_builder(self):
         builder = MachineBuilder(_spec())
         assert builder.with_kernel("heap") is builder
-        assert builder.with_cycles_per_instruction(0.5) is builder
         assert builder.with_arbiter_policy(None) is builder
 
     @pytest.mark.parametrize("hooks", ["tracer", "monitor", "faults"])
@@ -222,20 +216,9 @@ class TestBuildMachineBackCompat:
         for kernel in BACKENDS:
             assert build_machine(_spec(), kernel=kernel).sim.kernel_name == kernel
 
-    def test_sim_kwarg_forwards(self):
-        sim = Simulator(kernel="heap")
-        assert build_machine(_spec(), sim=sim).sim is sim
-
     def test_elaboration_kwargs_match_builder(self):
-        legacy = build_machine(
-            _spec(), cycles_per_instruction=0.5, arbiter_policy="round_robin"
-        )
-        built = (
-            MachineBuilder(_spec())
-            .with_cycles_per_instruction(0.5)
-            .with_arbiter_policy("round_robin")
-            .build()
-        )
+        legacy = build_machine(_spec(), arbiter_policy="round_robin")
+        built = MachineBuilder(_spec()).with_arbiter_policy("round_robin").build()
         assert {
             name: type(segment.arbiter).__name__
             for name, segment in legacy.segments.items()
@@ -244,4 +227,4 @@ class TestBuildMachineBackCompat:
             for name, segment in built.segments.items()
         }
         for machine in (legacy, built):
-            assert {pe.cycles_per_instruction for pe in machine.pes.values()} == {0.5}
+            assert {pe.cycles_per_instruction for pe in machine.pes.values()} == {0.4}

@@ -53,17 +53,6 @@ class TestOverridesAndKnobs:
         segment = machine.segments["GLOBAL_BUS_SUB1"]
         assert segment.arbiter.policy_name == "round_robin"
 
-    def test_cpi_override(self):
-        machine = build_machine(presets.preset("GBAVIII", 4), cycles_per_instruction=1.0)
-        pe = machine.pe("A")
-
-        def program():
-            yield from pe.compute(100)
-
-        pe.run(program())
-        machine.sim.run()
-        assert pe.stats.compute_cycles == 100
-
     def test_elapsed_seconds(self):
         machine = build_machine(presets.preset("GBAVIII", 4))
         machine.sim.timeout(100_000_000)  # one second at 100 MHz

@@ -18,7 +18,6 @@ from repro.obs import Observability, Probe
 from repro.obs.metrics import (
     DEFAULT_CYCLE_BUCKETS,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     TimeSeries,
@@ -254,6 +253,28 @@ class TestMidRunProbe:
         assert calls["on_transfer_open"] == calls["on_transfer_close"] == calls["on_tenure"]
         assert run("compiled") == heap
 
+    @pytest.mark.parametrize("at", [1, 4])
+    def test_monitor_attached_mid_bridged_transfer_finds_nothing(self, at):
+        """A bridged read in flight when a monitor attaches -- holding its
+        first segment (at 1) or both (at 4) -- closes each segment with
+        the probe it opened with: the monitor sees no close without an
+        open."""
+        machine = build_machine(presets.preset("GBAVI", 4))
+        pe = machine.pe("A")
+        monitors = []
+
+        def read():
+            yield from machine.transaction(pe, "SRAM_B", 0, 8, False)
+
+        def attach():
+            yield at
+            monitors.append(machine.attach_monitors(fail_fast=False))
+
+        machine.sim.process(read())
+        machine.sim.process(attach())
+        machine.sim.run()
+        assert [str(finding) for finding in monitors[0].finalize()] == []
+
 
 class TestChromeTrace:
     def test_traced_run_exports_valid_chrome_trace(self, tmp_path):
@@ -329,7 +350,7 @@ class TestChromeTrace:
 
 
 class TestMetrics:
-    def test_counter_and_gauge(self):
+    def test_counter(self):
         counter = Counter("c")
         counter.inc()
         counter.inc(4)
@@ -338,10 +359,6 @@ class TestMetrics:
         other.inc(2)
         counter.merge(other)
         assert counter.as_dict() == {"kind": "counter", "value": 7}
-        gauge = Gauge("g")
-        gauge.set(3)
-        gauge.set(1)
-        assert (gauge.value, gauge.max_value) == (1, 3)
 
     def test_histogram_percentiles_capped_at_max(self):
         hist = Histogram("h")
@@ -386,12 +403,11 @@ class TestMetrics:
         registry = MetricsRegistry()
         registry.counter("z.count").inc()
         registry.histogram("a.wait").observe(2)
-        registry.gauge("m.depth").set(4)
         registry.time_series("q.occ", window=64).add(0, 10)
-        assert registry.names() == ["a.wait", "m.depth", "q.occ", "z.count"]
+        assert registry.names() == ["a.wait", "q.occ", "z.count"]
         assert list(registry.as_dict()) == registry.names()
         with pytest.raises(TypeError):
-            registry.gauge("z.count")
+            registry.histogram("z.count")
         # same-name same-type returns the existing metric
         assert registry.counter("z.count").value == 1
 

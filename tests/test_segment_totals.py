@@ -4,7 +4,9 @@ Pins what chaos, verify and the fuzz parity fingerprint rely on in
 :func:`repro.sim.stats.segment_totals`:
 
 * in a fault-free run every segment's ``transactions`` equals its
-  arbiter's ``grants`` -- one grant per completed tenure -- on every
+  arbiter's ``grants`` -- one grant per completed tenure -- and its
+  ``held_cycles`` the arbiter's ``busy_cycles`` -- every tenure, FIFO
+  bursts included, is held from its claim to its release -- on every
   backend;
 * the per-segment totals, and the run's cycles, are identical on heap and
   compiled.
@@ -23,8 +25,10 @@ from repro.sim.stats import segment_totals
 PRESET_STYLES = [
     ("BFBA", "PPA"),
     ("GBAVI", "PPA"),
+    ("GBAVII", "FPA"),
     ("GBAVIII", "FPA"),
     ("HYBRID", "FPA"),
+    ("HYBRID", "PPA"),
     ("SPLITBA", "FPA"),
     ("GGBA", "FPA"),
     ("CCBA", "FPA"),
@@ -52,10 +56,11 @@ class TestSegmentTotals:
 
     @pytest.mark.parametrize("arch,style", PRESET_STYLES)
     @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
-    def test_fault_free_transactions_equal_arbiter_grants(self, arch, style, backend):
+    def test_fault_free_tenures_match_arbiter(self, arch, style, backend):
         machine, _result = run(arch, style, backend)
         for name, segment in machine.segments.items():
             assert segment.stats.transactions == segment.arbiter.grants, name
+            assert segment.stats.held_cycles == segment.arbiter.busy_cycles, name
         assert any(segment.stats.transactions for segment in machine.segments.values())
 
     @pytest.mark.parametrize("arch,style", PRESET_STYLES)
