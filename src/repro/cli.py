@@ -1087,8 +1087,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes; shards are assigned by config hash, so the "
-        "frontier is identical at any --jobs value",
+        help="worker processes; shards are assigned by policy-family hash "
+        "(a config's options apart from arbiter_policy), so the frontier is "
+        "identical at any --jobs value",
     )
     dse.add_argument(
         "--budget",
@@ -1098,7 +1099,8 @@ def build_parser() -> argparse.ArgumentParser:
     dse.add_argument(
         "--no-cache",
         action="store_true",
-        help="ignore the artifact cache (re-simulate every config)",
+        help="ignore the artifact cache (run every config again; a "
+        "contention-free run still serves its arbiter-policy siblings)",
     )
     dse.add_argument(
         "--cache-dir",

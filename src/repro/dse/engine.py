@@ -1,8 +1,8 @@
 """Sharded, cache-first execution of a DSE sweep (``repro dse``).
 
 The queue produced by :meth:`~repro.dse.spec.SweepSpec.expand` is split
-into shards by config content hash (``int(key[:8], 16) % shards`` --
-deterministic, independent of queue order) and the shards fan out over
+into shards by policy-family hash (``int(family_key[:8], 16) % shards``
+-- deterministic, independent of queue order) and the shards fan out over
 :func:`repro.experiments.runner.run_cases`, the same process pool the
 experiment tables use.  Each shard worker opens the shared
 :class:`~repro.dse.cache.ArtifactCache` and, per config:
@@ -17,6 +17,15 @@ experiment tables use.  Each shard worker opens the shared
 The missed configs that share a spec -- e.g. the PPA and FPA styles of one
 architecture -- run back to back on one generation, so a shard generates
 each distinct spec once and holds one design at a time.
+
+A *policy family* is the configs equal in every option but
+``arbiter_policy``.  A policy only chooses among two or more queued
+requests, so once one sibling's run has never queued two on any segment
+(:func:`repro.sim.stats.contention_free`), every later sibling in the
+shard takes its metric block instead of building and simulating its own
+machine; it still generates its own design (the gate count is the
+arbiter RTL's), runs its own scoring, and gets its own row and artifact.
+Shards are assigned by family, so ``--jobs`` keeps siblings together.
 
 Everything nondeterministic in a result row lives under ledger-scrubbed
 keys (``seconds``, ``generation_time_ms``, ``cached``), so cold and warm
@@ -34,6 +43,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..core.busyn import BusSyn
 from ..experiments.runner import run_cases
 from ..obs.ledger import content_hash, scrub_timings
+from ..sim.stats import contention_free
 from .cache import DEFAULT_CACHE_DIR, ArtifactCache
 from .pareto import axes_for, pareto_frontier, rank_rows
 from .spec import DseConfig, SweepSpec, build_config_spec
@@ -57,7 +67,7 @@ def resolve_kernel(kernel: Optional[str]) -> str:
 
 
 def shard_of(key: str, shards: int) -> int:
-    """Deterministic shard for a config hash (independent of queue order)."""
+    """Deterministic shard for a content hash (independent of queue order)."""
     return int(key[:8], 16) % shards
 
 
@@ -137,12 +147,45 @@ def _score_verify(config: DseConfig, generated, kernel: str) -> Dict[str, Any]:
     return {"findings": len(findings), "ok": not findings}
 
 
-def _run_config(config: DseConfig, generated, kernel: str) -> Dict[str, Any]:
-    """Simulate one config on ``generated``, its spec's system; returns its
-    (deterministic) row."""
+class _FamilyRuns:
+    """The metric blocks of a shard's contention-free runs, by policy family.
+
+    A policy only reaches the simulation through
+    :meth:`~repro.sim.arbiter.Arbiter._select`, which runs only for a
+    queued request and picks index 0 under every policy when one is
+    queued.  So siblings fire the same events until a second request
+    queues, and a contention-free run has no such moment: either every
+    sibling's run is contention-free and identical, or none is, and
+    whichever runs first decides.  Only the bare run is shared; the
+    resilience and verify scoring runs stay per config.
+    """
+
+    def __init__(self):
+        self.metrics: Dict[str, Dict[str, Any]] = {}
+        self.simulated = 0
+        self.shared = 0
+
+    def metric(self, config: DseConfig, generated, kernel: str) -> Dict[str, Any]:
+        """``config``'s metric block: a contention-free sibling's, or its own
+        run's on a machine built from ``generated``."""
+        family = config.family_key()
+        metric = self.metrics.get(family)
+        if metric is not None:
+            self.shared += 1
+            return dict(metric)
+        machine = generated.build_machine(kernel=kernel)
+        metric = simulate_config(config, machine)
+        self.simulated += 1
+        if contention_free(machine.segments):
+            self.metrics[family] = metric
+        return metric
+
+
+def _run_config(config: DseConfig, generated, kernel: str, runs: _FamilyRuns) -> Dict[str, Any]:
+    """Simulate one config on ``generated``, its spec's system (unless
+    ``runs`` serves its metric block); returns its (deterministic) row."""
     start = time.perf_counter()
-    machine = generated.build_machine(kernel=kernel)
-    metric = simulate_config(config, machine)
+    metric = runs.metric(config, generated, kernel)
     row: Dict[str, Any] = {
         "key": config.key(),
         "options": config.options(),
@@ -170,7 +213,9 @@ def _run_config(config: DseConfig, generated, kernel: str) -> Dict[str, Any]:
     return row
 
 
-def _run_spec(configs: List[DseConfig], tool: BusSyn, kernel: str) -> List[Dict[str, Any]]:
+def _run_spec(
+    configs: List[DseConfig], tool: BusSyn, kernel: str, runs: _FamilyRuns
+) -> List[Dict[str, Any]]:
     """Generate the spec ``configs`` share once and run each of them on it;
     the design is garbage when this returns."""
     generated = None
@@ -179,7 +224,7 @@ def _run_spec(configs: List[DseConfig], tool: BusSyn, kernel: str) -> List[Dict[
         try:
             if generated is None:
                 generated = tool.generate(build_config_spec(config))
-            rows.append(_run_config(config, generated, kernel))
+            rows.append(_run_config(config, generated, kernel, runs))
         except (ValueError, KeyError, RuntimeError) as error:
             rows.append(_error_row(config, error))
     return rows
@@ -215,7 +260,8 @@ def run_dse_shard(
 
     ``shard`` is ``(shard_index, [canonical options dict, ...])``.  The
     result carries the shard's rows, in ``shard`` order, plus its cache
-    economics.
+    economics and how many missed configs were simulated or served by a
+    contention-free sibling (:class:`_FamilyRuns`).
     """
     shard_index, option_dicts = shard
     kernel = resolve_kernel(kernel)
@@ -237,8 +283,10 @@ def run_dse_shard(
                 continue
         by_spec.setdefault(config.spec_fields(), []).append(index)
     tool = BusSyn() if by_spec else None
+    # Spans the spec groups: siblings differ in policy, hence in spec.
+    runs = _FamilyRuns()
     for indices in by_spec.values():
-        spec_rows = _run_spec([configs[index] for index in indices], tool, kernel)
+        spec_rows = _run_spec([configs[index] for index in indices], tool, kernel, runs)
         # The spec's machines are cyclic garbage now: collect them while
         # they are young, so a shard holds one design's worth of memory
         # rather than what the collector's thresholds let pile up (a full
@@ -253,6 +301,8 @@ def run_dse_shard(
         "configs": len(option_dicts),
         "hits": hits,
         "misses": len(option_dicts) - hits,
+        "simulated": runs.simulated,
+        "shared": runs.shared,
         "seconds": time.perf_counter() - start,
         "rows": rows,
     }
@@ -302,7 +352,7 @@ def run_sweep(
     shards = max(1, min(jobs, len(configs))) if configs else 1
     buckets: List[List[Dict[str, Any]]] = [[] for _ in range(shards)]
     for config in configs:
-        buckets[shard_of(config.key(), shards)].append(config.options())
+        buckets[shard_of(config.family_key(), shards)].append(config.options())
     payloads = [(index, bucket) for index, bucket in enumerate(buckets)]
     shard_results, telemetry = run_cases(
         run_dse_shard,
@@ -331,6 +381,8 @@ def run_sweep(
                 "configs": shard["configs"],
                 "hits": shard["hits"],
                 "misses": shard["misses"],
+                "simulated": shard["simulated"],
+                "shared": shard["shared"],
                 "seconds": shard["seconds"],
                 "events_processed": entry.events_processed,
             }
@@ -421,6 +473,11 @@ def format_sweep_lines(summary: Dict[str, Any], top: int = 10) -> List[str]:
             cache_stats["hits"],
             cache_stats["misses"],
         )
+    )
+    shards = summary["shard_stats"]["shards"]
+    lines.append(
+        "%d simulated, %d served by a contention-free arbiter-policy sibling"
+        % (sum(shard["simulated"] for shard in shards), sum(shard["shared"] for shard in shards))
     )
     if summary["errors"]:
         lines.append("%d config(s) errored (kept out of the frontier)" % summary["errors"])

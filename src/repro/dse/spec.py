@@ -13,15 +13,17 @@ Expansion normalizes every combination into a :class:`DseConfig` with a
 *canonical options dict*: dimensions that do not apply to a combination
 (a Bi-FIFO depth on a bus without FIFOs, a programming style for a
 non-OFDM app) are normalized to ``None`` before hashing, so equivalent
-combinations collapse to one queue entry.  Illegal combinations (FPA on
-an architecture without a shared memory, PPA away from four PEs, SplitBA
-below two PEs) are *skipped* with a counted reason rather than raised --
-a sweep over thousands of products is expected to contain holes.
+combinations collapse to one queue entry.  Illegal combinations (FPA or
+the database app on an architecture without a shared memory, PPA away
+from four PEs, SplitBA below two PEs) are *skipped* with a counted reason
+rather than raised -- a sweep over thousands of products is expected to
+contain holes.
 
 The config's identity is ``DseConfig.key()``: the SHA-256 of the
 canonical-JSON options (:func:`repro.obs.ledger.content_hash` -- the same
-discipline the run ledger uses), which keys the artifact cache, the shard
-assignment, and the dedup.  The scheduler backend is deliberately *not*
+discipline the run ledger uses), which keys the artifact cache and the
+dedup; shards are assigned by ``DseConfig.family_key()``, the same hash
+without the arbiter policy.  The scheduler backend is deliberately *not*
 part of the identity: heap and compiled runs are bit-identical by the
 parity suite, so their artifacts are interchangeable.
 """
@@ -146,8 +148,18 @@ class DseConfig:
         }
 
     def key(self) -> str:
-        """Content hash identifying this config (cache + shard + dedup key)."""
+        """Content hash identifying this config (cache + dedup key)."""
         return content_hash(self.options())
+
+    def family_key(self) -> str:
+        """Content hash of the config's *policy family*: its options apart
+        from ``arbiter_policy``.  Siblings of one family run the same
+        workload on buses that differ only in their arbiters, so a shard
+        may serve one sibling's contention-free run to the rest
+        (``repro.dse.engine``); the shard assignment keys on it."""
+        options = self.options()
+        del options["arbiter_policy"]
+        return content_hash(options)
 
     def spec_fields(self) -> Tuple[Any, ...]:
         """The fields :func:`build_config_spec` reads: configs equal in
@@ -203,6 +215,8 @@ def _normalize(raw: Dict[str, Any], score: Dict[str, Any], seed: int):
         packets = int(raw["packets"])
     elif app == "mpeg2":
         frames = int(raw["frames"])
+    elif bus not in FPA_ARCHS:
+        return None, "database-needs-shared-memory"
 
     subsystems: Optional[int] = None
     if bus in MULTI_SUBSYSTEM_ARCHS:

@@ -61,7 +61,9 @@ class Arbiter:
         self.wait_cycles = 0
         self._pending: List[Tuple[str, Event, int]] = []
         # Deepest the request queue ever got (updated on the contended
-        # path only; feeds RunReport.peak_pending_requests).
+        # path only; feeds RunReport.peak_pending_requests, and the DSE
+        # reuse of contention-free runs relies on it, so every queued
+        # request must pass through Arbiter._enqueue).
         self.peak_pending = 0
         # Observer (repro.obs.Probe), set by Machine.attach_probe; None
         # keeps every grant-path hook on the zero-cost branch.
@@ -230,7 +232,14 @@ class RoundRobinArbiter(Arbiter):
 
 
 class PriorityArbiter(Arbiter):
-    """Static priority; lower priority number wins, FCFS within a level."""
+    """Static priority; lower priority number wins, FCFS within a level.
+
+    The machine builder passes no ``priorities``, so on a built machine
+    every master sits at ``default_priority`` and this grants exactly as
+    :class:`FCFSArbiter` does; the generated ``ARBITER_PRIORITY`` RTL
+    grants the lowest requesting master index instead (a known gap whose
+    fix ROADMAP.md lists among the benchmark's pending pin moves).
+    """
 
     __slots__ = ("priorities", "default_priority")
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Mapping
 
-__all__ = ["BusStats", "PeStats", "segment_totals"]
+__all__ = ["BusStats", "PeStats", "contention_free", "segment_totals"]
 
 
 class BusStats:
@@ -104,6 +104,13 @@ def segment_totals(segments: Mapping[str, Any]) -> Dict[str, Dict[str, int]]:
             "wait_cycles": stats.arbitration_cycles,
         }
     return totals
+
+
+def contention_free(segments: Mapping[str, Any]) -> bool:
+    """True when no segment's arbiter ever held two queued requests: every
+    arbiter policy grants a lone request alike, so the run fired the same
+    events under each (``repro.dse.engine`` reuses it across policies)."""
+    return all(segment.arbiter.peak_pending <= 1 for segment in segments.values())
 
 
 class PeStats:

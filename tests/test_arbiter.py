@@ -1,5 +1,7 @@
 """Tests for bus arbiters (FCFS, round-robin, priority)."""
 
+import random
+
 import pytest
 
 from repro.sim.arbiter import (
@@ -158,6 +160,66 @@ class TestPriority:
         g2 = drive(sim, arbiter, "y", 0, 3)
         sim.run()
         assert g2[0][1] < g1[0][1]
+
+
+def run_schedule(policy, schedule):
+    """Run ``[(master, request_at, hold), ...]`` on a fresh ``policy``
+    arbiter; returns its ``(master, grant cycle)`` list in grant order and
+    the arbiter."""
+    sim = Simulator()
+    arbiter = make_arbiter(sim, policy)
+    grants = []
+    for master, request_at, hold in schedule:
+        grants.append(drive(sim, arbiter, master, request_at, hold))
+    sim.run()
+    in_order = sorted((grant for tenure in grants for grant in tenure), key=lambda g: g[1])
+    return in_order, arbiter
+
+
+def lone_waiter_schedule(rng, tenures=40):
+    """A random schedule in which a request may wait for the owner but
+    never behind another request: each one arrives after the previous one
+    was granted, from a master other than the one holding the bus."""
+    schedule = []
+    granted_at = released_at = 0
+    previous = None
+    for _ in range(tenures):
+        master = rng.choice([name for name in ("m0", "m1", "m2", "m3") if name != previous])
+        request_at = granted_at + rng.randint(1, 8)
+        hold = rng.randint(1, 6)
+        granted_at = max(request_at, released_at)
+        released_at = granted_at + hold
+        schedule.append((master, request_at, hold))
+        previous = master
+    return schedule
+
+
+class TestContention:
+    """A policy only decides between two or more queued requests."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_lone_waiters_are_granted_alike_by_every_policy(self, seed):
+        schedule = lone_waiter_schedule(random.Random(seed))
+        runs = {policy: run_schedule(policy, schedule) for policy in sorted(ARBITER_POLICIES)}
+        grants = {policy: run[0] for policy, run in runs.items()}
+        assert len(grants["fcfs"]) == len(schedule)
+        assert grants["round_robin"] == grants["fcfs"]
+        assert grants["priority"] == grants["fcfs"]
+        for _grants, arbiter in runs.values():
+            assert arbiter.peak_pending <= 1
+        # Requests did wait for the owner: the schedule is not idle.
+        assert runs["fcfs"][1].wait_cycles > 0
+
+    def test_two_waiting_requests_are_a_policy_choice(self):
+        # b and c take the idle bus in turn, so round-robin ranks b ahead
+        # of c; then both queue behind a, c first.
+        schedule = [("b", 0, 1), ("c", 2, 1), ("a", 10, 10), ("c", 11, 1), ("b", 12, 1)]
+        fcfs, fcfs_arbiter = run_schedule("fcfs", schedule)
+        ring, ring_arbiter = run_schedule("round_robin", schedule)
+        assert fcfs[-2:] == [("c", 20), ("b", 21)]
+        assert ring[-2:] == [("b", 20), ("c", 21)]
+        assert fcfs_arbiter.peak_pending == 2
+        assert ring_arbiter.peak_pending == 2
 
 
 class TestFactory:

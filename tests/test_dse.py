@@ -10,6 +10,9 @@ Pins the production-sweep contracts of ``repro.dse`` (docs/dse.md):
   version as misses, and holds no generated design;
 * **shards** -- a shard generates each distinct spec once and holds one
   generated design at a time;
+* **policy families** -- a contention-free run serves the configs that
+  differ from it only in ``arbiter_policy``, and their rows equal the
+  rows those configs get when run alone;
 * **determinism** -- the same spec yields a bit-identical frontier cold
   vs warm, at any ``--jobs`` value, and on every scheduler backend.
 """
@@ -27,6 +30,7 @@ from repro.dse.engine import (
     run_dse_shard,
     run_sweep,
     shard_of,
+    simulate_config,
     sweep_fingerprint,
 )
 from repro.dse.pareto import axes_for, dominates, pareto_frontier, rank_rows
@@ -37,8 +41,11 @@ from repro.dse.spec import (
     example_spec,
     smoke_spec,
 )
+from repro.fuzz.oracle import run_fingerprint
+from repro.obs.ledger import scrub_timings
 from repro.options.schema import OptionError
 from repro.sim.kernel import KERNEL_BACKENDS
+from repro.sim.stats import contention_free
 
 
 def tiny_spec():
@@ -65,6 +72,23 @@ def shared_spec():
                 "bus": ["GBAVIII", "GGBA"],
                 "pes": [4],
                 "style": ["PPA", "FPA"],
+                "packets": [1],
+            },
+        }
+    )
+
+
+def policy_spec():
+    """Nine configs in three policy families: BFBA/4 PPA and GBAVIII/4 FPA
+    run contention-free, GBAVIII/4 PPA does not."""
+    return SweepSpec.from_dict(
+        {
+            "name": "policies",
+            "axes": {
+                "bus": ["BFBA", "GBAVIII"],
+                "pes": [4],
+                "style": ["PPA", "FPA"],
+                "arbiter_policy": ["fcfs", "round_robin", "priority"],
                 "packets": [1],
             },
         }
@@ -166,6 +190,22 @@ class TestSpecExpansion:
         # One global-memory BAN per subsystem (the FPA prerequisite).
         for subsystem in spec.subsystems:
             assert any(ban.is_global_resource for ban in subsystem.bans)
+
+    def test_database_without_shared_memory_is_a_counted_skip(self):
+        spec = SweepSpec.from_dict(
+            {"axes": {"bus": ["BFBA", "GBAVI", "GGBA"], "pes": [4], "app": ["database"]}}
+        )
+        configs, skipped, _ = spec.expand()
+        assert [config.bus for config in configs] == ["GGBA"]
+        assert skipped == {"database-needs-shared-memory": 2}
+        assert run_sweep(spec, jobs=1, cache_dir=None)["errors"] == 0
+
+    def test_family_key_ignores_the_policy_alone(self):
+        fcfs = DseConfig(bus="GGBA", pes=2, packets=1)
+        ring = DseConfig(bus="GGBA", pes=2, packets=1, arbiter_policy="round_robin")
+        assert fcfs.key() != ring.key()
+        assert fcfs.family_key() == ring.family_key()
+        assert fcfs.family_key() != DseConfig(bus="GGBA", pes=4, packets=1).family_key()
 
     def test_subsystems_beyond_pes_skipped(self):
         configs, skipped, _ = SweepSpec.from_dict(
@@ -325,6 +365,93 @@ class TestShard:
         assert len(files) == summary["configs"]
         assert all(name.endswith(".json") for name in files)
         assert os.listdir(os.path.join(str(tmp_path), "objects")) == ["result"]
+
+
+def bare_run(config, kernel):
+    """``(contention-free, run fingerprint, events)`` of ``config``'s bare
+    run on its own machine."""
+    machine = BusSyn().generate(build_config_spec(config)).build_machine(kernel=kernel)
+    metric = simulate_config(config, machine)
+    return (
+        contention_free(machine.segments),
+        run_fingerprint(config, machine, metric),
+        machine.sim.events_processed,
+    )
+
+
+class TestPolicyFamilies:
+    """A contention-free run serves its arbiter-policy siblings."""
+
+    @pytest.mark.parametrize("kernel", KERNEL_BACKENDS)
+    def test_contention_freedom_is_a_family_property(self, kernel):
+        # Seven buses x 2/4 PEs x both styles x 3 policies at 1 packet.
+        sweep = SweepSpec.from_dict(
+            {
+                "axes": {
+                    "bus": ["GBAVI", "GBAVIII", "BFBA", "SPLITBA", "HYBRID", "GGBA", "CCBA"],
+                    "pes": [2, 4],
+                    "style": ["PPA", "FPA"],
+                    "data_width": [32],
+                    "arbiter_policy": ["fcfs", "round_robin", "priority"],
+                    "packets": [1],
+                }
+            }
+        )
+        configs = sweep.expand()[0]
+        assert len(configs) == 51
+        families = {}
+        for config in configs:
+            families.setdefault(config.family_key(), []).append(bare_run(config, kernel))
+        free = [runs for runs in families.values() if runs[0][0]]
+        for runs in families.values():
+            assert len(runs) == 3
+            assert len({flag for flag, _fingerprint, _events in runs}) == 1
+        for runs in free:
+            assert len({fingerprint for _flag, fingerprint, _events in runs}) == 1
+            assert len({events for _flag, _fingerprint, events in runs}) == 1
+        assert 0 < len(free) < len(families)
+
+    def test_served_rows_equal_rows_run_alone(self):
+        configs, _, _ = policy_spec().expand()
+        together = run_dse_shard((0, [config.options() for config in configs]))
+        assert (together["simulated"], together["shared"]) == (5, 4)
+        for config, row in zip(configs, together["rows"]):
+            alone = run_dse_shard((0, [config.options()]))
+            assert (alone["simulated"], alone["shared"]) == (1, 0)
+            assert scrub_timings(row) == scrub_timings(alone["rows"][0])
+
+    def test_jobs_keep_the_fingerprint_and_the_counts(self, tmp_path, monkeypatch):
+        machines = []
+        build_machine = GeneratedBusSystem.build_machine
+
+        def counting(generated, **kwargs):
+            machines.append(generated.spec.name)
+            return build_machine(generated, **kwargs)
+
+        monkeypatch.setattr(GeneratedBusSystem, "build_machine", counting)
+        summaries = {
+            jobs: run_sweep(policy_spec(), jobs=jobs, cache_dir=str(tmp_path / str(jobs)))
+            for jobs in (1, 2)
+        }
+        # In-process at --jobs 1: one machine per contention-free family,
+        # one per config of the contended one.
+        assert len(machines) == 5
+        for summary in summaries.values():
+            shards = summary["shard_stats"]["shards"]
+            assert sum(shard["simulated"] for shard in shards) == 5
+            assert sum(shard["shared"] for shard in shards) == 4
+            assert summary["cache_stats"]["hits"] == 0
+            assert not any(row["cached"] for row in summary["results"])
+            # The fingerprint of the sweep with every config simulated.
+            assert sweep_fingerprint(summary).startswith("e76e26d7b1677a3c")
+        assert len(summaries[2]["shard_stats"]["shards"]) == 2
+        cycles = {
+            row["options"]["arbiter_policy"]: row["cycles"]
+            for row in summaries[1]["results"]
+            if row["label"] == "GBAVIII/4 ofdm-PPA"
+        }
+        # The contended family runs every policy, and round-robin differs.
+        assert cycles == {"fcfs": 543966, "priority": 543966, "round_robin": 543972}
 
 
 class TestSweepDeterminism:
@@ -487,6 +614,20 @@ class TestCliRoundTrip:
         # Cold and warm sweeps are the same run identity: scheduling and
         # cache facts live in the envelope, not the hashed body.
         assert records[0]["hash"] == records[1]["hash"]
+
+    def test_dse_verb_reports_shared_runs(self, tmp_path, capsys):
+        from repro.cli import main
+
+        spec = tmp_path / "policies.json"
+        spec.write_text(json.dumps(policy_spec().as_dict()))
+        argv = ["dse", "--spec", str(spec), "--cache-dir", str(tmp_path / "cache"), "--no-ledger"]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        assert main(argv) == 0
+        warm = capsys.readouterr().out
+        line = "%d simulated, %d served by a contention-free arbiter-policy sibling"
+        assert line % (5, 4) in cold.splitlines()
+        assert line % (0, 0) in warm.splitlines()
 
     def test_dse_verb_defaults_its_cache_dir(self, tmp_path, monkeypatch, capsys):
         # Without --cache-dir the verb caches under ./.repro/dse, the path
