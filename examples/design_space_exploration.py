@@ -41,7 +41,7 @@ def main() -> None:
         print("%-8s %-5s %12.4f %12d %12.1f" % (bus_name, style, mbps, gates, gen_ms))
 
     # Pareto frontier on (throughput up, gates down) -- the engine's
-    # general dominance frontier, printed in the example's classic shape.
+    # general dominance frontier, one config a line.
     print()
     for line in format_frontier_lines(summary["frontier"]):
         print(line)

@@ -24,6 +24,7 @@ speed" -- section VI.A.3), i.e. exactly one macroblock per picture.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -48,6 +49,8 @@ __all__ = [
     "decode_gop_payloads",
     "split_stream",
     "synthetic_video",
+    "synthetic_stream",
+    "sequence_header",
     "psnr",
     "DecodeStats",
 ]
@@ -136,6 +139,12 @@ def synthetic_video(
             )
         )
     return out
+
+
+@lru_cache(maxsize=None)
+def synthetic_stream(frames: int) -> bytes:
+    """``encode_sequence(synthetic_video(frames))``, encoded once per process."""
+    return encode_sequence(synthetic_video(frames))
 
 
 def psnr(reference: np.ndarray, decoded: np.ndarray) -> float:
@@ -335,6 +344,11 @@ def _decode_sequence_header(reader: BitReader) -> SequenceHeader:
     )
     header.validate()
     return header
+
+
+def sequence_header(stream: bytes) -> SequenceHeader:
+    """The picture size and coding parameters of a stream's first header."""
+    return _decode_sequence_header(BitReader(stream))
 
 
 def decode_sequence(stream: bytes) -> Tuple[List[Gop], DecodeStats]:

@@ -33,7 +33,14 @@ from ...soc import pack
 from ...soc.api import SocAPI
 from ...soc.handshake import make_channel
 from . import cost
-from .codec import Frame, encode_sequence, iter_decode_chunk, split_stream, synthetic_video
+from .codec import (
+    Frame,
+    encode_sequence,
+    iter_decode_chunk,
+    sequence_header,
+    split_stream,
+    synthetic_stream,
+)
 
 __all__ = ["Mpeg2Result", "run_mpeg2", "gop_assignment"]
 
@@ -48,10 +55,8 @@ def _frame_payload_bytes(width: int, height: int) -> int:
     return 5 + width * height + 2 * (width // 2) * (height // 2)
 
 
-def _message_words(chunks, width: int, height: int) -> int:
-    largest = max(
-        [len(chunk) for chunk in chunks] + [_frame_payload_bytes(width, height)]
-    )
+def _message_words(chunks, frame_bytes: int) -> int:
+    largest = max([len(chunk) for chunk in chunks] + [frame_bytes])
     return max(MSG_WORDS, 3 + (largest + 3) // 4)
 
 
@@ -497,19 +502,20 @@ def run_mpeg2(
     """Decode an MPEG2 stream functionally parallel on ``machine``.
 
     The stream is encoded outside the simulation (it is the external input
-    source); ``frame_count`` frames make ``frame_count // 2`` I+P GOPs.
+    source): ``video`` is encoded for this call, and without one the run
+    decodes the shared ``synthetic_stream(frame_count)``: ``frame_count // 2`` I+P GOPs.
     """
-    video = video if video is not None else synthetic_video(frame_count)
-    stream = encode_sequence(video)
+    stream = synthetic_stream(frame_count) if video is None else encode_sequence(video)
     chunks = split_stream(stream)
-    height, width = video[0].y.shape
-    msg_words = _message_words(chunks, width, height)
+    header = sequence_header(stream)
+    frame_bytes = _frame_payload_bytes(header.width, header.height)
+    msg_words = _message_words(chunks, frame_bytes)
     result = Mpeg2Result(
         machine_name=machine.name,
         cycles=0,
         stream_bits=len(stream) * 8,
         gops=len(chunks),
-        frame_payload_bytes=_frame_payload_bytes(width, height),
+        frame_payload_bytes=frame_bytes,
     )
     if machine.global_memory is not None:
         _run_shared(machine, chunks, result, msg_words)

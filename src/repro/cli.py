@@ -118,10 +118,9 @@ def _run_app(machine, spec, args) -> dict:
             "throughput_mbps": result.throughput_mbps,
         }
     elif args.app == "mpeg2":
-        from .apps.mpeg2.codec import synthetic_video
         from .apps.mpeg2.parallel import run_mpeg2
 
-        result = run_mpeg2(machine, synthetic_video(args.frames))
+        result = run_mpeg2(machine, frame_count=args.frames)
         print(
             "%s MPEG2: %.4f Mbps (%d GOPs, %d frames decoded)"
             % (spec.name, result.throughput_mbps, result.gops, len(result.frames))

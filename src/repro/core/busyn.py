@@ -157,6 +157,10 @@ class BusSyn:
     to it, and a design nobody holds is freed.  A generation takes a few
     milliseconds, so no cache of designs, in process or on disk, pays for
     what it costs to keep.
+
+    The libraries never change: without arguments every BusSyn shares the
+    process's :func:`default_library` and :func:`default_wire_library`.
+    Private ones: ``BusSyn(ModuleLibrary(ALL_LIBRARY_TEXT), WireLibrary())``.
     """
 
     def __init__(

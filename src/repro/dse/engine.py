@@ -89,10 +89,9 @@ def simulate_config(config: DseConfig, machine) -> Dict[str, Any]:
             "cycles": result.cycles,
         }
     if config.app == "mpeg2":
-        from ..apps.mpeg2.codec import synthetic_video
         from ..apps.mpeg2.parallel import run_mpeg2
 
-        result = run_mpeg2(machine, synthetic_video(config.frames))
+        result = run_mpeg2(machine, frame_count=config.frames)
         return {
             "app": "mpeg2",
             "name": "throughput_mbps",
@@ -213,9 +212,7 @@ def _run_config(config: DseConfig, generated, kernel: str, runs: _FamilyRuns) ->
     return row
 
 
-def _run_spec(
-    configs: List[DseConfig], tool: BusSyn, kernel: str, runs: _FamilyRuns
-) -> List[Dict[str, Any]]:
+def _run_spec(configs: List[DseConfig], kernel: str, runs: _FamilyRuns) -> List[Dict[str, Any]]:
     """Generate the spec ``configs`` share once and run each of them on it;
     the design is garbage when this returns."""
     generated = None
@@ -223,7 +220,7 @@ def _run_spec(
     for config in configs:
         try:
             if generated is None:
-                generated = tool.generate(build_config_spec(config))
+                generated = BusSyn().generate(build_config_spec(config))
             rows.append(_run_config(config, generated, kernel, runs))
         except (ValueError, KeyError, RuntimeError) as error:
             rows.append(_error_row(config, error))
@@ -282,11 +279,10 @@ def run_dse_shard(
                 hits += 1
                 continue
         by_spec.setdefault(config.spec_fields(), []).append(index)
-    tool = BusSyn() if by_spec else None
     # Spans the spec groups: siblings differ in policy, hence in spec.
     runs = _FamilyRuns()
     for indices in by_spec.values():
-        spec_rows = _run_spec([configs[index] for index in indices], tool, kernel, runs)
+        spec_rows = _run_spec([configs[index] for index in indices], kernel, runs)
         # The spec's machines are cyclic garbage now: collect them while
         # they are young, so a shard holds one design's worth of memory
         # rather than what the collector's thresholds let pile up (a full

@@ -117,15 +117,18 @@ def rank_rows(
 
 
 def format_frontier_lines(frontier: Sequence[Dict[str, Any]]) -> List[str]:
-    """The frontier in the example's printed shape (bit-stable)."""
+    """The frontier, one config a line with the ranked table's options (bit-stable)."""
     lines = ["Pareto-efficient configurations (throughput vs bus gates):"]
     for row in frontier:
         options = row.get("options", {})
         lines.append(
-            "  %-8s %-5s  %.4f Mbps at %d gates"
+            "  %-8s %-5s %2d PEs %3d-bit %-11s  %.4f Mbps at %d gates"
             % (
                 options.get("bus", "?"),
                 options.get("style") or "-",
+                options.get("pes", 0),
+                options.get("data_width", 0),
+                options.get("arbiter_policy", "?"),
                 row["throughput"],
                 row["gate_count"],
             )

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..apps.mpeg2.codec import decode_sequence, encode_sequence, psnr, synthetic_video
+from ..apps.mpeg2.codec import decode_sequence, synthetic_stream
 from ..apps.mpeg2.parallel import run_mpeg2
 from ..options import presets
 from ..sim.fabric import build_machine
@@ -65,19 +65,16 @@ class Table3Row:
 
 @lru_cache(maxsize=2)
 def _reference_decode(frame_count: int):
-    """(video, reference frames) for ``frame_count`` -- computed once per
-    process.  Deterministic, so every worker derives the identical
-    reference; within one process (the sequential path) it is shared by all
-    cases exactly as before."""
-    video = synthetic_video(frame_count)
-    stream = encode_sequence(video)
-    reference_gops, _stats = decode_sequence(stream)
-    reference = {
+    """The serial decode of the shared ``frame_count``-frame stream, by
+    ``(gop, frame)`` -- computed once per process.  Deterministic, so every
+    worker derives the identical reference; within one process (the
+    sequential path) it is shared by all cases."""
+    reference_gops, _stats = decode_sequence(synthetic_stream(frame_count))
+    return {
         (gop.index, index): frame
         for gop in reference_gops
         for index, frame in enumerate(gop.frames)
     }
-    return video, reference
 
 
 def run_table3_case(
@@ -89,7 +86,7 @@ def run_table3_case(
 ) -> Table3Row:
     """Simulate one ``(case number, bus)`` Table III entry; picklable."""
     number, bus_name = case
-    video, reference = _reference_decode(frame_count)
+    reference = _reference_decode(frame_count)
     machine = build_machine(presets.preset(bus_name, pe_count), kernel=kernel)
     if telemetry:
         from ..obs import Observability
@@ -97,7 +94,7 @@ def run_table3_case(
 
         machine.attach_observability(Observability())
     start = time.perf_counter()
-    result = run_mpeg2(machine, video)
+    result = run_mpeg2(machine, frame_count=frame_count)
     if telemetry:
         record_run(
             machine.run_report(

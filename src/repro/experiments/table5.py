@@ -63,23 +63,11 @@ class Table5Row:
         )
 
 
-# Per-process tool for run_table5_case (its libraries are parsed once);
-# every generation is timed afresh.
-_TOOL: Optional[BusSyn] = None
-
-
-def _measurement_tool() -> BusSyn:
-    global _TOOL
-    if _TOOL is None:
-        _TOOL = BusSyn()
-    return _TOOL
-
-
 def run_table5_case(case: Tuple[str, int], telemetry: bool = False) -> Table5Row:
     """Generate one ``(bus, pe_count)`` Table V entry; picklable."""
     bus_name, pe_count = case
     start = time.perf_counter()
-    generated = _measurement_tool().generate(presets.preset(bus_name, pe_count))
+    generated = BusSyn().generate(presets.preset(bus_name, pe_count))
     if telemetry:
         # Generation runs no simulator; the RunReport carries wall time and
         # generator outputs in ``extras`` so `repro stats 5` aggregates too.

@@ -189,23 +189,18 @@ def _check_parity(config: DseConfig, generated) -> Dict[str, Any]:
     return {"fingerprints": fingerprints, "cycles": cycles, "findings": findings}
 
 
-def evaluate_case(
-    case: Dict[str, Any], kernel: str = "heap", tool: Optional[BusSyn] = None
-) -> Dict[str, Any]:
+def evaluate_case(case: Dict[str, Any], kernel: str = "heap") -> Dict[str, Any]:
     """Run the full oracle stack on one case; returns its verdict dict.
 
     ``kernel`` drives the protocol and resilience checks (the parity
-    check always runs all of :data:`PARITY_BACKENDS`).  ``tool`` lets a
-    shard worker share one :class:`BusSyn`, and the libraries it parsed,
-    across cases.
+    check always runs all of :data:`PARITY_BACKENDS`).
     """
     config = DseConfig.from_options(case["options"])
-    tool = tool or BusSyn()
     checks: Dict[str, List[str]] = {}
     parity = {"fingerprints": {}, "cycles": {}, "findings": []}
 
     try:
-        generated = tool.generate(build_config_spec(config))
+        generated = BusSyn().generate(build_config_spec(config))
     except Exception as error:  # noqa: BLE001 -- deterministic finding
         # Nothing to check or build: every check reports why.
         checks = {name: _findings_from_error(error) for name in ORACLE_CHECKS}

@@ -34,7 +34,6 @@ import time
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-from ..core.busyn import BusSyn
 from ..dse.cache import DEFAULT_CACHE_DIR, ArtifactCache
 from ..dse.engine import shard_of
 from ..experiments.runner import run_cases
@@ -72,15 +71,13 @@ def _frozen_heap() -> Iterator[None]:
 def _cached_evaluator(
     cache: Optional[ArtifactCache], kernel: str, use_cache: bool = True
 ) -> Callable[[Dict[str, Any]], Dict[str, Any]]:
-    tool = BusSyn()
-
     def evaluate(case: Dict[str, Any]) -> Dict[str, Any]:
         key = oracle_cache_key(case)
         if cache is not None and use_cache:
             stored = cache.get_json("fuzz", key)
             if stored is not None:
                 return stored
-        verdict = evaluate_case(case, kernel=kernel, tool=tool)
+        verdict = evaluate_case(case, kernel=kernel)
         if cache is not None:
             cache.put_json("fuzz", key, verdict)
         return verdict

@@ -16,6 +16,7 @@ zero-padding expression of the paper's MBI_SRAM listing.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from ..hdl.ast import Module
@@ -198,8 +199,11 @@ class ModuleLibrary:
         return generated
 
 
+@lru_cache(maxsize=None)
 def default_library() -> ModuleLibrary:
-    """The built-in Module Library with all components of section V.A."""
+    """The built-in Module Library (all components of section V.A): one per
+    process, parsed on first use and shared with its expansion cache.  A
+    private one is ``ModuleLibrary(ALL_LIBRARY_TEXT)`` (:mod:`.components`)."""
     from .components import ALL_LIBRARY_TEXT
 
     return ModuleLibrary(ALL_LIBRARY_TEXT)

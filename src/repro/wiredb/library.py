@@ -14,6 +14,7 @@ first).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import builtin
@@ -157,6 +158,8 @@ class WireLibrary:
         return self.sections[key]
 
 
+@lru_cache(maxsize=None)
 def default_wire_library() -> WireLibrary:
-    """An empty library; sections generate on demand for each shape."""
+    """The process's one Wire Library, shared with the sections it generates
+    on first use for each shape.  A private one is ``WireLibrary()``."""
     return WireLibrary()

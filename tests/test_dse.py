@@ -33,7 +33,13 @@ from repro.dse.engine import (
     simulate_config,
     sweep_fingerprint,
 )
-from repro.dse.pareto import axes_for, dominates, pareto_frontier, rank_rows
+from repro.dse.pareto import (
+    axes_for,
+    dominates,
+    format_frontier_lines,
+    pareto_frontier,
+    rank_rows,
+)
 from repro.dse.spec import (
     DseConfig,
     SweepSpec,
@@ -575,6 +581,19 @@ class TestPareto:
         # Frontier members rank ahead of every dominated row; dominated
         # rows then sort by the axis order (throughput down).
         assert [row["options"]["n"] for row in ranked] == [1, 2, 4, 3]
+
+    def test_frontier_lines_name_the_whole_config(self):
+        frontier = run_sweep(policy_spec(), cache_dir=None)["frontier"]
+        lines = format_frontier_lines(frontier)[1:]
+        assert len(lines) == len(frontier)
+        assert len(set(lines)) == len(lines), lines
+        # Policy siblings tie on bus, style and both axes.
+        ties = {
+            (row["options"]["bus"], row["options"]["style"])
+            + (row["throughput"], row["gate_count"])
+            for row in frontier
+        }
+        assert len(ties) < len(frontier)
 
     def test_axes_for_adds_resilience_only_when_universal(self):
         rows = [dict(row, resilience=1.0) for row in self.ROWS]

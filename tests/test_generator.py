@@ -13,11 +13,25 @@ from repro.core import (
     subsystem_kind,
 )
 from repro.core.bangen import BanKind, ban_kind
-from repro.hdl import Design, Module, Port, Range, elaborate, lint_design, parse_design
-from repro.moduledb import default_library
+from repro.experiments.table2 import run_table2
+from repro.experiments.table3 import run_table3
+from repro.experiments.table5 import run_table5
+from repro.hdl import (
+    Design,
+    Module,
+    Port,
+    Range,
+    elaborate,
+    emit_module,
+    lint_design,
+    parse_design,
+    parse_modules,
+)
+from repro.moduledb import ModuleLibrary, default_library
+from repro.moduledb.components import ALL_LIBRARY_TEXT
 from repro.options import presets
 from repro.options.schema import OptionError
-from repro.wiredb import default_wire_library
+from repro.wiredb import WireLibrary, default_wire_library
 
 ALL_PRESETS = ["BFBA", "GBAVI", "GBAVIII", "HYBRID", "SPLITBA", "GGBA", "CCBA"]
 
@@ -294,6 +308,68 @@ class TestBusSyn:
     def test_fifo_depth_flows_through(self, tool):
         generated = tool.generate(presets.preset("BFBA", 4, fifo_depth=256))
         assert any("bififo_d256" in name for name in generated.design().modules)
+
+
+def preset_specs(pe_counts, widths):
+    """``(label, spec)`` of every preset at each PE count and data width
+    it can take."""
+    specs = []
+    for name in sorted(presets.PRESETS):
+        for pe_count in pe_counts:
+            for width in widths:
+                try:
+                    spec = presets.preset(name, pe_count)
+                    spec.set_data_width(width)
+                    spec.validate()
+                except OptionError:
+                    continue
+                specs.append(("%s/%d/%d" % (name, pe_count, width), spec))
+    return specs
+
+
+def outputs(generated):
+    report = generated.report
+    return generated.verilog(), report.gate_count, report.gate_breakdown
+
+
+class TestSharedLibraries:
+    """Every BusSyn shares the process's libraries, and what they cache
+    never depends on what was generated before or on what used it."""
+
+    def test_one_instance_per_process(self):
+        assert default_library() is default_library()
+        assert default_wire_library() is default_wire_library()
+        assert BusSyn().module_library is BusSyn().module_library
+        assert BusSyn().wire_library is BusSyn().wire_library
+        private = BusSyn(ModuleLibrary(ALL_LIBRARY_TEXT), WireLibrary())
+        assert private.module_library is not default_library()
+        assert private.wire_library is not default_wire_library()
+
+    def test_generation_is_order_independent(self):
+        specs = preset_specs([1, 2, 4, 8], [32, 64])
+        assert len(specs) > 50
+        fresh = {
+            label: outputs(BusSyn(ModuleLibrary(ALL_LIBRARY_TEXT), WireLibrary()).generate(spec))
+            for label, spec in specs
+        }
+        for order in (specs, specs[::-1]):
+            for label, spec in order:
+                assert outputs(BusSyn().generate(spec)) == fresh[label], label
+
+    def test_cached_components_survive_table_runs(self):
+        modules, wires = default_library(), default_wire_library()
+        for name in sorted(presets.PRESETS):
+            BusSyn().generate(presets.preset(name, 4))
+        before = {key: emit_module(cached.module) for key, cached in modules._cache.items()}
+        sections = {key: repr(group) for key, group in wires.sections.items()}
+        # Machine builds, graph extraction, decoding and lint all read them.
+        run_table2(packets=1)
+        run_table3(frame_count=2)
+        run_table5(pe_counts=[1])
+        assert {key: emit_module(modules._cache[key].module) for key in before} == before
+        assert {key: repr(wires.sections[key]) for key in sections} == sections
+        for cached in modules._cache.values():
+            assert emit_module(cached.module) == emit_module(parse_modules(cached.text)[0])
 
 
 class TestGateModel:

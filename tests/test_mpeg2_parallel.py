@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.apps.mpeg2.codec import decode_sequence, encode_sequence, synthetic_video
+from repro.apps.mpeg2 import codec, parallel
+from repro.apps.mpeg2.codec import (
+    decode_sequence,
+    encode_sequence,
+    synthetic_stream,
+    synthetic_video,
+)
 from repro.apps.mpeg2.parallel import (
     MSG_WORDS,
     Mpeg2Result,
@@ -14,6 +20,7 @@ from repro.apps.mpeg2.parallel import (
     gop_assignment,
     run_mpeg2,
 )
+from repro.experiments import table3
 from repro.options import presets
 from repro.sim.fabric import build_machine
 from repro.sim.pe import ProgramError
@@ -40,6 +47,24 @@ def assert_frames_match(result, reference):
         np.testing.assert_allclose(result.frames[key].y, reference[key].y, atol=0.51)
         np.testing.assert_allclose(result.frames[key].cb, reference[key].cb, atol=0.51)
         np.testing.assert_allclose(result.frames[key].cr, reference[key].cr, atol=0.51)
+
+
+def result_surface(result):
+    """Every field of an :class:`Mpeg2Result`, frames as plane bytes."""
+    frames = sorted(
+        (key, [plane.tobytes() for plane in frame.planes()])
+        for key, frame in result.frames.items()
+    )
+    return (
+        result.machine_name,
+        result.cycles,
+        result.stream_bits,
+        result.gops,
+        result.frame_payload_bytes,
+        result.gop_to_ban,
+        result.schedule,
+        frames,
+    )
 
 
 class TestMessagePacking:
@@ -117,3 +142,52 @@ class TestSchedules:
         shared = run_mpeg2(build_machine(presets.preset("GBAVIII", 4)), video)
         relay = run_mpeg2(build_machine(presets.preset("BFBA", 4)), video)
         assert relay.cycles > 1.1 * shared.cycles
+
+
+class TestSharedStream:
+    """The synthetic input is encoded once per process; a caller's own
+    video is encoded for its call."""
+
+    @pytest.fixture
+    def encoded(self, monkeypatch):
+        """The videos ``encode_sequence`` is called with, in call order."""
+        videos = []
+        encode = codec.encode_sequence
+
+        def counting(video, *args, **kwargs):
+            videos.append(video)
+            return encode(video, *args, **kwargs)
+
+        monkeypatch.setattr(codec, "encode_sequence", counting)
+        monkeypatch.setattr(parallel, "encode_sequence", counting)
+        return videos
+
+    def test_table3_encodes_once(self, encoded):
+        synthetic_stream.cache_clear()
+        table3._reference_decode.cache_clear()
+        first = table3.run_table3(frame_count=2)
+        second = table3.run_table3(frame_count=2)
+        assert len(encoded) == 1
+        assert first == second
+        assert all(row.frames_correct for row in first)
+        assert synthetic_stream(2) is synthetic_stream(2)
+
+    def test_own_video_is_encoded(self, encoded):
+        video = synthetic_video(4, seed=7)
+        result = run_mpeg2(build_machine(presets.preset("GBAVIII", 4)), video)
+        assert len(encoded) == 1 and encoded[0] is video
+        stream = encode_sequence(video)
+        assert stream != synthetic_stream(4)
+        assert result.stream_bits == 8 * len(stream)
+        gops, _stats = decode_sequence(stream)
+        assert_frames_match(
+            result,
+            {(gop.index, index): frame for gop in gops for index, frame in enumerate(gop.frames)},
+        )
+
+    @pytest.mark.parametrize("preset_name", ["GBAVIII", "BFBA"])
+    def test_synthetic_video_matches_the_shared_stream(self, preset_name):
+        spec = presets.preset(preset_name, 4)
+        own = run_mpeg2(build_machine(spec), synthetic_video(4))
+        shared = run_mpeg2(build_machine(spec), frame_count=4)
+        assert result_surface(own) == result_surface(shared)
